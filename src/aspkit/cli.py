@@ -14,6 +14,7 @@ model is not, 2 anything that prevented checking.
 """
 
 import argparse
+import os
 import re
 import sys
 
@@ -238,6 +239,13 @@ def main(argv=None):
     except _UsageError as e:
         print(f"aspkit: error: {e}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader of stdout has gone (`aspkit run ... | head -1`). Point
+        # stdout at devnull so the flush at interpreter exit cannot fail too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except OSError as e:
         print(f"aspkit: {e}", file=sys.stderr)
         return 1
@@ -260,8 +268,6 @@ def main(argv=None):
     except GroundingError as e:
         print(e, file=sys.stderr)
         return 3
-    except BrokenPipeError:
-        return 0
 
 
 if __name__ == "__main__":

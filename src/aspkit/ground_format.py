@@ -115,6 +115,13 @@ def _take(nums, n, rd, what):
     return nums[:n], nums[n:]
 
 
+def _bad_atom_id(ids, rd, what):
+    """Atom ids are positive; the solver would read a negative one as an
+    index from the end of its arrays."""
+    bad = next(i for i in ids if i <= 0)
+    raise FormatError(rd.lineno, f"atom id {bad} in {what} is not positive")
+
+
 def _parse_rule(nums, rd):
     t = nums[0]
     rest = nums[1:]
@@ -124,6 +131,8 @@ def _parse_rule(nums, rd):
         if nneg > nlits or nneg < 0:
             raise FormatError(rd.lineno, "bad literal counts in basic rule")
         lits, rest = _take(rest, nlits, rd, "basic rule")
+        if head <= 0 or (lits and min(lits) <= 0):
+            _bad_atom_id((head, *lits), rd, "basic rule")
         rule = BasicRule(head, tuple(lits[nneg:]), tuple(lits[:nneg]))
     elif t == 2:
         taken, rest = _take(rest, 4, rd, "cardinality rule")
@@ -131,6 +140,8 @@ def _parse_rule(nums, rd):
         if nneg > nlits or nneg < 0:
             raise FormatError(rd.lineno, "bad literal counts in cardinality rule")
         lits, rest = _take(rest, nlits, rd, "cardinality rule")
+        if head <= 0 or (lits and min(lits) <= 0):
+            _bad_atom_id((head, *lits), rd, "cardinality rule")
         rule = ConstraintRule(head, bound, tuple(lits[nneg:]), tuple(lits[:nneg]))
     elif t == 3:
         taken, rest = _take(rest, 1, rd, "choice rule")
@@ -140,6 +151,8 @@ def _parse_rule(nums, rd):
         if nneg > nlits or nneg < 0:
             raise FormatError(rd.lineno, "bad literal counts in choice rule")
         lits, rest = _take(rest, nlits, rd, "choice rule")
+        if (heads and min(heads) <= 0) or (lits and min(lits) <= 0):
+            _bad_atom_id((*heads, *lits), rd, "choice rule")
         rule = ChoiceRule(tuple(heads), tuple(lits[nneg:]), tuple(lits[:nneg]))
     elif t == 5:
         taken, rest = _take(rest, 4, rd, "weight rule")
@@ -148,6 +161,8 @@ def _parse_rule(nums, rd):
             raise FormatError(rd.lineno, "bad literal counts in weight rule")
         lits, rest = _take(rest, nlits, rd, "weight rule")
         weights, rest = _take(rest, nlits, rd, "weight rule")
+        if head <= 0 or (lits and min(lits) <= 0):
+            _bad_atom_id((head, *lits), rd, "weight rule")
         rule = WeightRule(head, bound, tuple(lits[nneg:]), tuple(lits[:nneg]),
                           tuple(weights[nneg:]), tuple(weights[:nneg]))
     elif t in (4, 6, 8):

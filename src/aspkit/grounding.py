@@ -6,9 +6,22 @@ then instantiates the remaining rules by joining over the positive domain
 literals in their bodies. Negative domain literals are always evaluated
 away; positive ones stay in rule bodies only in "keep" mode, where domain
 extensions are also emitted as facts ahead of all other rules.
+
+Comparisons drive the join where they can. When a comparison binds a
+variable first bound by a join literal against an already bound term that
+evaluates to an integer, `V == expr` selects that literal's rows by index
+lookup and `V < expr`, `V <= expr`, `V > expr`, `V >= expr` by a bisect
+range over the integer column, instead of filtering every row. The
+comparisons still run as filters on the selected rows, the rows come back
+in the extension's insertion order, and any case where selecting could
+skip a row that filtering would have raised an error on falls back to
+filtering; so instance order, output bytes and errors do not depend on
+it. Terms, checks and atom names are compiled once per rule into closures.
 """
 
 import itertools
+import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .analysis import Diagnostic, atom_vars, term_vars
@@ -54,47 +67,112 @@ def _check64(v, loc):
     return v
 
 
-def eval_term(t, binding, loc):
-    """Evaluate a ground or bound term to an int or a symbolic-constant str."""
-    if isinstance(t, Integer):
-        return t.value
-    if isinstance(t, SymbolicConst):
-        return t.name
-    if isinstance(t, Variable):
-        try:
-            return binding[t.name]
-        except KeyError:
-            raise GroundingError(loc, f"unbound variable '{t.name}'") from None
-    # FuncApp
-    vals = []
-    for arg in t.args:
-        v = eval_term(arg, binding, loc)
-        if not isinstance(v, int):
-            if isinstance(arg, SymbolicConst):
-                raise UnboundConstantError(loc, arg.name)
-            raise GroundingError(loc, f"arithmetic on non-integer value '{v}'")
-        vals.append(v)
-    op = t.op
-    if op == "abs":
-        return _check64(abs(vals[0]), loc)
-    if op == "-" and len(vals) == 1:
-        return _check64(-vals[0], loc)
-    a, b = vals
-    if op == "+":
-        return _check64(a + b, loc)
-    if op == "-":
-        return _check64(a - b, loc)
-    if op == "*":
-        return _check64(a * b, loc)
+def _divide(a, b, loc):
+    """Quotient truncated toward zero."""
     if b == 0:
         raise ArithmeticEvalError(loc, "division by zero")
-    # / and mod truncate toward zero; the remainder keeps the dividend's sign
     q = abs(a) // abs(b)
-    if (a < 0) != (b < 0):
-        q = -q
-    if op == "/":
-        return _check64(q, loc)
-    return _check64(a - q * b, loc)
+    return -q if (a < 0) != (b < 0) else q
+
+
+_ARITH = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _divide,
+    # the remainder of truncating division keeps the dividend's sign
+    "mod": lambda a, b, loc: a - _divide(a, b, loc) * b,
+}
+
+
+def compile_term(t, loc):
+    """Compile a term into a closure from a binding to an int or a
+    symbolic-constant str. Evaluation order and errors match a direct walk
+    of the term: arguments left to right, each type-checked before the next
+    is evaluated."""
+    if isinstance(t, Integer):
+        v = t.value
+        return lambda binding: v
+    if isinstance(t, SymbolicConst):
+        name = t.name
+        return lambda binding: name
+    if isinstance(t, Variable):
+        name = t.name
+
+        def variable(binding):
+            try:
+                return binding[name]
+            except KeyError:
+                raise GroundingError(loc, f"unbound variable '{name}'") from None
+        return variable
+    # FuncApp
+    args = [_compile_int_arg(arg, loc) for arg in t.args]
+    if t.op == "abs":
+        (x,) = args
+        return lambda binding: _check64(abs(x(binding)), loc)
+    if len(args) == 1:
+        (x,) = args
+        return lambda binding: _check64(-x(binding), loc)
+    x, y = args
+    fn = _ARITH[t.op]
+    if t.op in ("/", "mod"):
+        return lambda binding: _check64(fn(x(binding), y(binding), loc), loc)
+    return lambda binding: _check64(fn(x(binding), y(binding)), loc)
+
+
+def _compile_int_arg(arg, loc):
+    f = compile_term(arg, loc)
+    if isinstance(arg, (Integer, FuncApp)):
+        return f  # always an int
+    if isinstance(arg, SymbolicConst):
+        name = arg.name
+
+        def unbound(binding):
+            raise UnboundConstantError(loc, name)
+        return unbound
+
+    def checked(binding):
+        v = f(binding)
+        if isinstance(v, int):
+            return v
+        raise GroundingError(loc, f"arithmetic on non-integer value '{v}'")
+    return checked
+
+
+def eval_term(t, binding, loc):
+    """Evaluate a ground or bound term to an int or a symbolic-constant str."""
+    return compile_term(t, loc)(binding)
+
+
+def _compile_row(args, loc):
+    """Closure from a binding to the tuple of the evaluated `args`."""
+    fns = [compile_term(t, loc) for t in args]
+    if not fns:
+        return lambda binding: ()
+    if len(fns) == 1:
+        (f,) = fns
+        return lambda binding: (f(binding),)
+    if len(fns) == 2:
+        f, g = fns
+        return lambda binding: (f(binding), g(binding))
+    return lambda binding: tuple([f(binding) for f in fns])
+
+
+def _compile_name(atom):
+    """Closure from a binding to the printed name of the ground `atom`."""
+    if not atom.args:
+        pred = atom.pred
+        return lambda binding: pred
+    prefix = atom.pred + "("
+    if len(atom.args) <= 2:  # f-string fields print ints and strs as str() does
+        fns = [compile_term(t, atom.loc) for t in atom.args]
+        if len(fns) == 1:
+            (f,) = fns
+            return lambda binding: f"{prefix}{f(binding)})"
+        f, g = fns
+        return lambda binding: f"{prefix}{f(binding)},{g(binding)})"
+    row = _compile_row(atom.args, atom.loc)
+    return lambda binding: prefix + ",".join(map(str, row(binding))) + ")"
 
 
 def compare_values(op, a, b, loc):
@@ -114,14 +192,34 @@ def compare_values(op, a, b, loc):
     return a >= b
 
 
-def format_value(v):
-    return str(v)
+_ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _comparison_check(comp):
+    """Compile a comparison literal into a check on a binding."""
+    lhs = compile_term(comp.lhs, comp.loc)
+    rhs = compile_term(comp.rhs, comp.loc)
+    op = comp.op
+    if op == "==":
+        return lambda binding: lhs(binding) == rhs(binding)
+    if op == "!=":
+        return lambda binding: lhs(binding) != rhs(binding)
+    rel = _ORDER[op]
+    loc = comp.loc
+
+    def ordered(binding):
+        a = lhs(binding)
+        b = rhs(binding)
+        if isinstance(a, int) and isinstance(b, int):
+            return rel(a, b)
+        return compare_values(op, a, b, loc)  # raises
+    return ordered
 
 
 def format_atom(pred, vals):
     if not vals:
         return pred
-    return f"{pred}({','.join(format_value(v) for v in vals)})"
+    return pred + "(" + ",".join(map(str, vals)) + ")"
 
 
 # -- range and pool expansion --------------------------------------------------
@@ -234,13 +332,15 @@ class Extension:
     def __init__(self):
         self.rows = {}
         self._indexes = {}
+        self._sorted = {}
 
     def add(self, row):
         if row in self.rows:
             return False
         self.rows[row] = True
-        if self._indexes:
+        if self._indexes or self._sorted:
             self._indexes.clear()
+            self._sorted.clear()
         return True
 
     def __contains__(self, row):
@@ -262,28 +362,142 @@ class Extension:
             self._indexes[positions] = idx
         return idx
 
+    def sorted_index(self, positions, col):
+        """`index(positions)` with each group also ordered by column `col`.
+
+        Maps each key to (values, ranks, rows): `rows` is the group in
+        insertion order, and values[i] == rows[ranks[i]][col] ascending.
+        None when column `col` holds a non-int anywhere in the extension.
+        """
+        k = (positions, col)
+        if k in self._sorted:
+            return self._sorted[k]
+        out = None
+        if all(isinstance(row[col], int) for row in self.rows):
+            out = {}
+            for key, rows in self.index(positions).items():
+                ranks = sorted(range(len(rows)), key=lambda i: rows[i][col])
+                out[key] = ([rows[i][col] for i in ranks], ranks, rows)
+        self._sorted[k] = out
+        return out
+
 
 _EMPTY_EXT = Extension()
 
 
 # -- join planning and execution -------------------------------------------------
 
-class _Step:
-    __slots__ = ("ext", "key_positions", "key_terms", "outs", "intra", "checks")
+_FLIP = {"==": "==", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
-    def __init__(self, ext, key_positions, key_terms, outs, intra):
+
+def _driving_shape(comp, outs, bound):
+    """(position, op, term) when `comp` reads `V op term`, with V a variable
+    first bound at `outs[V]` and every variable of `term` in `bound`."""
+    for var, op, other in ((comp.lhs, comp.op, comp.rhs),
+                           (comp.rhs, _FLIP.get(comp.op), comp.lhs)):
+        if (isinstance(var, Variable) and var.name in outs and op in _FLIP
+                and term_vars(other) <= bound):
+            return outs[var.name], op, other
+    return None
+
+
+class _Step:
+    """One positive literal of a join: the rows of `ext` that agree with the
+    binding so far, optionally narrowed by driving comparisons.
+
+    The driving comparisons are the leading checks of `checks` that compare a
+    variable first bound here against an already bound term: `==` becomes
+    one more index key, and `<`, `<=`, `>`, `>=` on one column become a
+    bisect range over `Extension.sorted_index`. Only a leading run of
+    checks may drive, and only when none of them could raise on a skipped row,
+    so the rows that survive the checks, their order and every error are
+    those of scanning the unnarrowed rows; when a bound term fails to
+    evaluate, an ordering bound is not an int or the column holds a
+    non-int, the step scans the unnarrowed rows instead.
+    """
+    __slots__ = ("ext", "key_positions", "key_row", "outs", "intra", "checks",
+                 "eq_positions", "eq_row", "range_col", "ranges")
+
+    def __init__(self, ext, key_positions, key_terms, outs, intra, loc):
         self.ext = ext
         self.key_positions = key_positions
-        self.key_terms = key_terms
+        self.key_row = _compile_row(key_terms, loc)
         self.outs = outs          # (position, name) pairs newly bound here
         self.intra = intra        # (position, earlier position) equalities
         self.checks = []          # checks runnable once this step has bound
+        self.eq_positions = ()
+        self.eq_row = None
+        self.range_col = None
+        self.ranges = ()          # (op, compiled bound term) on range_col
 
-    def rows(self, binding, loc):
+    def drive(self, comps, bound):
+        """Pick the driving comparisons from the leading `comps` (None for a
+        check that is not a comparison) given the variables `bound` before
+        this step."""
+        outs = {name: i for i, name in self.outs if not name.startswith("\x00")}
+        eq = []
+        ranges = []
+        for comp in comps:
+            shape = comp and _driving_shape(comp, outs, bound)
+            if not shape:
+                break
+            pos, op, term = shape
+            if op == "==":
+                eq.append((pos, term))
+            elif self.range_col in (None, pos):
+                self.range_col = pos
+                ranges.append((op, compile_term(term, comp.loc)))
+            else:
+                break
+        if eq:
+            self.eq_positions = tuple(pos for pos, _ in eq)
+            # an error evaluating these only selects the unnarrowed rows
+            self.eq_row = _compile_row([term for _, term in eq], None)
+        self.ranges = tuple(ranges)
+
+    def rows(self, binding):
+        key = self.key_row(binding)
+        if self.eq_row or self.ranges:
+            rows = self._driven(binding, key)
+            if rows is not None:
+                return rows
         if self.key_positions:
-            key = tuple(eval_term(t, binding, loc) for t in self.key_terms)
             return self.ext.index(self.key_positions).get(key, ())
         return self.ext.rows
+
+    def _driven(self, binding, key):
+        """Rows the driving comparisons admit, in insertion order, or None."""
+        try:
+            if self.eq_row:
+                key += self.eq_row(binding)
+            bounds = [(op, f(binding)) for op, f in self.ranges]
+        except GroundingError:
+            return None
+        positions = self.key_positions + self.eq_positions
+        if not bounds:
+            return self.ext.index(positions).get(key, ())
+        if not all(isinstance(v, int) for _, v in bounds):
+            return None
+        groups = self.ext.sorted_index(positions, self.range_col)
+        if groups is None:
+            return None
+        group = groups.get(key)
+        if group is None:
+            return ()
+        values, ranks, rows = group
+        lo, hi = 0, len(values)
+        for op, v in bounds:
+            if op == ">":
+                lo = max(lo, bisect_right(values, v))
+            elif op == ">=":
+                lo = max(lo, bisect_left(values, v))
+            elif op == "<":
+                hi = min(hi, bisect_left(values, v))
+            else:
+                hi = min(hi, bisect_right(values, v))
+        if hi - lo == len(rows):
+            return rows
+        return [rows[r] for r in sorted(ranks[lo:hi])]
 
 
 class _Plan:
@@ -291,11 +505,11 @@ class _Plan:
 
     Literals whose arithmetic arguments are fully bound are preferred; when
     none qualifies the smallest extension is taken anyway and its computed
-    arguments turn into deferred equality checks.
+    arguments turn into deferred equality checks. `checks` holds
+    (needed variables, check, comparison or None) triples in body order.
     """
 
     def __init__(self, atoms, checks, bound0, ext_of, loc):
-        self.loc = loc
         self.pre_checks = []
         self.steps = []
         bound = set(bound0)
@@ -335,98 +549,85 @@ class _Plan:
                         name = f"\x00{fresh_n}"
                         fresh_n += 1
                         outs.append((i, name))
-                        deferred.append((term_vars(arg), _DeferredEq(name, arg)))
+                        deferred.append((term_vars(arg), _deferred_eq(name, arg, loc), None))
             self.steps.append(_Step(ext_of(pick.key()), tuple(key_positions),
-                                    tuple(key_terms), tuple(outs), tuple(intra)))
+                                    key_terms, tuple(outs), tuple(intra), loc))
             bound.update(local)
 
         bound = set(bound0)
         pending = list(checks) + deferred
         for step in [None] + self.steps:
+            before = set(bound)
             if step is not None:
                 bound.update(name for _, name in step.outs if not name.startswith("\x00"))
             rest = []
-            for needed, check in pending:
+            comps = []
+            for needed, check, comp in pending:
                 if needed <= bound:
                     (self.pre_checks if step is None else step.checks).append(check)
+                    comps.append(comp)
                 else:
-                    rest.append((needed, check))
+                    rest.append((needed, check, comp))
             pending = rest
+            if step is not None:
+                step.drive(comps, before)
         if pending:
             raise GroundingError(loc, "internal: unbindable variable in rule body")
 
     def run(self, binding):
         for check in self.pre_checks:
-            if not check(binding, self.loc):
+            if not check(binding):
                 return
-        yield from self._run(0, binding)
+        if self.steps:
+            yield from self._run(0, binding)
+        else:
+            yield binding
 
     def _run(self, depth, binding):
-        if depth == len(self.steps):
-            yield binding
-            return
         step = self.steps[depth]
-        for row in step.rows(binding, self.loc):
-            if any(row[i] != row[j] for i, j in step.intra):
+        last = depth + 1 == len(self.steps)
+        intra = step.intra
+        outs = step.outs
+        checks = step.checks
+        for row in step.rows(binding):
+            if intra and any(row[i] != row[j] for i, j in intra):
                 continue
-            nb = dict(binding)
-            for i, name in step.outs:
+            nb = binding.copy()
+            for i, name in outs:
                 nb[name] = row[i]
-            if all(check(nb, self.loc) for check in step.checks):
-                yield from self._run(depth + 1, nb)
+            for check in checks:
+                if not check(nb):
+                    break
+            else:
+                if last:
+                    yield nb
+                else:
+                    yield from self._run(depth + 1, nb)
 
 
-class _DeferredEq:
-    __slots__ = ("name", "term")
-
-    def __init__(self, name, term):
-        self.name = name
-        self.term = term
-
-    def __call__(self, binding, loc):
-        return binding[self.name] == eval_term(self.term, binding, loc)
+def _deferred_eq(name, term, loc):
+    """A computed argument matched against the value its position bound."""
+    value = compile_term(term, loc)
+    return lambda binding: binding[name] == value(binding)
 
 
-class _ComparisonCheck:
-    __slots__ = ("comp",)
-
-    def __init__(self, comp):
-        self.comp = comp
-
-    def __call__(self, binding, loc):
-        c = self.comp
-        return compare_values(c.op, eval_term(c.lhs, binding, c.loc),
-                              eval_term(c.rhs, binding, c.loc), c.loc)
-
-
-class _AbsentCheck:
+def _absent_check(atom, ext):
     """Negative literal over a fully evaluated (domain) predicate."""
-    __slots__ = ("atom", "ext")
-
-    def __init__(self, atom, ext):
-        self.atom = atom
-        self.ext = ext
-
-    def __call__(self, binding, loc):
-        row = tuple(eval_term(t, binding, self.atom.loc) for t in self.atom.args)
-        return row not in self.ext
+    row = _compile_row(atom.args, atom.loc)
+    return lambda binding: row(binding) not in ext
 
 
-class _ConditionalTruth:
+def _conditional_truth(expander, exts):
     """All-instances truth check for a conditional domain literal."""
-    __slots__ = ("expander", "exts")
+    key = expander.atom.key()
 
-    def __init__(self, expander, exts):
-        self.expander = expander
-        self.exts = exts
-
-    def __call__(self, binding, loc):
-        ext = self.exts.get(self.expander.atom.key(), _EMPTY_EXT)
-        for row, _, _ in self.expander.instances(binding):
-            present = row in ext
-            if present != self.expander.positive:
+    def check(binding):
+        ext = exts.get(key, _EMPTY_EXT)
+        for row, _, _ in expander.instances(binding):
+            if (row in ext) != expander.positive:
                 return False
         return True
+    return check
 
 
 class _ElementExpander:
@@ -435,20 +636,21 @@ class _ElementExpander:
     def __init__(self, literal, weight, globals_, exts, loc):
         self.atom = literal.atom
         self.positive = literal.positive
-        self.weight = weight
         self.loc = loc
-        checks = []
-        self.plan = _Plan(list(literal.conditions), checks, globals_,
+        self.row = _compile_row(self.atom.args, self.atom.loc)
+        self.weight = None if weight is None else compile_term(weight, loc)
+        self.plan = _Plan(list(literal.conditions), [], globals_,
                           lambda key: exts.get(key, _EMPTY_EXT), loc)
 
     def instances(self, binding):
         """Yields (args_row, weight, pred) per condition instance."""
+        pred = self.atom.pred
         for b in self.plan.run(binding):
-            row = tuple(eval_term(t, b, self.atom.loc) for t in self.atom.args)
-            w = 1 if self.weight is None else eval_term(self.weight, b, self.loc)
+            row = self.row(b)
+            w = 1 if self.weight is None else self.weight(b)
             if not isinstance(w, int):
                 raise GroundingError(self.loc, f"non-integer weight '{w}'")
-            yield row, w, self.atom.pred
+            yield row, w, pred
 
 
 # -- ground rule representation ---------------------------------------------------
@@ -533,23 +735,30 @@ def evaluate_domain_predicates(program, analysis):
             checks = []
             for b in rule.body:
                 if isinstance(b.atom, Comparison):
-                    needed = frozenset(term_vars(b.atom.lhs) | term_vars(b.atom.rhs))
-                    checks.append((needed, _ComparisonCheck(b.atom)))
+                    checks.append(_comparison_entry(b.atom))
                 elif b.conditions:
                     exp = _ElementExpander(b, None, globals_, exts, rule.loc)
                     used = atom_vars(b.atom) | atom_vars_of(b.conditions)
-                    checks.append((frozenset(used & globals_), _ConditionalTruth(exp, exts)))
+                    checks.append((frozenset(used & globals_),
+                                   _conditional_truth(exp, exts), None))
                 elif b.positive:
                     join_atoms.append(b.atom)
                 else:
-                    needed = frozenset(atom_vars(b.atom))
-                    checks.append((needed, _AbsentCheck(b.atom, ext_of(b.atom.key()))))
+                    checks.append(_absent_entry(b.atom, ext_of(b.atom.key())))
             plan = _Plan(join_atoms, checks, set(), ext_of, rule.loc)
-            head = rule.head
+            head_row = _compile_row(rule.head.args, rule.head.loc)
             for binding in plan.run({}):
-                row = tuple(eval_term(t, binding, head.loc) for t in head.args)
-                ext.add(row)
+                ext.add(head_row(binding))
     return exts
+
+
+def _comparison_entry(comp):
+    needed = frozenset(term_vars(comp.lhs) | term_vars(comp.rhs))
+    return needed, _comparison_check(comp), comp
+
+
+def _absent_entry(atom, ext):
+    return frozenset(atom_vars(atom)), _absent_check(atom, ext), None
 
 
 def atom_vars_of(atoms):
@@ -563,7 +772,6 @@ def atom_vars_of(atoms):
 
 class _RuleInstantiator:
     def __init__(self, rule, domain, exts, mode, loc):
-        self.rule = rule
         self.domain = domain
         self.exts = exts
         self.keep = mode == "keep"
@@ -576,57 +784,62 @@ class _RuleInstantiator:
         def ext_of(key):
             return exts.get(key, _EMPTY_EXT)
 
+        def agg_recipe(agg):
+            return (agg,
+                    [_ElementExpander(e.literal, e.weight, globals_, exts, rule.loc)
+                     for e in agg.elements],
+                    self._bound(agg.lower), self._bound(agg.upper))
+
         for b in rule.body:
             if isinstance(b, Aggregate):
-                expanders = [
-                    _ElementExpander(e.literal, e.weight, globals_, exts, rule.loc)
-                    for e in b.elements]
-                shape.append(("agg", b, expanders))
+                shape.append(("agg", agg_recipe(b)))
             elif isinstance(b.atom, Comparison):
-                needed = frozenset(term_vars(b.atom.lhs) | term_vars(b.atom.rhs))
-                checks.append((needed, _ComparisonCheck(b.atom)))
+                checks.append(_comparison_entry(b.atom))
             elif b.conditions:
-                exp = _ElementExpander(b, None, globals_, exts, rule.loc)
-                shape.append(("cond", exp))
+                shape.append(("cond", _ElementExpander(b, None, globals_, exts, rule.loc)))
             elif b.atom.key() in domain:
                 if b.positive:
                     join_atoms.append(b.atom)
-                    shape.append(("domkeep", b.atom))
+                    if self.keep:
+                        shape.append(("lit", True, _compile_name(b.atom)))
                 else:
-                    needed = frozenset(atom_vars(b.atom))
-                    checks.append((needed, _AbsentCheck(b.atom, ext_of(b.atom.key()))))
+                    checks.append(_absent_entry(b.atom, ext_of(b.atom.key())))
             else:
-                shape.append(("lit", b))
+                shape.append(("lit", b.positive, _compile_name(b.atom)))
 
         self.shape = shape
         self.plan = _Plan(join_atoms, checks, set(), ext_of, rule.loc)
         if isinstance(rule.head, Aggregate):
-            agg = rule.head
             self.head_kind = "agg"
-            self.head_data = (agg, [
-                _ElementExpander(e.literal, e.weight, globals_, exts, rule.loc)
-                for e in agg.elements])
+            self.head_data = agg_recipe(rule.head)
         elif isinstance(rule.head, Atom):
             self.head_kind = "atom"
-            self.head_data = rule.head
+            self.head_data = _compile_name(rule.head)
         else:
             self.head_kind = "none"
             self.head_data = None
 
-    def _bound(self, term, binding):
+    def _bound(self, term):
+        """Compiled aggregate bound: binding -> int, or None when absent."""
         if term is None:
-            return None
-        v = eval_term(term, binding, self.loc)
-        if not isinstance(v, int):
-            raise GroundingError(self.loc, f"non-integer aggregate bound '{v}'")
-        return v
+            return lambda binding: None
+        value = compile_term(term, self.loc)
+        loc = self.loc
+
+        def bound(binding):
+            v = value(binding)
+            if not isinstance(v, int):
+                raise GroundingError(loc, f"non-integer aggregate bound '{v}'")
+            return v
+        return bound
 
     def _domain_truth(self, key, row):
         return row in self.exts.get(key, _EMPTY_EXT)
 
-    def _build_agg(self, agg, expanders, binding, in_head):
-        lower = self._bound(agg.lower, binding)
-        upper = self._bound(agg.upper, binding)
+    def _build_agg(self, recipe, binding, in_head):
+        agg, expanders, lower_of, upper_of = recipe
+        lower = lower_of(binding)
+        upper = upper_of(binding)
         elements = []   # (positive, name, weight) staged
         index = {}      # (positive, name) -> element position, for merging
         for exp in expanders:
@@ -677,16 +890,8 @@ class _RuleInstantiator:
 
         for entry in self.shape:
             kind = entry[0]
-            if kind == "domkeep":
-                if self.keep:
-                    atom = entry[1]
-                    row = tuple(eval_term(t, binding, atom.loc) for t in atom.args)
-                    if not push(True, format_atom(atom.pred, row)):
-                        return None
-            elif kind == "lit":
-                lit = entry[1]
-                row = tuple(eval_term(t, binding, lit.atom.loc) for t in lit.atom.args)
-                if not push(lit.positive, format_atom(lit.atom.pred, row)):
+            if kind == "lit":
+                if not push(entry[1], entry[2](binding)):
                     return None
             elif kind == "cond":
                 exp = entry[1]
@@ -702,8 +907,8 @@ class _RuleInstantiator:
                     elif not push(exp.positive, format_atom(pred, row)):
                         return None
             else:  # agg
-                agg, expanders = entry[1], entry[2]
-                lower, upper, elements = self._build_agg(agg, expanders, binding, False)
+                agg = entry[1][0]
+                lower, upper, elements = self._build_agg(entry[1], binding, False)
                 if not elements:
                     total = 0
                     sat = ((lower is None or lower <= 0)
@@ -714,12 +919,10 @@ class _RuleInstantiator:
                 body.append(("agg", agg.weighted, lower, upper, tuple(elements)))
 
         if self.head_kind == "atom":
-            atom = self.head_data
-            row = tuple(eval_term(t, binding, atom.loc) for t in atom.args)
-            head = ("atom", format_atom(atom.pred, row))
+            head = ("atom", self.head_data(binding))
         elif self.head_kind == "agg":
-            agg, expanders = self.head_data
-            lower, upper, elements = self._build_agg(agg, expanders, binding, True)
+            agg = self.head_data[0]
+            lower, upper, elements = self._build_agg(self.head_data, binding, True)
             head = ("agg", agg.weighted, lower, upper, tuple(elements))
         else:
             head = None

@@ -110,6 +110,95 @@ def scale_instance(n=2000, fanout=50):
     ]) + "\n"
 
 
+_COMPARISON_OPS = ("==", "!=", "<", "<=", ">", ">=")
+
+
+def comparison_program(rng):
+    """A random program whose rules join integer domain predicates under
+    comparisons.
+
+    Returns (text, filtered). `filtered` is the same program with every
+    bare-variable side V of a comparison written as V + 0: over integers
+    that keeps the meaning, but it stops the grounder from driving a join
+    by that comparison, so both texts must ground to the same bytes. Facts
+    are listed in shuffled order, so an extension's insertion order is not
+    its sorted order.
+    """
+    lines = []
+    preds = []  # (name, arity) of the domain predicates so far
+    for name in ("a", "b"):
+        for v in rng.sample(range(-6, 13), rng.randint(0, 8)):
+            lines.append((f"{name}({v}).", None))
+        preds.append((name, 1))
+    for _ in range(rng.randint(0, 10)):
+        lines.append((f"e({rng.randint(-3, 9)},{rng.randint(-3, 9)}).", None))
+    preds.append(("e", 2))
+
+    def expr(names):
+        v = rng.choice(names)
+        k = rng.randint(1, 4)
+        return rng.choice([v, v, f"{v} + {k}", f"{v} - {k}", f"{v} * {k}",
+                           f"{v} / {k}", f"{v} mod {k}", f"abs({v})", str(k - 2)])
+
+    def body(names_out):
+        atoms = []
+        pool = ["X", "Y", "Z"]
+        for _ in range(rng.randint(2, 3)):
+            name, arity = rng.choice(preds)
+            args = [rng.choice(pool) for _ in range(arity)]
+            atoms.append(f"{name}({','.join(args)})")
+            names_out.extend(a for a in args if a not in names_out)
+        if len(atoms) > 1 and rng.random() < 0.2:
+            # a computed argument, matched by a deferred equality
+            name, arity = rng.choice([p for p in preds if p[1] >= 1])
+            args = [rng.choice(names_out) for _ in range(arity)]
+            args[0] = f"{names_out[0]} + {rng.randint(-1, 1)}"
+            atoms.append(f"{name}({','.join(args)})")
+        checks = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.15:
+                # a negative domain literal among the comparisons
+                name, arity = rng.choice(preds)
+                args = ",".join(rng.choice(names_out) for _ in range(arity))
+                checks.append(f"not {name}({args})")
+                continue
+            lhs, rhs = rng.choice(names_out), expr(names_out)
+            if rng.random() < 0.5:
+                lhs, rhs = rhs, lhs
+            checks.append((lhs, rng.choice(_COMPARISON_OPS), rhs))
+        return atoms, checks
+
+    for i in range(rng.randint(2, 5)):
+        names = []
+        atoms, checks = body(names)
+        head_args = rng.sample(names, rng.randint(1, min(2, len(names))))
+        head = f"r{i}({','.join(head_args)})"
+        lines.append((head, (atoms, checks)))
+        preds.append((f"r{i}", len(head_args)))
+    names = []
+    atoms, checks = body(names)
+    lines.append((f"{{ c({names[0]}) }}", (atoms, checks)))
+    names = []
+    atoms, checks = body(names)
+    lines.append(("", ([f"c({names[0]})"] + atoms, checks)))
+
+    def render(filtered):
+        def side(t):
+            return f"{t} + 0" if filtered and t in ("X", "Y", "Z") else t
+        out = []
+        for head, rule in lines:
+            if rule is None:
+                out.append(head)
+                continue
+            atoms, checks = rule
+            parts = atoms + [c if isinstance(c, str) else f"{side(c[0])} {c[1]} {side(c[2])}"
+                             for c in checks]
+            out.append(f"{head} :- {', '.join(parts)}.")
+        return "\n".join(out) + "\n"
+
+    return render(False), render(True)
+
+
 def queens_solutions(n):
     """All n-queens solutions as frozensets of (column, row) pairs.
 

@@ -138,6 +138,14 @@ def test_solve_malformed_input(run):
     assert code == 2
 
 
+@pytest.mark.parametrize("rule", ["1 -3 0 0", "1 0 0 0"])
+def test_solve_rejects_nonpositive_atom_id(run, rule):
+    code, out, err = run(["solve"], stdin=f"{rule}\n0\n2 a\n0\nB+\n0\nB-\n1\n0\n1\n")
+    assert code == 2
+    assert err.startswith("line 1: atom id ")
+    assert "Traceback" not in err and out == ""
+
+
 # -- run ----------------------------------------------------------------------
 
 def test_run_matches_ground_then_solve(run, tmp_path):
@@ -246,6 +254,20 @@ def test_verify_unknown_atom_is_an_error(run, tmp_path):
 
 
 # -- entry point --------------------------------------------------------------
+
+def test_closed_stdout_pipe_exits_quietly(tmp_path):
+    # 8192 models print about 500 KB, far more than a pipe buffers, so the
+    # program is still writing when the reader closes after one line.
+    src = write(tmp_path, "p.lp", "d(1..13). { p(X) : d(X) }.")
+    proc = subprocess.Popen([sys.executable, "-m", "aspkit.cli", "run", src, "0"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"Answer: 1\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
 
 def test_installed_script_runs():
     proc = subprocess.run(

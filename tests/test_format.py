@@ -109,3 +109,21 @@ def test_atom_ids_start_above_falsity():
     gp = parse_ground_program(SMALL)
     assert all(r.head != 0 for r in gp.rules if isinstance(r, BasicRule))
     assert 1 not in gp.symbols  # atom 1 is reserved, never named
+
+
+@pytest.mark.parametrize("line, bad", [
+    ("1 0 0 0", 0),            # basic head
+    ("1 -3 0 0", -3),          # basic head, would alias an atom from the end
+    ("1 2 1 1 0", 0),          # negative body literal
+    ("1 2 2 0 3 -4", -4),      # positive body literal
+    ("2 2 1 0 1 -3", -3),      # cardinality body
+    ("3 2 2 0 0 0", 0),        # choice head
+    ("3 1 -2 0 0", -2),        # choice head
+    ("5 -2 1 1 0 3 1", -2),    # weight head
+    ("5 2 1 1 0 0 1", 0),      # weight body
+])
+def test_rule_atom_ids_must_be_positive(line, bad):
+    with pytest.raises(FormatError) as err:
+        parse_ground_program(line + "\n" + SMALL)
+    assert err.value.lineno == 1
+    assert f"atom id {bad}" in str(err.value)

@@ -1,5 +1,11 @@
+import random
+from collections import Counter
+
 import pytest
 
+import gen
+from aspkit import grounding
+from aspkit.cli import main
 from aspkit.grounding import ArithmeticEvalError, GroundingError, eval_term
 from aspkit.ground_format import BasicRule
 from aspkit.oracle import naive_least_model
@@ -177,3 +183,111 @@ def test_compute_literals_become_constraints():
     gp2 = ground("a :- not b. b :- not a. compute { not a }.")
     by_name = {v: k for k, v in gp2.interchange.symbols.items()}
     assert by_name["a"] in gp2.interchange.compute_false
+
+
+# -- comparison-driven joins --------------------------------------------------
+
+def ground_cli(capsys, tmp_path, text, *args):
+    path = tmp_path / "p.lp"
+    path.write_text(text, encoding="utf-8")
+    code = main(["ground", *args, str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_driven_joins_match_filtered_joins(capsys, tmp_path, monkeypatch):
+    driven = Counter()
+    real = grounding._Step._driven
+
+    def counting(self, binding, key):
+        rows = real(self, binding, key)
+        if rows is not None:
+            driven["range" if self.ranges else "lookup"] += 1
+        return rows
+    monkeypatch.setattr(grounding._Step, "_driven", counting)
+    grounded = 0
+    for seed in range(300):
+        text, filtered = gen.comparison_program(random.Random(seed))
+        mode = ("-d", "none") if seed % 2 else ()
+        want = ground_cli(capsys, tmp_path, filtered, *mode)
+        got = ground_cli(capsys, tmp_path, text, *mode)
+        assert got == want, f"seed {seed}:\n{text}"
+        grounded += want[0] == 0
+    assert grounded >= 250
+    assert driven["range"] > 100 and driven["lookup"] > 100
+
+
+# (program, the same program with its driving comparisons turned into plain
+# filters, exit code). `not never(..)` ahead of a comparison is a check that
+# always holds and never raises; it keeps a symbolic column's error an
+# ordering error, where V + 0 would make it an arithmetic one.
+EDGE_CASES = [
+    # the bound overflows int64
+    ("d(1..3). big(9223372036854775806).\n"
+     "p(X,Y) :- big(X), d(Y), Y <= X + 2.\n",
+     "d(1..3). big(9223372036854775806).\n"
+     "p(X,Y) :- big(X), d(Y), Y + 0 <= X + 2.\n", 4),
+    # ... in a comparison that no row reaches
+    ("d(2..4). p(X,Y) :- d(X), d(Y), Y < 2, Y > X + 9223372036854775807.\n",
+     "d(2..4). p(X,Y) :- d(X), d(Y), Y + 0 < 2, Y + 0 > X + 9223372036854775807.\n", 0),
+    # a check ahead of the comparison raises on a row the comparison rejects
+    ("d(1..3). q(X) :- d(X), X > 5.\n"
+     "p(X,Y) :- d(X), d(Y), not q(Y * 4611686018427387904), Y < 2.\n",
+     "d(1..3). q(X) :- d(X), X > 5.\n"
+     "p(X,Y) :- d(X), d(Y), not q(Y * 4611686018427387904), Y + 0 < 2.\n", 4),
+    # the bound is symbolic
+    ("d(1). e(a). p(X,Y) :- e(X), d(Y), Y > X.\n",
+     "d(1). e(a). p(X,Y) :- e(X), d(Y), Y + 0 > X.\n", 3),
+    # an ordering comparison meets a symbolic column; the comparison starts
+    # a line so that its source position is the same in both programs
+    ("d(1). d(a). d(3). never(X) :- d(X), X != X.\n"
+     "p(X,Y) :- d(X), d(Y),\nY > X.\n",
+     "d(1). d(a). d(3). never(X) :- d(X), X != X.\n"
+     "p(X,Y) :- d(X), d(Y), not never(Y),\nY > X.\n", 3),
+    ("d(3). d(1). d(a). d(2). never(X) :- d(X), X != X.\n"
+     "p(X,Y) :- d(X), d(Y), Y != X, X < 3.\n"
+     "q(X,Y) :- d(X), d(Y),\nY == X.\n",
+     "d(3). d(1). d(a). d(2). never(X) :- d(X), X != X.\n"
+     "p(X,Y) :- d(X), d(Y), Y != X, X < 3.\n"
+     "q(X,Y) :- d(X), d(Y), not never(Y),\nY == X.\n", 3),
+    # an equality lookup over a symbolic column
+    ("d(b). d(1). d(a). d(2). never(X) :- d(X), X != X.\n"
+     "p(X,Y) :- d(X), d(Y), Y == X.\n",
+     "d(b). d(1). d(a). d(2). never(X) :- d(X), X != X.\n"
+     "p(X,Y) :- d(X), d(Y), not never(Y), Y == X.\n", 0),
+]
+
+
+@pytest.mark.parametrize("text, filtered, code", EDGE_CASES)
+def test_driven_join_edge_cases_match_filtered_joins(capsys, tmp_path, text, filtered, code):
+    for mode in ((), ("-d", "none")):
+        want = ground_cli(capsys, tmp_path, filtered, *mode)
+        assert want[0] == code
+        assert ground_cli(capsys, tmp_path, text, *mode) == want
+
+
+CHAIN = "node(1..2000). edge(X,Y) :- node(X), node(Y), Y == X + 1.\n"
+
+
+@pytest.mark.parametrize("text, preds", [
+    (gen.scale_instance(n=300, fanout=50), ("near", "link")),
+    (CHAIN, ("edge",)),
+])
+def test_comparison_checks_stay_proportional_to_rows(monkeypatch, text, preds):
+    # A join that filters a cross product makes n * n checks; a driven one
+    # checks only the rows its comparisons admit.
+    calls = Counter()
+    real = grounding._comparison_check
+
+    def counted(comp):
+        check = real(comp)
+
+        def wrapper(binding):
+            calls["checks"] += 1
+            return check(binding)
+        return wrapper
+    monkeypatch.setattr(grounding, "_comparison_check", counted)
+    g = ground(text, domain_mode="none")
+    rows = sum(len(g.source.exts[(p, 2)]) for p in preds)
+    assert rows >= 1999
+    assert calls["checks"] <= 3 * rows
