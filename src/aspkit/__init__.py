@@ -33,7 +33,6 @@ from .ground_format import (
     parse_ground_program,
 )
 from .solver import (
-    ComputeSpec,
     Conflict,
     SolveStats,
     Solver,
@@ -42,6 +41,7 @@ from .solver import (
 )
 from .oracle import (
     CapExceededError,
+    ComputeSpec,
     brute_force_models,
     is_stable,
     least_model,

@@ -71,50 +71,67 @@ class DependencyGraph:
 
     def sccs(self):
         """Strongly connected components, dependencies before dependents."""
-        index = {}
-        low = {}
-        on_stack = set()
-        stack = []
-        out = []
-        counter = [0]
-        for root in self.nodes:
-            if root in index:
-                continue
-            work = [(root, iter(self._deps[root]))]
-            index[root] = low[root] = counter[0]
-            counter[0] += 1
-            stack.append(root)
-            on_stack.add(root)
-            while work:
-                node, it = work[-1]
-                advanced = False
-                for dep in it:
-                    if dep not in index:
-                        index[dep] = low[dep] = counter[0]
-                        counter[0] += 1
-                        stack.append(dep)
-                        on_stack.add(dep)
-                        work.append((dep, iter(self._deps[dep])))
-                        advanced = True
-                        break
-                    if dep in on_stack:
-                        low[node] = min(low[node], index[dep])
-                if advanced:
+        adj = [[self._index[dep] for dep in self._deps[key]] for key in self.nodes]
+        return [tuple(self.nodes[i] for i in comp)
+                for comp in strongly_connected_components(adj)]
+
+
+def strongly_connected_components(adj, first=0):
+    """Tarjan's strongly connected components of the graph on nodes
+    first..len(adj)-1, where `adj[v]` lists the nodes v depends on; edges to
+    nodes below `first` are ignored.
+
+    Returns every component, each in stack-pop order, in Tarjan order:
+    a component comes after every component it depends on. Iterative, so
+    deep graphs do not hit the recursion limit.
+    """
+    n = len(adj)
+    index = [0] * n   # 0 = unvisited
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    counter = 0
+    out = []
+    for root in range(first, n):
+        if index[root]:
+            continue
+        counter += 1
+        index[root] = low[root] = counter
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, 0)]
+        while work:
+            node, i = work[-1]
+            if i < len(adj[node]):
+                work[-1] = (node, i + 1)
+                dep = adj[node][i]
+                if dep < first:
                     continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp.append(w)
-                        if w == node:
-                            break
-                    out.append(tuple(comp))
-        return out
+                if not index[dep]:
+                    counter += 1
+                    index[dep] = low[dep] = counter
+                    stack.append(dep)
+                    on_stack[dep] = True
+                    work.append((dep, 0))
+                elif on_stack[dep]:
+                    if index[dep] < low[node]:
+                        low[node] = index[dep]
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                if low[node] < low[parent]:
+                    low[parent] = low[node]
+            if low[node] == index[node]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == node:
+                        break
+                out.append(comp)
+    return out
 
 
 def _literal_deps(lit, deps):

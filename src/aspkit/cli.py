@@ -20,7 +20,7 @@ import sys
 
 from .ground_format import FormatError, emit_ground_program, parse_ground_program
 from .grounding import ArithmeticEvalError, GroundingError, ground_text
-from .lexer import LexError
+from .lexer import LexError, read_text
 from .parser import ParseError
 from .pipeline import (
     GroundOptions,
@@ -163,9 +163,9 @@ def _cmd_solve(args):
         raise _UsageError("solve takes at most one ground file")
     if files:
         with open(files[0], "r", encoding="utf-8") as fh:
-            text = fh.read()
+            text = read_text(fh, files[0])
     else:
-        text = sys.stdin.read()
+        text = read_text(sys.stdin, "<stdin>")
     gp = parse_ground_program(text)
     return _enumerate(gp, count, args)
 
@@ -179,16 +179,13 @@ def _cmd_run(args):
     if args.text:
         sys.stdout.write(ground_text(grounded.source))
         return 0
-    # Round-trip through the interchange bytes so that run and a
-    # ground | solve pipe see the identical program.
-    gp = parse_ground_program(emit_ground_program(grounded.interchange))
-    return _enumerate(gp, count, args)
+    return _enumerate(grounded.interchange, count, args)
 
 
 def _read_model_file(path):
     """Model listings: 'Stable Model:' lines, or a bare atom-name soup."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        lines = read_text(fh, path).splitlines()
     models = []
     tagged = False
     for line in lines:
@@ -207,7 +204,7 @@ def _read_model_file(path):
 def _cmd_verify(args):
     try:
         with open(args.ground_file, "r", encoding="utf-8") as fh:
-            gp = parse_ground_program(fh.read())
+            gp = parse_ground_program(read_text(fh, args.ground_file))
         models = _read_model_file(args.model_file)
     except OSError as e:
         print(e, file=sys.stderr)

@@ -48,6 +48,18 @@ class LexError(Exception):
         super().__init__(f"{file}:{line}:{col}: {message}")
 
 
+def read_text(fh, name):
+    """All of a text stream opened as UTF-8; a byte that is not UTF-8 is a
+    LexError at its line and byte column."""
+    try:
+        return fh.read()
+    except UnicodeDecodeError as e:
+        data = e.object  # read() decodes the whole stream in one piece
+        line = data.count(b"\n", 0, e.start) + 1
+        col = e.start - data.rfind(b"\n", 0, e.start)
+        raise LexError(name, line, col, f"invalid UTF-8 byte 0x{data[e.start]:02x}") from None
+
+
 @dataclass(frozen=True)
 class Token:
     kind: str

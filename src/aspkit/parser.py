@@ -4,10 +4,11 @@ Operator precedence: *, /, mod bind tighter than +, -; unary minus and abs
 bind tightest. Comparisons are always positive literals (a negated comparison
 must be written with the dual operator). Ranges and pools are only accepted
 at argument positions of plain atoms, not inside aggregates or conditions.
+Terms nest at most MAX_TERM_DEPTH levels deep.
 """
 
 from . import lexer
-from .lexer import tokenize
+from .lexer import read_text, tokenize
 from .syntax import (
     Aggregate,
     AggregateElem,
@@ -27,6 +28,7 @@ from .syntax import (
 
 _COMPOPS = {"EQ": "==", "NE": "!=", "LT": "<", "LE": "<=", "GT": ">", "GE": ">="}
 _TERM_START = ("INTEGER", "IDENT", "VARIABLE", "MINUS", "LPAREN", "ABS")
+MAX_TERM_DEPTH = 100
 
 
 class ParseError(Exception):
@@ -98,47 +100,66 @@ class _Parser:
     # -- terms --------------------------------------------------------------
 
     def term(self):
-        t = self.mul_term()
+        return self._sum(0)[0]
+
+    def _nested(self, levels):
+        """Reject a term nested deeper than MAX_TERM_DEPTH, so that neither
+        this parser nor a later stage recurses past that depth."""
+        if levels > MAX_TERM_DEPTH:
+            self.error(f"a term nested at most {MAX_TERM_DEPTH} levels deep",
+                       message=f"term nested deeper than {MAX_TERM_DEPTH} levels")
+        return levels
+
+    # Each returns (term, height). The height counts levels as
+    # docs/grammar.md does: a constant, variable or integer is one, and each
+    # operator, parenthesis or abs() around it adds one. `depth` is the
+    # number of levels already open around the term being parsed.
+
+    def _sum(self, depth):
+        t, h = self._product(depth)
         while self.at("PLUS", "MINUS"):
             op = self.next().text
-            t = FuncApp(op, (t, self.mul_term()))
-        return t
+            rhs, rh = self._product(depth)
+            t, h = FuncApp(op, (t, rhs)), self._nested(max(h, rh) + 1)
+        return t, h
 
-    def mul_term(self):
-        t = self.unary_term()
+    def _product(self, depth):
+        t, h = self._unary(depth)
         while self.at("STAR", "SLASH", "MOD"):
             op = self.next().text
-            t = FuncApp(op, (t, self.unary_term()))
-        return t
+            rhs, rh = self._unary(depth)
+            t, h = FuncApp(op, (t, rhs)), self._nested(max(h, rh) + 1)
+        return t, h
 
-    def unary_term(self):
+    def _unary(self, depth):
         tok = self.peek()
         if tok.kind == "MINUS":
             self.next()
-            inner = self.unary_term()
+            inner, h = self._unary(self._nested(depth + 1))
+            h = self._nested(h + 1)
             if isinstance(inner, Integer):
-                return Integer(-inner.value)
-            return FuncApp("-", (inner,))
+                return Integer(-inner.value), h
+            return FuncApp("-", (inner,)), h
         if tok.kind == "ABS":
             self.next()
             self.expect("LPAREN", "'(' after abs")
-            t = self.term()
+            t, h = self._sum(self._nested(depth + 1))
             self.expect("RPAREN", "')'")
-            return FuncApp("abs", (t,))
+            return FuncApp("abs", (t,)), self._nested(h + 1)
         if tok.kind == "INTEGER":
             self.next()
-            return Integer(tok.value)
+            return Integer(tok.value), 1
         if tok.kind == "IDENT":
             self.next()
-            return SymbolicConst(tok.text)
+            return SymbolicConst(tok.text), 1
         if tok.kind == "VARIABLE":
             self.next()
-            return Variable(tok.text)
+            return Variable(tok.text), 1
         if tok.kind == "LPAREN":
             self.next()
-            t = self.term()
+            t, h = self._sum(self._nested(depth + 1))
             self.expect("RPAREN", "')'")
-            return t
+            return t, self._nested(h + 1)
         self.error("a term")
 
     def range_term(self, allow_range_pool):
@@ -337,7 +358,7 @@ def parse_files(paths):
     const_decls = {}
     for path in paths:
         with open(path, "r", encoding="utf-8") as fh:
-            prog = parse_text(fh.read(), str(path))
+            prog = parse_text(read_text(fh, str(path)), str(path))
         rules.extend(prog.rules)
         if prog.compute is not None:
             if compute is not None:

@@ -39,10 +39,6 @@ class GroundOptions:
 @dataclass
 class SolveOptions:
     model_count: int = None      # None: use the count stored in the file
-    lookahead_limit: int = 32
-    seed: int = None
-    full_atmost: bool = False
-    check_models: bool = False
 
 
 @dataclass
@@ -91,19 +87,9 @@ def solve_ground(gp, opts=None):
     names of the named ones, ascending by atom id.
     """
     opts = opts or SolveOptions()
-    solver = Solver(gp, lookahead_limit=opts.lookahead_limit, seed=opts.seed,
-                    full_atmost=opts.full_atmost)
     target = gp.models if opts.model_count is None else opts.model_count
     emitted = 0
-    for model in solver.models():
-        if opts.check_models:
-            chosen = set(model)
-            ok = (oracle.is_stable(gp.rules, chosen)
-                  and chosen.issuperset(gp.compute_true)
-                  and not chosen.intersection(gp.compute_false))
-            if not ok:
-                raise RuntimeError(
-                    "internal error: enumerated model fails the stability oracle")
+    for model in Solver(gp).models():
         names = [gp.symbols[a] for a in model if a in gp.symbols]
         yield model, names
         emitted += 1

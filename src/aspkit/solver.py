@@ -8,8 +8,7 @@ Propagation combines two closures run to a joint fixpoint:
     it, so that rule's body literals get forced);
   * unfounded-set falsification: atoms outside the maximal optimistically
     derivable set are false. Recomputation is incremental per strongly
-    connected component of the positive dependency graph, with a full
-    recompute available behind a flag for cross-checking.
+    connected component of the positive dependency graph.
 
 Branching uses lookahead with failed-literal forcing: every candidate is
 probed both ways, a probe that conflicts forces the opposite value, and
@@ -21,6 +20,7 @@ with a decision flip, which visits each model exactly once.
 import random
 from dataclasses import dataclass
 
+from .analysis import strongly_connected_components
 from .primitives import (
     BasicRule,
     ChoiceRule,
@@ -40,23 +40,6 @@ class UnsupportedRuleTypeError(Exception):
 @dataclass(frozen=True)
 class Conflict:
     atom: int
-
-
-@dataclass(frozen=True)
-class ComputeSpec:
-    """Search control: atoms forced true or false, and a model cap (0 = all)."""
-
-    required_true: frozenset = frozenset()
-    required_false: frozenset = frozenset()
-    model_count: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "required_true", frozenset(self.required_true))
-        object.__setattr__(self, "required_false", frozenset(self.required_false))
-        if self.required_true & self.required_false:
-            raise ValueError("an atom is required both true and false")
-        if self.model_count < 0:
-            raise ValueError("model count must be nonnegative")
 
 
 @dataclass
@@ -96,56 +79,11 @@ class _Rule:
         return zip(self.neg, self.nw) if self.nw is not None else ((a, 1) for a in self.neg)
 
 
-def _nontrivial_sccs(n, adj):
+def _nontrivial_sccs(adj):
     """Strongly connected components of size > 1 (or with a self-loop)
     among atoms 2..n, sorted. `adj[a]` lists the atoms a depends on."""
-    index = [0] * (n + 1)   # 0 = unvisited
-    low = [0] * (n + 1)
-    on_stack = [False] * (n + 1)
-    stack = []
-    counter = 0
-    sccs = []
-    for root in range(2, n + 1):
-        if index[root]:
-            continue
-        counter += 1
-        index[root] = low[root] = counter
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, 0)]
-        while work:
-            node, i = work[-1]
-            if i < len(adj[node]):
-                work[-1] = (node, i + 1)
-                dep = adj[node][i]
-                if dep < 2:
-                    continue
-                if not index[dep]:
-                    counter += 1
-                    index[dep] = low[dep] = counter
-                    stack.append(dep)
-                    on_stack[dep] = True
-                    work.append((dep, 0))
-                elif on_stack[dep]:
-                    if index[dep] < low[node]:
-                        low[node] = index[dep]
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[node] < low[parent]:
-                    low[parent] = low[node]
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
-                if len(comp) > 1 or node in adj[node]:
-                    sccs.append(sorted(comp))
-    return sorted(sccs)
+    return sorted(sorted(comp) for comp in strongly_connected_components(adj, first=2)
+                  if len(comp) > 1 or comp[0] in adj[comp[0]])
 
 
 def _unify(rule):
@@ -177,11 +115,10 @@ def _unify(rule):
 class Solver:
     """Enumerates the stable models of a ground primitive program."""
 
-    def __init__(self, gp, lookahead_limit=32, seed=None, full_atmost=False):
+    def __init__(self, gp, lookahead_limit=32, seed=None):
         self.stats = SolveStats()
         self.lookahead_limit = max(1, lookahead_limit)
         self._rng = random.Random(seed) if seed is not None else None
-        self.full_atmost = full_atmost
 
         n = max(gp.atom_count(), FALSITY)
         self.n_atoms = n
@@ -225,7 +162,7 @@ class Solver:
                 tmp.setdefault(h, set()).update(r.pos)
         for h, deps in tmp.items():
             adj[h] = tuple(sorted(deps))
-        sccs = _nontrivial_sccs(n, adj)
+        sccs = _nontrivial_sccs(adj)
 
         self.scc_of = [-1] * (n + 1)
         self.scc_atoms = []
@@ -280,7 +217,7 @@ class Solver:
         for h, deps in tmp.items():
             adj[h] = tuple(sorted(deps))
         cyclic = set()
-        for comp in _nontrivial_sccs(n, adj):
+        for comp in _nontrivial_sccs(adj):
             cyclic.update(comp)
         cands.update(negs & cyclic)
         cands.discard(FALSITY)
@@ -454,30 +391,6 @@ class Solver:
             if values[a] != FALSE and a not in derivable:
                 self._set(a, FALSE)
 
-    def _atmost_full(self):
-        """Global recompute of the optimistic derivable set (verification)."""
-        values = self.values
-        derivable = [False] * (self.n_atoms + 1)
-        changed = True
-        while changed:
-            changed = False
-            for r in self.rules:
-                credit = 0
-                for a, w in r.pos_items():
-                    if derivable[a]:
-                        credit += w
-                for a, w in r.neg_items():
-                    if values[a] != TRUE:
-                        credit += w
-                if credit >= r.bound:
-                    for h in r.heads:
-                        if not derivable[h] and values[h] != FALSE:
-                            derivable[h] = True
-                            changed = True
-        for a in range(2, self.n_atoms + 1):
-            if values[a] != FALSE and not derivable[a]:
-                self._set(a, FALSE)
-
     # -- expand ---------------------------------------------------------------------
 
     def _start(self):
@@ -504,13 +417,6 @@ class Solver:
                 self._start()
             while True:
                 self._propagate()
-                if self.full_atmost:
-                    mark = len(self.trail)
-                    self._atmost_full()
-                    self._dirty.clear()
-                    if len(self.trail) == mark:
-                        return None
-                    continue
                 if self._dirty:
                     ci = min(self._dirty)
                     self._dirty.discard(ci)
@@ -615,13 +521,6 @@ class Solver:
             stack.pop()
             self._undo_to(mark)
         return False
-
-    # -- state digest used by the property tests ------------------------------------
-
-    def state_fingerprint(self):
-        return (tuple(self.values),
-                tuple((r.wsat, r.wmax, r.active) for r in self.rules),
-                tuple(self.supports))
 
 
 # -- well-founded model --------------------------------------------------------------

@@ -22,6 +22,7 @@ from aspkit.pipeline import (
 from aspkit.solver import Solver, UNKNOWN, TRUE, FALSE, well_founded
 
 import gen
+from solver_checks import state_fingerprint
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PROGRAMS = ROOT / "programs"
@@ -218,14 +219,14 @@ def test_c9_expand_idempotent_and_search_state_restores():
 
         s = Solver(gp)
         if s.expand() is None:
-            snap = s.state_fingerprint()
-            if s.expand() is not None or s.state_fingerprint() != snap:
+            snap = state_fingerprint(s)
+            if s.expand() is not None or state_fingerprint(s) != snap:
                 failures += 1
             unknown = [a for a in sorted(gp.symbols) if s.values[a] == UNKNOWN]
             for atom in unknown[:3]:
                 s._probe(atom, TRUE)
                 s._probe(atom, FALSE)
-            if s.state_fingerprint() != snap:
+            if state_fingerprint(s) != snap:
                 failures += 1
 
         # perturbing the lookahead candidate order must not change the models

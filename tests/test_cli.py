@@ -253,6 +253,32 @@ def test_verify_unknown_atom_is_an_error(run, tmp_path):
     assert code == 2
 
 
+# -- input that is not UTF-8 ----------------------------------------------------
+
+@pytest.mark.parametrize("command, bad", [
+    ("ground", "source"), ("run", "source"), ("solve", "ground"),
+    ("verify", "ground"), ("verify", "models"),
+])
+def test_input_that_is_not_utf8_exits_two(run, tmp_path, command, bad):
+    contents = {"source": b"a.\nb :- a.\n",
+                "ground": b"1 2 0 0\n0\n2 a\n0\nB+\n0\nB-\n1\n0\n1\n",
+                "models": b"Stable Model: a\n"}
+    paths = {}
+    for kind, name in (("source", "p.lp"), ("ground", "p.sm"), ("models", "m.txt")):
+        paths[kind] = str(tmp_path / name)
+        data = contents[kind]
+        if kind == bad:
+            data = data.replace(b"\n", b"\n\xff", 1)
+        (tmp_path / name).write_bytes(data)
+    argv = {"ground": ["ground", paths["source"]], "run": ["run", paths["source"]],
+            "solve": ["solve", paths["ground"]],
+            "verify": ["verify", paths["ground"], paths["models"]]}[command]
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"{paths[bad]}:2:1: invalid UTF-8 byte 0xff\n"
+
+
 # -- entry point --------------------------------------------------------------
 
 def test_closed_stdout_pipe_exits_quietly(tmp_path):

@@ -1,3 +1,6 @@
+import pathlib
+import random
+
 import pytest
 
 from aspkit.ground_format import (
@@ -11,6 +14,9 @@ from aspkit.ground_format import (
     emit_ground_program,
     parse_ground_program,
 )
+from aspkit.pipeline import GroundOptions, ground_files
+
+import gen
 
 SMALL = """1 2 2 1 4 3
 3 2 2 3 1 0 4
@@ -127,3 +133,30 @@ def test_rule_atom_ids_must_be_positive(line, bad):
         parse_ground_program(line + "\n" + SMALL)
     assert err.value.lineno == 1
     assert f"atom id {bad}" in str(err.value)
+
+
+def _structural_corpus():
+    """Ground programs as the grounder hands them to the solver: every file
+    under programs/ (queens at n=6, ncolor with graph, as in C8) in both
+    domain modes, and seeded random programs."""
+    programs = pathlib.Path(__file__).resolve().parent.parent / "programs"
+    inputs = [(["ancestor.lp"], {}), (["graph.lp"], {}), (["knapsack.lp"], {}),
+              (["ncolor.lp", "graph.lp"], {}), (["queens.lp"], {"n": 6})]
+    for mode in ("keep", "none"):
+        for names, consts in inputs:
+            opts = GroundOptions(constants=consts, domain_mode=mode)
+            yield ground_files([str(programs / n) for n in names], opts).interchange
+    rng = random.Random(2024)
+    for _ in range(300):
+        yield gen.to_interchange(*gen.random_extended_source(rng))
+        yield gen.random_normal_ground(rng)
+
+
+def test_parse_of_emit_gives_back_the_program():
+    # `aspkit run` hands the grounder's program straight to the solver, so
+    # reading the emitted bytes must rebuild exactly that program.
+    count = 0
+    for gp in _structural_corpus():
+        assert parse_ground_program(emit_ground_program(gp)) == gp
+        count += 1
+    assert count == 610

@@ -6,6 +6,7 @@ from aspkit.ground_format import BasicRule, ChoiceRule, ConstraintRule, WeightRu
 from aspkit.grounding import GAgg, GRule, SymbolTable
 from aspkit.oracle import (
     CapExceededError,
+    ComputeSpec,
     brute_force_models,
     is_stable,
     least_model,
@@ -15,7 +16,6 @@ from aspkit.oracle import (
     source_models,
 )
 from aspkit.parser import parse_text
-from aspkit.solver import ComputeSpec
 
 import gen
 

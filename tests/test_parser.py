@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from aspkit.parser import MissingDotError, ParseError, parse_text, substitute_constants
+from aspkit.parser import (
+    MAX_TERM_DEPTH,
+    MissingDotError,
+    ParseError,
+    parse_text,
+    substitute_constants,
+)
+from aspkit.pipeline import GroundOptions, ground_text_input, solve_ground
 from aspkit.syntax import Aggregate, Atom, Comparison, Integer, Range, Variable
 
 
@@ -143,3 +150,30 @@ def test_locations_point_into_source():
     atom = p.rules[1].head
     assert isinstance(atom, Atom)
     assert (atom.loc.line, atom.loc.col) == (2, 3)
+
+
+def _nested_terms(levels):
+    """Three shapes of a term `levels` deep: parentheses, unary minus, and a
+    left-deep sum."""
+    return {
+        "parens": "(" * (levels - 1) + "X" + ")" * (levels - 1),
+        "minus": "-" * (levels - 1) + "X",
+        "sum": "+".join(["X"] * levels),
+    }
+
+
+@pytest.mark.parametrize("shape", ["parens", "minus", "sum"])
+def test_deeply_nested_term_is_a_parse_error(shape):
+    # Far past the limit: these used to end in a RecursionError, in the
+    # parser for the first two and in the domain analysis for the sum.
+    deep = _nested_terms(5000)[shape]
+    with pytest.raises(ParseError, match="nested deeper than 100 levels"):
+        parse_text(f"p({deep}) :- d(X). d(1).", "<t>")
+    just_over = _nested_terms(MAX_TERM_DEPTH + 1)[shape]
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_text(f"p({just_over}) :- d(X). d(1).", "<t>")
+    # At the limit the term goes through every later stage.
+    limit = _nested_terms(MAX_TERM_DEPTH)[shape]
+    g = ground_text_input(f"p({limit}) :- d(X). d(1).",
+                          GroundOptions(lint=True))
+    assert list(solve_ground(g.interchange))

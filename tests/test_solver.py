@@ -9,17 +9,18 @@ from aspkit.ground_format import (
     GroundProgram,
     WeightRule,
 )
+from aspkit.oracle import ComputeSpec
 from aspkit.solver import (
     FALSE,
     TRUE,
     UNKNOWN,
-    ComputeSpec,
     Conflict,
     Solver,
     well_founded,
 )
 
 import gen
+from solver_checks import CheckedSolver, state_fingerprint
 
 
 def program(rules, n_atoms, compute_true=(), compute_false=(), models=0):
@@ -116,9 +117,9 @@ def test_expand_is_idempotent():
                   ConstraintRule(head=5, bound=1, pos=(2, 3), neg=())], 4)
     s = Solver(gp)
     assert s.expand() is None
-    snap = s.state_fingerprint()
+    snap = state_fingerprint(s)
     assert s.expand() is None
-    assert s.state_fingerprint() == snap
+    assert state_fingerprint(s) == snap
 
 
 def test_expand_monotone_under_extra_assumptions():
@@ -208,11 +209,20 @@ def test_seeded_lookahead_sampling_keeps_model_set():
             assert sorted(solve_all(gp, lookahead_limit=2, seed=seed)) == base
 
 
-def test_full_atmost_flag_is_equivalent():
+def test_incremental_unfounded_sets_match_global_recompute():
+    # Every fixpoint of a full enumeration, lookahead probes included, must
+    # leave open no atom that the global recompute would falsify.
     rng = random.Random(13)
-    for _ in range(150):
-        gp = gen.random_normal_ground(rng)
-        assert solve_all(gp) == solve_all(gp, full_atmost=True)
+    fixpoints = 0
+    for i in range(800):
+        if i % 2:
+            gp = gen.to_interchange(*gen.random_extended_source(rng))
+        else:
+            gp = gen.random_normal_ground(rng)
+        s = CheckedSolver(gp)
+        list(s.models())
+        fixpoints += s.fixpoints
+    assert fixpoints > 1000
 
 
 def test_stats_are_populated():
@@ -243,12 +253,12 @@ def test_probe_restores_state_exactly():
         s = Solver(gp)
         if s.expand() is not None:
             continue
-        snap = s.state_fingerprint()
+        snap = state_fingerprint(s)
         unknown = [a for a in sorted(gp.symbols) if s.values[a] == UNKNOWN]
         for a in unknown[:4]:
             s._probe(a, TRUE)
             s._probe(a, FALSE)
-            assert s.state_fingerprint() == snap
+            assert state_fingerprint(s) == snap
 
 
 def test_lookahead_failed_literal_is_forced():
