@@ -165,7 +165,7 @@ def _cmd_solve(args):
         with open(files[0], "r", encoding="utf-8") as fh:
             text = read_text(fh, files[0])
     else:
-        text = read_text(sys.stdin, "<stdin>")
+        text = read_text(sys.stdin.buffer, "<stdin>")
     gp = parse_ground_program(text)
     return _enumerate(gp, count, args)
 

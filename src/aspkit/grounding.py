@@ -312,10 +312,6 @@ class SymbolTable:
     def name(self, i):
         return self._names.get(i)
 
-    @property
-    def next_id(self):
-        return self._next
-
     def named_items(self):
         """(id, name) pairs for user-visible atoms, in id order."""
         return sorted(self._names.items())

@@ -49,10 +49,12 @@ class LexError(Exception):
 
 
 def read_text(fh, name):
-    """All of a text stream opened as UTF-8; a byte that is not UTF-8 is a
-    LexError at its line and byte column."""
+    """All of a text stream opened as UTF-8, or of a byte stream decoded as
+    UTF-8; a byte that is not UTF-8 is a LexError at its line and byte
+    column."""
     try:
-        return fh.read()
+        data = fh.read()
+        return data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as e:
         data = e.object  # read() decodes the whole stream in one piece
         line = data.count(b"\n", 0, e.start) + 1

@@ -28,19 +28,16 @@ class CapExceededError(Exception):
 
 @dataclass(frozen=True)
 class ComputeSpec:
-    """Search control: atoms forced true or false, and a model cap (0 = all)."""
+    """Search control: atoms forced true or false."""
 
     required_true: frozenset = frozenset()
     required_false: frozenset = frozenset()
-    model_count: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "required_true", frozenset(self.required_true))
         object.__setattr__(self, "required_false", frozenset(self.required_false))
         if self.required_true & self.required_false:
             raise ValueError("an atom is required both true and false")
-        if self.model_count < 0:
-            raise ValueError("model count must be nonnegative")
 
 
 # -- primitive-rule route ----------------------------------------------------------

@@ -45,7 +45,6 @@ class SolveOptions:
 class Grounded:
     interchange: GroundProgram
     source: object               # GroundResult, for text output and oracles
-    program: object              # desugared source program
     warnings: list
     lint_notes: list
 
@@ -69,7 +68,7 @@ def _ground(program, opts):
         compute_true=result.compute_true,
         compute_false=(FALSITY,) + result.compute_false,
         models=1)
-    return Grounded(gp, result, program, warnings, lint_notes)
+    return Grounded(gp, result, warnings, lint_notes)
 
 
 def ground_files(paths, opts=None):

@@ -17,7 +17,6 @@ chosen, positive branch first. Enumeration is chronological backtracking
 with a decision flip, which visits each model exactly once.
 """
 
-import random
 from dataclasses import dataclass
 
 from .analysis import strongly_connected_components
@@ -79,9 +78,17 @@ class _Rule:
         return zip(self.neg, self.nw) if self.nw is not None else ((a, 1) for a in self.neg)
 
 
-def _nontrivial_sccs(adj):
+def _nontrivial_sccs(defs, with_neg):
     """Strongly connected components of size > 1 (or with a self-loop)
-    among atoms 2..n, sorted. `adj[a]` lists the atoms a depends on."""
+    among atoms 2..n, sorted, of the graph in which an atom depends on the
+    positive (and, with_neg, the negative) body atoms of the rules in its
+    `defs` entry. Integrity constraints, the rules defining atom 1, never
+    enter the graph."""
+    if with_neg:
+        deps = [[a for r in rs for atoms in (r.pos, r.neg) for a in atoms] for rs in defs[2:]]
+    else:
+        deps = [[a for r in rs for a in r.pos] for rs in defs[2:]]
+    adj = [(), ()] + deps
     return sorted(sorted(comp) for comp in strongly_connected_components(adj, first=2)
                   if len(comp) > 1 or comp[0] in adj[comp[0]])
 
@@ -115,17 +122,16 @@ def _unify(rule):
 class Solver:
     """Enumerates the stable models of a ground primitive program."""
 
-    def __init__(self, gp, lookahead_limit=32, seed=None):
+    lookahead_limit = 32  # candidates probed per lookahead round
+
+    def __init__(self, gp):
         self.stats = SolveStats()
-        self.lookahead_limit = max(1, lookahead_limit)
-        self._rng = random.Random(seed) if seed is not None else None
 
         n = max(gp.atom_count(), FALSITY)
         self.n_atoms = n
         self.values = [UNKNOWN] * (n + 1)
         self.trail = []
         self.qhead = 0
-        self._pending = []
         self._started = False
 
         self.rules = [_unify(r) for r in gp.rules]
@@ -151,77 +157,38 @@ class Solver:
     # -- static structure -------------------------------------------------------
 
     def _setup_sccs(self):
-        """Nontrivial SCCs of the positive dependency graph, for ATMOST."""
+        """Nontrivial SCCs of the positive dependency graph, for ATMOST, with
+        the rules defining each and the SCCs each atom's value can shrink."""
         n = self.n_atoms
-        adj = [()] * (n + 1)
-        tmp = {}
-        for r in self.rules:
-            if not r.pos:
-                continue
-            for h in r.heads:
-                tmp.setdefault(h, set()).update(r.pos)
-        for h, deps in tmp.items():
-            adj[h] = tuple(sorted(deps))
-        sccs = _nontrivial_sccs(adj)
-
+        sccs = _nontrivial_sccs(self.defs, with_neg=False)
+        self.scc_atoms = sccs
         self.scc_of = [-1] * (n + 1)
-        self.scc_atoms = []
         self.scc_rules = []
-        for ci, comp in enumerate(sccs):
-            self.scc_atoms.append(comp)
-            self.scc_rules.append([])
-            for a in comp:
-                self.scc_of[a] = ci
-        seen = [set() for _ in self.scc_atoms]
-        for r in self.rules:
-            for h in r.heads:
-                ci = self.scc_of[h]
-                if ci >= 0 and id(r) not in seen[ci]:
-                    seen[ci].add(id(r))
-                    self.scc_rules[ci].append(r)
-
         self.dirty_on_false = [()] * (n + 1)
         self.dirty_on_true = [()] * (n + 1)
-        df = [set() for _ in range(n + 1)]
-        dt = [set() for _ in range(n + 1)]
-        for r in self.rules:
-            cis = {self.scc_of[h] for h in r.heads if self.scc_of[h] >= 0}
-            if not cis:
-                continue
-            for a in r.pos:
-                df[a].update(cis)
-            for a in r.neg:
-                dt[a].update(cis)
-        for a in range(n + 1):
-            if df[a]:
-                self.dirty_on_false[a] = tuple(sorted(df[a]))
-            if dt[a]:
-                self.dirty_on_true[a] = tuple(sorted(dt[a]))
-        self._dirty = set(range(len(self.scc_atoms)))
+        for ci, comp in enumerate(sccs):
+            for a in comp:
+                self.scc_of[a] = ci
+            rules = list({id(r): r for a in comp for r in self.defs[a]}.values())
+            self.scc_rules.append(rules)
+            for r in rules:
+                for dirty, atoms in ((self.dirty_on_false, r.pos),
+                                     (self.dirty_on_true, r.neg)):
+                    for a in atoms:
+                        if not dirty[a] or dirty[a][-1] != ci:
+                            dirty[a] += (ci,)
+        self._dirty = set(range(len(sccs)))
 
     def _setup_branch_order(self):
         """Branch on choice/constraint heads and on negative literals that
         sit on a dependency cycle; everything else follows by propagation."""
-        n = self.n_atoms
-        adj = [()] * (n + 1)
-        tmp = {}
-        negs = set()
-        cands = set()
-        for r in self.rules:
-            if r.choice or r.bound != len(r.pos) + len(r.neg) or r.pw is not None:
-                cands.update(h for h in r.heads if h != FALSITY)
-            negs.update(r.neg)
-            for h in r.heads:
-                tmp.setdefault(h, set()).update(r.pos)
-                tmp.setdefault(h, set()).update(r.neg)
-        for h, deps in tmp.items():
-            adj[h] = tuple(sorted(deps))
-        cyclic = set()
-        for comp in _nontrivial_sccs(adj):
-            cyclic.update(comp)
-        cands.update(negs & cyclic)
-        cands.discard(FALSITY)
-        self.branch_order = sorted(cands)
+        defs = self.defs
+        cyclic = {a for comp in _nontrivial_sccs(defs, with_neg=True) for a in comp}
+        self.branch_order = [
+            a for a in range(2, self.n_atoms + 1)
+            if (a in cyclic and self.occ_neg[a])
+            or any(r.choice or r.pw is not None or r.bound != len(r.pos) + len(r.neg)
+                   for r in defs[a])]
 
     # -- assignment primitives ----------------------------------------------------
 
@@ -437,22 +404,22 @@ class Solver:
         self._undo_to(mark)
         return conflict, fixed
 
+    def _candidates(self):
+        """Unassigned atoms of the branch order, else every unassigned atom."""
+        values = self.values
+        cands = [a for a in self.branch_order if values[a] == UNKNOWN]
+        return cands or [a for a in range(2, self.n_atoms + 1) if values[a] == UNKNOWN]
+
     def _choose(self):
         """Next branching atom, or None when assignment is total.
 
         Failed literals found while probing are forced immediately and the
         scan restarts on the new fixpoint.
         """
-        values = self.values
         while True:
-            cands = [a for a in self.branch_order if values[a] == UNKNOWN]
+            cands = self._candidates()
             if not cands:
-                cands = [a for a in range(2, self.n_atoms + 1)
-                         if values[a] == UNKNOWN]
-                if not cands:
-                    return None
-            if self._rng is not None:
-                self._rng.shuffle(cands)
+                return None
             limit = self.lookahead_limit
             if len(cands) > limit:
                 step = len(cands) / limit

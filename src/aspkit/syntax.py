@@ -222,9 +222,6 @@ class Rule:
     body: tuple = ()
     loc: Loc | None = field(default=None, compare=False)
 
-    def is_fact(self):
-        return isinstance(self.head, Atom) and not self.body
-
     def to_source(self):
         body = ", ".join(b.to_source() for b in self.body)
         if self.head is None:
@@ -246,12 +243,3 @@ class Program:
             inner = ", ".join(l.to_source() for l in self.compute)
             lines.append(f"compute {{ {inner} }}.")
         return "\n".join(lines) + "\n"
-
-
-def head_atoms(rule):
-    """Atoms a rule defines: the normal head or the aggregate element atoms."""
-    if isinstance(rule.head, Atom):
-        return [rule.head]
-    if isinstance(rule.head, Aggregate):
-        return [e.literal.atom for e in rule.head.elements]
-    return []

@@ -4,8 +4,13 @@
 unchanged at a fixpoint and that backtracking must restore. `CheckedSolver`
 holds the incremental, per-SCC unfounded-set propagation to the global
 recompute of the optimistically derivable set at every fixpoint it reaches.
+`ShuffledSolver` perturbs the lookahead candidate order. `static_structure`
+recomputes the solver's SCCs, dirty maps and branch order the slow way.
 """
 
+import random
+
+from aspkit.primitives import BasicRule, ChoiceRule, ConstraintRule
 from aspkit.solver import FALSE, TRUE, Solver
 
 
@@ -56,3 +61,94 @@ class CheckedSolver(Solver):
             assert not missed, f"unfounded atoms left open at a fixpoint: {missed}"
             self.fixpoints += 1
         return conflict
+
+
+class ShuffledSolver(Solver):
+    """A Solver that probes two lookahead candidates per round, sampled
+    from the candidate list after a seeded shuffle."""
+
+    lookahead_limit = 2
+
+    def __init__(self, gp, seed):
+        self._rng = random.Random(seed)
+        super().__init__(gp)
+
+    def _candidates(self):
+        cands = super()._candidates()
+        self._rng.shuffle(cands)
+        return cands
+
+
+def _reach(adj, atoms):
+    """reach[a]: atoms reachable from a by one or more edges."""
+    reach = {}
+    for a in atoms:
+        seen = set()
+        todo = [a]
+        while todo:
+            for b in adj.get(todo.pop(), ()):
+                if b not in seen:
+                    seen.add(b)
+                    todo.append(b)
+        reach[a] = seen
+    return reach
+
+
+def _cyclic_components(adj, atoms):
+    """Sorted SCCs that contain a cycle, from the reachability closure."""
+    reach = _reach(adj, atoms)
+    comps = {tuple(sorted(b for b in reach[a] if a in reach[b]))
+             for a in atoms if a in reach[a]}
+    return sorted(list(c) for c in comps)
+
+
+def static_structure(solver, gp):
+    """What `solver` should have built from `gp`, taken straight from the
+    rule definitions: the nontrivial SCCs (atoms >= 2, size > 1 or a
+    self-loop) of the positive dependency graph, the indexes of the rules
+    defining an atom of each, the SCCs a rule of which has the atom in its
+    positive (dirty_on_false) or negative (dirty_on_true) body, and the
+    branch order: heads of non-basic rules, plus atoms that occur negatively
+    and sit on a cycle of the full dependency graph."""
+    rules = solver.rules
+    atoms = range(2, solver.n_atoms + 1)
+    pos_adj, full_adj = {}, {}
+    for r in rules:
+        for h in r.heads:
+            pos_adj.setdefault(h, set()).update(b for b in r.pos if b >= 2)
+            full_adj.setdefault(h, set()).update(b for b in r.pos + r.neg if b >= 2)
+    sccs = _cyclic_components(pos_adj, atoms)
+    scc_of = [-1] * (solver.n_atoms + 1)
+    for ci, comp in enumerate(sccs):
+        for a in comp:
+            scc_of[a] = ci
+    scc_rules = [[i for i, r in enumerate(rules) if any(scc_of[h] == ci for h in r.heads)]
+                 for ci in range(len(sccs))]
+    dirty_on_false = [tuple(ci for ci in range(len(sccs))
+                            if any(a in rules[i].pos for i in scc_rules[ci]))
+                      for a in range(solver.n_atoms + 1)]
+    dirty_on_true = [tuple(ci for ci in range(len(sccs))
+                           if any(a in rules[i].neg for i in scc_rules[ci]))
+                     for a in range(solver.n_atoms + 1)]
+    cyclic = {a for comp in _cyclic_components(full_adj, atoms) for a in comp}
+    negative = {a for r in rules for a in r.neg}
+    nonbasic = set()
+    for src in gp.rules:
+        if isinstance(src, BasicRule) or (
+                isinstance(src, ConstraintRule) and src.bound == len(src.pos) + len(src.neg)):
+            continue
+        nonbasic.update(src.heads if isinstance(src, ChoiceRule) else (src.head,))
+    branch_order = sorted(a for a in atoms if a in nonbasic or (a in cyclic and a in negative))
+    return {"scc_atoms": sccs, "scc_of": scc_of, "scc_rules": scc_rules,
+            "dirty_on_false": dirty_on_false, "dirty_on_true": dirty_on_true,
+            "branch_order": branch_order}
+
+
+def built_structure(solver):
+    """The same views, read off a constructed Solver."""
+    index = {id(r): i for i, r in enumerate(solver.rules)}
+    return {"scc_atoms": solver.scc_atoms, "scc_of": solver.scc_of,
+            "scc_rules": [sorted(index[id(r)] for r in rs) for rs in solver.scc_rules],
+            "dirty_on_false": solver.dirty_on_false,
+            "dirty_on_true": solver.dirty_on_true,
+            "branch_order": list(solver.branch_order)}

@@ -1,10 +1,18 @@
 import io
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import aspkit
 from aspkit.cli import main
+
+# Subprocesses import the same aspkit as the suite, installed or not.
+SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    p for p in (str(pathlib.Path(aspkit.__file__).parent.parent),
+                os.environ.get("PYTHONPATH")) if p)}
 
 COLORING = """\
 d(1..3).
@@ -19,7 +27,11 @@ TWO_CYCLE = "a :- not b. b :- not a."
 @pytest.fixture
 def run(capsys, monkeypatch):
     def invoke(argv, stdin=""):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        # Bytes-backed, and lenient on bad bytes like the interpreter's own
+        # stdin, so that only a strict decode of stdin.buffer rejects them.
+        data = stdin.encode("utf-8") if isinstance(stdin, str) else stdin
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+            io.BytesIO(data), encoding="utf-8", errors="surrogateescape"))
         code = main(argv)
         captured = capsys.readouterr()
         return code, captured.out, captured.err
@@ -279,6 +291,16 @@ def test_input_that_is_not_utf8_exits_two(run, tmp_path, command, bad):
     assert err == f"{paths[bad]}:2:1: invalid UTF-8 byte 0xff\n"
 
 
+def test_stdin_that_is_not_utf8_exits_two(run):
+    ground = b"1 2 0 0\n0\n2 a\xff\n0\nB+\n0\nB-\n1\n0\n1\n"
+    code, out, err = run(["solve"], stdin=ground)
+    assert (code, out, err) == (2, "", "<stdin>:3:4: invalid UTF-8 byte 0xff\n")
+    proc = subprocess.run([sys.executable, "-m", "aspkit.cli", "solve"], input=ground,
+                          capture_output=True, env={**SUBPROCESS_ENV, "LC_ALL": "C.UTF-8"})
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == b"<stdin>:3:4: invalid UTF-8 byte 0xff\n"
+
+
 # -- entry point --------------------------------------------------------------
 
 def test_closed_stdout_pipe_exits_quietly(tmp_path):
@@ -286,7 +308,8 @@ def test_closed_stdout_pipe_exits_quietly(tmp_path):
     # program is still writing when the reader closes after one line.
     src = write(tmp_path, "p.lp", "d(1..13). { p(X) : d(X) }.")
     proc = subprocess.Popen([sys.executable, "-m", "aspkit.cli", "run", src, "0"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=SUBPROCESS_ENV)
     assert proc.stdout.readline() == b"Answer: 1\n"
     proc.stdout.close()
     err = proc.stderr.read()
@@ -298,6 +321,6 @@ def test_closed_stdout_pipe_exits_quietly(tmp_path):
 def test_installed_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "aspkit.cli", "--help"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=SUBPROCESS_ENV)
     assert proc.returncode == 0
     assert "ground" in proc.stdout and "solve" in proc.stdout
