@@ -15,7 +15,7 @@ Parsing preserves section contents exactly, so emit(parse(text)) == text for
 any file this module itself produced.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .primitives import BasicRule, ChoiceRule, ConstraintRule, WeightRule
 
@@ -39,17 +39,40 @@ class GroundProgram:
     compute_false: tuple # B- atom ids (includes the falsity atom)
     models: int
 
-    def atom_count(self):
-        top = 1
+    def atom_ids(self):
+        """Every atom id the program mentions, and the falsity atom."""
+        used = {1}
+        used.update(self.symbols, self.compute_true, self.compute_false)
         for r in self.rules:
-            ids = list(r.pos) + list(r.neg)
-            ids += list(r.heads) if isinstance(r, ChoiceRule) else [r.head]
-            top = max(top, max(ids, default=1))
-        for i in self.symbols:
-            top = max(top, i)
-        for i in self.compute_true + self.compute_false:
-            top = max(top, i)
-        return top
+            used.update(r.heads if isinstance(r, ChoiceRule) else (r.head,), r.pos, r.neg)
+        return used
+
+    def atom_count(self):
+        return max(self.atom_ids())
+
+
+def compact_atom_ids(gp):
+    """Number the atoms `gp` uses (in rules, symbols and compute sections,
+    plus the falsity atom) 1..k in their original order, so that arrays
+    indexed by atom id grow with the program rather than with its largest
+    id. Returns (program, ids) with ids[i] the original id of atom i, or
+    (gp, None) when `gp` already uses exactly 1..k."""
+    used = gp.atom_ids()
+    if max(used) == len(used):
+        return gp, None
+    ids = [0] + sorted(used)
+    new = {a: i for i, a in enumerate(ids)}
+
+    def ren(atoms):
+        return tuple(new[a] for a in atoms)
+
+    rules = [replace(r, heads=ren(r.heads), pos=ren(r.pos), neg=ren(r.neg))
+             if isinstance(r, ChoiceRule)
+             else replace(r, head=new[r.head], pos=ren(r.pos), neg=ren(r.neg))
+             for r in gp.rules]
+    symbols = {new[a]: name for a, name in gp.symbols.items()}
+    return GroundProgram(rules, symbols, ren(gp.compute_true), ren(gp.compute_false),
+                         gp.models), ids
 
 
 def _rule_line(r):

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 from . import analysis
 from . import oracle
-from .ground_format import GroundProgram
+from .ground_format import GroundProgram, compact_atom_ids
 from .grounding import FALSITY, desugar_program, ground_program
 from .parser import parse_files, parse_text, substitute_constants
 from .primitives import ChoiceRule, translate_program
@@ -88,7 +88,10 @@ def solve_ground(gp, opts=None):
     opts = opts or SolveOptions()
     target = gp.models if opts.model_count is None else opts.model_count
     emitted = 0
-    for model in Solver(gp).models():
+    dense, ids = compact_atom_ids(gp)
+    for model in Solver(dense).models():
+        if ids is not None:
+            model = tuple(ids[a] for a in model)
         names = [gp.symbols[a] for a in model if a in gp.symbols]
         yield model, names
         emitted += 1
@@ -144,6 +147,7 @@ def verify_model(gp, names, completion_cap=12):
     unambiguous; any that remain open are enumerated, up to 2**completion_cap
     combinations.
     """
+    gp = compact_atom_ids(gp)[0]
     by_name = {}
     for i, n in gp.symbols.items():
         by_name[n] = i

@@ -10,11 +10,17 @@ Propagation combines two closures run to a joint fixpoint:
     derivable set are false. Recomputation is incremental per strongly
     connected component of the positive dependency graph.
 
-Branching uses lookahead with failed-literal forcing: every candidate is
+Branching uses lookahead with failed-literal forcing: candidates are
 probed both ways, a probe that conflicts forces the opposite value, and
 otherwise the candidate fixing the most atoms (ties to the lowest id) is
-chosen, positive branch first. Enumeration is chronological backtracking
-with a decision flip, which visits each model exactly once.
+chosen, positive branch first. A literal that an earlier successful probe
+of the same round fixed is not probed in the failed-literal scan: by
+monotonicity it cannot fail, and it fixes at most what that probe fixed,
+which bounds its score. It is probed only if that bound could still win,
+so the choices are those of probing every candidate both ways (Simons,
+Niemelä and Soininen, AIJ 2002). Enumeration is chronological backtracking
+with a decision flip, which visits each model exactly once. Atom ids are
+dense: `pipeline` renumbers a program's atoms before it builds a Solver.
 """
 
 from dataclasses import dataclass
@@ -46,6 +52,8 @@ class SolveStats:
     decisions: int = 0
     conflicts: int = 0
     propagations: int = 0
+    probes: int = 0           # every lookahead probe, one literal each
+    failed_literals: int = 0  # literals forced because a probe failed
 
 
 class _ConflictSignal(Exception):
@@ -139,6 +147,7 @@ class Solver:
         self.occ_neg = [[] for _ in range(n + 1)]
         self.defs = [[] for _ in range(n + 1)]
         self.supports = [0] * (n + 1)
+        nonbasic = set()  # heads of choice, cardinality and weight rules
         for r in self.rules:
             for a, w in r.pos_items():
                 self.occ_pos[a].append((r, w))
@@ -148,11 +157,13 @@ class Solver:
                 self.defs[h].append(r)
                 if r.active:
                     self.supports[h] += 1
+            if r.choice or r.pw is not None or r.bound != len(r.pos) + len(r.neg):
+                nonbasic.update(r.heads)
 
         self.compute_true = gp.compute_true
         self.compute_false = gp.compute_false
         self._setup_sccs()
-        self._setup_branch_order()
+        self._setup_branch_order(nonbasic)
 
     # -- static structure -------------------------------------------------------
 
@@ -179,16 +190,18 @@ class Solver:
                             dirty[a] += (ci,)
         self._dirty = set(range(len(sccs)))
 
-    def _setup_branch_order(self):
-        """Branch on choice/constraint heads and on negative literals that
-        sit on a dependency cycle; everything else follows by propagation."""
-        defs = self.defs
-        cyclic = {a for comp in _nontrivial_sccs(defs, with_neg=True) for a in comp}
-        self.branch_order = [
-            a for a in range(2, self.n_atoms + 1)
-            if (a in cyclic and self.occ_neg[a])
-            or any(r.choice or r.pw is not None or r.bound != len(r.pos) + len(r.neg)
-                   for r in defs[a])]
+    def _setup_branch_order(self, nonbasic):
+        """Branch on the heads of choice, cardinality and weight rules and
+        on negative literals that sit on a dependency cycle; everything else
+        follows by propagation. With no negative literal there is no cycle
+        to look for."""
+        order = set(nonbasic)
+        occ_neg = self.occ_neg
+        if any(occ_neg[2:]):
+            order.update(a for comp in _nontrivial_sccs(self.defs, with_neg=True)
+                         for a in comp if occ_neg[a])
+        order.discard(FALSITY)
+        self.branch_order = sorted(order)
 
     # -- assignment primitives ----------------------------------------------------
 
@@ -396,11 +409,25 @@ class Solver:
 
     # -- lookahead and enumeration -----------------------------------------------
 
-    def _probe(self, atom, value):
+    def _probe(self, atom, value, bounds=None):
+        """Set atom to value, expand, undo; returns (conflict, atoms fixed).
+
+        With `bounds`, a successful probe lowers bounds[lit] to its count
+        for every literal it fixed (lit is the atom if true, its negation if
+        false). Propagation is monotone, so probing such a literal at the
+        same assignment cannot conflict and fixes at most that many atoms.
+        """
+        self.stats.probes += 1
         mark = len(self.trail)
         self._set(atom, value)
         conflict = self.expand()
         fixed = len(self.trail) - mark
+        if bounds is not None and conflict is None:
+            values = self.values
+            for b in self.trail[mark:]:
+                lit = b if values[b] == TRUE else -b
+                if bounds.get(lit, fixed) >= fixed:
+                    bounds[lit] = fixed
         self._undo_to(mark)
         return conflict, fixed
 
@@ -413,8 +440,16 @@ class Solver:
     def _choose(self):
         """Next branching atom, or None when assignment is total.
 
-        Failed literals found while probing are forced immediately and the
-        scan restarts on the new fixpoint.
+        Each round probes the candidates in order, both ways, except a side
+        that an earlier successful probe of the round already fixed: that
+        side cannot fail, and `bounds` holds an upper bound on what it
+        fixes. The first candidate with a failed side is forced the other
+        way and the round restarts on the new fixpoint. Otherwise the
+        candidate fixing the most atoms over both probes wins, ties to the
+        lowest id. Candidates are visited by their score, or by its bound
+        when a side was skipped, highest first; a skipped side is probed
+        only while that bound could still beat the best score so far, so
+        the choice is the one probing every side would make.
         """
         while True:
             cands = self._candidates()
@@ -424,26 +459,41 @@ class Solver:
             if len(cands) > limit:
                 step = len(cands) / limit
                 cands = [cands[int(i * step)] for i in range(limit)]
-            best_atom = None
-            best_score = -1
-            forced = False
+            bounds = {}
+            probed = []
             for a in cands:
-                conflict_t, fixed_t = self._probe(a, TRUE)
-                conflict_f, fixed_f = self._probe(a, FALSE)
+                conflict_t = conflict_f = fixed_t = fixed_f = None
+                if a not in bounds:
+                    conflict_t, fixed_t = self._probe(a, TRUE, bounds)
+                if -a not in bounds:
+                    conflict_f, fixed_f = self._probe(a, FALSE, bounds)
                 if conflict_t and conflict_f:
                     return Conflict(a)
                 if conflict_t or conflict_f:
+                    self.stats.failed_literals += 1
                     self._set(a, FALSE if conflict_t else TRUE)
                     c = self.expand()
                     if c:
                         return c
-                    forced = True
                     break
-                score = fixed_t + fixed_f
-                if score > best_score or (score == best_score and a < best_atom):
-                    best_score = score
-                    best_atom = a
-            if not forced:
+                probed.append((a, fixed_t, fixed_f))
+            else:
+                ranked = [((bounds[a] if t is None else t) + (bounds[-a] if f is None else f),
+                           a, t, f) for a, t, f in probed]
+                ranked.sort(key=lambda p: (-p[0], p[1]))
+                best_atom = None
+                best_score = -1
+                for bound, a, fixed_t, fixed_f in ranked:
+                    if not (bound > best_score or (bound == best_score and a < best_atom)):
+                        break
+                    if fixed_t is None:
+                        fixed_t = self._probe(a, TRUE)[1]
+                    if fixed_f is None:
+                        fixed_f = self._probe(a, FALSE)[1]
+                    score = fixed_t + fixed_f
+                    if score > best_score or (score == best_score and a < best_atom):
+                        best_score = score
+                        best_atom = a
                 return best_atom
 
     def _model(self):

@@ -4,14 +4,17 @@
 unchanged at a fixpoint and that backtracking must restore. `CheckedSolver`
 holds the incremental, per-SCC unfounded-set propagation to the global
 recompute of the optimistically derivable set at every fixpoint it reaches.
-`ShuffledSolver` perturbs the lookahead candidate order. `static_structure`
+`ShuffledSolver` perturbs the lookahead candidate order. `FullProbeSolver`
+is the reference lookahead that probes every candidate both ways, and
+`BoundCheckedSolver` re-probes every literal a lookahead probe implied, to
+hold the solver to the bounds it skips probes by. `static_structure`
 recomputes the solver's SCCs, dirty maps and branch order the slow way.
 """
 
 import random
 
 from aspkit.primitives import BasicRule, ChoiceRule, ConstraintRule
-from aspkit.solver import FALSE, TRUE, Solver
+from aspkit.solver import FALSE, TRUE, Conflict, Solver
 
 
 def state_fingerprint(solver):
@@ -77,6 +80,92 @@ class ShuffledSolver(Solver):
         cands = super()._candidates()
         self._rng.shuffle(cands)
         return cands
+
+
+class FullProbeSolver(Solver):
+    """A Solver whose lookahead probes every candidate both ways and scores
+    each by the atoms both probes fix: the choices `Solver._choose` must
+    reproduce while skipping probes."""
+
+    def _choose(self):
+        while True:
+            cands = self._candidates()
+            if not cands:
+                return None
+            limit = self.lookahead_limit
+            if len(cands) > limit:
+                step = len(cands) / limit
+                cands = [cands[int(i * step)] for i in range(limit)]
+            best_atom = None
+            best_score = -1
+            forced = False
+            for a in cands:
+                conflict_t, fixed_t = self._probe(a, TRUE)
+                conflict_f, fixed_f = self._probe(a, FALSE)
+                if conflict_t and conflict_f:
+                    return Conflict(a)
+                if conflict_t or conflict_f:
+                    self.stats.failed_literals += 1
+                    self._set(a, FALSE if conflict_t else TRUE)
+                    c = self.expand()
+                    if c:
+                        return c
+                    forced = True
+                    break
+                score = fixed_t + fixed_f
+                if score > best_score or (score == best_score and a < best_atom):
+                    best_score = score
+                    best_atom = a
+            if not forced:
+                return best_atom
+
+
+class ShuffledFullProbeSolver(ShuffledSolver, FullProbeSolver):
+    """FullProbeSolver with ShuffledSolver's candidate order."""
+
+
+class BoundCheckedSolver(Solver):
+    """A Solver that checks each lookahead probe's bookkeeping: after a
+    successful probe, every literal it fixed has as its bound the least count
+    of the probes of the round that fixed it, and probing that literal
+    itself at the same assignment neither conflicts nor fixes more atoms
+    than its bound. `reprobes` counts the literals probed for the check."""
+
+    def __init__(self, gp):
+        super().__init__(gp)
+        self.reprobes = 0
+
+    def _fixed_literals(self, atom, value):
+        mark = len(self.trail)
+        self._set(atom, value)
+        conflict = self.expand()
+        lits = [b if self.values[b] == TRUE else -b for b in self.trail[mark:]]
+        self._undo_to(mark)
+        return conflict, lits
+
+    def _probe(self, atom, value, bounds=None):
+        if bounds is None:
+            return super()._probe(atom, value)
+        before = dict(bounds)
+        conflict, fixed = super()._probe(atom, value, bounds)
+        if conflict:
+            assert bounds == before, "a failed probe changed the bounds"
+            return conflict, fixed
+        again, lits = self._fixed_literals(atom, value)
+        assert again is None and len(lits) == fixed
+        want = dict(before)
+        for lit in lits:
+            want[lit] = min(before.get(lit, fixed), fixed)
+        assert bounds == want, f"bounds {bounds} after probing {atom}, expected {want}"
+        own = atom if value == TRUE else -atom
+        for lit in lits:
+            if lit == own or before.get(lit) == bounds[lit]:
+                continue
+            self.reprobes += 1
+            c, n = super()._probe(abs(lit), TRUE if lit > 0 else FALSE)
+            assert c is None, f"literal {lit} implied by probing {own} conflicts"
+            assert n <= bounds[lit], f"literal {lit} fixes {n} > bound {bounds[lit]}"
+        return conflict, fixed
 
 
 def _reach(adj, atoms):

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -156,6 +157,35 @@ def test_solve_rejects_nonpositive_atom_id(run, rule):
     assert code == 2
     assert err.startswith("line 1: atom id ")
     assert "Traceback" not in err and out == ""
+
+
+def sparse_ground(ids):
+    """{ c, b }.  h :- c.  a :- h.  with c, h, b numbered ids[0..2]; h is
+    hidden."""
+    c, h, b = ids
+    return (f"3 2 {c} {b} 0 0\n1 {h} 1 0 {c}\n1 2 1 0 {h}\n0\n"
+            f"2 a\n{b} b\n{c} c\n0\nB+\n0\nB-\n1\n0\n0\n")
+
+
+def test_sparse_atom_ids_cost_no_memory(run, tmp_path):
+    # Atom ids are renumbered onto the ids in use, so a large id costs no
+    # more than a small one and the answers are the same.
+    dense = write(tmp_path, "dense.sm", sparse_ground((3, 4, 5)))
+    sparse = write(tmp_path, "sparse.sm", sparse_ground((7, 50, 100000)))
+    _, want, _ = run(["solve", dense])
+    assert want.count("Answer:") == 4
+    models = write(tmp_path, "models.txt", want)
+    for argv, expected in ((["solve", sparse], want),
+                           (["verify", sparse, models], "Model 1: stable\n"
+                            "Model 2: stable\nModel 3: stable\nModel 4: stable\n")):
+        tracemalloc.start()
+        try:
+            code, out, err = run(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (0, expected, "")
+        assert peak < 5 * 2**20, f"{argv[0]} peaked at {peak} bytes"
 
 
 # -- run ----------------------------------------------------------------------

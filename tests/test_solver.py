@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from aspkit.ground_format import (
     WeightRule,
 )
 from aspkit.oracle import ComputeSpec
+from aspkit.pipeline import GroundOptions, ground_files
 from aspkit.solver import (
     FALSE,
     TRUE,
@@ -21,7 +23,10 @@ from aspkit.solver import (
 
 import gen
 from solver_checks import (
+    BoundCheckedSolver,
     CheckedSolver,
+    FullProbeSolver,
+    ShuffledFullProbeSolver,
     ShuffledSolver,
     built_structure,
     state_fingerprint,
@@ -39,6 +44,12 @@ def program(rules, n_atoms, compute_true=(), compute_false=(), models=0):
 
 def solve_all(gp):
     return list(Solver(gp).models())
+
+
+def queens(n):
+    path = Path(__file__).resolve().parent.parent / "programs" / "queens.lp"
+    return ground_files([str(path)], GroundOptions(constants={"n": n},
+                                                   domain_mode="none")).interchange
 
 
 # -- ComputeSpec --------------------------------------------------------------
@@ -226,6 +237,59 @@ def test_incremental_unfounded_sets_match_global_recompute():
     assert fixpoints > 1000
 
 
+def test_lookahead_skips_probes_but_not_choices():
+    # Skipping the probes an earlier probe of the round implied must leave
+    # every choice as probing all of them makes it: the same models in the
+    # same order after the same decisions, conflicts and failed literals.
+    # The shuffled pairs see unsorted candidates, where ties are not
+    # settled by candidate order.
+    rng = random.Random(53)
+    programs = [queens(6)]
+    for i in range(2000):
+        if i % 2:
+            programs.append(gen.to_interchange(*gen.random_extended_source(rng)))
+        else:
+            programs.append(gen.random_normal_ground(rng))
+    probes = full_probes = 0
+    for gp in programs:
+        pairs = [(Solver(gp), FullProbeSolver(gp))]
+        pairs += [(ShuffledSolver(gp, seed), ShuffledFullProbeSolver(gp, seed))
+                  for seed in (1, 7)]
+        for s, full in pairs:
+            assert list(s.models()) == list(full.models())
+            for stat in ("decisions", "conflicts", "failed_literals"):
+                assert getattr(s.stats, stat) == getattr(full.stats, stat), stat
+            assert s.stats.probes <= full.stats.probes
+            assert s.stats.propagations <= full.stats.propagations
+            probes += s.stats.probes
+            full_probes += full.stats.probes
+    assert probes < full_probes
+
+
+def test_skipped_probes_stay_within_their_bounds():
+    rng = random.Random(59)
+    programs = [queens(5)]
+    for i in range(600):
+        if i % 2:
+            programs.append(gen.to_interchange(*gen.random_extended_source(rng)))
+        else:
+            programs.append(gen.random_normal_ground(rng))
+    reprobes = 0
+    for gp in programs:
+        s = BoundCheckedSolver(gp)
+        assert list(s.models()) == solve_all(gp)
+        reprobes += s.reprobes
+    assert reprobes > 300
+
+
+def test_queens_8_lookahead_probe_budget():
+    # Probing every candidate both ways takes 10,732 probes here.
+    s = Solver(queens(8))
+    assert len(list(s.models())) == 92
+    assert s.stats.probes <= 7000
+    assert s.stats.failed_literals > 0
+
+
 def test_static_structure_matches_reference():
     # SCCs, their rules, the dirty maps and the branch order agree with a
     # recomputation from reachability; a wrong branch order would only
@@ -255,6 +319,7 @@ def test_stats_are_populated():
     assert len(models) == 8
     assert s.stats.decisions >= 3
     assert s.stats.propagations > 0
+    assert s.stats.probes > 0
 
 
 def test_decision_bound():
