@@ -10,6 +10,30 @@ Propagation combines two closures run to a joint fixpoint:
     derivable set are false. Recomputation is incremental per strongly
     connected component of the positive dependency graph.
 
+Rules are parallel lists indexed by rule number: `bound`, the counters
+`wsat` (weight of the body literals true so far) and `wmax` (weight of
+those not yet false), `heads`, `head` (the single head, None for a choice
+rule), and `pos`/`neg` with their weights `pw`/`nw` (None for unit
+weights; negative weights are moved onto the complement at setup).
+`occ_pos[a]` and `occ_neg[a]` hold the (rule, weight) pairs in which atom
+a occurs, and `defs[a]` the rules with a among their heads.
+
+A rule is dead once `wmax < bound`. `dead[r]` is the trail index of the
+literal that made it so, -1 for a rule dead from the start, and `_LIVE`
+while the rule can still fire; the live rules are the ones counted in
+`supports`. Since wsat <= wmax < bound, a dead rule can neither fire nor
+support its heads, and contraposition and backchaining ignore it, so the
+literals after index dead[r] on the trail skip r. Backtracking skips r
+for the same literals, so its counters come back exactly, and undoing the
+literal at dead[r] revives it.
+
+Each nontrivial SCC has a table built at setup: the rules defining its
+atoms, their bounds, their positive literals inside the SCC, their heads
+inside the SCC, and per SCC atom the (rule, weight) pairs it feeds. An
+unfounded-set run starts a live rule's credit at its wmax less the weight
+of its in-SCC literals not yet false, which is the weight of its other
+body literals not yet false; a dead rule gets no credit.
+
 Branching uses lookahead with failed-literal forcing: candidates are
 probed both ways, a probe that conflicts forces the opposite value, and
 otherwise the candidate fixing the most atoms (ties to the lowest id) is
@@ -23,6 +47,7 @@ with a decision flip, which visits each model exactly once. Atom ids are
 dense: `pipeline` renumbers a program's atoms before it builds a Solver.
 """
 
+import sys
 from dataclasses import dataclass
 
 from .analysis import strongly_connected_components
@@ -36,6 +61,7 @@ from .primitives import (
 
 FALSITY = 1
 UNKNOWN, TRUE, FALSE = 0, 1, 2
+_LIVE = sys.maxsize  # dead[r] of a rule that can still fire: above every trail index
 
 
 class UnsupportedRuleTypeError(Exception):
@@ -54,6 +80,7 @@ class SolveStats:
     propagations: int = 0
     probes: int = 0           # every lookahead probe, one literal each
     failed_literals: int = 0  # literals forced because a probe failed
+    unfounded_runs: int = 0   # unfounded-set runs, one SCC each
 
 
 class _ConflictSignal(Exception):
@@ -62,69 +89,15 @@ class _ConflictSignal(Exception):
         super().__init__(f"conflict on atom {atom}")
 
 
-class _Rule:
-    __slots__ = ("heads", "pos", "neg", "pw", "nw", "bound", "choice",
-                 "wsat", "wmax", "active")
-
-    def __init__(self, heads, pos, neg, pw, nw, bound, choice):
-        self.heads = heads
-        self.pos = pos
-        self.neg = neg
-        self.pw = pw  # None means unit weights
-        self.nw = nw
-        self.bound = bound
-        self.choice = choice
-        total = (len(pos) + len(neg)) if pw is None else (sum(pw) + sum(nw))
-        self.wsat = 0
-        self.wmax = total
-        self.active = total >= bound
-
-    def pos_items(self):
-        return zip(self.pos, self.pw) if self.pw is not None else ((a, 1) for a in self.pos)
-
-    def neg_items(self):
-        return zip(self.neg, self.nw) if self.nw is not None else ((a, 1) for a in self.neg)
-
-
-def _nontrivial_sccs(defs, with_neg):
+def _nontrivial_sccs(defs, *bodies):
     """Strongly connected components of size > 1 (or with a self-loop)
     among atoms 2..n, sorted, of the graph in which an atom depends on the
-    positive (and, with_neg, the negative) body atoms of the rules in its
+    atoms that `bodies` (per-rule atom lists) give for the rules in its
     `defs` entry. Integrity constraints, the rules defining atom 1, never
     enter the graph."""
-    if with_neg:
-        deps = [[a for r in rs for atoms in (r.pos, r.neg) for a in atoms] for rs in defs[2:]]
-    else:
-        deps = [[a for r in rs for a in r.pos] for rs in defs[2:]]
-    adj = [(), ()] + deps
+    adj = [(), ()] + [[a for r in rs for body in bodies for a in body[r]] for rs in defs[2:]]
     return sorted(sorted(comp) for comp in strongly_connected_components(adj, first=2)
                   if len(comp) > 1 or comp[0] in adj[comp[0]])
-
-
-def _unify(rule):
-    """Internal form: (heads, pos, neg, pw, nw, bound, choice)."""
-    if isinstance(rule, BasicRule):
-        return _Rule((rule.head,), rule.pos, rule.neg, None, None,
-                     len(rule.pos) + len(rule.neg), False)
-    if isinstance(rule, ConstraintRule):
-        return _Rule((rule.head,), rule.pos, rule.neg, None, None, rule.bound, False)
-    if isinstance(rule, ChoiceRule):
-        return _Rule(rule.heads, rule.pos, rule.neg, None, None,
-                     len(rule.pos) + len(rule.neg), True)
-    if isinstance(rule, WeightRule):
-        pos, neg = rule.pos, rule.neg
-        pw, nw = rule.pos_weights, rule.neg_weights
-        bound = rule.bound
-        if any(w < 0 for w in pw) or any(w < 0 for w in nw):
-            elems = [(a, w) for a, w in zip(pos, pw)]
-            elems += [(-a, w) for a, w in zip(neg, nw)]
-            elems, bound = normalize_weight_elements(elems, bound)
-            pos = tuple(l for l, _ in elems if l > 0)
-            pw = tuple(w for l, w in elems if l > 0)
-            neg = tuple(-l for l, _ in elems if l < 0)
-            nw = tuple(w for l, w in elems if l < 0)
-        return _Rule((rule.head,), pos, neg, pw, nw, bound, False)
-    raise UnsupportedRuleTypeError(f"unsupported rule {rule!r}")
 
 
 class Solver:
@@ -142,23 +115,67 @@ class Solver:
         self.qhead = 0
         self._started = False
 
-        self.rules = [_unify(r) for r in gp.rules]
-        self.occ_pos = [[] for _ in range(n + 1)]
-        self.occ_neg = [[] for _ in range(n + 1)]
-        self.defs = [[] for _ in range(n + 1)]
-        self.supports = [0] * (n + 1)
+        self.heads, self.head = heads, head = [], []
+        self.pos, self.neg, self.pw, self.nw = pos, neg, pw, nw = [], [], [], []
+        self.bound, self.wmax, self.dead = bound, wmax, dead = [], [], []
+        self.occ_pos = occ_pos = [[] for _ in range(n + 1)]
+        self.occ_neg = occ_neg = [[] for _ in range(n + 1)]
+        self.defs = defs = [[] for _ in range(n + 1)]
+        self.supports = supports = [0] * (n + 1)
         nonbasic = set()  # heads of choice, cardinality and weight rules
-        for r in self.rules:
-            for a, w in r.pos_items():
-                self.occ_pos[a].append((r, w))
-            for a, w in r.neg_items():
-                self.occ_neg[a].append((r, w))
-            for h in r.heads:
-                self.defs[h].append(r)
-                if r.active:
-                    self.supports[h] += 1
-            if r.choice or r.pw is not None or r.bound != len(r.pos) + len(r.neg):
-                nonbasic.update(r.heads)
+        for r, rule in enumerate(gp.rules):
+            p_w = n_w = None
+            if isinstance(rule, BasicRule):
+                h, p, q = rule.head, rule.pos, rule.neg
+                b = total = len(p) + len(q)
+            elif isinstance(rule, ConstraintRule):
+                h, p, q, b = rule.head, rule.pos, rule.neg, rule.bound
+                total = len(p) + len(q)
+            elif isinstance(rule, ChoiceRule):
+                h, p, q = None, rule.pos, rule.neg
+                b = total = len(p) + len(q)
+            elif isinstance(rule, WeightRule):
+                h, p, q, b = rule.head, rule.pos, rule.neg, rule.bound
+                p_w, n_w = rule.pos_weights, rule.neg_weights
+                if any(w < 0 for w in p_w) or any(w < 0 for w in n_w):
+                    elems = list(zip(p, p_w)) + [(-a, w) for a, w in zip(q, n_w)]
+                    elems, b = normalize_weight_elements(elems, b)
+                    p = tuple(l for l, _ in elems if l > 0)
+                    p_w = tuple(w for l, w in elems if l > 0)
+                    q = tuple(-l for l, _ in elems if l < 0)
+                    n_w = tuple(w for l, w in elems if l < 0)
+                total = sum(p_w) + sum(n_w)
+            else:
+                raise UnsupportedRuleTypeError(f"unsupported rule {rule!r}")
+            hs = rule.heads if h is None else (h,)
+            if p_w is None:
+                unit = (r, 1)
+                for a in p:
+                    occ_pos[a].append(unit)
+                for a in q:
+                    occ_neg[a].append(unit)
+            else:
+                for a, w in zip(p, p_w):
+                    occ_pos[a].append((r, w))
+                for a, w in zip(q, n_w):
+                    occ_neg[a].append((r, w))
+            live = total >= b
+            for x in hs:
+                defs[x].append(r)
+                if live:
+                    supports[x] += 1
+            if h is None or p_w is not None or b != len(p) + len(q):
+                nonbasic.update(hs)
+            heads.append(hs)
+            head.append(h)
+            pos.append(p)
+            neg.append(q)
+            pw.append(p_w)
+            nw.append(n_w)
+            bound.append(b)
+            wmax.append(total)
+            dead.append(_LIVE if live else -1)
+        self.wsat = [0] * len(bound)
 
         self.compute_true = gp.compute_true
         self.compute_false = gp.compute_false
@@ -168,26 +185,37 @@ class Solver:
     # -- static structure -------------------------------------------------------
 
     def _setup_sccs(self):
-        """Nontrivial SCCs of the positive dependency graph, for ATMOST, with
-        the rules defining each and the SCCs each atom's value can shrink."""
+        """Nontrivial SCCs of the positive dependency graph, for ATMOST: the
+        table an unfounded-set run reads, and the SCCs whose rules each
+        atom's value can shrink."""
         n = self.n_atoms
-        sccs = _nontrivial_sccs(self.defs, with_neg=False)
+        sccs = _nontrivial_sccs(self.defs, self.pos)
         self.scc_atoms = sccs
-        self.scc_of = [-1] * (n + 1)
-        self.scc_rules = []
+        self.scc_of = scc_of = [-1] * (n + 1)
+        self.scc_tables = []
         self.dirty_on_false = [()] * (n + 1)
         self.dirty_on_true = [()] * (n + 1)
         for ci, comp in enumerate(sccs):
             for a in comp:
-                self.scc_of[a] = ci
-            rules = list({id(r): r for a in comp for r in self.defs[a]}.values())
-            self.scc_rules.append(rules)
-            for r in rules:
-                for dirty, atoms in ((self.dirty_on_false, r.pos),
-                                     (self.dirty_on_true, r.neg)):
+                scc_of[a] = ci
+            rules = list(dict.fromkeys(r for a in comp for r in self.defs[a]))
+            bounds, inside, inheads = [], [], []
+            watch = {a: [] for a in comp}
+            for k, r in enumerate(rules):
+                bounds.append(self.bound[r])
+                p = self.pos[r]
+                feeds = [(a, w) for a, w in zip(p, self.pw[r] or (1,) * len(p))
+                         if scc_of[a] == ci]
+                for a, w in feeds:
+                    watch[a].append((k, w))
+                inside.append(feeds)
+                inheads.append([h for h in self.heads[r] if scc_of[h] == ci])
+                for dirty, atoms in ((self.dirty_on_false, self.pos[r]),
+                                     (self.dirty_on_true, self.neg[r])):
                     for a in atoms:
                         if not dirty[a] or dirty[a][-1] != ci:
                             dirty[a] += (ci,)
+            self.scc_tables.append((rules, bounds, inside, inheads, watch))
         self._dirty = set(range(len(sccs)))
 
     def _setup_branch_order(self, nonbasic):
@@ -198,12 +226,12 @@ class Solver:
         order = set(nonbasic)
         occ_neg = self.occ_neg
         if any(occ_neg[2:]):
-            order.update(a for comp in _nontrivial_sccs(self.defs, with_neg=True)
+            order.update(a for comp in _nontrivial_sccs(self.defs, self.pos, self.neg)
                          for a in comp if occ_neg[a])
         order.discard(FALSITY)
         self.branch_order = sorted(order)
 
-    # -- assignment primitives ----------------------------------------------------
+    # -- assignment and backtracking ------------------------------------------------
 
     def _set(self, atom, value):
         cur = self.values[atom]
@@ -215,77 +243,66 @@ class Solver:
         self.trail.append(atom)
 
     def _undo_to(self, mark):
-        values = self.values
-        trail = self.trail
+        """Unassign the trail from `mark` on, restoring the counters of the
+        literals already propagated. A mark is always a fixpoint, so no SCC
+        is left to recompute."""
+        values, trail, dead = self.values, self.trail, self.dead
+        wsat, wmax, bound = self.wsat, self.wmax, self.bound
+        heads, supports = self.heads, self.supports
         for i in range(len(trail) - 1, mark - 1, -1):
             a = trail[i]
             if i < self.qhead:
-                if values[a] == TRUE:
-                    for r, w in self.occ_pos[a]:
-                        r.wsat -= w
-                    for r, w in self.occ_neg[a]:
-                        self._unshrink(r, w)
-                else:
-                    for r, w in self.occ_pos[a]:
-                        self._unshrink(r, w)
-                    for r, w in self.occ_neg[a]:
-                        r.wsat -= w
+                v = values[a]
+                for occ, sat in ((self.occ_pos[a], v == TRUE), (self.occ_neg[a], v != TRUE)):
+                    if sat:
+                        for r, w in occ:
+                            if dead[r] >= i:
+                                wsat[r] -= w
+                    else:
+                        for r, w in occ:
+                            if dead[r] >= i:
+                                m = wmax[r] + w
+                                wmax[r] = m
+                                if dead[r] == i and m >= bound[r]:
+                                    dead[r] = _LIVE
+                                    for h in heads[r]:
+                                        supports[h] += 1
             values[a] = UNKNOWN
         del trail[mark:]
         if self.qhead > mark:
             self.qhead = mark
-
-    def _unshrink(self, r, w):
-        r.wmax += w
-        if not r.active and r.wmax >= r.bound:
-            r.active = True
-            for h in r.heads:
-                self.supports[h] += 1
+        self._dirty.clear()
 
     # -- ATLEAST propagation -----------------------------------------------------
 
-    def _body_sat(self, r, w, pend):
-        r.wsat += w
-        if r.wsat >= r.bound and not r.choice:
-            pend.append((r.heads[0], TRUE))
-        elif not r.choice and self.values[r.heads[0]] == FALSE:
-            self._contrapose(r, pend)
-
-    def _body_shrink(self, r, w, pend):
-        r.wmax -= w
-        if r.active and r.wmax < r.bound:
-            r.active = False
-            for h in r.heads:
-                self.supports[h] -= 1
-                if self.supports[h] == 0:
-                    pend.append((h, FALSE))
-                elif self.supports[h] == 1 and self.values[h] == TRUE:
-                    self._backchain_atom(h, pend)
-        elif r.active and not r.choice and self.values[r.heads[0]] == TRUE:
-            if self.supports[r.heads[0]] == 1:
-                self._backchain_atom(r.heads[0], pend)
-
     def _contrapose(self, r, pend):
         """Head is false: refute any literal that alone satisfies the body."""
-        if r.wsat >= r.bound:
+        gap = self.bound[r] - self.wsat[r]
+        if gap <= 0:
             # body already satisfied; the flush below reports the conflict
-            pend.append((r.heads[0], TRUE))
+            pend.append((self.head[r], TRUE))
             return
-        if not r.active:
+        if self.dead[r] != _LIVE:
             return
-        gap = r.bound - r.wsat
-        for a, w in r.pos_items():
-            if self.values[a] == UNKNOWN and w >= gap:
-                pend.append((a, FALSE))
-        for a, w in r.neg_items():
-            if self.values[a] == UNKNOWN and w >= gap:
-                pend.append((a, TRUE))
+        values = self.values
+        for atoms, weights, value in ((self.pos[r], self.pw[r], FALSE),
+                                      (self.neg[r], self.nw[r], TRUE)):
+            if weights is None:
+                if gap <= 1:
+                    for a in atoms:
+                        if values[a] == UNKNOWN:
+                            pend.append((a, value))
+            else:
+                for a, w in zip(atoms, weights):
+                    if values[a] == UNKNOWN and w >= gap:
+                        pend.append((a, value))
 
     def _backchain_atom(self, h, pend):
         """h is true with one potential supporter left: its body must fire."""
+        dead = self.dead
         last = None
         for r in self.defs[h]:
-            if r.active:
+            if dead[r] == _LIVE:
                 if last is not None:
                     return  # supports[] counts rule occurrences, recheck
                 last = r
@@ -293,78 +310,125 @@ class Solver:
             pend.append((h, FALSE))
             return
         r = last
-        slack = r.wmax - r.bound
-        for a, w in r.pos_items():
-            if self.values[a] == UNKNOWN and w > slack:
-                pend.append((a, TRUE))
-        for a, w in r.neg_items():
-            if self.values[a] == UNKNOWN and w > slack:
-                pend.append((a, FALSE))
+        slack = self.wmax[r] - self.bound[r]
+        values = self.values
+        for atoms, weights, value in ((self.pos[r], self.pw[r], TRUE),
+                                      (self.neg[r], self.nw[r], FALSE)):
+            if weights is None:
+                if slack < 1:
+                    for a in atoms:
+                        if values[a] == UNKNOWN:
+                            pend.append((a, value))
+            else:
+                for a, w in zip(atoms, weights):
+                    if values[a] == UNKNOWN and w > slack:
+                        pend.append((a, value))
 
     def _propagate(self):
-        while self.qhead < len(self.trail):
-            a = self.trail[self.qhead]
-            self.qhead += 1
-            self.stats.propagations += 1
-            v = self.values[a]
+        """Propagate the trail from qhead on. The literal at index i visits
+        the rules it occurs in, except those dead before i; a rule whose
+        wmax falls below its bound dies at i and withdraws its support."""
+        values, trail, dead = self.values, self.trail, self.dead
+        wsat, wmax, bound = self.wsat, self.wmax, self.bound
+        head, heads, supports = self.head, self.heads, self.supports
+        stats = self.stats
+        while self.qhead < len(trail):
+            i = self.qhead
+            a = trail[i]
+            self.qhead = i + 1
+            stats.propagations += 1
+            v = values[a]
             pend = []
+            for occ, sat in ((self.occ_pos[a], v == TRUE), (self.occ_neg[a], v != TRUE)):
+                if sat:
+                    for r, w in occ:
+                        if dead[r] < i:
+                            continue
+                        s = wsat[r] + w
+                        wsat[r] = s
+                        h = head[r]
+                        if h is None:
+                            continue
+                        if s >= bound[r]:
+                            pend.append((h, TRUE))
+                        elif values[h] == FALSE:
+                            self._contrapose(r, pend)
+                else:
+                    for r, w in occ:
+                        d = dead[r]
+                        if d < i:
+                            continue
+                        m = wmax[r] - w
+                        wmax[r] = m
+                        if d == i:
+                            continue  # died earlier at this same literal
+                        if m < bound[r]:
+                            dead[r] = i
+                            for x in heads[r]:
+                                s = supports[x] - 1
+                                supports[x] = s
+                                if s == 0:
+                                    pend.append((x, FALSE))
+                                elif s == 1 and values[x] == TRUE:
+                                    self._backchain_atom(x, pend)
+                        else:
+                            h = head[r]
+                            if h is not None and values[h] == TRUE and supports[h] == 1:
+                                self._backchain_atom(h, pend)
             if v == TRUE:
-                for r, w in self.occ_pos[a]:
-                    self._body_sat(r, w, pend)
-                for r, w in self.occ_neg[a]:
-                    self._body_shrink(r, w, pend)
-                if self.supports[a] == 0:
+                if supports[a] == 0:
                     pend.append((a, FALSE))
-                elif self.supports[a] == 1:
+                elif supports[a] == 1:
                     self._backchain_atom(a, pend)
                 self._dirty.update(self.dirty_on_true[a])
             else:
-                for r, w in self.occ_pos[a]:
-                    self._body_shrink(r, w, pend)
-                for r, w in self.occ_neg[a]:
-                    self._body_sat(r, w, pend)
                 for r in self.defs[a]:
-                    if not r.choice:
+                    if head[r] is not None:
                         self._contrapose(r, pend)
                 self._dirty.update(self.dirty_on_false[a])
             for atom, value in pend:
-                self._set(atom, value)
+                cur = values[atom]
+                if cur != value:
+                    if cur != UNKNOWN:
+                        raise _ConflictSignal(atom)
+                    values[atom] = value
+                    trail.append(atom)
 
     # -- ATMOST (unfounded sets) ---------------------------------------------------
 
     def _atmost_scc(self, ci):
-        values = self.values
-        scc_of = self.scc_of
+        """Falsify the atoms of SCC ci that no rule can derive from atoms
+        outside it that are not false, negative literals not true, and atoms
+        inside it derived that way. Runs with the trail fully propagated, so
+        a live rule's credit from outside the SCC is its wmax less the
+        weight of its in-SCC literals not false; a dead rule gets none."""
+        self.stats.unfounded_runs += 1
+        values, wmax, dead = self.values, self.wmax, self.dead
+        rules, bounds, inside, inheads, watch = self.scc_tables[ci]
+        avail = []
         derivable = set()
         queue = []
-        avail = {}
-        watch = {}
-        for r in self.scc_rules[ci]:
-            credit = 0
-            for a, w in r.pos_items():
-                if scc_of[a] == ci:
-                    watch.setdefault(a, []).append((r, w))
-                elif values[a] != FALSE:
-                    credit += w
-            for a, w in r.neg_items():
-                if values[a] != TRUE:
-                    credit += w
-            avail[id(r)] = credit
-            if credit >= r.bound:
-                for h in r.heads:
-                    if scc_of[h] == ci and values[h] != FALSE and h not in derivable:
+        for k, r in enumerate(rules):
+            if dead[r] != _LIVE:
+                avail.append(-_LIVE)
+                continue
+            credit = wmax[r]
+            for a, w in inside[k]:
+                if values[a] != FALSE:
+                    credit -= w
+            avail.append(credit)
+            if credit >= bounds[k]:
+                for h in inheads[k]:
+                    if values[h] != FALSE and h not in derivable:
                         derivable.add(h)
                         queue.append(h)
-        qi = 0
-        while qi < len(queue):
-            a = queue[qi]
-            qi += 1
-            for r, w in watch.get(a, ()):
-                before = avail[id(r)]
-                avail[id(r)] = before + w
-                if before < r.bound <= before + w:
-                    for h in r.heads:
-                        if scc_of[h] == ci and values[h] != FALSE and h not in derivable:
+        for a in queue:
+            for k, w in watch[a]:
+                before = avail[k]
+                avail[k] = before + w
+                if before < bounds[k] <= before + w:
+                    for h in inheads[k]:
+                        if values[h] != FALSE and h not in derivable:
                             derivable.add(h)
                             queue.append(h)
         for a in self.scc_atoms[ci]:
@@ -383,12 +447,10 @@ class Solver:
         for a in range(2, self.n_atoms + 1):
             if self.supports[a] == 0:
                 self._set(a, FALSE)
-        pend = []
-        for r in self.rules:
-            if r.wsat >= r.bound and not r.choice:
-                pend.append((r.heads[0], TRUE))
-        for atom, value in pend:
-            self._set(atom, value)
+        pend = [h for h, s, b in zip(self.head, self.wsat, self.bound)
+                if h is not None and s >= b]
+        for atom in pend:
+            self._set(atom, TRUE)
 
     def expand(self):
         """Run propagation to fixpoint; None on success, else Conflict."""
@@ -405,6 +467,7 @@ class Solver:
                 return None
         except _ConflictSignal as c:
             self.stats.conflicts += 1
+            return Conflict(c.atom)
             return Conflict(c.atom)
 
     # -- lookahead and enumeration -----------------------------------------------

@@ -3,24 +3,48 @@
 `state_fingerprint` digests the search state that propagation must leave
 unchanged at a fixpoint and that backtracking must restore. `CheckedSolver`
 holds the incremental, per-SCC unfounded-set propagation to the global
-recompute of the optimistically derivable set at every fixpoint it reaches.
+recompute of the optimistically derivable set at every fixpoint it reaches,
+and the rule counters, dead-rule marks and supports to a recompute from the
+values there and after every backtrack (`counter_faults`).
 `ShuffledSolver` perturbs the lookahead candidate order. `FullProbeSolver`
 is the reference lookahead that probes every candidate both ways, and
 `BoundCheckedSolver` re-probes every literal a lookahead probe implied, to
 hold the solver to the bounds it skips probes by. `static_structure`
-recomputes the solver's SCCs, dirty maps and branch order the slow way.
+recomputes the solver's SCCs, unfounded-set tables, dirty maps and branch
+order the slow way.
 """
 
 import random
 
-from aspkit.primitives import BasicRule, ChoiceRule, ConstraintRule
-from aspkit.solver import FALSE, TRUE, Conflict, Solver
+from aspkit.primitives import (
+    BasicRule,
+    ChoiceRule,
+    ConstraintRule,
+    WeightRule,
+    normalize_weight_elements,
+)
+from aspkit.solver import _LIVE, FALSE, TRUE, Conflict, Solver
 
 
 def state_fingerprint(solver):
-    return (tuple(solver.values),
-            tuple((r.wsat, r.wmax, r.active) for r in solver.rules),
-            tuple(solver.supports))
+    return (tuple(solver.values), tuple(solver.wsat), tuple(solver.wmax),
+            tuple(solver.dead), tuple(solver.supports))
+
+
+def _items(atoms, weights):
+    return zip(atoms, weights if weights is not None else [1] * len(atoms))
+
+
+def rule_counters(solver, r):
+    """wsat and wmax of rule r recomputed from the current values."""
+    values = solver.values
+    wsat = wmax = 0
+    for atoms, weights, true, false in ((solver.pos[r], solver.pw[r], TRUE, FALSE),
+                                        (solver.neg[r], solver.nw[r], FALSE, TRUE)):
+        for a, w in _items(atoms, weights):
+            wsat += w if values[a] == true else 0
+            wmax += w if values[a] != false else 0
+    return wsat, wmax
 
 
 def unfounded_atoms(solver):
@@ -32,16 +56,16 @@ def unfounded_atoms(solver):
     changed = True
     while changed:
         changed = False
-        for r in solver.rules:
+        for r, bound in enumerate(solver.bound):
             credit = 0
-            for a, w in r.pos_items():
+            for a, w in _items(solver.pos[r], solver.pw[r]):
                 if derivable[a]:
                     credit += w
-            for a, w in r.neg_items():
+            for a, w in _items(solver.neg[r], solver.nw[r]):
                 if values[a] != TRUE:
                     credit += w
-            if credit >= r.bound:
-                for h in r.heads:
+            if credit >= bound:
+                for h in solver.heads[r]:
                     if not derivable[h] and values[h] != FALSE:
                         derivable[h] = True
                         changed = True
@@ -49,9 +73,39 @@ def unfounded_atoms(solver):
             if values[a] != FALSE and not derivable[a]]
 
 
+def counter_faults(solver):
+    """Where the rule counters disagree with a recompute from the values,
+    with every literal on the trail propagated: a live rule's wsat and wmax
+    must equal the recompute, a dead rule must recompute to wmax < bound
+    and have died at a trail index, and supports[h] must count the live
+    rules with h among their heads."""
+    faults = []
+    supports = [0] * (solver.n_atoms + 1)
+    for r, bound in enumerate(solver.bound):
+        wsat, wmax = rule_counters(solver, r)
+        dead = solver.dead[r]
+        if -1 <= dead < len(solver.trail):
+            if wmax >= bound or solver.wmax[r] >= bound:
+                faults.append(f"rule {r} dead at {dead} has wmax {solver.wmax[r]}, "
+                              f"recompute {wmax}, bound {bound}")
+        elif dead != _LIVE:
+            faults.append(f"rule {r} marked dead at {dead}, past the trail")
+        elif (solver.wsat[r], solver.wmax[r]) != (wsat, wmax):
+            faults.append(f"live rule {r}: counters {solver.wsat[r]}, {solver.wmax[r]}"
+                          f" != recompute {wsat}, {wmax}")
+        else:
+            for h in solver.heads[r]:
+                supports[h] += 1
+    if supports != solver.supports:
+        faults.append(f"supports {solver.supports} != recompute {supports}")
+    return faults
+
+
 class CheckedSolver(Solver):
     """A Solver that, after every successful expand() (lookahead probes
-    included), asserts that the global recompute falsifies nothing new."""
+    included), asserts that the global recompute falsifies nothing new and
+    that the rule counters agree with the values, and after every
+    _undo_to() that no SCC is left to recompute and the counters agree."""
 
     def __init__(self, gp):
         super().__init__(gp)
@@ -62,8 +116,16 @@ class CheckedSolver(Solver):
         if conflict is None:
             missed = unfounded_atoms(self)
             assert not missed, f"unfounded atoms left open at a fixpoint: {missed}"
+            faults = counter_faults(self)
+            assert not faults, f"counters wrong at a fixpoint: {faults}"
             self.fixpoints += 1
         return conflict
+
+    def _undo_to(self, mark):
+        super()._undo_to(mark)
+        assert not self._dirty, f"SCCs {self._dirty} left dirty at mark {mark}"
+        faults = counter_faults(self)
+        assert not faults, f"counters wrong after undoing to {mark}: {faults}"
 
 
 class ShuffledSolver(Solver):
@@ -191,36 +253,84 @@ def _cyclic_components(adj, atoms):
     return sorted(list(c) for c in comps)
 
 
+def _reference_row(rule):
+    """(heads, head, pos, neg, pw, nw, bound, wmax, dead) of a primitive
+    rule before search: head is None for a choice rule, weights None for
+    unit weights, and dead -1 when the body weight cannot reach the bound."""
+    pw = nw = None
+    if isinstance(rule, ChoiceRule):
+        heads, head, bound = rule.heads, None, len(rule.pos) + len(rule.neg)
+    else:
+        heads, head = (rule.head,), rule.head
+        bound = rule.bound if hasattr(rule, "bound") else len(rule.pos) + len(rule.neg)
+    pos, neg = rule.pos, rule.neg
+    if isinstance(rule, WeightRule):
+        pw, nw = rule.pos_weights, rule.neg_weights
+        if min(pw + nw, default=0) < 0:
+            elems = [(a, w) for a, w in zip(pos, pw)] + [(-a, w) for a, w in zip(neg, nw)]
+            elems, bound = normalize_weight_elements(elems, bound)
+            pos = tuple(a for a, _ in elems if a > 0)
+            pw = tuple(w for a, w in elems if a > 0)
+            neg = tuple(-a for a, _ in elems if a < 0)
+            nw = tuple(w for a, w in elems if a < 0)
+    wmax = sum(w for _, w in _items(pos, pw)) + sum(w for _, w in _items(neg, nw))
+    return heads, head, pos, neg, pw, nw, bound, wmax, _LIVE if wmax >= bound else -1
+
+
 def static_structure(solver, gp):
     """What `solver` should have built from `gp`, taken straight from the
-    rule definitions: the nontrivial SCCs (atoms >= 2, size > 1 or a
+    rule definitions: the rule arrays (`rows`, with weight rules normalised
+    and rules dead from the start marked), the occurrence, definition and
+    support lists they give, the nontrivial SCCs (atoms >= 2, size > 1 or a
     self-loop) of the positive dependency graph, the indexes of the rules
-    defining an atom of each, the SCCs a rule of which has the atom in its
-    positive (dirty_on_false) or negative (dirty_on_true) body, and the
-    branch order: heads of non-basic rules, plus atoms that occur negatively
-    and sit on a cycle of the full dependency graph."""
-    rules = solver.rules
-    atoms = range(2, solver.n_atoms + 1)
+    defining an atom of each and each SCC's unfounded-set table, the SCCs a
+    rule of which has the atom in its positive (dirty_on_false) or negative
+    (dirty_on_true) body, and the branch order: heads of non-basic rules,
+    plus atoms that occur negatively and sit on a cycle of the full
+    dependency graph."""
+    rows = [_reference_row(rule) for rule in gp.rules]
+    n = solver.n_atoms
+    occ_pos, occ_neg, defs = ([[] for _ in range(n + 1)] for _ in range(3))
+    supports = [0] * (n + 1)
     pos_adj, full_adj = {}, {}
-    for r in rules:
-        for h in r.heads:
-            pos_adj.setdefault(h, set()).update(b for b in r.pos if b >= 2)
-            full_adj.setdefault(h, set()).update(b for b in r.pos + r.neg if b >= 2)
+    for r, (heads, _, pos, neg, pw, nw, _, _, dead) in enumerate(rows):
+        for a, w in _items(pos, pw):
+            occ_pos[a].append((r, w))
+        for a, w in _items(neg, nw):
+            occ_neg[a].append((r, w))
+        for h in heads:
+            defs[h].append(r)
+            if dead != -1:
+                supports[h] += 1
+            pos_adj.setdefault(h, set()).update(b for b in pos if b >= 2)
+            full_adj.setdefault(h, set()).update(b for b in pos + neg if b >= 2)
+    atoms = range(2, n + 1)
     sccs = _cyclic_components(pos_adj, atoms)
-    scc_of = [-1] * (solver.n_atoms + 1)
+    scc_of = [-1] * (n + 1)
     for ci, comp in enumerate(sccs):
         for a in comp:
             scc_of[a] = ci
-    scc_rules = [[i for i, r in enumerate(rules) if any(scc_of[h] == ci for h in r.heads)]
+    scc_rules = [[r for r, row in enumerate(rows) if any(scc_of[h] == ci for h in row[0])]
                  for ci in range(len(sccs))]
     dirty_on_false = [tuple(ci for ci in range(len(sccs))
-                            if any(a in rules[i].pos for i in scc_rules[ci]))
-                      for a in range(solver.n_atoms + 1)]
+                            if any(a in rows[r][2] for r in scc_rules[ci]))
+                      for a in range(n + 1)]
     dirty_on_true = [tuple(ci for ci in range(len(sccs))
-                           if any(a in rules[i].neg for i in scc_rules[ci]))
-                     for a in range(solver.n_atoms + 1)]
+                           if any(a in rows[r][3] for r in scc_rules[ci]))
+                     for a in range(n + 1)]
+    tables = []
+    for ci, comp in enumerate(sccs):
+        entries = {}
+        for r in scc_rules[ci]:
+            heads, _, pos, _, pw, _, bound, _, _ = rows[r]
+            entries[r] = (bound, sorted((a, w) for a, w in _items(pos, pw) if scc_of[a] == ci),
+                          sorted(h for h in heads if scc_of[h] == ci))
+        watch = {a: sorted((r, w) for r in scc_rules[ci]
+                           for b, w in _items(rows[r][2], rows[r][4]) if b == a)
+                 for a in comp}
+        tables.append((entries, watch))
     cyclic = {a for comp in _cyclic_components(full_adj, atoms) for a in comp}
-    negative = {a for r in rules for a in r.neg}
+    negative = {a for row in rows for a in row[3]}
     nonbasic = set()
     for src in gp.rules:
         if isinstance(src, BasicRule) or (
@@ -228,16 +338,28 @@ def static_structure(solver, gp):
             continue
         nonbasic.update(src.heads if isinstance(src, ChoiceRule) else (src.head,))
     branch_order = sorted(a for a in atoms if a in nonbasic or (a in cyclic and a in negative))
-    return {"scc_atoms": sccs, "scc_of": scc_of, "scc_rules": scc_rules,
+    return {"rows": rows, "occurrences": (occ_pos, occ_neg, defs, supports),
+            "scc_atoms": sccs, "scc_of": scc_of, "scc_rules": scc_rules,
+            "scc_tables": tables,
             "dirty_on_false": dirty_on_false, "dirty_on_true": dirty_on_true,
             "branch_order": branch_order}
 
 
 def built_structure(solver):
     """The same views, read off a constructed Solver."""
-    index = {id(r): i for i, r in enumerate(solver.rules)}
-    return {"scc_atoms": solver.scc_atoms, "scc_of": solver.scc_of,
-            "scc_rules": [sorted(index[id(r)] for r in rs) for rs in solver.scc_rules],
+    tables = []
+    for rules, bounds, inside, inheads, watch in solver.scc_tables:
+        entries = {r: (bounds[k], sorted(inside[k]), sorted(inheads[k]))
+                   for k, r in enumerate(rules)}
+        tables.append((entries, {a: sorted((rules[k], w) for k, w in ws)
+                                 for a, ws in watch.items()}))
+    rows = list(zip(solver.heads, solver.head, solver.pos, solver.neg, solver.pw,
+                    solver.nw, solver.bound, solver.wmax, solver.dead))
+    return {"rows": rows,
+            "occurrences": (solver.occ_pos, solver.occ_neg, solver.defs, solver.supports),
+            "scc_atoms": solver.scc_atoms, "scc_of": solver.scc_of,
+            "scc_rules": [sorted(table[0]) for table in solver.scc_tables],
+            "scc_tables": tables,
             "dirty_on_false": solver.dirty_on_false,
             "dirty_on_true": solver.dirty_on_true,
             "branch_order": list(solver.branch_order)}

@@ -11,12 +11,13 @@ from aspkit.ground_format import (
     WeightRule,
 )
 from aspkit.oracle import ComputeSpec
-from aspkit.pipeline import GroundOptions, ground_files
+from aspkit.pipeline import GroundOptions, ground_files, ground_text_input
 from aspkit.solver import (
     FALSE,
     TRUE,
     UNKNOWN,
     Conflict,
+    SolveStats,
     Solver,
     well_founded,
 )
@@ -193,6 +194,34 @@ def test_weight_rule_threshold():
     assert all(2 not in m or (3 in m and 4 in m) for m in models)
 
 
+def test_negative_weights_count_on_the_complement():
+    # A ground file may carry negative weights. Over atoms that a choice
+    # rule leaves free, the head 2 of the weight rule holds exactly in the
+    # subsets whose satisfied weights, negative ones included, sum to at
+    # least the bound.
+    rng = random.Random(67)
+    negative = 0
+    for _ in range(300):
+        free = list(range(3, rng.randint(4, 7)))
+        pos = tuple(rng.sample(free, rng.randint(0, len(free))))
+        neg = tuple(rng.sample(free, rng.randint(0, len(free))))
+        pw = tuple(rng.randint(-3, 3) for _ in pos)
+        nw = tuple(rng.randint(-3, 3) for _ in neg)
+        bound = rng.randint(-3, 5)
+        gp = program([ChoiceRule(heads=tuple(free), pos=(), neg=()),
+                      WeightRule(head=2, bound=bound, pos=pos, neg=neg,
+                                 pos_weights=pw, neg_weights=nw)], len(free) + 1)
+        want = []
+        for mask in range(1 << len(free)):
+            chosen = {a for i, a in enumerate(free) if mask >> i & 1}
+            weight = (sum(w for a, w in zip(pos, pw) if a in chosen)
+                      + sum(w for a, w in zip(neg, nw) if a not in chosen))
+            want.append(tuple(sorted(chosen | ({2} if weight >= bound else set()))))
+        assert sorted(solve_all(gp)) == sorted(want), (pos, neg, pw, nw, bound)
+        negative += min(pw + nw, default=0) < 0
+    assert negative > 150
+
+
 def test_model_count_limit_is_enforced_by_the_pipeline():
     from aspkit.pipeline import solve_ground
     gp = program([ChoiceRule(heads=(2, 3, 4), pos=(), neg=())], 3, models=2)
@@ -290,10 +319,87 @@ def test_queens_8_lookahead_probe_budget():
     assert s.stats.failed_literals > 0
 
 
+HAMCYCLE_10 = """\
+node(1..10).
+edge(1,3). edge(1,5). edge(1,6). edge(1,10). edge(2,3). edge(2,6). edge(2,7).
+edge(2,10). edge(3,4). edge(3,5). edge(3,7). edge(3,10). edge(4,1). edge(4,3).
+edge(4,6). edge(4,7). edge(5,3). edge(5,4). edge(5,7). edge(5,8). edge(6,1).
+edge(6,7). edge(6,8). edge(6,10). edge(7,2). edge(7,3). edge(7,4). edge(7,6).
+edge(8,4). edge(8,5). edge(8,7). edge(8,10). edge(9,1). edge(9,3). edge(9,4).
+edge(9,10). edge(10,2). edge(10,3). edge(10,6). edge(10,9).
+{ in(X,Y) } :- edge(X,Y).
+:- 2 { in(X,Y) : node(Y) }, node(X).
+:- 2 { in(X,Y) : node(X) }, node(Y).
+reached(Y) :- in(1,Y), edge(1,Y).
+reached(Y) :- reached(X), in(X,Y), edge(X,Y).
+:- node(Y), not reached(Y).
+"""
+
+# The 92 boards in search order, each the column of the queen in rows 1..8.
+QUEENS_8_MODELS = """
+    42751863 42857136 36258174 64158273 46152837 31758246 48157263 74258136
+    57142863 57248136 51842736 35841726 68241753 25741863 63741825 53847162
+    63175824 63185247 73825164 36275184 37285146 47185263 36815724 64285713
+    74286135 36271485 35281746 35286471 37286415 57263148 57263184 52617483
+    72631485 24683175 28613574 17582463 71386425 16837425 27581463 63571428
+    63581427 26831475 57413862 58413627 62713584 64713528 52473861 25713864
+    15863724 51863724 17468253 47531682 57138642 27368514 47382516 47526138
+    72418536 82417536 36418572 36428571 63728514 73168524 83162574 38471625
+    52468317 51468273 58417263 42861357 53168247 36824175 41586372 61528374
+    63184275 48136275 84136275 41582736 53172864 35714286 36814752 42586137
+    62714853 64718253 42736851 75316824 52814736 42736815 82531746 46827135
+    48531726 26174835 46831752 63724815
+""".split()
+
+# The 39 cycles in search order, each the successor of nodes 1..10 (0 is 10).
+HAMCYCLE_10_MODELS = """
+    6047382519 6071382549 5046382719 5647382019 5671382049 3651802749
+    3657802419 5641802739 5673802419 5346802719 5673482019 6073482519
+    0671482539 5306482719 3056482719 6307482519 6051482739 3657482019
+    5673812049 3056812749 3046782519 3056872419 3651782049 3657812049
+    5647812039 0657812439 5046812739 5306812749 0653812749 6351872049
+    6301782549 5306872419 5603782419 5346782019 5641782039 6041782539
+    6051872439 6053782419 0651782439
+""".split()
+
+
+def _pairs(gp, model, pred):
+    """The (x, y) of every true atom pred(x,y) of a model."""
+    out = []
+    for a in model:
+        name = gp.symbols.get(a, "")
+        if name.startswith(pred + "("):
+            x, y = name[len(pred) + 1:-1].split(",")
+            out.append((int(x), int(y)))
+    return out
+
+
+def test_flat_core_keeps_every_count():
+    # Pinned counts and model order. A faster propagation core, dead-rule
+    # skip included, may save work, but it must not change a single choice.
+    gp = queens(8)
+    s = Solver(gp)
+    boards = ["".join(str(x) for x, _ in sorted(_pairs(gp, m, "q"), key=lambda p: p[1]))
+              for m in s.models()]
+    assert boards == QUEENS_8_MODELS
+    assert s.stats == SolveStats(decisions=214, conflicts=379, propagations=67793,
+                                 probes=6319, failed_literals=347, unfounded_runs=0)
+
+    gp = ground_text_input(HAMCYCLE_10, GroundOptions(domain_mode="none")).interchange
+    s = Solver(gp)
+    cycles = ["".join(str(dict(_pairs(gp, m, "in"))[v] % 10) for v in range(1, 11))
+              for m in s.models()]
+    assert cycles == HAMCYCLE_10_MODELS
+    assert s.stats == SolveStats(decisions=78, conflicts=82, propagations=6259,
+                                 probes=1194, failed_literals=80, unfounded_runs=1316)
+
+
 def test_static_structure_matches_reference():
-    # SCCs, their rules, the dirty maps and the branch order agree with a
-    # recomputation from reachability; a wrong branch order would only
-    # reorder the search, so no model-level test sees it.
+    # The rule arrays, the occurrence lists, the SCCs with their rules and
+    # unfounded-set tables, the dirty maps and the branch order agree with a
+    # recomputation from the primitive rules and reachability; a wrong
+    # branch order would only reorder the search, so no model-level test
+    # sees it.
     rng = random.Random(41)
     shared_choice_sccs = 0
     for i in range(2400):
@@ -303,12 +409,13 @@ def test_static_structure_matches_reference():
             gp = gen.random_normal_ground(rng)
         s = Solver(gp)
         assert built_structure(s) == static_structure(s, gp)
-        shared_choice_sccs += any(_heads_share_an_scc(s, r) for r in s.rules if r.choice)
+        shared_choice_sccs += any(_heads_share_an_scc(s, r)
+                                  for r, h in enumerate(s.head) if h is None)
     assert shared_choice_sccs >= 50
 
 
 def _heads_share_an_scc(s, r):
-    sccs = [s.scc_of[h] for h in r.heads if s.scc_of[h] >= 0]
+    sccs = [s.scc_of[h] for h in s.heads[r] if s.scc_of[h] >= 0]
     return len(set(sccs)) < len(sccs)
 
 
@@ -320,6 +427,16 @@ def test_stats_are_populated():
     assert s.stats.decisions >= 3
     assert s.stats.propagations > 0
     assert s.stats.probes > 0
+    assert s.stats.unfounded_runs == 0  # no positive loop, no SCC to check
+
+    # a :- b.  b :- a.  a :- not c.  { c }.  The loop's SCC is checked.
+    gp = program([BasicRule(head=2, pos=(3,), neg=()),
+                  BasicRule(head=3, pos=(2,), neg=()),
+                  BasicRule(head=2, pos=(), neg=(4,)),
+                  ChoiceRule(heads=(4,), pos=(), neg=())], 3)
+    s = Solver(gp)
+    assert sorted(s.models()) == [(2, 3), (4,)]
+    assert s.stats.unfounded_runs > 0
 
 
 def test_decision_bound():
