@@ -23,6 +23,7 @@ from .primitives import (
     BasicRule,
     ChoiceRule,
     ConstraintRule,
+    UnsupportedRuleTypeError,
     WeightRule,
     translate_program,
 )
@@ -32,13 +33,8 @@ from .ground_format import (
     emit_ground_program,
     parse_ground_program,
 )
-from .solver import (
-    Conflict,
-    SolveStats,
-    Solver,
-    UnsupportedRuleTypeError,
-    well_founded,
-)
+from .solver import Conflict, SolveStats, Solver
+from .wellfounded import well_founded
 from .oracle import (
     CapExceededError,
     ComputeSpec,

@@ -9,8 +9,9 @@ Subcommands:
 
 Exit codes for ground/run: 0 ok, 1 usage, 2 parse error, 3 semantic error,
 4 arithmetic failure during grounding. For solve/run enumeration: 0 at least
-one model, 1 none, 2 malformed input. verify: 0 all models stable, 1 some
-model is not, 2 anything that prevented checking.
+one model, 1 none, 2 malformed input; with --wfs, 1 when the well-founded
+model shows that no stable model exists, else 0. verify: 0 all models
+stable, 1 some model is not, 2 anything that prevented checking.
 """
 
 import argparse
@@ -30,9 +31,10 @@ from .pipeline import (
     ground_files,
     solve_ground,
     verify_model,
+    well_founded_conflict,
     well_founded_ground,
 )
-from .solver import UnsupportedRuleTypeError
+from .primitives import UnsupportedRuleTypeError
 
 _CONST_RE = re.compile(r"^([a-z][A-Za-z0-9_]*)=(-?[0-9]+)$")
 _INT_RE = re.compile(r"^-?[0-9]+$")
@@ -138,15 +140,19 @@ def _cmd_ground(args):
 
 def _enumerate(gp, count, args):
     if args.wfs:
-        true, _false, unknown = well_founded_ground(gp)
+        true, false, unknown = well_founded_ground(gp)
         print("Well-founded model")
         for label, atoms in (("True", true), ("Unknown", unknown),
-                             ("False", _false)):
+                             ("False", false)):
             names = [gp.symbols[a] for a in sorted(atoms) if a in gp.symbols]
             line = f"{label}:"
             if names:
                 line += " " + " ".join(names)
             print(line)
+        reason = well_founded_conflict(gp, true, false)
+        if reason:
+            print(f"aspkit: no stable model: {reason}", file=sys.stderr)
+            return 1
         return 0
     total = 0
     for _model, names in solve_ground(gp, SolveOptions(model_count=count)):

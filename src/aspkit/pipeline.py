@@ -13,7 +13,8 @@ from .ground_format import GroundProgram, compact_atom_ids
 from .grounding import FALSITY, desugar_program, ground_program
 from .parser import parse_files, parse_text, substitute_constants
 from .primitives import ChoiceRule, translate_program
-from .solver import Solver, well_founded
+from .solver import Solver
+from .wellfounded import well_founded
 
 
 class SemanticError(Exception):
@@ -103,6 +104,25 @@ def well_founded_ground(gp):
     """Well-founded model of an interchange program (basic rules only)."""
     extra = set(gp.symbols) | set(gp.compute_true) | set(gp.compute_false)
     return well_founded(gp.rules, extra_atoms=extra)
+
+
+def well_founded_conflict(gp, true, false):
+    """Why gp has no stable model, by its well-founded model (true, false),
+    or None. Atoms true in that model are true in every stable model and
+    atoms false in it false in every one, so no stable model exists once an
+    integrity constraint's body or a compute-false atom is true in it, or a
+    compute-true atom false."""
+    for r in gp.rules:
+        if (r.head == FALSITY and all(a in true for a in r.pos)
+                and all(a in false for a in r.neg)):
+            return "an integrity constraint's body is true in the well-founded model"
+    for atoms, side, held, required in ((gp.compute_false, true, "true", "false"),
+                                        (gp.compute_true, false, "false", "true")):
+        for a in atoms:
+            if a in side:
+                name = gp.symbols.get(a, f"atom {a}")
+                return f"{name} is {held} in the well-founded model but required {required}"
+    return None
 
 
 # -- model verification -----------------------------------------------------------

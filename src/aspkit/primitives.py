@@ -16,6 +16,10 @@ from dataclasses import dataclass
 from .grounding import FALSITY, GAgg
 
 
+class UnsupportedRuleTypeError(Exception):
+    """A rule of a type the consumer of a primitive program cannot handle."""
+
+
 @dataclass(frozen=True)
 class BasicRule:
     head: int

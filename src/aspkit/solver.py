@@ -51,21 +51,18 @@ import sys
 from dataclasses import dataclass
 
 from .analysis import strongly_connected_components
+from .grounding import FALSITY
 from .primitives import (
     BasicRule,
     ChoiceRule,
     ConstraintRule,
+    UnsupportedRuleTypeError,
     WeightRule,
     normalize_weight_elements,
 )
 
-FALSITY = 1
 UNKNOWN, TRUE, FALSE = 0, 1, 2
 _LIVE = sys.maxsize  # dead[r] of a rule that can still fire: above every trail index
-
-
-class UnsupportedRuleTypeError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -468,7 +465,6 @@ class Solver:
         except _ConflictSignal as c:
             self.stats.conflicts += 1
             return Conflict(c.atom)
-            return Conflict(c.atom)
 
     # -- lookahead and enumeration -----------------------------------------------
 
@@ -602,57 +598,3 @@ class Solver:
             self._undo_to(mark)
         return False
 
-
-# -- well-founded model --------------------------------------------------------------
-
-def _least_model_basic(rules, assumed_true):
-    """Least model of the basic-rule reduct w.r.t. the given negation set."""
-    derived = set()
-    remaining = []
-    for r in rules:
-        if any(b in assumed_true for b in r.neg):
-            continue
-        remaining.append([r.head, set(r.pos)])
-    changed = True
-    while changed:
-        changed = False
-        rest = []
-        for item in remaining:
-            item[1] -= derived
-            if item[1]:
-                rest.append(item)
-            elif item[0] not in derived:
-                derived.add(item[0])
-                changed = True
-        remaining = rest
-    return derived
-
-
-def well_founded(rules, extra_atoms=()):
-    """Alternating-fixpoint well-founded model of a basic-rule program.
-
-    Returns (true_set, false_set, unknown_set) over the atoms mentioned in
-    the rules (plus extra_atoms), excluding the reserved falsity atom.
-    """
-    for r in rules:
-        if not isinstance(r, BasicRule):
-            raise UnsupportedRuleTypeError(
-                f"well-founded mode handles basic rules only, got {type(r).__name__}")
-    universe = set(extra_atoms)
-    for r in rules:
-        universe.add(r.head)
-        universe.update(r.pos)
-        universe.update(r.neg)
-    universe.discard(FALSITY)
-
-    known_true = set()
-    while True:
-        upper = _least_model_basic(rules, known_true)
-        next_true = _least_model_basic(rules, upper)
-        if next_true == known_true:
-            break
-        known_true = next_true
-    known_true.discard(FALSITY)
-    upper.discard(FALSITY)
-    false = frozenset(universe - upper)
-    return frozenset(known_true), false, frozenset(universe - known_true - false)

@@ -7,10 +7,8 @@ here touches the global RNG state.
 import random
 
 from aspkit.ground_format import GroundProgram
-from aspkit.grounding import GAgg, GRule, SymbolTable
+from aspkit.grounding import FALSITY, GAgg, GRule, SymbolTable
 from aspkit.primitives import BasicRule, translate_program
-
-FALSITY = 1
 
 
 def random_normal_ground(rng, max_atoms=10, max_rules=15):

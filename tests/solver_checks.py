@@ -9,13 +9,16 @@ values there and after every backtrack (`counter_faults`).
 `ShuffledSolver` perturbs the lookahead candidate order. `FullProbeSolver`
 is the reference lookahead that probes every candidate both ways, and
 `BoundCheckedSolver` re-probes every literal a lookahead probe implied, to
-hold the solver to the bounds it skips probes by. `static_structure`
-recomputes the solver's SCCs, unfounded-set tables, dirty maps and branch
-order the slow way.
+hold the solver to the bounds it skips probes by. `alternating_fixpoint` is
+the reference well-founded model, built from the oracle's reduct and least
+model. `static_structure` recomputes the solver's SCCs, unfounded-set
+tables, dirty maps and branch order the slow way.
 """
 
 import random
 
+from aspkit.grounding import FALSITY
+from aspkit.oracle import least_model, reduct
 from aspkit.primitives import (
     BasicRule,
     ChoiceRule,
@@ -184,6 +187,31 @@ class FullProbeSolver(Solver):
 
 class ShuffledFullProbeSolver(ShuffledSolver, FullProbeSolver):
     """FullProbeSolver with ShuffledSolver's candidate order."""
+
+
+def alternating_fixpoint(rules, extra_atoms=()):
+    """Van Gelder's alternating fixpoint as defined: with G(S) the least
+    model of the reduct by S, the true atoms are the least fixpoint of
+    G(G(.)) and the atoms not false are G of them. The same triple as
+    `aspkit.wellfounded.well_founded`, over the atoms of the rules and
+    extra_atoms less the falsity atom."""
+    def gamma(assumed):
+        return frozenset(least_model(reduct(rules, assumed)))
+
+    true = frozenset()
+    while True:
+        upper = gamma(true)
+        again = gamma(upper)
+        if again == true:
+            break
+        true = again
+    universe = set(extra_atoms)
+    for r in rules:
+        universe.update((r.head, *r.pos, *r.neg))
+    universe.discard(FALSITY)
+    true = true - {FALSITY}
+    false = frozenset(universe - upper)
+    return true, false, frozenset(universe - true - false)
 
 
 class BoundCheckedSolver(Solver):

@@ -19,7 +19,8 @@ from aspkit.pipeline import (
     ground_text_input,
     solve_ground,
 )
-from aspkit.solver import Solver, UNKNOWN, TRUE, FALSE, well_founded
+from aspkit.solver import Solver, UNKNOWN, TRUE, FALSE
+from aspkit.wellfounded import well_founded
 
 import gen
 from solver_checks import ShuffledSolver, state_fingerprint

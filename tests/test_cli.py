@@ -167,17 +167,29 @@ def sparse_ground(ids):
             f"2 a\n{b} b\n{c} c\n0\nB+\n0\nB-\n1\n0\n0\n")
 
 
+def sparse_basic_ground(ids):
+    """c :- not b.  b :- not c.  h :- c.  a :- h.  with c, h, b numbered
+    ids[0..2]; h is hidden."""
+    c, h, b = ids
+    return (f"1 {c} 1 1 {b}\n1 {b} 1 1 {c}\n1 {h} 1 0 {c}\n1 2 1 0 {h}\n0\n"
+            f"2 a\n{b} b\n{c} c\n0\nB+\n0\nB-\n1\n0\n0\n")
+
+
 def test_sparse_atom_ids_cost_no_memory(run, tmp_path):
     # Atom ids are renumbered onto the ids in use, so a large id costs no
-    # more than a small one and the answers are the same.
+    # more than a small one and the answers are the same. The well-founded
+    # model keys its tables by the ids in use, without renumbering.
     dense = write(tmp_path, "dense.sm", sparse_ground((3, 4, 5)))
     sparse = write(tmp_path, "sparse.sm", sparse_ground((7, 50, 100000)))
     _, want, _ = run(["solve", dense])
     assert want.count("Answer:") == 4
     models = write(tmp_path, "models.txt", want)
+    basic = write(tmp_path, "basic.sm", sparse_basic_ground((7, 50, 100000)))
     for argv, expected in ((["solve", sparse], want),
                            (["verify", sparse, models], "Model 1: stable\n"
-                            "Model 2: stable\nModel 3: stable\nModel 4: stable\n")):
+                            "Model 2: stable\nModel 3: stable\nModel 4: stable\n"),
+                           (["solve", "--wfs", basic],
+                            "Well-founded model\nTrue:\nUnknown: a c b\nFalse:\n")):
         tracemalloc.start()
         try:
             code, out, err = run(argv)
@@ -239,6 +251,32 @@ def test_run_wfs_unknowns(run, tmp_path):
     assert code == 0
     unknown = [l for l in out.splitlines() if l.startswith("Unknown:")]
     assert unknown and "a" in unknown[0] and "b" in unknown[0]
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("a. :- a.", "an integrity constraint's body is true in the well-founded model"),
+    ("a. compute { not a }.", "a is true in the well-founded model but required false"),
+    ("a :- not b. b :- c. c :- b. compute { b }.",
+     "b is false in the well-founded model but required true"),
+])
+def test_run_wfs_exits_1_when_no_stable_model_can_exist(run, tmp_path, text, reason):
+    # Atoms true in the well-founded model are true in every stable model,
+    # and atoms false in it are false in every one.
+    src = write(tmp_path, "p.lp", text)
+    assert run(["run", src])[:2] == (1, "False\n")
+    code, out, err = run(["run", "--wfs", src])
+    assert (code, err) == (1, f"aspkit: no stable model: {reason}\n")
+    assert out.startswith("Well-founded model\nTrue:")
+
+
+@pytest.mark.parametrize("text", ["b :- not c. c :- not b.",
+                                  "b :- not c. c :- not b. :- b."])
+def test_run_wfs_exits_0_while_a_stable_model_can_exist(run, tmp_path, text):
+    src = write(tmp_path, "p.lp", text)
+    assert run(["run", src])[0] == 0
+    code, out, err = run(["run", "--wfs", src])
+    assert (code, err) == (0, "")
+    assert "Unknown: b c\n" in out
 
 
 def test_run_wfs_rejects_extended_rules(run, tmp_path):

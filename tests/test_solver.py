@@ -19,7 +19,6 @@ from aspkit.solver import (
     Conflict,
     SolveStats,
     Solver,
-    well_founded,
 )
 
 import gen
@@ -477,9 +476,3 @@ def test_lookahead_failed_literal_is_forced():
     s = Solver(gp)
     list(s.models())
     assert s.stats.decisions == 0
-
-
-def test_unsupported_rule_type_for_wfs():
-    with pytest.raises(Exception) as err:
-        well_founded([ChoiceRule(heads=(2,), pos=(), neg=())])
-    assert "UnsupportedRuleType" in type(err.value).__name__
