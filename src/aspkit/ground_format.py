@@ -214,9 +214,11 @@ def parse_ground_program(text):
         if line.strip() == "0":
             break
         parts = line.split(None, 1)
-        if len(parts) != 2 or not parts[0].isdigit():
+        if len(parts) != 2 or not (parts[0].isascii() and parts[0].isdigit()):
             raise FormatError(rd.lineno, f"malformed symbol line {line!r}")
         i = int(parts[0])
+        if i == 0:
+            _bad_atom_id((i,), rd, "symbol line")
         if i in symbols:
             raise FormatError(rd.lineno, f"duplicate symbol entry for atom {i}")
         symbols[i] = parts[1]

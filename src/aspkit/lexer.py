@@ -90,9 +90,9 @@ def tokenize(text, filename="<string>"):
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             # A digit run ends before "..": 1..3 is INTEGER DOTDOT INTEGER.
             lit = text[i:j]

@@ -27,6 +27,19 @@ literals after index dead[r] on the trail skip r. Backtracking skips r
 for the same literals, so its counters come back exactly, and undoing the
 literal at dead[r] revives it.
 
+An integrity constraint with two body literals, `:- l1, l2` (a basic rule
+with head 1), takes no rule number: its one inference is that a literal
+true makes the other false. Each of its literals adds to the list of its
+atom and the value that makes it true, `imp_true[a]` or `imp_false[a]`,
+the pair (other atom, value falsifying the other literal), once per list.
+`_propagate` queues the list of every literal it takes off the trail, and
+the flush sets an open atom, skips one that has the value already and
+reports a conflict on the opposite value. Nothing of it is counted, so
+`_undo_to` has nothing to restore. A conflict is found as soon as the
+first literal's list meets the second literal true, which can be before
+the second literal is taken off the trail (Een and Sorensson, SAT 2003,
+keep binary clauses the same way).
+
 Each nontrivial SCC has a table built at setup: the rules defining its
 atoms, their bounds, their positive literals inside the SCC, their heads
 inside the SCC, and per SCC atom the (rule, weight) pairs it feeds. An
@@ -119,12 +132,22 @@ class Solver:
         self.occ_neg = occ_neg = [[] for _ in range(n + 1)]
         self.defs = defs = [[] for _ in range(n + 1)]
         self.supports = supports = [0] * (n + 1)
+        self.imp_true = imp_true = [[] for _ in range(n + 1)]
+        self.imp_false = imp_false = [[] for _ in range(n + 1)]
         nonbasic = set()  # heads of choice, cardinality and weight rules
-        for r, rule in enumerate(gp.rules):
+        for rule in gp.rules:
             p_w = n_w = None
             if isinstance(rule, BasicRule):
                 h, p, q = rule.head, rule.pos, rule.neg
                 b = total = len(p) + len(q)
+                if h == FALSITY and b == 2:
+                    # per literal: the lists read when it is true, its atom,
+                    # and the value that falsifies it
+                    (xs, x, fx), (ys, y, fy) = ([(imp_true, a, FALSE) for a in p]
+                                                + [(imp_false, a, TRUE) for a in q])
+                    xs[x].append((y, fy))
+                    ys[y].append((x, fx))
+                    continue
             elif isinstance(rule, ConstraintRule):
                 h, p, q, b = rule.head, rule.pos, rule.neg, rule.bound
                 total = len(p) + len(q)
@@ -144,6 +167,7 @@ class Solver:
                 total = sum(p_w) + sum(n_w)
             else:
                 raise UnsupportedRuleTypeError(f"unsupported rule {rule!r}")
+            r = len(bound)
             hs = rule.heads if h is None else (h,)
             if p_w is None:
                 unit = (r, 1)
@@ -173,6 +197,10 @@ class Solver:
             wmax.append(total)
             dead.append(_LIVE if live else -1)
         self.wsat = [0] * len(bound)
+        for imp in (imp_true, imp_false):
+            for a, entries in enumerate(imp):
+                if len(entries) > 1:
+                    imp[a] = list(dict.fromkeys(entries))
 
         self.compute_true = gp.compute_true
         self.compute_false = gp.compute_false
@@ -217,14 +245,15 @@ class Solver:
 
     def _setup_branch_order(self, nonbasic):
         """Branch on the heads of choice, cardinality and weight rules and
-        on negative literals that sit on a dependency cycle; everything else
-        follows by propagation. With no negative literal there is no cycle
-        to look for."""
+        on negative literals, of counted rules or two-literal constraints,
+        that sit on a dependency cycle; everything else follows by
+        propagation. With no negative literal there is no cycle to look
+        for."""
         order = set(nonbasic)
-        occ_neg = self.occ_neg
-        if any(occ_neg[2:]):
+        occ_neg, imp_false = self.occ_neg, self.imp_false
+        if any(occ_neg[2:]) or any(imp_false[2:]):
             order.update(a for comp in _nontrivial_sccs(self.defs, self.pos, self.neg)
-                         for a in comp if occ_neg[a])
+                         for a in comp if occ_neg[a] or imp_false[a])
         order.discard(FALSITY)
         self.branch_order = sorted(order)
 
@@ -328,6 +357,7 @@ class Solver:
         values, trail, dead = self.values, self.trail, self.dead
         wsat, wmax, bound = self.wsat, self.wmax, self.bound
         head, heads, supports = self.head, self.heads, self.supports
+        imp_true, imp_false = self.imp_true, self.imp_false
         stats = self.stats
         while self.qhead < len(trail):
             i = self.qhead
@@ -335,7 +365,7 @@ class Solver:
             self.qhead = i + 1
             stats.propagations += 1
             v = values[a]
-            pend = []
+            pend = (imp_true if v == TRUE else imp_false)[a][:]
             for occ, sat in ((self.occ_pos[a], v == TRUE), (self.occ_neg[a], v != TRUE)):
                 if sat:
                     for r, w in occ:

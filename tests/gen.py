@@ -8,7 +8,7 @@ import random
 
 from aspkit.ground_format import GroundProgram
 from aspkit.grounding import FALSITY, GAgg, GRule, SymbolTable
-from aspkit.primitives import BasicRule, translate_program
+from aspkit.primitives import BasicRule, ChoiceRule, translate_program
 
 
 def random_normal_ground(rng, max_atoms=10, max_rules=15):
@@ -24,6 +24,36 @@ def random_normal_ground(rng, max_atoms=10, max_rules=15):
         neg = tuple(sorted(body[:neg_count]))
         pos = tuple(sorted(body[neg_count:]))
         rules.append(BasicRule(head, pos, neg))
+    symbols = {a: f"x{a}" for a in atoms}
+    return GroundProgram(rules=rules, symbols=symbols, compute_true=(),
+                         compute_false=(FALSITY,), models=0)
+
+
+def random_binary_constraint_ground(rng, max_atoms=8):
+    """A random ground program dense in two-literal integrity constraints
+    `:- l1, l2`, with all four sign patterns and with one atom on both
+    sides (`:- a, a`, `:- a, not a`, `:- not a, not a`), over a few choice
+    and normal rules that leave the constraints models to prune."""
+    n_atoms = rng.randint(1, max_atoms)
+    atoms = list(range(2, 2 + n_atoms))
+    rules = []
+    if rng.random() < 0.6:
+        rules.append(ChoiceRule(tuple(atoms), (), ()))
+    for _ in range(rng.randint(0, 5)):
+        body = rng.sample(atoms, rng.randint(0, min(2, n_atoms)))
+        neg_count = rng.randint(0, len(body))
+        pos, neg = tuple(sorted(body[neg_count:])), tuple(sorted(body[:neg_count]))
+        if rng.random() < 0.4:
+            heads = tuple(rng.sample(atoms, rng.randint(1, min(3, n_atoms))))
+            rules.append(ChoiceRule(heads, pos, neg))
+        else:
+            rules.append(BasicRule(rng.choice(atoms), pos, neg))
+    for _ in range(rng.randint(1, 3 * n_atoms)):
+        a = rng.choice(atoms)
+        b = a if rng.random() < 0.15 else rng.choice(atoms)
+        signs = rng.choice([((a, b), ()), ((a,), (b,)), ((b,), (a,)), ((), (a, b))])
+        rules.append(BasicRule(FALSITY, *signs))
+    rng.shuffle(rules)
     symbols = {a: f"x{a}" for a in atoms}
     return GroundProgram(rules=rules, symbols=symbols, compute_true=(),
                          compute_false=(FALSITY,), models=0)

@@ -5,14 +5,17 @@ unchanged at a fixpoint and that backtracking must restore. `CheckedSolver`
 holds the incremental, per-SCC unfounded-set propagation to the global
 recompute of the optimistically derivable set at every fixpoint it reaches,
 and the rule counters, dead-rule marks and supports to a recompute from the
-values there and after every backtrack (`counter_faults`).
+values there and after every backtrack (`counter_faults`), where no
+two-literal integrity constraint may have one body literal true and the
+other not false (`implication_faults`).
 `ShuffledSolver` perturbs the lookahead candidate order. `FullProbeSolver`
 is the reference lookahead that probes every candidate both ways, and
 `BoundCheckedSolver` re-probes every literal a lookahead probe implied, to
 hold the solver to the bounds it skips probes by. `alternating_fixpoint` is
 the reference well-founded model, built from the oracle's reduct and least
-model. `static_structure` recomputes the solver's SCCs, unfounded-set
-tables, dirty maps and branch order the slow way.
+model. `static_structure` recomputes the solver's rule arrays, implication
+lists, SCCs, unfounded-set tables, dirty maps and branch order the slow
+way.
 """
 
 import random
@@ -26,7 +29,7 @@ from aspkit.primitives import (
     WeightRule,
     normalize_weight_elements,
 )
-from aspkit.solver import _LIVE, FALSE, TRUE, Conflict, Solver
+from aspkit.solver import _LIVE, FALSE, TRUE, UNKNOWN, Conflict, Solver
 
 
 def state_fingerprint(solver):
@@ -106,29 +109,32 @@ def counter_faults(solver):
 
 class CheckedSolver(Solver):
     """A Solver that, after every successful expand() (lookahead probes
-    included), asserts that the global recompute falsifies nothing new and
-    that the rule counters agree with the values, and after every
-    _undo_to() that no SCC is left to recompute and the counters agree."""
+    included), asserts that the global recompute falsifies nothing new, that
+    the rule counters agree with the values and that no two-literal
+    constraint has a true literal beside one not false, and after every
+    _undo_to() that no SCC is left to recompute and the counters and
+    two-literal constraints pass the same checks."""
 
     def __init__(self, gp):
         super().__init__(gp)
         self.fixpoints = 0
+        self.constraints = binary_constraints(gp)
 
     def expand(self):
         conflict = super().expand()
         if conflict is None:
             missed = unfounded_atoms(self)
             assert not missed, f"unfounded atoms left open at a fixpoint: {missed}"
-            faults = counter_faults(self)
-            assert not faults, f"counters wrong at a fixpoint: {faults}"
+            faults = counter_faults(self) + implication_faults(self, self.constraints)
+            assert not faults, f"counters or implications wrong at a fixpoint: {faults}"
             self.fixpoints += 1
         return conflict
 
     def _undo_to(self, mark):
         super()._undo_to(mark)
         assert not self._dirty, f"SCCs {self._dirty} left dirty at mark {mark}"
-        faults = counter_faults(self)
-        assert not faults, f"counters wrong after undoing to {mark}: {faults}"
+        faults = counter_faults(self) + implication_faults(self, self.constraints)
+        assert not faults, f"counters or implications wrong after undoing to {mark}: {faults}"
 
 
 class ShuffledSolver(Solver):
@@ -305,10 +311,39 @@ def _reference_row(rule):
     return heads, head, pos, neg, pw, nw, bound, wmax, _LIVE if wmax >= bound else -1
 
 
+def _is_binary_constraint(rule):
+    return (isinstance(rule, BasicRule) and rule.head == FALSITY
+            and len(rule.pos) + len(rule.neg) == 2)
+
+
+def binary_constraints(gp):
+    """The body literals (atom, value making the literal true) of every
+    two-literal integrity constraint `:- l1, l2` of gp, in rule order."""
+    return [tuple([(a, TRUE) for a in r.pos] + [(a, FALSE) for a in r.neg])
+            for r in gp.rules if _is_binary_constraint(r)]
+
+
+def implication_faults(solver, constraints):
+    """The two-literal constraints whose body is true, or that have one
+    literal true and the other not false, under the current values."""
+    values = solver.values
+    faults = []
+    for (x, sx), (y, sy) in constraints:
+        if values[x] == sx and values[y] == sy:
+            faults.append(f"both literals of :- {(x, sx)}, {(y, sy)} true")
+        elif ((values[x] == sx and values[y] == UNKNOWN)
+              or (values[y] == sy and values[x] == UNKNOWN)):
+            faults.append(f"one literal of :- {(x, sx)}, {(y, sy)} true, the other open")
+    return faults
+
+
 def static_structure(solver, gp):
     """What `solver` should have built from `gp`, taken straight from the
     rule definitions: the rule arrays (`rows`, with weight rules normalised
-    and rules dead from the start marked), the occurrence, definition and
+    and rules dead from the start marked) of every rule but the two-literal
+    integrity constraints, the implication lists those constraints give
+    (per atom and value, the literals falsifying the other body literal,
+    without repeats, in rule order), the occurrence, definition and
     support lists they give, the nontrivial SCCs (atoms >= 2, size > 1 or a
     self-loop) of the positive dependency graph, the indexes of the rules
     defining an atom of each and each SCC's unfounded-set table, the SCCs a
@@ -316,8 +351,16 @@ def static_structure(solver, gp):
     (dirty_on_true) body, and the branch order: heads of non-basic rules,
     plus atoms that occur negatively and sit on a cycle of the full
     dependency graph."""
-    rows = [_reference_row(rule) for rule in gp.rules]
+    constraints = binary_constraints(gp)
+    rows = [_reference_row(rule) for rule in gp.rules if not _is_binary_constraint(rule)]
     n = solver.n_atoms
+    implications = {TRUE: [[] for _ in range(n + 1)], FALSE: [[] for _ in range(n + 1)]}
+    for lits in constraints:
+        for i, (a, value) in enumerate(lits):
+            b, other = lits[1 - i]
+            entry = (b, FALSE if other == TRUE else TRUE)
+            if entry not in implications[value][a]:
+                implications[value][a].append(entry)
     occ_pos, occ_neg, defs = ([[] for _ in range(n + 1)] for _ in range(3))
     supports = [0] * (n + 1)
     pos_adj, full_adj = {}, {}
@@ -359,6 +402,7 @@ def static_structure(solver, gp):
         tables.append((entries, watch))
     cyclic = {a for comp in _cyclic_components(full_adj, atoms) for a in comp}
     negative = {a for row in rows for a in row[3]}
+    negative.update(a for lits in constraints for a, value in lits if value == FALSE)
     nonbasic = set()
     for src in gp.rules:
         if isinstance(src, BasicRule) or (
@@ -367,6 +411,7 @@ def static_structure(solver, gp):
         nonbasic.update(src.heads if isinstance(src, ChoiceRule) else (src.head,))
     branch_order = sorted(a for a in atoms if a in nonbasic or (a in cyclic and a in negative))
     return {"rows": rows, "occurrences": (occ_pos, occ_neg, defs, supports),
+            "implications": (implications[TRUE], implications[FALSE]),
             "scc_atoms": sccs, "scc_of": scc_of, "scc_rules": scc_rules,
             "scc_tables": tables,
             "dirty_on_false": dirty_on_false, "dirty_on_true": dirty_on_true,
@@ -385,6 +430,7 @@ def built_structure(solver):
                     solver.nw, solver.bound, solver.wmax, solver.dead))
     return {"rows": rows,
             "occurrences": (solver.occ_pos, solver.occ_neg, solver.defs, solver.supports),
+            "implications": (solver.imp_true, solver.imp_false),
             "scc_atoms": solver.scc_atoms, "scc_of": solver.scc_of,
             "scc_rules": [sorted(table[0]) for table in solver.scc_tables],
             "scc_tables": tables,

@@ -77,6 +77,14 @@ def test_ground_parse_error(run, tmp_path):
     assert "not terminated" in err
 
 
+@pytest.mark.parametrize("text, ch", [("p(²).", "²"), ("p(٣).", "٣")])
+def test_integer_of_other_digits_exits_two(run, tmp_path, text, ch):
+    src = write(tmp_path, "p.lp", text)
+    for argv in (["ground", src], ["run", src]):
+        code, out, err = run(argv)
+        assert (code, out, err) == (2, "", f"{src}:1:3: illegal character {ch!r}\n")
+
+
 def test_ground_semantic_error(run, tmp_path):
     src = write(tmp_path, "p.lp", "p(X) :- not q(X). q(a).")
     code, out, err = run(["ground", src])
@@ -157,6 +165,17 @@ def test_solve_rejects_nonpositive_atom_id(run, rule):
     assert code == 2
     assert err.startswith("line 1: atom id ")
     assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("symbol, message", [
+    ("² a", "malformed symbol line '² a'"),
+    ("0 a", "atom id 0 in symbol line is not positive"),
+])
+def test_solve_rejects_bad_symbol_id(run, symbol, message):
+    ground = f"1 2 0 0\n0\n{symbol}\n0\nB+\n0\nB-\n1\n0\n1\n"
+    for argv in (["solve"], ["solve", "--wfs"]):
+        code, out, err = run(argv, stdin=ground)
+        assert (code, out, err) == (2, "", f"line 3: {message}\n")
 
 
 def sparse_ground(ids):

@@ -135,6 +135,18 @@ def test_rule_atom_ids_must_be_positive(line, bad):
     assert f"atom id {bad}" in str(err.value)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("² a", "malformed symbol line '² a'"),  # str.isdigit, but int() rejects it
+    ("٣ a", "malformed symbol line '٣ a'"),  # int() would read it as 3
+    ("0 a", "atom id 0 in symbol line is not positive"),
+])
+def test_symbol_ids_are_positive_ascii_integers(line, message):
+    text = SMALL.replace("2 a\n", line + "\n")
+    with pytest.raises(FormatError) as err:
+        parse_ground_program(text)
+    assert (err.value.lineno, err.value.message) == (4, message)
+
+
 def _structural_corpus():
     """Ground programs as the grounder hands them to the solver: every file
     under programs/ (queens at n=6, ncolor with graph, as in C8) in both

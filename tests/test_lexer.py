@@ -59,3 +59,13 @@ def test_error_carries_position():
         tokenize("p.\n  ?", "bad.lp")
     assert err.value.line == 2
     assert "bad.lp:2" in str(err.value)
+
+
+@pytest.mark.parametrize("text, ch", [("p(²).", "²"), ("p(٣).", "٣"), ("p(1²).", "²")])
+def test_integers_are_ascii_digits(text, ch):
+    # str.isdigit also accepts superscripts and other scripts' digits; the
+    # grammar's INTEGER is [0-9]+.
+    with pytest.raises(LexError) as err:
+        tokenize(text, "<t>")
+    assert err.value.message == f"illegal character {ch!r}"
+    assert err.value.col == text.index(ch) + 1

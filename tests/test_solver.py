@@ -10,7 +10,8 @@ from aspkit.ground_format import (
     GroundProgram,
     WeightRule,
 )
-from aspkit.oracle import ComputeSpec
+from aspkit.ground_format import parse_ground_program
+from aspkit.oracle import ComputeSpec, brute_force_models
 from aspkit.pipeline import GroundOptions, ground_files, ground_text_input
 from aspkit.solver import (
     FALSE,
@@ -28,6 +29,7 @@ from solver_checks import (
     FullProbeSolver,
     ShuffledFullProbeSolver,
     ShuffledSolver,
+    binary_constraints,
     built_structure,
     state_fingerprint,
     static_structure,
@@ -265,6 +267,39 @@ def test_incremental_unfounded_sets_match_global_recompute():
     assert fixpoints > 1000
 
 
+def test_two_literal_constraints_match_brute_force():
+    # Two-literal integrity constraints become implication lists, not
+    # counted rules; all four sign patterns, and one atom on both sides,
+    # must keep the oracle's model set under any candidate order, with the
+    # implications closed at every fixpoint and after every backtrack.
+    rng = random.Random(61)
+    constraints = fixpoints = 0
+    for _ in range(500):
+        gp = gen.random_binary_constraint_ground(rng)
+        want = sorted(tuple(sorted(m)) for m in brute_force_models(gp.rules))
+        checked = CheckedSolver(gp)
+        assert sorted(checked.models()) == want
+        for seed in (1, 7):
+            assert sorted(ShuffledSolver(gp, seed).models()) == want
+        constraints += len(checked.constraints)
+        fixpoints += checked.fixpoints
+        assert len(checked.bound) + len(checked.constraints) == len(gp.rules)
+    assert constraints > 2000 and fixpoints > 2000
+
+
+@pytest.mark.parametrize("constraint, want", [
+    ("1 1 2 0 2 2", [()]),          # :- a, a.
+    ("1 1 2 1 2 2", [(), (2,)]),    # :- a, not a.
+    ("1 1 2 2 2 2", [(2,)]),        # :- not a, not a.
+])
+def test_two_literal_constraint_on_one_atom(constraint, want):
+    gp = parse_ground_program(f"3 1 2 0 0\n{constraint}\n0\n2 a\n0\nB+\n0\nB-\n1\n0\n0\n")
+    assert sorted(tuple(sorted(m)) for m in brute_force_models(gp.rules)) == want
+    assert sorted(CheckedSolver(gp).models()) == want
+    for seed in (1, 7):
+        assert sorted(ShuffledSolver(gp, seed).models()) == want
+
+
 def test_lookahead_skips_probes_but_not_choices():
     # Skipping the probes an earlier probe of the round implied must leave
     # every choice as probing all of them makes it: the same models in the
@@ -381,7 +416,12 @@ def test_flat_core_keeps_every_count():
     boards = ["".join(str(x) for x, _ in sorted(_pairs(gp, m, "q"), key=lambda p: p[1]))
               for m in s.models()]
     assert boards == QUEENS_8_MODELS
-    assert s.stats == SolveStats(decisions=214, conflicts=379, propagations=67793,
+    # Two-literal constraints as implication lists find some conflicts one
+    # literal earlier: when both body literals turn true in the same flush,
+    # the first one's implication meets the second already true, where the
+    # rule counters noticed only on processing the second. The counter
+    # core took 67,793 propagations here.
+    assert s.stats == SolveStats(decisions=214, conflicts=379, propagations=67442,
                                  probes=6319, failed_literals=347, unfounded_runs=0)
 
     gp = ground_text_input(HAMCYCLE_10, GroundOptions(domain_mode="none")).interchange
@@ -394,11 +434,11 @@ def test_flat_core_keeps_every_count():
 
 
 def test_static_structure_matches_reference():
-    # The rule arrays, the occurrence lists, the SCCs with their rules and
-    # unfounded-set tables, the dirty maps and the branch order agree with a
-    # recomputation from the primitive rules and reachability; a wrong
-    # branch order would only reorder the search, so no model-level test
-    # sees it.
+    # The rule arrays, the implication lists, the occurrence lists, the
+    # SCCs with their rules and unfounded-set tables, the dirty maps and the
+    # branch order agree with a recomputation from the primitive rules and
+    # reachability; a wrong branch order would only reorder the search, so
+    # no model-level test sees it.
     rng = random.Random(41)
     shared_choice_sccs = 0
     for i in range(2400):
@@ -411,6 +451,14 @@ def test_static_structure_matches_reference():
         shared_choice_sccs += any(_heads_share_an_scc(s, r)
                                   for r, h in enumerate(s.head) if h is None)
     assert shared_choice_sccs >= 50
+    rng = random.Random(43)
+    repeats = 0
+    for _ in range(300):
+        gp = gen.random_binary_constraint_ground(rng)
+        s = Solver(gp)
+        assert built_structure(s) == static_structure(s, gp)
+        repeats += sum(map(len, s.imp_true + s.imp_false)) < 2 * len(binary_constraints(gp))
+    assert repeats >= 50
 
 
 def _heads_share_an_scc(s, r):
