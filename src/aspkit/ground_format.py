@@ -15,7 +15,7 @@ Parsing preserves section contents exactly, so emit(parse(text)) == text for
 any file this module itself produced.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .primitives import BasicRule, ChoiceRule, ConstraintRule, WeightRule
 
@@ -38,6 +38,8 @@ class GroundProgram:
     compute_true: tuple  # B+ atom ids
     compute_false: tuple # B- atom ids (includes the falsity atom)
     models: int
+    # the largest atom id, set by compact_atom_ids, which has counted them
+    n_atoms: int = field(default=None, compare=False, repr=False)
 
     def atom_ids(self):
         """Every atom id the program mentions, and the falsity atom."""
@@ -48,7 +50,7 @@ class GroundProgram:
         return used
 
     def atom_count(self):
-        return max(self.atom_ids())
+        return max(self.atom_ids()) if self.n_atoms is None else self.n_atoms
 
 
 def compact_atom_ids(gp):
@@ -56,10 +58,12 @@ def compact_atom_ids(gp):
     plus the falsity atom) 1..k in their original order, so that arrays
     indexed by atom id grow with the program rather than with its largest
     id. Returns (program, ids) with ids[i] the original id of atom i, or
-    (gp, None) when `gp` already uses exactly 1..k."""
+    (a copy of gp, None) when `gp` already uses exactly 1..k. Either
+    program knows its atom count k, so atom_count() scans nothing."""
     used = gp.atom_ids()
-    if max(used) == len(used):
-        return gp, None
+    k = len(used)
+    if max(used) == k:
+        return replace(gp, n_atoms=k), None
     ids = [0] + sorted(used)
     new = {a: i for i, a in enumerate(ids)}
 
@@ -72,7 +76,7 @@ def compact_atom_ids(gp):
              for r in gp.rules]
     symbols = {new[a]: name for a, name in gp.symbols.items()}
     return GroundProgram(rules, symbols, ren(gp.compute_true), ren(gp.compute_false),
-                         gp.models), ids
+                         gp.models, k), ids
 
 
 def _rule_line(r):
@@ -125,11 +129,15 @@ class _Reader:
         return line
 
     def next_numbers(self, what):
+        """The integers of the next line, each written -?[0-9]+. int() alone
+        would also read other scripts' digits, "_" and a leading "+"."""
         line = self.next_line(what)
-        try:
-            return [int(p) for p in line.split()]
-        except ValueError:
-            raise FormatError(self.pos, f"expected {what}, got {line!r}") from None
+        if line.isascii() and "_" not in line and "+" not in line:
+            try:
+                return [int(p) for p in line.split()]
+            except ValueError:
+                pass
+        raise FormatError(self.pos, f"expected {what}, got {line!r}")
 
 
 def _take(nums, n, rd, what):

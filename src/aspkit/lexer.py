@@ -11,6 +11,11 @@ INT64_MIN = -(2**63)
 
 KEYWORDS = {"not": "NOT", "mod": "MOD", "abs": "ABS", "compute": "COMPUTE"}
 
+# ASCII only: str.isalpha and str.isalnum take letters and digits of any script.
+_VARIABLE_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_WORD_START = _VARIABLE_START | frozenset("abcdefghijklmnopqrstuvwxyz")
+_WORD = _WORD_START | frozenset("0123456789")
+
 # Longest match first.
 _PUNCT = [
     (":-", "ARROW"),
@@ -103,14 +108,14 @@ def tokenize(text, filename="<string>"):
             col += j - i
             i = j
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _WORD_START:
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j] in _WORD:
                 j += 1
             word = text[i:j]
             if word in KEYWORDS:
                 kind = KEYWORDS[word]
-            elif word[0].isupper() or word[0] == "_":
+            elif ch in _VARIABLE_START:
                 kind = "VARIABLE"
             else:
                 kind = "IDENT"

@@ -27,6 +27,15 @@ literals after index dead[r] on the trail skip r. Backtracking skips r
 for the same literals, so its counters come back exactly, and undoing the
 literal at dead[r] revives it.
 
+Backchaining from a true head into the last live rule supporting it forces
+the open body literals whose weight exceeds the rule's slack, `wmax -
+bound`. When a live rule loses weight while its head is true and has no
+other support, `_propagate` backchains only if the slack has fallen below
+`wtop[r]`, the rule's largest body weight (1 for unit weights), and the
+body is not yet satisfied, `wsat < bound`. Otherwise no open literal
+weighs more than the slack, since together they weigh at most `wmax -
+wsat`, and nothing would be forced.
+
 An integrity constraint with two body literals, `:- l1, l2` (a basic rule
 with head 1), takes no rule number: its one inference is that a literal
 true makes the other false. Each of its literals adds to the list of its
@@ -128,6 +137,7 @@ class Solver:
         self.heads, self.head = heads, head = [], []
         self.pos, self.neg, self.pw, self.nw = pos, neg, pw, nw = [], [], [], []
         self.bound, self.wmax, self.dead = bound, wmax, dead = [], [], []
+        self.wtop = wtop = []
         self.occ_pos = occ_pos = [[] for _ in range(n + 1)]
         self.occ_neg = occ_neg = [[] for _ in range(n + 1)]
         self.defs = defs = [[] for _ in range(n + 1)]
@@ -175,11 +185,13 @@ class Solver:
                     occ_pos[a].append(unit)
                 for a in q:
                     occ_neg[a].append(unit)
+                wtop.append(1)
             else:
                 for a, w in zip(p, p_w):
                     occ_pos[a].append((r, w))
                 for a, w in zip(q, n_w):
                     occ_neg[a].append((r, w))
+                wtop.append(max((*p_w, *n_w), default=0))
             live = total >= b
             for x in hs:
                 defs[x].append(r)
@@ -275,27 +287,30 @@ class Solver:
         values, trail, dead = self.values, self.trail, self.dead
         wsat, wmax, bound = self.wsat, self.wmax, self.bound
         heads, supports = self.heads, self.supports
+        occ_pos, occ_neg = self.occ_pos, self.occ_neg
+        qhead = self.qhead
         for i in range(len(trail) - 1, mark - 1, -1):
             a = trail[i]
-            if i < self.qhead:
-                v = values[a]
-                for occ, sat in ((self.occ_pos[a], v == TRUE), (self.occ_neg[a], v != TRUE)):
-                    if sat:
-                        for r, w in occ:
-                            if dead[r] >= i:
-                                wsat[r] -= w
-                    else:
-                        for r, w in occ:
-                            if dead[r] >= i:
-                                m = wmax[r] + w
-                                wmax[r] = m
-                                if dead[r] == i and m >= bound[r]:
-                                    dead[r] = _LIVE
-                                    for h in heads[r]:
-                                        supports[h] += 1
+            if i < qhead:
+                if values[a] == TRUE:
+                    sat, lost = occ_pos[a], occ_neg[a]
+                else:
+                    sat, lost = occ_neg[a], occ_pos[a]
+                for r, w in sat:
+                    if dead[r] >= i:
+                        wsat[r] -= w
+                for r, w in lost:
+                    d = dead[r]
+                    if d >= i:
+                        m = wmax[r] + w
+                        wmax[r] = m
+                        if d == i and m >= bound[r]:
+                            dead[r] = _LIVE
+                            for h in heads[r]:
+                                supports[h] += 1
             values[a] = UNKNOWN
         del trail[mark:]
-        if self.qhead > mark:
+        if qhead > mark:
             self.qhead = mark
         self._dirty.clear()
 
@@ -355,71 +370,90 @@ class Solver:
         the rules it occurs in, except those dead before i; a rule whose
         wmax falls below its bound dies at i and withdraws its support."""
         values, trail, dead = self.values, self.trail, self.dead
-        wsat, wmax, bound = self.wsat, self.wmax, self.bound
-        head, heads, supports = self.head, self.heads, self.supports
+        wsat, wmax, bound, wtop = self.wsat, self.wmax, self.bound, self.wtop
+        head, heads, supports, defs = self.head, self.heads, self.supports, self.defs
+        occ_pos, occ_neg = self.occ_pos, self.occ_neg
         imp_true, imp_false = self.imp_true, self.imp_false
-        stats = self.stats
-        while self.qhead < len(trail):
-            i = self.qhead
+        dirty_on_true, dirty_on_false, dirty = self.dirty_on_true, self.dirty_on_false, self._dirty
+        contrapose, backchain = self._contrapose, self._backchain_atom
+        start = i = self.qhead
+        while i < len(trail):
             a = trail[i]
-            self.qhead = i + 1
-            stats.propagations += 1
             v = values[a]
-            pend = (imp_true if v == TRUE else imp_false)[a][:]
-            for occ, sat in ((self.occ_pos[a], v == TRUE), (self.occ_neg[a], v != TRUE)):
-                if sat:
-                    for r, w in occ:
-                        if dead[r] < i:
-                            continue
-                        s = wsat[r] + w
-                        wsat[r] = s
-                        h = head[r]
-                        if h is None:
-                            continue
-                        if s >= bound[r]:
-                            pend.append((h, TRUE))
-                        elif values[h] == FALSE:
-                            self._contrapose(r, pend)
-                else:
-                    for r, w in occ:
-                        d = dead[r]
-                        if d < i:
-                            continue
-                        m = wmax[r] - w
-                        wmax[r] = m
-                        if d == i:
-                            continue  # died earlier at this same literal
-                        if m < bound[r]:
-                            dead[r] = i
-                            for x in heads[r]:
-                                s = supports[x] - 1
-                                supports[x] = s
-                                if s == 0:
-                                    pend.append((x, FALSE))
-                                elif s == 1 and values[x] == TRUE:
-                                    self._backchain_atom(x, pend)
-                        else:
-                            h = head[r]
-                            if h is not None and values[h] == TRUE and supports[h] == 1:
-                                self._backchain_atom(h, pend)
+            # gains collects what the satisfied occurrences give. Those of a
+            # false atom are its negative ones, and they queue after its
+            # positive ones: the propagation count at a conflict depends on
+            # the trail order.
             if v == TRUE:
-                if supports[a] == 0:
-                    pend.append((a, FALSE))
-                elif supports[a] == 1:
-                    self._backchain_atom(a, pend)
-                self._dirty.update(self.dirty_on_true[a])
+                pend = gains = imp_true[a][:]
+                sat, lost = occ_pos[a], occ_neg[a]
             else:
-                for r in self.defs[a]:
+                pend, gains = imp_false[a][:], []
+                sat, lost = occ_neg[a], occ_pos[a]
+            for r, w in sat:
+                if dead[r] < i:
+                    continue
+                s = wsat[r] + w
+                wsat[r] = s
+                h = head[r]
+                if h is None:
+                    continue
+                if s >= bound[r]:
+                    gains.append((h, TRUE))
+                elif values[h] == FALSE:
+                    contrapose(r, gains)
+            for r, w in lost:
+                d = dead[r]
+                if d < i:
+                    continue
+                m = wmax[r] - w
+                wmax[r] = m
+                if d == i:
+                    continue  # died earlier at this same literal
+                b = bound[r]
+                if m < b:
+                    dead[r] = i
+                    for x in heads[r]:
+                        s = supports[x] - 1
+                        supports[x] = s
+                        if s == 0:
+                            pend.append((x, FALSE))
+                        elif s == 1 and values[x] == TRUE:
+                            backchain(x, pend)
+                elif m - b < wtop[r] and wsat[r] < b:
+                    # r can still force: its slack is below its largest body
+                    # weight and its body is not yet satisfied
+                    h = head[r]
+                    if h is not None and values[h] == TRUE and supports[h] == 1:
+                        backchain(h, pend)
+            if gains is not pend:
+                pend += gains
+            if v == TRUE:
+                s = supports[a]
+                if s == 0:
+                    pend.append((a, FALSE))
+                elif s == 1:
+                    backchain(a, pend)
+                d = dirty_on_true[a]
+            else:
+                for r in defs[a]:
                     if head[r] is not None:
-                        self._contrapose(r, pend)
-                self._dirty.update(self.dirty_on_false[a])
+                        contrapose(r, pend)
+                d = dirty_on_false[a]
+            if d:
+                dirty.update(d)
+            i += 1
             for atom, value in pend:
                 cur = values[atom]
                 if cur != value:
                     if cur != UNKNOWN:
+                        self.qhead = i
+                        self.stats.propagations += i - start
                         raise _ConflictSignal(atom)
                     values[atom] = value
                     trail.append(atom)
+        self.qhead = i
+        self.stats.propagations += i - start
 
     # -- ATMOST (unfounded sets) ---------------------------------------------------
 

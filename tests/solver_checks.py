@@ -340,17 +340,17 @@ def implication_faults(solver, constraints):
 def static_structure(solver, gp):
     """What `solver` should have built from `gp`, taken straight from the
     rule definitions: the rule arrays (`rows`, with weight rules normalised
-    and rules dead from the start marked) of every rule but the two-literal
-    integrity constraints, the implication lists those constraints give
-    (per atom and value, the literals falsifying the other body literal,
-    without repeats, in rule order), the occurrence, definition and
-    support lists they give, the nontrivial SCCs (atoms >= 2, size > 1 or a
-    self-loop) of the positive dependency graph, the indexes of the rules
-    defining an atom of each and each SCC's unfounded-set table, the SCCs a
-    rule of which has the atom in its positive (dirty_on_false) or negative
-    (dirty_on_true) body, and the branch order: heads of non-basic rules,
-    plus atoms that occur negatively and sit on a cycle of the full
-    dependency graph."""
+    and rules dead from the start marked, and `wtop`, each rule's largest
+    body weight) of every rule but the two-literal integrity constraints,
+    the implication lists those constraints give (per atom and value, the
+    literals falsifying the other body literal, without repeats, in rule
+    order), the occurrence, definition and support lists they give, the
+    nontrivial SCCs (atoms >= 2, size > 1 or a self-loop) of the positive
+    dependency graph, the indexes of the rules defining an atom of each and
+    each SCC's unfounded-set table, the SCCs a rule of which has the atom
+    in its positive (dirty_on_false) or negative (dirty_on_true) body, and
+    the branch order: heads of non-basic rules, plus atoms that occur
+    negatively and sit on a cycle of the full dependency graph."""
     constraints = binary_constraints(gp)
     rows = [_reference_row(rule) for rule in gp.rules if not _is_binary_constraint(rule)]
     n = solver.n_atoms
@@ -410,7 +410,10 @@ def static_structure(solver, gp):
             continue
         nonbasic.update(src.heads if isinstance(src, ChoiceRule) else (src.head,))
     branch_order = sorted(a for a in atoms if a in nonbasic or (a in cyclic and a in negative))
-    return {"rows": rows, "occurrences": (occ_pos, occ_neg, defs, supports),
+    wtop = [1 if pw is None else max(pw + nw, default=0)
+            for _, _, _, _, pw, nw, _, _, _ in rows]
+    return {"rows": rows, "wtop": wtop,
+            "occurrences": (occ_pos, occ_neg, defs, supports),
             "implications": (implications[TRUE], implications[FALSE]),
             "scc_atoms": sccs, "scc_of": scc_of, "scc_rules": scc_rules,
             "scc_tables": tables,
@@ -428,7 +431,7 @@ def built_structure(solver):
                                  for a, ws in watch.items()}))
     rows = list(zip(solver.heads, solver.head, solver.pos, solver.neg, solver.pw,
                     solver.nw, solver.bound, solver.wmax, solver.dead))
-    return {"rows": rows,
+    return {"rows": rows, "wtop": solver.wtop,
             "occurrences": (solver.occ_pos, solver.occ_neg, solver.defs, solver.supports),
             "implications": (solver.imp_true, solver.imp_false),
             "scc_atoms": solver.scc_atoms, "scc_of": solver.scc_of,

@@ -85,6 +85,18 @@ def test_integer_of_other_digits_exits_two(run, tmp_path, text, ch):
         assert (code, out, err) == (2, "", f"{src}:1:3: illegal character {ch!r}\n")
 
 
+@pytest.mark.parametrize("text, col, ch", [
+    ("p\u00e9. q.", 2, "\u00e9"),   # a Latin letter outside ASCII
+    ("q\u0663.", 2, "\u0663"),       # an Arabic-Indic digit inside a name
+    ("\u00c4 :- p.", 1, "\u00c4"),   # an uppercase letter outside ASCII
+])
+def test_name_of_other_letters_exits_two(run, tmp_path, text, col, ch):
+    src = write(tmp_path, "p.lp", text)
+    for argv in (["ground", src], ["run", src]):
+        code, out, err = run(argv)
+        assert (code, out, err) == (2, "", f"{src}:1:{col}: illegal character {ch!r}\n")
+
+
 def test_ground_semantic_error(run, tmp_path):
     src = write(tmp_path, "p.lp", "p(X) :- not q(X). q(a).")
     code, out, err = run(["ground", src])
@@ -176,6 +188,15 @@ def test_solve_rejects_bad_symbol_id(run, symbol, message):
     for argv in (["solve"], ["solve", "--wfs"]):
         code, out, err = run(argv, stdin=ground)
         assert (code, out, err) == (2, "", f"line 3: {message}\n")
+
+
+@pytest.mark.parametrize("rule", ["1 \u0662 0 0", "1 1_0 0 0"])
+def test_solve_rejects_numbers_int_would_misread(run, rule):
+    # int() reads these as head 2 and head 10.
+    ground = f"{rule}\n0\n2 a\n0\nB+\n0\nB-\n1\n0\n1\n"
+    for argv in (["solve"], ["solve", "--wfs"]):
+        code, out, err = run(argv, stdin=ground)
+        assert (code, out, err) == (2, "", f"line 1: expected a rule line or 0, got {rule!r}\n")
 
 
 def sparse_ground(ids):

@@ -14,7 +14,7 @@ from aspkit.ground_format import (
     emit_ground_program,
     parse_ground_program,
 )
-from aspkit.pipeline import GroundOptions, ground_files
+from aspkit.pipeline import GroundOptions, ground_files, solve_ground, verify_model
 
 import gen
 
@@ -145,6 +145,44 @@ def test_symbol_ids_are_positive_ascii_integers(line, message):
     with pytest.raises(FormatError) as err:
         parse_ground_program(text)
     assert (err.value.lineno, err.value.message) == (4, message)
+
+
+@pytest.mark.parametrize("text, lineno, got", [
+    (SMALL.replace("1 2 2 1 4 3", "1 \u0662 0 0"), 1, "1 \u0662 0 0"),  # int() reads 2
+    (SMALL.replace("1 2 2 1 4 3", "1 1_0 0 0"), 1, "1 1_0 0 0"),        # int() reads 10
+    (SMALL.replace("1 2 2 1 4 3", "1 +2 0 0"), 1, "1 +2 0 0"),          # int() reads 2
+    (SMALL.replace("B-\n1\n", "B-\n\u00b9\n"), 11, "\u00b9"),          # superscript one
+    (SMALL.replace("B+\n", "B+\n2\uff10\n"), 9, "2\uff10"),             # fullwidth zero
+    (SMALL[:-2] + "1_0\n", 13, "1_0"),                                   # model count
+], ids=["other-digit", "underscore", "plus", "superscript", "fullwidth", "count"])
+def test_numbers_are_ascii_integers(text, lineno, got):
+    # Rule lines, compute sections and the model count hold integers
+    # written -?[0-9]+; int() alone would also accept other scripts'
+    # digits, underscores and a plus sign.
+    with pytest.raises(FormatError) as err:
+        parse_ground_program(text)
+    assert err.value.lineno == lineno
+    assert err.value.message.endswith(f", got {got!r}")
+
+
+def test_solving_scans_the_atom_ids_once(monkeypatch):
+    # compact_atom_ids collects the ids in use, and the program it returns
+    # carries their count, so the solver and verify_model scan no rule for
+    # it again; with atom 4 renumbered to 40 the answers stay the same.
+    scans = []
+    atom_ids = GroundProgram.atom_ids
+    monkeypatch.setattr(GroundProgram, "atom_ids", lambda gp: scans.append(gp) or atom_ids(gp))
+    answers = []
+    for text in (SMALL, SMALL.replace(" 4", " 40").replace("4 c", "40 c")):
+        gp = parse_ground_program(text)
+        del scans[:]
+        names = [names for _, names in solve_ground(gp)]
+        assert len(scans) == 1
+        answers.append(names)
+        del scans[:]
+        assert verify_model(gp, names[0])
+        assert len(scans) == 1
+    assert answers[0] == answers[1] and answers[0]
 
 
 def _structural_corpus():

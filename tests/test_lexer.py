@@ -69,3 +69,16 @@ def test_integers_are_ascii_digits(text, ch):
         tokenize(text, "<t>")
     assert err.value.message == f"illegal character {ch!r}"
     assert err.value.col == text.index(ch) + 1
+
+
+@pytest.mark.parametrize("text, ch", [("p\u00e9.", "\u00e9"), ("q\u0663.", "\u0663"),
+                                      ("X\u00b2 = 1.", "\u00b2"), ("\u00c9t.", "\u00c9"),
+                                      ("_\u00df.", "\u00df")])
+def test_names_are_ascii(text, ch):
+    # str.isalpha, isalnum and isupper take letters and digits of any
+    # script; the grammar's IDENT is [a-z][A-Za-z0-9_]* and its VARIABLE
+    # [A-Z_][A-Za-z0-9_]*.
+    with pytest.raises(LexError) as err:
+        tokenize(text, "<t>")
+    assert err.value.message == f"illegal character {ch!r}"
+    assert err.value.col == text.index(ch) + 1

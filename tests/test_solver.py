@@ -223,6 +223,34 @@ def test_negative_weights_count_on_the_complement():
     assert negative > 150
 
 
+@pytest.mark.parametrize("negative", [False, True])
+@pytest.mark.parametrize("bound", [3, 4, 5, 6, 7])
+def test_weight_rule_backchains_exactly_below_its_largest_weight(bound, negative):
+    # Atom 2 is required true and its only rule is 2 :- bound [x=3, y1=1,
+    # ..., y5=1], or with "not x=3". With y1 required false the rule keeps
+    # weight 7, so its slack is 7 - bound: 4, 3, 2, 1 and 0 here. The
+    # weight-3 literal is forced exactly when the slack is below 3, and the
+    # weight-1 ones when it is below 1. At bound 5 only y1's loss brings the
+    # slack from 3 down to 2, so that is where the rule backchains.
+    x, ys = 3, (4, 5, 6, 7, 8)
+    if negative:
+        body = dict(pos=ys, neg=(x,), pos_weights=(1,) * 5, neg_weights=(3,))
+    else:
+        body = dict(pos=(x,) + ys, neg=(), pos_weights=(3,) + (1,) * 5, neg_weights=())
+    gp = program([ChoiceRule(heads=(x,) + ys, pos=(), neg=()),
+                  WeightRule(head=2, bound=bound, **body)],
+                 7, compute_true=(2,), compute_false=(4,))
+    s = CheckedSolver(gp)
+    assert s.expand() is None
+    slack = 7 - bound
+    assert s.values[x] == ((FALSE if negative else TRUE) if slack < 3 else UNKNOWN)
+    assert [s.values[y] for y in ys[1:]] == [TRUE if slack < 1 else UNKNOWN] * 4
+    spec = ComputeSpec(required_true=(2,), required_false=(4,))
+    want = sorted(tuple(sorted(m)) for m in brute_force_models(gp.rules, spec))
+    assert want
+    assert sorted(CheckedSolver(gp).models()) == want
+
+
 def test_model_count_limit_is_enforced_by_the_pipeline():
     from aspkit.pipeline import solve_ground
     gp = program([ChoiceRule(heads=(2, 3, 4), pos=(), neg=())], 3, models=2)
@@ -431,6 +459,25 @@ def test_flat_core_keeps_every_count():
     assert cycles == HAMCYCLE_10_MODELS
     assert s.stats == SolveStats(decisions=78, conflicts=82, propagations=6259,
                                  probes=1194, failed_literals=80, unfounded_runs=1316)
+
+
+def test_backchaining_skips_rules_that_cannot_force():
+    # A live rule that loses weight while its true head has no other
+    # support backchains only if its slack is below its largest body weight
+    # and its body is not yet satisfied; otherwise nothing in its body can
+    # be forced. Without these guards the core made 114,070 backchaining
+    # calls on 8-queens, with the slack guard alone 21,063; 6,812 of them
+    # forced a literal. test_flat_core_keeps_every_count holds the choices.
+    class Counting(Solver):
+        calls = 0
+
+        def _backchain_atom(self, h, pend):
+            self.calls += 1
+            super()._backchain_atom(h, pend)
+
+    s = Counting(queens(8))
+    assert len(list(s.models())) == 92
+    assert s.calls == 8392
 
 
 def test_static_structure_matches_reference():
