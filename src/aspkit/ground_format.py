@@ -4,7 +4,8 @@ The file has five parts: rule lines, a symbol table, the B+ and B- compute
 sections, and a model count. Atom ids are positive integers; id 1 is the
 falsity atom, which is always listed in B- and never in the symbol table.
 
-Rule lines (counts first, negative literals before positive ones):
+Lines end at LF, CR LF or CR, and spaces and tabs separate numbers. Rule
+lines (counts first, negative literals before positive ones):
 
     1 head #lits #neg  <neg..> <pos..>                    basic
     2 head #lits #neg bound <neg..> <pos..>               cardinality
@@ -15,6 +16,7 @@ Parsing preserves section contents exactly, so emit(parse(text)) == text for
 any file this module itself produced.
 """
 
+import re
 from dataclasses import dataclass, field, replace
 
 from .primitives import BasicRule, ChoiceRule, ConstraintRule, WeightRule
@@ -112,147 +114,147 @@ def emit_ground_program(gp):
     return "\n".join(lines) + "\n"
 
 
-class _Reader:
-    def __init__(self, text):
-        self.lines = text.splitlines()
-        self.pos = 0
+_RULE_KINDS = {1: "basic rule", 2: "cardinality rule", 3: "choice rule", 5: "weight rule"}
 
-    @property
-    def lineno(self):
-        return self.pos
-
-    def next_line(self, what):
-        if self.pos >= len(self.lines):
-            raise FormatError(self.pos + 1, f"unexpected end of input, expected {what}")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    def next_numbers(self, what):
-        """The integers of the next line, each written -?[0-9]+. int() alone
-        would also read other scripts' digits, "_" and a leading "+"."""
-        line = self.next_line(what)
-        if line.isascii() and "_" not in line and "+" not in line:
-            try:
-                return [int(p) for p in line.split()]
-            except ValueError:
-                pass
-        raise FormatError(self.pos, f"expected {what}, got {line!r}")
+# A number line holds integers written -?[0-9]+, separated by spaces and
+# tabs. int() alone would also read other scripts' digits, "_" and a
+# leading "+", and str.split() would also split at \x0b, \x0c and \x1c-\x1f.
+_NOT_A_NUMBER_LINE = re.compile(r"[^0-9 \t-]")
+# Lines end only at \n, \r\n or \r. A control character other than tab, or
+# U+2028 or U+2029, is an error in any line: str.splitlines(), str.split()
+# and str.strip() take some of them for line ends or whitespace, and no
+# atom name holds one.
+_CONTROL = re.compile("[\x00-\x08\x0b-\x1f\x7f-\x9f\u2028\u2029]")
 
 
-def _take(nums, n, rd, what):
-    if len(nums) < n:
-        raise FormatError(rd.lineno, f"truncated {what}")
-    return nums[:n], nums[n:]
+def _line(lines, lineno, what, bad=_CONTROL):
+    """Line lineno + 1, which should hold `what` and no character that
+    `bad` matches."""
+    if lineno >= len(lines):
+        raise FormatError(lineno + 1, f"unexpected end of input, expected {what}")
+    line = lines[lineno]
+    if bad.search(line):
+        raise FormatError(lineno + 1, f"expected {what}, got {line!r}")
+    return line
 
 
-def _bad_atom_id(ids, rd, what):
-    """Atom ids are positive; the solver would read a negative one as an
-    index from the end of its arrays."""
-    bad = next(i for i in ids if i <= 0)
-    raise FormatError(rd.lineno, f"atom id {bad} in {what} is not positive")
+def _numbers(lines, lineno, what):
+    """The integers of line lineno + 1."""
+    line = _line(lines, lineno, what, _NOT_A_NUMBER_LINE)
+    try:
+        return list(map(int, line.split()))
+    except ValueError:  # a "-" that starts no number
+        raise FormatError(lineno + 1, f"expected {what}, got {line!r}") from None
 
 
-def _parse_rule(nums, rd):
+def _parse_rule(nums, lineno):
+    """The rule on a line of integers. Every type has the same layout: a
+    head part (`head`; `#heads <heads..>` for type 3; `head bound` for
+    type 5), then `#lits #neg` (and `bound` for type 2), then
+    `<neg..> <pos..>` (and `<negw..> <posw..>` for type 5)."""
     t = nums[0]
-    rest = nums[1:]
-    if t == 1:
-        taken, rest = _take(rest, 3, rd, "basic rule")
-        head, nlits, nneg = taken
-        if nneg > nlits or nneg < 0:
-            raise FormatError(rd.lineno, "bad literal counts in basic rule")
-        lits, rest = _take(rest, nlits, rd, "basic rule")
-        if head <= 0 or (lits and min(lits) <= 0):
-            _bad_atom_id((head, *lits), rd, "basic rule")
-        rule = BasicRule(head, tuple(lits[nneg:]), tuple(lits[:nneg]))
-    elif t == 2:
-        taken, rest = _take(rest, 4, rd, "cardinality rule")
-        head, nlits, nneg, bound = taken
-        if nneg > nlits or nneg < 0:
-            raise FormatError(rd.lineno, "bad literal counts in cardinality rule")
-        lits, rest = _take(rest, nlits, rd, "cardinality rule")
-        if head <= 0 or (lits and min(lits) <= 0):
-            _bad_atom_id((head, *lits), rd, "cardinality rule")
-        rule = ConstraintRule(head, bound, tuple(lits[nneg:]), tuple(lits[:nneg]))
-    elif t == 3:
-        taken, rest = _take(rest, 1, rd, "choice rule")
-        heads, rest = _take(rest, taken[0], rd, "choice rule")
-        taken, rest = _take(rest, 2, rd, "choice rule")
-        nlits, nneg = taken
-        if nneg > nlits or nneg < 0:
-            raise FormatError(rd.lineno, "bad literal counts in choice rule")
-        lits, rest = _take(rest, nlits, rd, "choice rule")
-        if (heads and min(heads) <= 0) or (lits and min(lits) <= 0):
-            _bad_atom_id((*heads, *lits), rd, "choice rule")
-        rule = ChoiceRule(tuple(heads), tuple(lits[nneg:]), tuple(lits[:nneg]))
-    elif t == 5:
-        taken, rest = _take(rest, 4, rd, "weight rule")
-        head, bound, nlits, nneg = taken
-        if nneg > nlits or nneg < 0:
-            raise FormatError(rd.lineno, "bad literal counts in weight rule")
-        lits, rest = _take(rest, nlits, rd, "weight rule")
-        weights, rest = _take(rest, nlits, rd, "weight rule")
-        if head <= 0 or (lits and min(lits) <= 0):
-            _bad_atom_id((head, *lits), rd, "weight rule")
-        rule = WeightRule(head, bound, tuple(lits[nneg:]), tuple(lits[:nneg]),
-                          tuple(weights[nneg:]), tuple(weights[:nneg]))
-    elif t in (4, 6, 8):
-        raise UnknownRuleTypeError(rd.lineno, f"unsupported rule type {t}")
+    what = _RULE_KINDS.get(t)
+    if what is None:
+        if t in (4, 6, 8):
+            raise UnknownRuleTypeError(lineno, f"unsupported rule type {t}")
+        raise FormatError(lineno, f"unknown rule type {t}")
+    n = len(nums)
+    if t == 3:
+        nheads = nums[1] if n > 1 else 0
+        if nheads < 0:
+            raise FormatError(lineno, "bad head count in choice rule")
+        c = 2 + nheads
+        heads = nums[2:c]
     else:
-        raise FormatError(rd.lineno, f"unknown rule type {t}")
-    if rest:
-        raise FormatError(rd.lineno, f"trailing numbers on type-{t} rule line")
-    return rule
+        c = 3 if t == 5 else 2
+        heads = nums[1:2]
+    first = c + 3 if t == 2 else c + 2  # index of the first literal
+    if n < first:
+        raise FormatError(lineno, f"truncated {what}")
+    nlits, nneg = nums[c], nums[c + 1]
+    if nneg > nlits or nneg < 0:
+        raise FormatError(lineno, f"bad literal counts in {what}")
+    end = first + nlits
+    lits = nums[first:end]
+    if t == 5:
+        end += nlits
+    if n < end:
+        raise FormatError(lineno, f"truncated {what}")
+    # The solver would read a negative atom id as an index from the end of
+    # its arrays.
+    ids = heads + lits
+    if ids and min(ids) <= 0:
+        bad = next(a for a in ids if a <= 0)
+        raise FormatError(lineno, f"atom id {bad} in {what} is not positive")
+    if n > end:
+        raise FormatError(lineno, f"trailing numbers on type-{t} rule line")
+    neg, pos = tuple(lits[:nneg]), tuple(lits[nneg:])
+    if t == 1:
+        return BasicRule(nums[1], pos, neg)
+    if t == 2:
+        return ConstraintRule(nums[1], nums[c + 2], pos, neg)
+    if t == 3:
+        return ChoiceRule(tuple(heads), pos, neg)
+    weights = nums[first + nlits:end]
+    return WeightRule(nums[1], nums[2], pos, neg,
+                      tuple(weights[nneg:]), tuple(weights[:nneg]))
 
 
 def parse_ground_program(text):
-    rd = _Reader(text)
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()  # the text ends with a line end, or is empty
+    # lineno counts the lines read so far; errors name the last one read
+    lineno = 0
     rules = []
     while True:
-        nums = rd.next_numbers("a rule line or 0")
+        nums = _numbers(lines, lineno, "a rule line or 0")
+        lineno += 1
         if not nums:
-            raise FormatError(rd.lineno, "blank line in rules section")
+            raise FormatError(lineno, "blank line in rules section")
         if nums == [0]:
             break
-        rules.append(_parse_rule(nums, rd))
+        rules.append(_parse_rule(nums, lineno))
 
     symbols = {}
     while True:
-        line = rd.next_line("a symbol line or 0")
+        line = _line(lines, lineno, "a symbol line or 0")
+        lineno += 1
         if line.strip() == "0":
             break
         parts = line.split(None, 1)
         if len(parts) != 2 or not (parts[0].isascii() and parts[0].isdigit()):
-            raise FormatError(rd.lineno, f"malformed symbol line {line!r}")
+            raise FormatError(lineno, f"malformed symbol line {line!r}")
         i = int(parts[0])
         if i == 0:
-            _bad_atom_id((i,), rd, "symbol line")
+            raise FormatError(lineno, "atom id 0 in symbol line is not positive")
         if i in symbols:
-            raise FormatError(rd.lineno, f"duplicate symbol entry for atom {i}")
+            raise FormatError(lineno, f"duplicate symbol entry for atom {i}")
         symbols[i] = parts[1]
 
-    def id_section(header):
-        line = rd.next_line(f"'{header}'")
+    compute = []
+    for header in ("B+", "B-"):
+        line = _line(lines, lineno, f"'{header}'")
+        lineno += 1
         if line.strip() != header:
-            raise FormatError(rd.lineno, f"expected '{header}', got {line!r}")
+            raise FormatError(lineno, f"expected '{header}', got {line!r}")
         ids = []
         while True:
-            nums = rd.next_numbers(f"an atom id or 0 in {header}")
+            nums = _numbers(lines, lineno, f"an atom id or 0 in {header}")
+            lineno += 1
             if nums == [0]:
-                return tuple(ids)
+                break
             if len(nums) != 1 or nums[0] <= 0:
-                raise FormatError(rd.lineno, f"malformed id line in {header}")
+                raise FormatError(lineno, f"malformed id line in {header}")
             ids.append(nums[0])
+        compute.append(tuple(ids))
 
-    compute_true = id_section("B+")
-    compute_false = id_section("B-")
-
-    nums = rd.next_numbers("the model count")
+    nums = _numbers(lines, lineno, "the model count")
+    lineno += 1
     if len(nums) != 1 or nums[0] < 0:
-        raise FormatError(rd.lineno, "malformed model count")
-    models = nums[0]
-    while rd.pos < len(rd.lines):
-        if rd.lines[rd.pos].strip():
-            raise FormatError(rd.pos + 1, "unexpected content after model count")
-        rd.pos += 1
-    return GroundProgram(rules, symbols, compute_true, compute_false, models)
+        raise FormatError(lineno, "malformed model count")
+    for line in lines[lineno:]:
+        lineno += 1
+        if line.strip() or _CONTROL.search(line):
+            raise FormatError(lineno, "unexpected content after model count")
+    return GroundProgram(rules, symbols, *compute, nums[0])

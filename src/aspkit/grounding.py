@@ -963,7 +963,6 @@ class GroundResult:
     compute_true: tuple
     compute_false: tuple
     exts: dict
-    warnings: list
 
 
 def _first_definition_order(program, domain):
@@ -986,7 +985,6 @@ def ground_program(program, analysis, domain_mode="keep"):
     exts = evaluate_domain_predicates(program, analysis)
     table = SymbolTable()
     rules = []
-    warnings = []
 
     if domain_mode == "keep":
         for key in _first_definition_order(program, domain):
@@ -1021,8 +1019,7 @@ def ground_program(program, analysis, domain_mode="keep"):
         target = compute_true if lit.positive else compute_false
         if i not in target:
             target.append(i)
-    return GroundResult(rules, table, tuple(compute_true), tuple(compute_false),
-                        exts, warnings)
+    return GroundResult(rules, table, tuple(compute_true), tuple(compute_false), exts)
 
 
 # -- source-syntax printing of ground rules ----------------------------------------

@@ -61,7 +61,6 @@ def _ground(program, opts):
     warnings.extend(d for d in diags if d.severity != "error")
     lint_notes = analysis.lint(program) if opts.lint else []
     result = ground_program(program, info, opts.domain_mode)
-    warnings.extend(result.warnings)
     rules = translate_program(result.rules, result.table)
     gp = GroundProgram(
         rules=rules,

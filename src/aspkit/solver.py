@@ -351,6 +351,9 @@ class Solver:
             pend.append((h, FALSE))
             return
         r = last
+        if self.wsat[r] >= self.bound[r]:
+            # the body holds: open literals weigh at most wmax - wsat <= slack
+            return
         slack = self.wmax[r] - self.bound[r]
         values = self.values
         for atoms, weights, value in ((self.pos[r], self.pw[r], TRUE),

@@ -121,6 +121,59 @@ def to_interchange(grules, table):
                          compute_true=(), compute_false=(FALSITY,), models=0)
 
 
+# Characters a mutant may gain: separators and line ends, signs and
+# underscores, letters, digits of other scripts, other Unicode whitespace,
+# and the control characters that str.split() and str.splitlines() take
+# for whitespace or line ends.
+_MUTANT_CHARS = (" ", "\t", "-", "+", "_", "0", "7", "a", "B", "\n", "\r",
+                 "\x00", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x7f",
+                 "\x85", "\xa0", "\u2028", "\u3000", "\u0662", "\uff10")
+_MUTANT_INTS = (-3, -2, -1, 0, 1, 2, 3, 4, 5, 9, 2 ** 31, 10 ** 20)
+
+
+def mutate_ground(rng, text):
+    """Ground-format text with one to three random edits: a number token
+    replaced, negated, dropped or repeated; a line dropped, repeated or
+    swapped with the next; a character inserted; a line end written
+    \\r\\n or \\r; or the text cut short."""
+    for _ in range(rng.randint(1, 3)):
+        lines = text.split("\n")
+        i = rng.randrange(len(lines))
+        toks = lines[i].split(" ")
+        j = rng.randrange(len(toks))
+        op = rng.randrange(10)
+        if op == 0:
+            toks[j] = str(rng.choice(_MUTANT_INTS))
+        elif op == 1:
+            toks[j] = "-" + toks[j]
+        elif op == 2:
+            del toks[j]
+        elif op == 3:
+            toks.insert(j, toks[j])
+        elif op == 4:
+            del lines[i]
+        elif op == 5:
+            lines.insert(i, lines[i])
+        elif op == 6:
+            lines[i:i + 2] = lines[i:i + 2][::-1]
+        elif op == 7:
+            k = rng.randrange(len(text) + 1)
+            text = text[:k] + rng.choice(_MUTANT_CHARS) + text[k:]
+            continue
+        elif op == 8:
+            k = text.find("\n", rng.randrange(len(text) + 1))
+            if k >= 0:
+                text = text[:k] + rng.choice(("\r", "\r\n")) + text[k + 1:]
+            continue
+        else:
+            text = text[:rng.randrange(len(text) + 1)]
+            continue
+        if op < 4:
+            lines[i] = " ".join(toks)
+        text = "\n".join(lines)
+    return text
+
+
 def scale_instance(n=2000, fanout=50):
     """Source text whose grounding is large: a long 3-colorable strip
     with a high-fanout reachability closure layered on top."""

@@ -190,13 +190,22 @@ def test_solve_rejects_bad_symbol_id(run, symbol, message):
         assert (code, out, err) == (2, "", f"line 3: {message}\n")
 
 
-@pytest.mark.parametrize("rule", ["1 \u0662 0 0", "1 1_0 0 0"])
+@pytest.mark.parametrize("rule", ["1 \u0662 0 0", "1 1_0 0 0", "1\x1f2 0 0"])
 def test_solve_rejects_numbers_int_would_misread(run, rule):
-    # int() reads these as head 2 and head 10.
+    # int() reads the first two as head 2 and head 10; str.split() takes
+    # the unit separator in the third for a space, which makes it `a.`.
     ground = f"{rule}\n0\n2 a\n0\nB+\n0\nB-\n1\n0\n1\n"
     for argv in (["solve"], ["solve", "--wfs"]):
         code, out, err = run(argv, stdin=ground)
         assert (code, out, err) == (2, "", f"line 1: expected a rule line or 0, got {rule!r}\n")
+
+
+def test_solve_rejects_negative_choice_head_count(run):
+    # Once read as the choice of heads 2 and 3: four models, exit 0.
+    ground = "3 -2 2 3 0 0\n0\n2 a\n3 b\n0\nB+\n0\nB-\n1\n0\n0\n"
+    for argv in (["solve"], ["solve", "--wfs"]):
+        code, out, err = run(argv, stdin=ground)
+        assert (code, out, err) == (2, "", "line 1: bad head count in choice rule\n")
 
 
 def sparse_ground(ids):

@@ -1,3 +1,4 @@
+import itertools
 import pathlib
 import random
 
@@ -14,7 +15,14 @@ from aspkit.ground_format import (
     emit_ground_program,
     parse_ground_program,
 )
-from aspkit.pipeline import GroundOptions, ground_files, solve_ground, verify_model
+from aspkit.pipeline import (
+    GroundOptions,
+    ground_files,
+    solve_ground,
+    verify_model,
+    well_founded_ground,
+)
+from aspkit.primitives import UnsupportedRuleTypeError
 
 import gen
 
@@ -132,7 +140,48 @@ def test_rule_atom_ids_must_be_positive(line, bad):
     with pytest.raises(FormatError) as err:
         parse_ground_program(line + "\n" + SMALL)
     assert err.value.lineno == 1
-    assert f"atom id {bad}" in str(err.value)
+    kind = {"1": "basic", "2": "cardinality", "3": "choice", "5": "weight"}[line[0]]
+    assert err.value.message == f"atom id {bad} in {kind} rule is not positive"
+
+
+@pytest.mark.parametrize("line, error, message", [
+    ("1", FormatError, "truncated basic rule"),
+    ("1 2 1", FormatError, "truncated basic rule"),
+    ("1 2 1 2 3 4", FormatError, "bad literal counts in basic rule"),
+    ("1 2 1 -1 3", FormatError, "bad literal counts in basic rule"),
+    ("1 2 2 0 3", FormatError, "truncated basic rule"),
+    ("1 2 1 0 3 4", FormatError, "trailing numbers on type-1 rule line"),
+    ("2 2 1 0", FormatError, "truncated cardinality rule"),
+    ("2 2 1 2 1 3", FormatError, "bad literal counts in cardinality rule"),
+    ("2 2 2 0 1 3", FormatError, "truncated cardinality rule"),
+    ("2 2 1 0 1 3 4", FormatError, "trailing numbers on type-2 rule line"),
+    ("3", FormatError, "truncated choice rule"),
+    ("3 2 2", FormatError, "truncated choice rule"),
+    ("3 1 2 0", FormatError, "truncated choice rule"),
+    ("3 -2 2 3 0 0", FormatError, "bad head count in choice rule"),
+    ("3 1 2 1 2 3", FormatError, "bad literal counts in choice rule"),
+    ("3 1 2 2 0 3", FormatError, "truncated choice rule"),
+    ("3 1 2 0 0 4", FormatError, "trailing numbers on type-3 rule line"),
+    ("5 2 1 1", FormatError, "truncated weight rule"),
+    ("5 2 1 -1 -2", FormatError, "bad literal counts in weight rule"),
+    ("5 2 1 1 2 3 1", FormatError, "bad literal counts in weight rule"),
+    ("5 2 1 1 0 3", FormatError, "truncated weight rule"),
+    ("5 2 1 1 0 3 1 1", FormatError, "trailing numbers on type-5 rule line"),
+    ("4 2 0 0", UnknownRuleTypeError, "unsupported rule type 4"),
+    ("6 2 0 0", UnknownRuleTypeError, "unsupported rule type 6"),
+    ("8 2 0 0", UnknownRuleTypeError, "unsupported rule type 8"),
+    ("0 2", FormatError, "unknown rule type 0"),
+    ("7 2 0 0", FormatError, "unknown rule type 7"),
+    ("-1 2 0 0", FormatError, "unknown rule type -1"),
+])
+def test_rule_line_errors(line, error, message):
+    # One check of each kind per rule line, in this order: type, counts and
+    # truncation, atom ids (above), trailing numbers. A negative head count
+    # once sliced the heads from the end of the line.
+    with pytest.raises(FormatError) as err:
+        parse_ground_program(SMALL.replace("\n", f"\n{line}\n", 1))
+    assert type(err.value) is error
+    assert (err.value.lineno, err.value.message) == (2, message)
 
 
 @pytest.mark.parametrize("line, message", [
@@ -163,6 +212,41 @@ def test_numbers_are_ascii_integers(text, lineno, got):
         parse_ground_program(text)
     assert err.value.lineno == lineno
     assert err.value.message.endswith(f", got {got!r}")
+
+
+def _got(what, line):
+    return f"expected {what}, got {line!r}"
+
+
+@pytest.mark.parametrize("text, lineno, message", [
+    (SMALL.replace("1 2 2 1 4 3", "1\x1f2 0 0"), 1, _got("a rule line or 0", "1\x1f2 0 0")),
+    (SMALL.replace("1 2 2 1 4 3", "1 2 0 0\x0b"), 1, _got("a rule line or 0", "1 2 0 0\x0b")),
+    (SMALL.replace("4 3\n3", "4 3\x0c3"), 1,
+     _got("a rule line or 0", "1 2 2 1 4 3\x0c3 2 2 3 1 0 4")),
+    (SMALL.replace("4 3\n3", "4 3\u20283"), 1,
+     _got("a rule line or 0", "1 2 2 1 4 3\u20283 2 2 3 1 0 4")),
+    (SMALL.replace("3 b", "3\x1cb"), 5, _got("a symbol line or 0", "3\x1cb")),
+    (SMALL.replace("4 c\n0", "4 c\n0\x1e"), 7, _got("a symbol line or 0", "0\x1e")),
+    (SMALL.replace("B+", "B+\x0c"), 8, _got("'B+'", "B+\x0c")),
+    (SMALL.replace("B-\n1", "B-\n1\x1d"), 11, _got("an atom id or 0 in B-", "1\x1d")),
+    (SMALL[:-2] + "1\x85\n", 13, _got("the model count", "1\x85")),
+    (SMALL + "\x0c\n", 14, "unexpected content after model count"),
+], ids=["unit-separator", "vertical-tab", "form-feed", "line-separator", "symbol",
+        "symbol-end", "header", "compute", "count", "after-count"])
+def test_control_characters_are_errors(text, lineno, message):
+    # Lines end only at \n, \r\n and \r, and spaces and tabs separate
+    # numbers. str.split() and str.splitlines() would take some of these
+    # characters for whitespace or line ends, and read `1\x1f2 0 0` as `a.`.
+    with pytest.raises(FormatError) as err:
+        parse_ground_program(text)
+    assert (err.value.lineno, err.value.message) == (lineno, message)
+
+
+def test_spaces_tabs_and_line_ends_read_as_before():
+    gp = parse_ground_program(SMALL)
+    for text in (SMALL.replace(" ", " \t  "), SMALL.replace("\n", "\r\n"),
+                 SMALL.replace("\n", "\r"), SMALL + " \t\r\n\n"):
+        assert parse_ground_program(text) == gp
 
 
 def test_solving_scans_the_atom_ids_once(monkeypatch):
@@ -210,3 +294,28 @@ def test_parse_of_emit_gives_back_the_program():
         assert parse_ground_program(emit_ground_program(gp)) == gp
         count += 1
     assert count == 610
+
+
+def test_mutants_of_emitted_files_read_or_fail_in_one_line():
+    # Seeded edits of emitted files (gen.mutate_ground): each mutant reads,
+    # or fails with a one-line FormatError, and a mutant that reads goes
+    # through the solver and the well-founded model with no other exception.
+    rng = random.Random(10)
+    makers = (lambda: gen.to_interchange(*gen.random_extended_source(rng)),
+              lambda: gen.random_normal_ground(rng),
+              lambda: gen.random_binary_constraint_ground(rng))
+    read = 0
+    for i in range(2000):
+        text = gen.mutate_ground(rng, emit_ground_program(makers[i % 3]()))
+        try:
+            gp = parse_ground_program(text)
+        except FormatError as e:
+            assert "\n" not in str(e)
+            continue
+        read += 1
+        list(itertools.islice(solve_ground(gp), 20))
+        try:
+            well_founded_ground(gp)
+        except UnsupportedRuleTypeError:
+            assert not all(isinstance(r, BasicRule) for r in gp.rules)
+    assert read == 435
