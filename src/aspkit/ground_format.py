@@ -4,7 +4,8 @@ The file has five parts: rule lines, a symbol table, the B+ and B- compute
 sections, and a model count. Atom ids are positive integers; id 1 is the
 falsity atom, which is always listed in B- and never in the symbol table.
 
-Lines end at LF, CR LF or CR, and spaces and tabs separate numbers. Rule
+Lines end at LF, CR LF or CR. Spaces and tabs separate numbers, and a
+symbol's id from its name; no other whitespace separates anything. Rule
 lines (counts first, negative literals before positive ones):
 
     1 head #lits #neg  <neg..> <pos..>                    basic
@@ -13,11 +14,15 @@ lines (counts first, negative literals before positive ones):
     5 head bound #lits #neg <neg..> <pos..> <negw..> <posw..>   weight
 
 Parsing preserves section contents exactly, so emit(parse(text)) == text for
-any file this module itself produced.
+any file this module itself produced. The rule section and the symbol table
+in the form the writer produces are read in bulk, and any other form line
+by line, with the same result.
 """
 
 import re
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from itertools import repeat
 
 from .primitives import BasicRule, ChoiceRule, ConstraintRule, WeightRule
 
@@ -72,46 +77,62 @@ def compact_atom_ids(gp):
     def ren(atoms):
         return tuple(new[a] for a in atoms)
 
-    rules = [replace(r, heads=ren(r.heads), pos=ren(r.pos), neg=ren(r.neg))
-             if isinstance(r, ChoiceRule)
-             else replace(r, head=new[r.head], pos=ren(r.pos), neg=ren(r.neg))
-             for r in gp.rules]
+    def renamed(r):
+        if isinstance(r, BasicRule):
+            return BasicRule(new[r.head], ren(r.pos), ren(r.neg))
+        if isinstance(r, ChoiceRule):
+            return ChoiceRule(ren(r.heads), ren(r.pos), ren(r.neg))
+        if isinstance(r, ConstraintRule):
+            return ConstraintRule(new[r.head], r.bound, ren(r.pos), ren(r.neg))
+        return WeightRule(new[r.head], r.bound, ren(r.pos), ren(r.neg),
+                          r.pos_weights, r.neg_weights)
+
+    rules = list(map(renamed, gp.rules))
     symbols = {new[a]: name for a, name in gp.symbols.items()}
     return GroundProgram(rules, symbols, ren(gp.compute_true), ren(gp.compute_false),
                          gp.models, k), ids
 
 
+@lru_cache(maxsize=64)
+def _line_format(n):
+    """"%d %d ... %d" with n fields. One format writes a whole rule line,
+    about twice as fast as joining str() of each number."""
+    return " ".join(["%d"] * n)
+
+
 def _rule_line(r):
     if isinstance(r, BasicRule):
-        nums = [1, r.head, len(r.pos) + len(r.neg), len(r.neg), *r.neg, *r.pos]
+        lits = r.neg + r.pos
+        nums = (1, r.head, len(lits), len(r.neg)) + lits
     elif isinstance(r, ConstraintRule):
-        nums = [2, r.head, len(r.pos) + len(r.neg), len(r.neg), r.bound,
-                *r.neg, *r.pos]
+        lits = r.neg + r.pos
+        nums = (2, r.head, len(lits), len(r.neg), r.bound) + lits
     elif isinstance(r, ChoiceRule):
-        nums = [3, len(r.heads), *r.heads, len(r.pos) + len(r.neg), len(r.neg),
-                *r.neg, *r.pos]
+        lits = r.neg + r.pos
+        nums = (3, len(r.heads)) + r.heads + (len(lits), len(r.neg)) + lits
     elif isinstance(r, WeightRule):
-        nums = [5, r.head, r.bound, len(r.pos) + len(r.neg), len(r.neg),
-                *r.neg, *r.pos, *r.neg_weights, *r.pos_weights]
+        lits = r.neg + r.pos
+        nums = ((5, r.head, r.bound, len(lits), len(r.neg))
+                + lits + r.neg_weights + r.pos_weights)
     else:
         raise TypeError(f"not a primitive rule: {r!r}")
-    return " ".join(str(n) for n in nums)
+    return _line_format(len(nums)) % nums
 
 
 def emit_ground_program(gp):
-    lines = [_rule_line(r) for r in gp.rules]
+    lines = list(map(_rule_line, gp.rules))
     lines.append("0")
-    for i, name in gp.symbols.items():
-        lines.append(f"{i} {name}")
+    lines += [f"{i} {name}" for i, name in gp.symbols.items()]
     lines.append("0")
     lines.append("B+")
-    lines.extend(str(i) for i in gp.compute_true)
+    lines += map(str, gp.compute_true)
     lines.append("0")
     lines.append("B-")
-    lines.extend(str(i) for i in gp.compute_false)
+    lines += map(str, gp.compute_false)
     lines.append("0")
     lines.append(str(gp.models))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the text ends with a line end
+    return "\n".join(lines)
 
 
 _RULE_KINDS = {1: "basic rule", 2: "cardinality rule", 3: "choice rule", 5: "weight rule"}
@@ -200,11 +221,9 @@ def _parse_rule(nums, lineno):
                       tuple(weights[nneg:]), tuple(weights[:nneg]))
 
 
-def parse_ground_program(text):
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    if not lines[-1]:
-        lines.pop()  # the text ends with a line end, or is empty
-    # lineno counts the lines read so far; errors name the last one read
+def _read_rules(lines):
+    """The rules up to the line holding 0, and the number of lines read,
+    checking one line at a time."""
     lineno = 0
     rules = []
     while True:
@@ -213,30 +232,130 @@ def parse_ground_program(text):
         if not nums:
             raise FormatError(lineno, "blank line in rules section")
         if nums == [0]:
-            break
+            return rules, lineno
         rules.append(_parse_rule(nums, lineno))
 
+
+# The rule section as the writer emits it: lines of unsigned ASCII integers
+# with a nonzero type first, then the line 0. None of these lines ends the
+# section early, and each that holds only single spaces reads as a rule
+# line in _read_rules.
+_CANONICAL_RULES = re.compile(r"(?:[1-9][0-9 ]*\n)*0\n")
+# Rule lines whose integers are read at once; this bounds the memory their
+# number strings take.
+_BLOCK = 1024
+
+
+def _read_rules_bulk(text, lines):
+    """What _read_rules(lines) returns, for a text whose rule section is in
+    the writer's canonical form; None for any other text. The integers of
+    a block of lines are read at once, and basic rules taken from them by
+    index arithmetic; every other line, and a basic rule line that fails a
+    check, goes to _parse_rule."""
+    m = _CANONICAL_RULES.match(text)
+    if m is None:
+        return None
+    count = text.count("\n", 0, m.end()) - 1  # the rule lines
+    rules = []
+    append = rules.append
+    for start in range(0, count, _BLOCK):
+        block = lines[start:min(start + _BLOCK, count)]
+        try:
+            nums = tuple(map(int, " ".join(block).split(" ")))
+        except ValueError:  # an empty string, from a run of spaces or a
+            return None     # leading or trailing one; or too many digits
+        i = 0  # nums[i] is the first integer of the line
+        for n in map(str.count, block, repeat(" ")):
+            end = i + n + 1
+            # 1 head #lits #neg <neg..> <pos..>, where no number is negative
+            if n > 2 and nums[i] == 1 and nums[i + 2] == n - 3 and nums[i + 1]:
+                k = i + 4 + nums[i + 3]
+                neg = nums[i + 4:k]
+                pos = nums[k:end]
+                if k <= end and 0 not in neg and 0 not in pos:
+                    append(BasicRule(nums[i + 1], pos, neg))
+                    i = end
+                    continue
+            append(_parse_rule(nums[i:end], len(rules) + 1))
+            i = end
+    return rules, count + 1
+
+
+# A symbol line: spaces and tabs lead the id and separate it from the name,
+# and the name starts with a character that is not whitespace.
+_SYMBOL_LINE = re.compile(r"[ \t]*([0-9]+)[ \t]+(\S.*)")
+# Symbol lines as the writer emits them: an id without a leading zero, one
+# space, and a name.
+_CANONICAL_SYMBOLS = re.compile(r"[1-9][0-9]* \S.*(?:\n[1-9][0-9]* \S.*)*")
+
+
+def _read_symbols(lines, lineno):
+    """The symbol table from line lineno + 1 on, and the number of lines
+    read up to its closing 0, checking one line at a time."""
     symbols = {}
     while True:
         line = _line(lines, lineno, "a symbol line or 0")
         lineno += 1
-        if line.strip() == "0":
-            break
-        parts = line.split(None, 1)
-        if len(parts) != 2 or not (parts[0].isascii() and parts[0].isdigit()):
+        if line.strip(" \t") == "0":
+            return symbols, lineno
+        m = _SYMBOL_LINE.fullmatch(line)
+        if m is None:
             raise FormatError(lineno, f"malformed symbol line {line!r}")
-        i = int(parts[0])
+        try:
+            i = int(m[1])
+        except ValueError:  # more digits than int() reads
+            raise FormatError(lineno, f"malformed symbol line {line!r}") from None
         if i == 0:
             raise FormatError(lineno, "atom id 0 in symbol line is not positive")
         if i in symbols:
             raise FormatError(lineno, f"duplicate symbol entry for atom {i}")
-        symbols[i] = parts[1]
+        symbols[i] = m[2]
+
+
+def _read_symbols_bulk(lines, lineno):
+    """What _read_symbols(lines, lineno) returns, for a symbol table in the
+    writer's canonical form; None for any other form, and for a duplicate
+    id. The table is checked as a whole, then each line is split once."""
+    try:
+        end = lines.index("0", lineno)
+    except ValueError:
+        return None
+    block = lines[lineno:end]
+    # str.isprintable is false for each character _CONTROL matches, and
+    # for every whitespace character but the space.
+    if block and not (all(map(str.isprintable, block))
+                      and _CANONICAL_SYMBOLS.fullmatch("\n".join(block))):
+        return None
+    symbols = {}
+    try:
+        for line in block:
+            i, _, name = line.partition(" ")
+            symbols[int(i)] = name
+    except ValueError:  # an id with more digits than int() reads
+        return None
+    if len(symbols) != len(block):
+        return None
+    return symbols, end + 1
+
+
+def parse_ground_program(text):
+    """The GroundProgram in `text`. A rule section and a symbol table in the
+    form emit_ground_program writes are read in bulk, anything else line by
+    line; either way gives the same program, or the same FormatError."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the text ends with a line end, or is empty
+    # lineno counts the lines read so far; errors name the last one read
+    rules, lineno = _read_rules_bulk(text, lines) or _read_rules(lines)
+    symbols, lineno = _read_symbols_bulk(lines, lineno) or _read_symbols(lines, lineno)
 
     compute = []
     for header in ("B+", "B-"):
         line = _line(lines, lineno, f"'{header}'")
         lineno += 1
-        if line.strip() != header:
+        if line.strip(" \t") != header:
             raise FormatError(lineno, f"expected '{header}', got {line!r}")
         ids = []
         while True:
@@ -255,6 +374,6 @@ def parse_ground_program(text):
         raise FormatError(lineno, "malformed model count")
     for line in lines[lineno:]:
         lineno += 1
-        if line.strip() or _CONTROL.search(line):
+        if line.strip(" \t"):
             raise FormatError(lineno, "unexpected content after model count")
     return GroundProgram(rules, symbols, *compute, nums[0])

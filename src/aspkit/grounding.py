@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from .analysis import Diagnostic, atom_vars, term_vars
 from .lexer import INT64_MAX, INT64_MIN
+from .records import Record
 from .syntax import (
     Aggregate,
     Atom,
@@ -651,19 +652,23 @@ class _ElementExpander:
 
 # -- ground rule representation ---------------------------------------------------
 
-@dataclass(frozen=True)
-class GAgg:
-    weighted: bool
-    lower: int | None
-    upper: int | None
-    elements: tuple  # ((signed atom id, weight), ...)
+class GAgg(Record):
+    __slots__ = ("weighted", "lower", "upper", "elements")
+
+    def __init__(self, weighted, lower, upper, elements):
+        self.weighted = weighted
+        self.lower = lower          # int or None
+        self.upper = upper          # int or None
+        self.elements = elements    # ((signed atom id, weight), ...)
 
 
-@dataclass(frozen=True)
-class GRule:
-    head: int | None      # atom id, or None for an integrity constraint
-    head_agg: GAgg | None
-    body: tuple           # signed atom ids and GAggs, in source order
+class GRule(Record):
+    __slots__ = ("head", "head_agg", "body")
+
+    def __init__(self, head, head_agg, body):
+        self.head = head            # atom id, or None for an integrity constraint
+        self.head_agg = head_agg    # GAgg or None
+        self.body = body            # signed atom ids and GAggs, in source order
 
 
 def _rule_globals(rule):

@@ -11,47 +11,54 @@ Auxiliary atoms are allocated after all user atoms, in rule order, which
 keeps the output deterministic.
 """
 
-from dataclasses import dataclass
-
 from .grounding import FALSITY, GAgg
+from .records import Record
 
 
 class UnsupportedRuleTypeError(Exception):
     """A rule of a type the consumer of a primitive program cannot handle."""
 
 
-@dataclass(frozen=True)
-class BasicRule:
-    head: int
-    pos: tuple
-    neg: tuple
+class BasicRule(Record):
+    __slots__ = ("head", "pos", "neg")
+
+    def __init__(self, head, pos, neg):
+        self.head = head
+        self.pos = pos
+        self.neg = neg
 
 
-@dataclass(frozen=True)
-class ConstraintRule:
+class ConstraintRule(Record):
     """head derivable when at least `bound` body literals hold."""
-    head: int
-    bound: int
-    pos: tuple
-    neg: tuple
+    __slots__ = ("head", "bound", "pos", "neg")
+
+    def __init__(self, head, bound, pos, neg):
+        self.head = head
+        self.bound = bound
+        self.pos = pos
+        self.neg = neg
 
 
-@dataclass(frozen=True)
-class ChoiceRule:
-    heads: tuple
-    pos: tuple
-    neg: tuple
+class ChoiceRule(Record):
+    __slots__ = ("heads", "pos", "neg")
+
+    def __init__(self, heads, pos, neg):
+        self.heads = heads
+        self.pos = pos
+        self.neg = neg
 
 
-@dataclass(frozen=True)
-class WeightRule:
+class WeightRule(Record):
     """head derivable when the satisfied weights sum to at least `bound`."""
-    head: int
-    bound: int
-    pos: tuple
-    neg: tuple
-    pos_weights: tuple
-    neg_weights: tuple
+    __slots__ = ("head", "bound", "pos", "neg", "pos_weights", "neg_weights")
+
+    def __init__(self, head, bound, pos, neg, pos_weights, neg_weights):
+        self.head = head
+        self.bound = bound
+        self.pos = pos
+        self.neg = neg
+        self.pos_weights = pos_weights
+        self.neg_weights = neg_weights
 
 
 def normalize_weight_elements(elements, bound):

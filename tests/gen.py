@@ -5,9 +5,10 @@ here touches the global RNG state.
 """
 
 import random
+import re
 
 from aspkit.ground_format import GroundProgram
-from aspkit.grounding import FALSITY, GAgg, GRule, SymbolTable
+from aspkit.grounding import FALSITY, GAgg, GRule, SymbolTable, grule_source
 from aspkit.primitives import BasicRule, ChoiceRule, translate_program
 
 
@@ -171,6 +172,53 @@ def mutate_ground(rng, text):
         if op < 4:
             lines[i] = " ".join(toks)
         text = "\n".join(lines)
+    return text
+
+
+def aggregate_source(rng):
+    """random_extended_source's rules as source text: cardinality and
+    weight aggregates in heads and bodies, over propositional atoms."""
+    grules, table = random_extended_source(rng)
+    return "\n".join(grule_source(r, table) for r in grules) + "\n"
+
+
+_SOURCE_TOKEN = re.compile(r"[A-Za-z0-9_]+|:-|\.\.|\S")
+# Tokens a source mutant may gain: punctuation, keywords, a variable, an
+# anonymous variable, numbers (one beyond the 64-bit range), operators,
+# and characters the lexer rejects.
+_SOURCE_EXTRA = ("(", ")", ",", ".", ":-", "not", "{", "}", "[", "]", "=", "..", ";",
+                 "#const", "#compute", "X", "_", "0", "-1", "9223372036854775808",
+                 "/", "mod", '"', "\u00e9", "\u0663", "\x00")
+
+
+def mutate_source(rng, text):
+    """Source text with one or two token edits: a name, variable or number
+    replaced by another from the text; a token replaced by, or preceded
+    by, one of _SOURCE_EXTRA; a token dropped or repeated; or the text cut
+    short. Numbers come only from the text and _SOURCE_EXTRA, so any range
+    a mutant writes is as small as they are, and every mutant grounds
+    quickly."""
+    for _ in range(rng.randint(1, 2)):
+        toks = [m.span() for m in _SOURCE_TOKEN.finditer(text)]
+        if not toks:
+            break
+        words = [(a, b) for a, b in toks if text[a].isalnum()]
+        roll = rng.random()
+        if roll < 0.5 and words:
+            (a, b), (c, d) = rng.choice(words), rng.choice(words)
+            text = text[:a] + text[c:d] + text[b:]
+            continue
+        a, b = rng.choice(toks)
+        if roll < 0.6:
+            text = text[:a] + rng.choice(_SOURCE_EXTRA) + text[b:]
+        elif roll < 0.75:
+            text = text[:a] + text[b:]
+        elif roll < 0.85:
+            text = text[:a] + text[a:b] + " " + text[a:]
+        elif roll < 0.95:
+            text = text[:a] + rng.choice(_SOURCE_EXTRA) + " " + text[a:]
+        else:
+            text = text[:rng.randrange(len(text) + 1)]
     return text
 
 

@@ -1,6 +1,8 @@
+import collections
 import io
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -8,6 +10,7 @@ import tracemalloc
 import pytest
 
 import aspkit
+import gen
 from aspkit.cli import main
 
 # Subprocesses import the same aspkit as the suite, installed or not.
@@ -208,6 +211,22 @@ def test_solve_rejects_negative_choice_head_count(run):
         assert (code, out, err) == (2, "", "line 1: bad head count in choice rule\n")
 
 
+@pytest.mark.parametrize("line, lineno, message", [
+    ("2\u3000a", 3, "malformed symbol line '2\\u3000a'"),
+    ("2 \xa0a", 3, "malformed symbol line '2 \\xa0a'"),
+    ("\xa00", 4, "malformed symbol line '\\xa00'"),
+    ("\xa0B+", 5, "expected 'B+', got '\\xa0B+'"),
+])
+def test_solve_rejects_whitespace_other_than_spaces_and_tabs(run, line, lineno, message):
+    # Once `2\u3000a` read as atom 2 named `a`, and `\xa0B+` as the header.
+    lines = ["1 2 0 0", "0", "2 a", "0", "B+", "0", "B-", "1", "0", "1"]
+    lines[lineno - 1] = line
+    ground = "\n".join(lines) + "\n"
+    for argv in (["solve"], ["solve", "--wfs"]):
+        code, out, err = run(argv, stdin=ground)
+        assert (code, out, err) == (2, "", f"line {lineno}: {message}\n")
+
+
 def sparse_ground(ids):
     """{ c, b }.  h :- c.  a :- h.  with c, h, b numbered ids[0..2]; h is
     hidden."""
@@ -380,6 +399,32 @@ def test_verify_unknown_atom_is_an_error(run, tmp_path):
     mfile = write(tmp_path, "models.txt", "Stable Model: zzz\n")
     code, out, err = run(["verify", gfile, mfile])
     assert code == 2
+
+
+# -- source mutants -----------------------------------------------------------
+
+def test_source_mutants_end_in_a_documented_exit_code(run, tmp_path):
+    # Seeded token edits (gen.mutate_source) of the generators' programs:
+    # `run` ends each in one of the exit codes the cli docstring lists, and
+    # a failure prints only messages of one line that name the file.
+    rng = random.Random(6)
+    path = str(tmp_path / "m.lp")
+    codes = collections.Counter()
+    for i in range(400):
+        source = gen.comparison_program(rng)[0] if i % 2 else gen.aggregate_source(rng)
+        write(tmp_path, "m.lp", gen.mutate_source(rng, source))
+        code, out, err = run(["run", path, "3"])
+        codes[code] += 1
+        if code in (0, 1):
+            assert out.endswith("True\n" if code == 0 else "False\n")
+        else:
+            # 2 input, 3 semantic and 4 arithmetic errors; a semantic check
+            # may report several rules, one line each.
+            assert code in (2, 3, 4) and out == ""
+            lines = err.splitlines()
+            assert lines and all(line.startswith(f"{path}:") for line in lines)
+            assert len(lines) == 1 or code == 3
+    assert codes == {0: 57, 1: 9, 2: 306, 3: 28}
 
 
 # -- input that is not UTF-8 ----------------------------------------------------

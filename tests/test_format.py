@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from aspkit import ground_format
 from aspkit.ground_format import (
     BasicRule,
     ChoiceRule,
@@ -249,6 +250,35 @@ def test_spaces_tabs_and_line_ends_read_as_before():
         assert parse_ground_program(text) == gp
 
 
+@pytest.mark.parametrize("old, new, lineno, message", [
+    ("2 a", "2\u3000a", 4, "malformed symbol line '2\\u3000a'"),
+    ("2 a", "2\xa0a", 4, "malformed symbol line '2\\xa0a'"),
+    ("2 a", "2 \u3000a", 4, "malformed symbol line '2 \\u3000a'"),
+    ("2 a", "\xa02 a", 4, "malformed symbol line '\\xa02 a'"),
+    ("4 c\n0", "4 c\n\xa00", 7, "malformed symbol line '\\xa00'"),
+    ("4 c\n0", "4 c\n0\u3000", 7, "malformed symbol line '0\\u3000'"),
+    ("B+", "\xa0B+", 8, "expected 'B+', got '\\xa0B+'"),
+    ("B-", "B-\u3000", 10, "expected 'B-', got 'B-\\u3000'"),
+    ("B-\n1\n0\n1\n", "B-\n1\n0\n1\n\u3000\n", 14, "unexpected content after model count"),
+], ids=["ideographic-space", "no-break-space", "name-start", "before-id", "before-end",
+        "after-end", "before-header", "after-header", "after-count"])
+def test_symbol_lines_and_headers_separate_by_spaces_and_tabs(old, new, lineno, message):
+    # Symbol lines, headers and the closing 0s once split and stripped at
+    # any Unicode whitespace: `2\u3000a` read as atom 2 named `a`.
+    with pytest.raises(FormatError) as err:
+        parse_ground_program(SMALL.replace(old, new, 1))
+    assert (err.value.lineno, err.value.message) == (lineno, message)
+
+
+def test_spaces_and_tabs_around_symbols_and_headers_read_as_before():
+    text = (SMALL.replace("2 a", "\t2 \t a").replace("4 c\n0", "4 c\n 0\t")
+            .replace("B+", " B+\t").replace("B-", "\tB- "))
+    assert parse_ground_program(text) == parse_ground_program(SMALL)
+    # A name keeps what follows its first character, other whitespace too.
+    gp = parse_ground_program(SMALL.replace("2 a", "2 a\u3000b\t"))
+    assert gp.symbols[2] == "a\u3000b\t"
+
+
 def test_solving_scans_the_atom_ids_once(monkeypatch):
     # compact_atom_ids collects the ids in use, and the program it returns
     # carries their count, so the solver and verify_model scan no rule for
@@ -318,4 +348,103 @@ def test_mutants_of_emitted_files_read_or_fail_in_one_line():
             well_founded_ground(gp)
         except UnsupportedRuleTypeError:
             assert not all(isinstance(r, BasicRule) for r in gp.rules)
-    assert read == 435
+    assert read == 434
+
+
+def _outcome(text):
+    try:
+        return parse_ground_program(text)
+    except FormatError as e:
+        return type(e), e.lineno, e.message
+
+
+# Inputs that take the bulk path part of the way, or the checked path, by
+# name: the outcome of each is pinned below, and bulk and checked agree on
+# every one.
+_READER_CASES = {
+    "canonical": SMALL,
+    "tabs-and-runs-of-spaces": SMALL.replace(" ", " \t  "),
+    "crlf": SMALL.replace("\n", "\r\n"),
+    "cr": SMALL.replace("\n", "\r"),
+    "space-zero-after-rules": SMALL.replace("\n0\n2 a", "\n 0\n2 a"),
+    "space-zero-ends-rules": SMALL.replace("\n3 2 2", "\n 0\n3 2 2"),
+    "double-zero-ends-rules": SMALL.replace("\n3 2 2", "\n00\n3 2 2"),
+    "truncated-basic": SMALL.replace("1 2 2 1 4 3", "1 2 2 1 4"),
+    "trailing-basic": SMALL.replace("1 2 2 1 4 3", "1 2 2 1 4 3 5"),
+    "zero-head": SMALL.replace("1 2 2 1 4 3", "1 0 2 1 4 3"),
+    "zero-literal": SMALL.replace("1 2 2 1 4 3", "1 2 2 1 4 0"),
+    "negative-head": SMALL.replace("1 2 2 1 4 3", "1 -2 2 1 4 3"),
+    "negative-literal": SMALL.replace("1 2 2 1 4 3", "1 2 2 1 -4 3"),
+    "duplicate-symbol": SMALL.replace("3 b", "2 b"),
+    "leading-zero-id": SMALL.replace("3 b", "03 b"),
+    "zero-id": SMALL.replace("3 b", "0 b"),
+    "no-rules-end": "1 2 0 0\n",
+    # more digits than int() reads by default
+    "long-number": SMALL.replace("1 2 2 1 4 3", "1 2 2 1 4 " + "3" * 5000),
+    "long-symbol-id": SMALL.replace("3 b", "3" * 5000 + " b"),
+}
+
+
+def test_reader_cases():
+    gp = parse_ground_program(SMALL)
+    want = {
+        "canonical": gp,
+        "tabs-and-runs-of-spaces": gp,
+        "crlf": gp,
+        "cr": gp,
+        "space-zero-after-rules": gp,
+        # the next rule line reads as atom 3 named "2 2 3 1 0 4"
+        "space-zero-ends-rules": (FormatError, 5, "expected 'B+', got '2 a'"),
+        "double-zero-ends-rules": (FormatError, 5, "expected 'B+', got '2 a'"),
+        "truncated-basic": (FormatError, 1, "truncated basic rule"),
+        "trailing-basic": (FormatError, 1, "trailing numbers on type-1 rule line"),
+        "zero-head": (FormatError, 1, "atom id 0 in basic rule is not positive"),
+        "zero-literal": (FormatError, 1, "atom id 0 in basic rule is not positive"),
+        "negative-head": (FormatError, 1, "atom id -2 in basic rule is not positive"),
+        "negative-literal": (FormatError, 1, "atom id -4 in basic rule is not positive"),
+        "duplicate-symbol": (FormatError, 5, "duplicate symbol entry for atom 2"),
+        "leading-zero-id": gp,
+        "zero-id": (FormatError, 5, "atom id 0 in symbol line is not positive"),
+        "no-rules-end": (FormatError, 2, "unexpected end of input, expected a rule line or 0"),
+        "long-number": (FormatError, 1, "expected a rule line or 0, got "
+                        + repr("1 2 2 1 4 " + "3" * 5000)),
+        "long-symbol-id": (FormatError, 5, f"malformed symbol line {'3' * 5000 + ' b'!r}"),
+    }
+    assert {name: _outcome(text) for name, text in _READER_CASES.items()} == want
+
+
+def test_bulk_and_checked_reads_agree(monkeypatch):
+    # The bulk readers must give what the line-by-line readers give: the same
+    # program, or the same FormatError class, line and message. Compared on
+    # the named cases and on seeded mutants of emitted files, of which about
+    # half take the bulk path for the rules, and more than a third for the
+    # symbols.
+    rng = random.Random(11)
+    makers = (lambda: gen.to_interchange(*gen.random_extended_source(rng)),
+              lambda: gen.random_normal_ground(rng),
+              lambda: gen.random_binary_constraint_ground(rng))
+    mutants = [gen.mutate_ground(rng, emit_ground_program(makers[i % 3]()))
+               for i in range(2000)]
+    texts = list(_READER_CASES.values()) + mutants
+    bulk = [_outcome(text) for text in texts]
+    bulk_reads = {"rules": 0, "symbols": 0}
+
+    def counted(name, reader):
+        def read(*args):
+            got = reader(*args)
+            bulk_reads[name] += got is not None
+            return got
+        return read
+
+    monkeypatch.setattr(ground_format, "_read_rules_bulk",
+                        counted("rules", ground_format._read_rules_bulk))
+    monkeypatch.setattr(ground_format, "_read_symbols_bulk",
+                        counted("symbols", ground_format._read_symbols_bulk))
+    for text in mutants:
+        _outcome(text)
+    assert bulk_reads == {"rules": 1046, "symbols": 779}
+    monkeypatch.setattr(ground_format, "_read_rules_bulk", lambda text, lines: None)
+    monkeypatch.setattr(ground_format, "_read_symbols_bulk", lambda lines, lineno: None)
+    checked = [_outcome(text) for text in texts]
+    for text, b, c in zip(texts, bulk, checked):
+        assert b == c, text
