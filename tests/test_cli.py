@@ -415,14 +415,14 @@ def test_source_mutants_end_in_a_documented_exit_code(run, tmp_path):
         write(tmp_path, "m.lp", gen.mutate_source(rng, source))
         code, out, err = run(["run", path, "3"])
         codes[code] += 1
+        lines = err.splitlines()
+        assert all(line.startswith(f"{path}:") for line in lines)
         if code in (0, 1):
             assert out.endswith("True\n" if code == 0 else "False\n")
         else:
             # 2 input, 3 semantic and 4 arithmetic errors; a semantic check
             # may report several rules, one line each.
-            assert code in (2, 3, 4) and out == ""
-            lines = err.splitlines()
-            assert lines and all(line.startswith(f"{path}:") for line in lines)
+            assert code in (2, 3, 4) and out == "" and lines
             assert len(lines) == 1 or code == 3
     assert codes == {0: 57, 1: 9, 2: 306, 3: 28}
 
