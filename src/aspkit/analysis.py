@@ -99,12 +99,10 @@ def strongly_connected_components(adj, first=0):
         index[root] = low[root] = counter
         stack.append(root)
         on_stack[root] = True
-        work = [(root, 0)]
+        work = [(root, iter(adj[root]))]  # each node with its unvisited edges
         while work:
-            node, i = work[-1]
-            if i < len(adj[node]):
-                work[-1] = (node, i + 1)
-                dep = adj[node][i]
+            node, deps = work[-1]
+            for dep in deps:
                 if dep < first:
                     continue
                 if not index[dep]:
@@ -112,25 +110,25 @@ def strongly_connected_components(adj, first=0):
                     index[dep] = low[dep] = counter
                     stack.append(dep)
                     on_stack[dep] = True
-                    work.append((dep, 0))
-                elif on_stack[dep]:
-                    if index[dep] < low[node]:
-                        low[node] = index[dep]
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[node] < low[parent]:
-                    low[parent] = low[node]
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
-                out.append(comp)
+                    work.append((dep, iter(adj[dep])))
+                    break
+                if on_stack[dep] and index[dep] < low[node]:
+                    low[node] = index[dep]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+                if low[node] == index[node]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == node:
+                            break
+                    out.append(comp)
     return out
 
 

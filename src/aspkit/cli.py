@@ -21,7 +21,7 @@ import sys
 
 from .ground_format import FormatError, emit_ground_program, parse_ground_program
 from .grounding import ArithmeticEvalError, GroundingError, ground_text
-from .lexer import LexError, read_text
+from .lexer import INT64_MAX, INT64_MIN, LexError, read_text
 from .parser import ParseError
 from .pipeline import (
     GroundOptions,
@@ -104,15 +104,26 @@ def _ground_options(args):
         m = _CONST_RE.match(item)
         if not m:
             raise _UsageError(f"bad constant binding '{item}', expected name=integer")
-        consts[m.group(1)] = int(m.group(2))
+        value = _int(m.group(2), f"constant {m.group(1)}")
+        if not INT64_MIN <= value <= INT64_MAX:
+            raise _UsageError(f"constant {m.group(1)} out of 64-bit range")
+        consts[m.group(1)] = value
     return GroundOptions(constants=consts, domain_mode=args.domain_mode,
                          lint=args.lint)
+
+
+def _int(digits, what):
+    """int(digits), or a usage error when it has more digits than int() reads."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise _UsageError(f"{what} has too many digits") from None
 
 
 def _split_count(inputs):
     """Peel a trailing integer model count off a positional list."""
     if inputs and _INT_RE.match(inputs[-1]):
-        count = int(inputs[-1])
+        count = _int(inputs[-1], "model count")
         if count < 0:
             raise _UsageError("model count must be nonnegative")
         return inputs[:-1], count

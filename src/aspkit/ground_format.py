@@ -45,7 +45,9 @@ class GroundProgram:
     compute_true: tuple  # B+ atom ids
     compute_false: tuple # B- atom ids (includes the falsity atom)
     models: int
-    # the largest atom id, set by compact_atom_ids, which has counted them
+    # k when the program uses exactly the atom ids 1..k (dense ids); set
+    # only by compact_atom_ids, which has counted them, and by the grounder,
+    # which numbers atoms densely. None: not known, as for a parsed file.
     n_atoms: int = field(default=None, compare=False, repr=False)
 
     def atom_ids(self):
@@ -65,8 +67,11 @@ def compact_atom_ids(gp):
     plus the falsity atom) 1..k in their original order, so that arrays
     indexed by atom id grow with the program rather than with its largest
     id. Returns (program, ids) with ids[i] the original id of atom i, or
-    (a copy of gp, None) when `gp` already uses exactly 1..k. Either
-    program knows its atom count k, so atom_count() scans nothing."""
+    (gp or a copy of it, None) when `gp` already uses exactly 1..k. Either
+    program knows its atom count k, so atom_count() scans nothing; a `gp`
+    that already knows it is not scanned either."""
+    if gp.n_atoms is not None:
+        return gp, None
     used = gp.atom_ids()
     k = len(used)
     if max(used) == k:

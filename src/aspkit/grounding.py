@@ -11,11 +11,10 @@ Comparisons drive the join where they can. When a comparison binds a
 variable first bound by a join literal against an already bound term that
 evaluates to an integer, `V == expr` selects that literal's rows by index
 lookup and `V < expr`, `V <= expr`, `V > expr`, `V >= expr` by a bisect
-range over the integer column, instead of filtering every row. The
-comparisons still run as filters on the selected rows, the rows come back
-in the extension's insertion order, and any case where selecting could
-skip a row that filtering would have raised an error on falls back to
-filtering; so instance order, output bytes and errors do not depend on
+range over the integer column, instead of filtering every row. The rows
+come back in the extension's insertion order, and any case where selecting
+could skip a row that filtering would have raised an error on falls back
+to filtering; so instance order, output bytes and errors do not depend on
 it. Terms, checks and atom names are compiled once per rule into closures.
 """
 
@@ -410,10 +409,12 @@ class _Step:
     so the rows that survive the checks, their order and every error are
     those of scanning the unnarrowed rows; when a bound term fails to
     evaluate, an ordering bound is not an int or the column holds a
-    non-int, the step scans the unnarrowed rows instead.
+    non-int, the step scans the unnarrowed rows instead. A driving
+    comparison is not re-checked on the rows it selected: it holds, and
+    cannot raise, on each of them.
     """
     __slots__ = ("ext", "key_positions", "key_row", "outs", "intra", "checks",
-                 "eq_positions", "eq_row", "range_col", "ranges")
+                 "undriven", "eq_positions", "eq_row", "range_col", "ranges")
 
     def __init__(self, ext, key_positions, key_terms, outs, intra, loc):
         self.ext = ext
@@ -451,16 +452,18 @@ class _Step:
             # an error evaluating these only selects the unnarrowed rows
             self.eq_row = _compile_row([term for _, term in eq], None)
         self.ranges = tuple(ranges)
+        self.undriven = self.checks[len(eq) + len(ranges):]  # the checks after them
 
     def rows(self, binding):
+        """(rows to join, checks to run on each of them)."""
         key = self.key_row(binding)
         if self.eq_row or self.ranges:
             rows = self._driven(binding, key)
             if rows is not None:
-                return rows
+                return rows, self.undriven
         if self.key_positions:
-            return self.ext.index(self.key_positions).get(key, ())
-        return self.ext.rows
+            return self.ext.index(self.key_positions).get(key, ()), self.checks
+        return self.ext.rows, self.checks
 
     def _driven(self, binding, key):
         """Rows the driving comparisons admit, in insertion order, or None."""
@@ -585,8 +588,8 @@ class _Plan:
         last = depth + 1 == len(self.steps)
         intra = step.intra
         outs = step.outs
-        checks = step.checks
-        for row in step.rows(binding):
+        rows, checks = step.rows(binding)
+        for row in rows:
             if intra and any(row[i] != row[j] for i, j in intra):
                 continue
             nb = binding.copy()
@@ -739,7 +742,7 @@ def evaluate_domain_predicates(program, analysis):
                     checks.append(_comparison_entry(b.atom))
                 elif b.conditions:
                     exp = _ElementExpander(b, None, globals_, exts, rule.loc)
-                    used = atom_vars(b.atom) | atom_vars_of(b.conditions)
+                    used = atom_vars(b.atom).union(*map(atom_vars, b.conditions))
                     checks.append((frozenset(used & globals_),
                                    _conditional_truth(exp, exts), None))
                 elif b.positive:
@@ -760,13 +763,6 @@ def _comparison_entry(comp):
 
 def _absent_entry(atom, ext):
     return frozenset(atom_vars(atom)), _absent_check(atom, ext), None
-
-
-def atom_vars_of(atoms):
-    out = set()
-    for a in atoms:
-        atom_vars(a, out)
-    return out
 
 
 # -- rule instantiation ---------------------------------------------------------

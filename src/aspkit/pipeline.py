@@ -67,7 +67,9 @@ def _ground(program, opts):
         symbols=dict(result.table.named_items()),
         compute_true=result.compute_true,
         compute_false=(FALSITY,) + result.compute_false,
-        models=1)
+        models=1,
+        # ids 2..k are dense: each is a named atom or the head of an aux rule
+        n_atoms=len(result.table) + 1)
     return Grounded(gp, result, warnings, lint_notes)
 
 

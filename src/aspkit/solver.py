@@ -108,15 +108,12 @@ class _ConflictSignal(Exception):
         super().__init__(f"conflict on atom {atom}")
 
 
-def _nontrivial_sccs(defs, *bodies):
-    """Strongly connected components of size > 1 (or with a self-loop)
-    among atoms 2..n, sorted, of the graph in which an atom depends on the
-    atoms that `bodies` (per-rule atom lists) give for the rules in its
-    `defs` entry. Integrity constraints, the rules defining atom 1, never
-    enter the graph."""
-    adj = [(), ()] + [[a for r in rs for body in bodies for a in body[r]] for rs in defs[2:]]
-    return sorted(sorted(comp) for comp in strongly_connected_components(adj, first=2)
-                  if len(comp) > 1 or comp[0] in adj[comp[0]])
+def _cyclic_sccs(adj, first=0):
+    """The strongly connected components of `adj` (see
+    `strongly_connected_components`) of more than one node or with a
+    self-loop."""
+    return [comp for comp in strongly_connected_components(adj, first)
+            if len(comp) > 1 or comp[0] in adj[comp[0]]]
 
 
 class Solver:
@@ -216,17 +213,29 @@ class Solver:
 
         self.compute_true = gp.compute_true
         self.compute_false = gp.compute_false
-        self._setup_sccs()
-        self._setup_branch_order(nonbasic)
+        # The one pass over the full dependency graph, in which an atom
+        # depends on the atoms of the bodies of its defining rules. Integrity
+        # constraints, the rules defining atom 1, never enter it.
+        full = _cyclic_sccs([(), ()] + [[a for r in rs for body in (pos, neg) for a in body[r]]
+                                        for rs in defs[2:]], first=2)
+        self._setup_sccs(full)
+        self._setup_branch_order(nonbasic, full)
 
     # -- static structure -------------------------------------------------------
 
-    def _setup_sccs(self):
+    def _setup_sccs(self, full):
         """Nontrivial SCCs of the positive dependency graph, for ATMOST: the
         table an unfounded-set run reads, and the SCCs whose rules each
-        atom's value can shrink."""
+        atom's value can shrink. Each lies inside one of `full`, the
+        nontrivial SCCs of the full graph, which setup finds in its one full
+        pass; so only their atoms and the positive edges among them are
+        searched, and nothing when `full` is empty."""
         n = self.n_atoms
-        sccs = _nontrivial_sccs(self.defs, self.pos)
+        atoms = sorted(a for comp in full for a in comp)
+        local = {a: i for i, a in enumerate(atoms)}
+        adj = [[local[b] for r in self.defs[a] for b in self.pos[r] if b in local]
+               for a in atoms]
+        sccs = sorted(sorted(atoms[i] for i in comp) for comp in _cyclic_sccs(adj))
         self.scc_atoms = sccs
         self.scc_of = scc_of = [-1] * (n + 1)
         self.scc_tables = []
@@ -255,17 +264,15 @@ class Solver:
             self.scc_tables.append((rules, bounds, inside, inheads, watch))
         self._dirty = set(range(len(sccs)))
 
-    def _setup_branch_order(self, nonbasic):
+    def _setup_branch_order(self, nonbasic, full):
         """Branch on the heads of choice, cardinality and weight rules and
         on negative literals, of counted rules or two-literal constraints,
-        that sit on a dependency cycle; everything else follows by
-        propagation. With no negative literal there is no cycle to look
-        for."""
+        that sit on a dependency cycle, one of `full`, the nontrivial SCCs
+        that setup's one full pass found; everything else follows by
+        propagation."""
         order = set(nonbasic)
         occ_neg, imp_false = self.occ_neg, self.imp_false
-        if any(occ_neg[2:]) or any(imp_false[2:]):
-            order.update(a for comp in _nontrivial_sccs(self.defs, self.pos, self.neg)
-                         for a in comp if occ_neg[a] or imp_false[a])
+        order.update(a for comp in full for a in comp if occ_neg[a] or imp_false[a])
         order.discard(FALSITY)
         self.branch_order = sorted(order)
 

@@ -115,6 +115,45 @@ def random_extended_source(rng, max_atoms=8):
     return grules, table
 
 
+def random_aggregate_program(rng):
+    """Ground rules over 30 to 60 atoms that keep few stable models, for
+    differentials beyond the brute-force cap. Choose-one groups open up to
+    a dozen atoms; every other atom gets one or two rules whose bodies mix
+    literals, negative ones included, with cardinality and weight
+    aggregates over any atoms, so recursion through aggregates occurs; a
+    few integrity constraints prune. Returns (grules, table)."""
+    table = SymbolTable()
+    atoms = [table.intern(f"p{i}") for i in range(1, rng.randint(30, 60) + 1)]
+
+    def literal():
+        a = rng.choice(atoms)
+        return a if rng.random() < 0.75 else -a
+
+    def aggregate():
+        weighted = rng.random() < 0.5
+        elements = tuple((literal(), rng.randint(-2, 3) if weighted else 1)
+                         for _ in range(rng.randint(2, 5)))
+        total = max(1, sum(abs(w) for _, w in elements))
+        upper = rng.randint(1, total) if rng.random() < 0.3 else None
+        return GAgg(weighted, rng.randint(1, total), upper, elements)
+
+    def body(size):
+        return tuple(aggregate() if rng.random() < 0.4 else literal() for _ in range(size))
+
+    grules = []
+    opened = 0
+    for _ in range(rng.randint(2, 4)):
+        group = atoms[opened:opened + rng.randint(2, 3)]
+        opened += len(group)
+        grules.append(GRule(None, GAgg(False, 1, 1, tuple((a, 1) for a in group)), ()))
+    for head in atoms[opened:]:
+        for _ in range(rng.randint(1, 2)):
+            grules.append(GRule(head, None, body(rng.randint(1, 3))))
+    for _ in range(rng.randint(1, 4)):
+        grules.append(GRule(FALSITY, None, body(2)))
+    return grules, table
+
+
 def to_interchange(grules, table):
     """Translate source rules and wrap them for the solver."""
     rules = translate_program(grules, table)

@@ -1,8 +1,11 @@
+import random
+
 from aspkit.analysis import (
     build_dependency_graph,
     check_domain_restriction,
     classify_domain_predicates,
     lint,
+    strongly_connected_components,
 )
 from aspkit.grounding import desugar_program
 from aspkit.parser import parse_text, substitute_constants
@@ -112,3 +115,105 @@ def test_lint_flags_singleton_variable():
     program, _ = analyze("d(1..2). p(X) :- d(X), d(Y).")
     notes = lint(program)
     assert any("'Y' occurs only once" in n.message for n in notes)
+
+
+# -- strongly connected components ----------------------------------------------
+
+def reference_sccs(adj, first=0):
+    """The SCC routine as it was before it kept one iterator per node: one
+    (node, edge index) tuple per edge step. Kept to pin the order."""
+    n = len(adj)
+    index = [0] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    counter = 0
+    out = []
+    for root in range(first, n):
+        if index[root]:
+            continue
+        counter += 1
+        index[root] = low[root] = counter
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, 0)]
+        while work:
+            node, i = work[-1]
+            if i < len(adj[node]):
+                work[-1] = (node, i + 1)
+                dep = adj[node][i]
+                if dep < first:
+                    continue
+                if not index[dep]:
+                    counter += 1
+                    index[dep] = low[dep] = counter
+                    stack.append(dep)
+                    on_stack[dep] = True
+                    work.append((dep, 0))
+                elif on_stack[dep]:
+                    if index[dep] < low[node]:
+                        low[node] = index[dep]
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                if low[node] < low[parent]:
+                    low[parent] = low[node]
+            if low[node] == index[node]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == node:
+                        break
+                out.append(comp)
+    return out
+
+
+def reachable(adj, first, start):
+    seen = {start}
+    todo = [start]
+    while todo:
+        for dep in adj[todo.pop()]:
+            if dep >= first and dep not in seen:
+                seen.add(dep)
+                todo.append(dep)
+    return seen
+
+
+def random_cyclic_graph(rng):
+    """Adjacency lists over 0..n-1 with a few planted cycles, self-loops,
+    repeated edges and edges to nodes below a random `first`."""
+    n = rng.randint(1, 14)
+    adj = [[] for _ in range(n)]
+    for _ in range(rng.randint(0, 3 * n)):
+        adj[rng.randrange(n)].append(rng.randrange(n))
+    for _ in range(rng.randint(0, 2)):
+        cycle = rng.sample(range(n), rng.randint(1, n))
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            adj[a].append(b)
+    for edges in adj:
+        rng.shuffle(edges)
+    return adj, rng.choice([0, 0, rng.randrange(n)])
+
+
+def test_sccs_are_reachability_classes_in_dependency_order():
+    rng = random.Random(5)
+    cyclic = self_loops = above_zero = 0
+    for _ in range(3000):
+        adj, first = random_cyclic_graph(rng)
+        comps = strongly_connected_components(adj, first)
+        assert comps == reference_sccs(adj, first)
+        assert sorted(a for comp in comps for a in comp) == list(range(first, len(adj)))
+        reach = {a: reachable(adj, first, a) for a in range(first, len(adj))}
+        where = {a: ci for ci, comp in enumerate(comps) for a in comp}
+        for a in reach:
+            assert {b for b in reach if a in reach[b] and b in reach[a]} == set(comps[where[a]])
+            for b in adj[a]:
+                if b >= first:
+                    assert where[b] <= where[a]
+        cyclic += any(len(comp) > 1 for comp in comps)
+        self_loops += any(a in adj[a] for a in reach)
+        above_zero += first > 0
+    assert cyclic >= 1500 and self_loops >= 1000 and above_zero >= 500

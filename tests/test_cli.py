@@ -129,6 +129,38 @@ def test_ground_bad_constant_syntax(run, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("value, message", [
+    ("9223372036854775808", "constant n out of 64-bit range"),
+    ("-9223372036854775809", "constant n out of 64-bit range"),
+    ("1" + "0" * 40, "constant n out of 64-bit range"),
+    ("9" * 5000, "constant n has too many digits"),
+])
+def test_constant_outside_64_bits_is_a_usage_error(run, tmp_path, value, message):
+    src = write(tmp_path, "p.lp", "p(n).")
+    for command in ("ground", "run"):
+        assert run([command, "-c", f"n={value}", src]) == (1, "", f"aspkit: error: {message}\n")
+
+
+@pytest.mark.parametrize("value", ["9223372036854775807", "-9223372036854775808"])
+def test_constant_at_the_64_bit_limits_is_accepted(run, tmp_path, value):
+    src = write(tmp_path, "p.lp", "p(n).")
+    code, out, err = run(["run", "-c", f"n={value}", src])
+    assert (code, err) == (0, "")
+    assert f"Stable Model: p({value})\n" in out
+
+
+def test_model_count_of_too_many_digits_is_a_usage_error(run, tmp_path):
+    src = write(tmp_path, "p.lp", "p.")
+    ground = write(tmp_path, "p.sm", run(["ground", src])[1])
+    count = "9" * 5000
+    want = (1, "", "aspkit: error: model count has too many digits\n")
+    assert run(["run", src, count]) == want
+    assert run(["solve", ground, count]) == want
+    assert run(["solve", count], stdin=pathlib.Path(ground).read_text()) == want
+    # a count beyond 64 bits but within int()'s digits still means "all"
+    assert run(["run", src, "9" * 100])[0] == 0
+
+
 # -- solve --------------------------------------------------------------------
 
 def test_solve_reads_ground_file(run, tmp_path):

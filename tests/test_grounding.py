@@ -9,11 +9,12 @@ from aspkit.cli import main
 from aspkit.grounding import ArithmeticEvalError, GroundingError, eval_term
 from aspkit.ground_format import BasicRule
 from aspkit.oracle import naive_least_model
-from aspkit.parser import parse_text
+from aspkit.parser import ParseError, parse_text
 from aspkit.pipeline import (
     GroundOptions,
     SemanticError,
     SolveOptions,
+    ground_files,
     ground_text_input,
     solve_ground,
 )
@@ -274,8 +275,27 @@ CHAIN = "node(1..2000). edge(X,Y) :- node(X), node(Y), Y == X + 1.\n"
     (CHAIN, ("edge",)),
 ])
 def test_comparison_checks_stay_proportional_to_rows(monkeypatch, text, preds):
-    # A join that filters a cross product makes n * n checks; a driven one
-    # checks only the rows its comparisons admit.
+    # A join that filters a cross product makes n * n checks. Here every
+    # comparison drives its join, so none is run as a check at all: a
+    # driving comparison holds on every row it selected.
+    calls = count_comparison_checks(monkeypatch)
+    g = ground(text, domain_mode="none")
+    rows = sum(len(g.source.exts[(p, 2)]) for p in preds)
+    assert rows >= 1999
+    assert calls["checks"] == 0
+
+
+def test_comparison_that_falls_back_checks_every_row(monkeypatch):
+    # Column Y of d holds the symbol b, so `Y > X` cannot select by bisection:
+    # the step scans the rows of d(X, _) and checks each of its 3 * 3.
+    calls = count_comparison_checks(monkeypatch)
+    g = ground("e(1..3). d(X,Y) :- e(X), e(Y). d(a,b). p(X,Y) :- e(X), d(X,Y), Y > X.\n",
+               domain_mode="none")
+    assert sorted(g.source.exts[("p", 2)]) == [(1, 2), (1, 3), (2, 3)]
+    assert calls["checks"] == 9
+
+
+def count_comparison_checks(monkeypatch):
     calls = Counter()
     real = grounding._comparison_check
 
@@ -287,7 +307,28 @@ def test_comparison_checks_stay_proportional_to_rows(monkeypatch, text, preds):
             return check(binding)
         return wrapper
     monkeypatch.setattr(grounding, "_comparison_check", counted)
-    g = ground(text, domain_mode="none")
-    rows = sum(len(g.source.exts[(p, 2)]) for p in preds)
-    assert rows >= 1999
-    assert calls["checks"] <= 3 * rows
+    return calls
+
+
+# -- dense atom ids -----------------------------------------------------------
+
+def test_grounder_numbers_atoms_densely():
+    # The grounder sets n_atoms without a scan, so that compact_atom_ids
+    # need not scan either: it must be both the number of ids the program
+    # uses and the largest one.
+    programs = [("programs/ancestor.lp",), ("programs/graph.lp",), ("programs/knapsack.lp",),
+                ("programs/ncolor.lp", "programs/graph.lp"), ("programs/queens.lp",)]
+    grounded = [ground_files(files, GroundOptions(constants={"n": 5}, domain_mode=mode))
+                for files in programs for mode in ("keep", "none")]
+    rng = random.Random(17)
+    sources = [gen.comparison_program(rng)[0] for _ in range(150)]
+    sources += [gen.aggregate_source(rng) for _ in range(150)]
+    for i, text in enumerate(sources):
+        try:
+            grounded.append(ground(text, domain_mode=("keep", "none")[i % 2]))
+        except (GroundingError, ParseError, SemanticError):
+            pass
+    assert len(grounded) >= 210
+    for g in grounded:
+        ids = g.interchange.atom_ids()
+        assert g.interchange.n_atoms == len(ids) == max(ids)

@@ -11,7 +11,7 @@ from aspkit.ground_format import (
     WeightRule,
 )
 from aspkit.ground_format import parse_ground_program
-from aspkit.oracle import ComputeSpec, brute_force_models
+from aspkit.oracle import CapExceededError, ComputeSpec, brute_force_models, is_stable
 from aspkit.pipeline import GroundOptions, ground_files, ground_text_input
 from aspkit.solver import (
     FALSE,
@@ -293,6 +293,22 @@ def test_incremental_unfounded_sets_match_global_recompute():
         list(s.models())
         fixpoints += s.fixpoints
     assert fixpoints > 1000
+
+
+def test_aggregate_programs_beyond_the_brute_force_cap():
+    # Too many atoms for brute force: every model the checked solver finds
+    # must be stable, and a shuffled candidate order must find the same set.
+    rng = random.Random(71)
+    with_models = 0
+    for seed in range(12):
+        gp = gen.to_interchange(*gen.random_aggregate_program(rng))
+        with pytest.raises(CapExceededError):
+            brute_force_models(gp.rules)
+        models = sorted(CheckedSolver(gp).models())
+        assert all(is_stable(gp.rules, m) for m in models)
+        assert sorted(ShuffledSolver(gp, seed).models()) == models
+        with_models += bool(models)
+    assert with_models >= 8
 
 
 def test_two_literal_constraints_match_brute_force():
