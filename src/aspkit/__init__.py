@@ -3,7 +3,8 @@
 The front half turns logic programs with variables, ranges, and
 cardinality/weight constructs into a flat numeric ground format; the back
 half enumerates the stable models of such ground programs. A small oracle
-module re-derives everything slowly and independently, for checking.
+module re-derives everything slowly and independently, for checking; its
+names load on first use.
 """
 
 __version__ = "0.1.0"
@@ -35,16 +36,6 @@ from .ground_format import (
 )
 from .solver import Conflict, SolveStats, Solver
 from .wellfounded import well_founded
-from .oracle import (
-    CapExceededError,
-    ComputeSpec,
-    brute_force_models,
-    is_stable,
-    least_model,
-    reduct,
-    source_is_stable,
-    source_models,
-)
 from .pipeline import (
     Grounded,
     GroundOptions,
@@ -57,6 +48,27 @@ from .pipeline import (
     verify_model,
     well_founded_ground,
 )
+
+# Only `verify` and checking code need the oracle, so a process that grounds
+# or solves does not import it (PEP 562 module __getattr__).
+_ORACLE_NAMES = frozenset((
+    "CapExceededError",
+    "ComputeSpec",
+    "brute_force_models",
+    "is_stable",
+    "least_model",
+    "reduct",
+    "source_is_stable",
+    "source_models",
+))
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ArithmeticEvalError",

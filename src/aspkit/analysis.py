@@ -7,27 +7,27 @@ itself a domain predicate. Domain predicates are exactly what the grounder
 can evaluate bottom-up before instantiating the remaining rules.
 """
 
-from dataclasses import dataclass
-
 from .syntax import (
     Aggregate,
     Atom,
     Comparison,
     FuncApp,
     Literal,
-    Loc,
     Pool,
     Range,
     SymbolicConst,
     Variable,
 )
+from .records import Record
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    loc: Loc
-    severity: str
-    message: str
+class Diagnostic(Record):
+    __slots__ = ("loc", "severity", "message")
+
+    def __init__(self, loc, severity, message):
+        self.loc = loc
+        self.severity = severity
+        self.message = message
 
     def __str__(self):
         return f"{self.loc}: {self.severity}: {self.message}"
@@ -175,12 +175,15 @@ def build_dependency_graph(program):
     return g, demoted
 
 
-@dataclass
-class DomainAnalysis:
-    graph: DependencyGraph
-    domain: frozenset
-    defined: frozenset
-    demoted: frozenset
+class DomainAnalysis(Record):
+    __slots__ = ("graph", "domain", "defined", "demoted")
+    __hash__ = None
+
+    def __init__(self, graph, domain, defined, demoted):
+        self.graph = graph
+        self.domain = domain
+        self.defined = defined
+        self.demoted = demoted
 
 
 def defined_keys(program):

@@ -20,11 +20,11 @@ by line, with the same result.
 """
 
 import re
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import repeat
 
 from .primitives import BasicRule, ChoiceRule, ConstraintRule, WeightRule
+from .records import Record
 
 
 class FormatError(Exception):
@@ -38,17 +38,21 @@ class UnknownRuleTypeError(FormatError):
     pass
 
 
-@dataclass
-class GroundProgram:
-    rules: list
-    symbols: dict        # atom id -> name, in file order
-    compute_true: tuple  # B+ atom ids
-    compute_false: tuple # B- atom ids (includes the falsity atom)
-    models: int
-    # k when the program uses exactly the atom ids 1..k (dense ids); set
-    # only by compact_atom_ids, which has counted them, and by the grounder,
-    # which numbers atoms densely. None: not known, as for a parsed file.
-    n_atoms: int = field(default=None, compare=False, repr=False)
+class GroundProgram(Record):
+    __slots__ = ("rules", "symbols", "compute_true", "compute_false", "models", "n_atoms")
+    _uncompared = ("n_atoms",)
+    __hash__ = None
+
+    def __init__(self, rules, symbols, compute_true, compute_false, models, n_atoms=None):
+        self.rules = rules
+        self.symbols = symbols              # atom id -> name, in file order
+        self.compute_true = compute_true    # B+ atom ids
+        self.compute_false = compute_false  # B- atom ids (includes the falsity atom)
+        self.models = models
+        # k when the program uses exactly the atom ids 1..k (dense ids); set
+        # only by compact_atom_ids, which has counted them, and by the grounder,
+        # which numbers atoms densely. None: not known, as for a parsed file.
+        self.n_atoms = n_atoms
 
     def atom_ids(self):
         """Every atom id the program mentions, and the falsity atom."""
@@ -75,7 +79,8 @@ def compact_atom_ids(gp):
     used = gp.atom_ids()
     k = len(used)
     if max(used) == k:
-        return replace(gp, n_atoms=k), None
+        return GroundProgram(gp.rules, gp.symbols, gp.compute_true, gp.compute_false,
+                             gp.models, k), None
     ids = [0] + sorted(used)
     new = {a: i for i, a in enumerate(ids)}
 

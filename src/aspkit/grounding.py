@@ -21,7 +21,6 @@ it. Terms, checks and atom names are compiled once per rule into closures.
 import itertools
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 from .analysis import Diagnostic, atom_vars, term_vars
 from .lexer import INT64_MAX, INT64_MIN
@@ -957,13 +956,16 @@ def _intern_staged(head, body, table):
     return GRule(head_id, head_agg, tuple(out))
 
 
-@dataclass
-class GroundResult:
-    rules: list
-    table: SymbolTable
-    compute_true: tuple
-    compute_false: tuple
-    exts: dict
+class GroundResult(Record):
+    __slots__ = ("rules", "table", "compute_true", "compute_false", "exts")
+    __hash__ = None
+
+    def __init__(self, rules, table, compute_true, compute_false, exts):
+        self.rules = rules
+        self.table = table
+        self.compute_true = compute_true
+        self.compute_false = compute_false
+        self.exts = exts
 
 
 def _first_definition_order(program, domain):
@@ -1060,7 +1062,7 @@ def grule_source(rule, table):
         _gagg_source(b, table) if isinstance(b, GAgg) else _glit_source(b, table)
         for b in rule.body)
     if not body:
-        return f"{head}." if head else ":- ."
+        return f"{head}." if head else ":- 1 == 1."  # ":- ." would not parse
     if not head:
         return f":- {body}."
     return f"{head} :- {body}."

@@ -4,7 +4,7 @@ Tokens carry 1-based line/column positions. `%` starts a comment running to
 end of line. Integer literals are unsigned here; the parser folds unary minus.
 """
 
-from dataclasses import dataclass
+from .records import Record
 
 INT64_MAX = 2**63 - 1
 INT64_MIN = -(2**63)
@@ -67,13 +67,15 @@ def read_text(fh, name):
         raise LexError(name, line, col, f"invalid UTF-8 byte 0x{data[e.start]:02x}") from None
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-    value: int | None = None  # integer tokens only
+class Token(Record):
+    __slots__ = ("kind", "text", "line", "col", "value")
+
+    def __init__(self, kind, text, line, col, value=None):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
+        self.value = value  # integer tokens only
 
 
 def tokenize(text, filename="<string>"):

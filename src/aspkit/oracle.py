@@ -15,10 +15,10 @@ Everything in this module favours obviousness over speed.
 """
 
 import itertools
-from dataclasses import dataclass
 
 from .grounding import FALSITY, GAgg
 from .primitives import BasicRule, ChoiceRule, ConstraintRule, WeightRule
+from .records import Record
 from . import syntax
 
 
@@ -26,16 +26,13 @@ class CapExceededError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ComputeSpec:
+class ComputeSpec(Record):
     """Search control: atoms forced true or false."""
+    __slots__ = ("required_true", "required_false")
 
-    required_true: frozenset = frozenset()
-    required_false: frozenset = frozenset()
-
-    def __post_init__(self):
-        object.__setattr__(self, "required_true", frozenset(self.required_true))
-        object.__setattr__(self, "required_false", frozenset(self.required_false))
+    def __init__(self, required_true=frozenset(), required_false=frozenset()):
+        self.required_true = frozenset(required_true)
+        self.required_false = frozenset(required_false)
         if self.required_true & self.required_false:
             raise ValueError("an atom is required both true and false")
 

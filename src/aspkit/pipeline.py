@@ -5,14 +5,12 @@ domain restriction -> instantiate -> translate to primitive rules ->
 interchange format, and on the other side interchange -> search.
 """
 
-from dataclasses import dataclass, field
-
 from . import analysis
-from . import oracle
 from .ground_format import GroundProgram, compact_atom_ids
 from .grounding import FALSITY, desugar_program, ground_program
 from .parser import parse_files, parse_text, substitute_constants
 from .primitives import ChoiceRule, translate_program
+from .records import Record
 from .solver import Solver
 from .wellfounded import well_founded
 
@@ -30,24 +28,33 @@ class VerifyError(Exception):
     pass
 
 
-@dataclass
-class GroundOptions:
-    constants: dict = field(default_factory=dict)
-    domain_mode: str = "keep"
-    lint: bool = False
+class GroundOptions(Record):
+    __slots__ = ("constants", "domain_mode", "lint")
+    __hash__ = None
+
+    def __init__(self, constants=None, domain_mode="keep", lint=False):
+        self.constants = {} if constants is None else constants
+        self.domain_mode = domain_mode
+        self.lint = lint
 
 
-@dataclass
-class SolveOptions:
-    model_count: int = None      # None: use the count stored in the file
+class SolveOptions(Record):
+    __slots__ = ("model_count",)
+    __hash__ = None
+
+    def __init__(self, model_count=None):
+        self.model_count = model_count  # None: use the count stored in the file
 
 
-@dataclass
-class Grounded:
-    interchange: GroundProgram
-    source: object               # GroundResult, for text output and oracles
-    warnings: list
-    lint_notes: list
+class Grounded(Record):
+    __slots__ = ("interchange", "source", "warnings", "lint_notes")
+    __hash__ = None
+
+    def __init__(self, interchange, source, warnings, lint_notes):
+        self.interchange = interchange  # GroundProgram
+        self.source = source            # GroundResult, for text output and oracles
+        self.warnings = warnings
+        self.lint_notes = lint_notes
 
 
 def _ground(program, opts):
@@ -168,6 +175,8 @@ def verify_model(gp, names, completion_cap=12):
     unambiguous; any that remain open are enumerated, up to 2**completion_cap
     combinations.
     """
+    from . import oracle  # only verify needs the reference semantics
+
     gp = compact_atom_ids(gp)[0]
     by_name = {}
     for i, n in gp.symbols.items():

@@ -1,10 +1,17 @@
-"""Light value records for ground rules.
+"""Light value records.
 
-The grounder, the translator and the ground-format reader each build one
+Every value class in aspkit is a Record: the AST nodes, tokens,
+diagnostics, rule records, ground programs, statistics and options. The
+grounder, the translator and the ground-format reader each build one
 record per ground rule, so construction cost counts. A frozen dataclass
 sets every field through object.__setattr__; a Record subclass lists its
 fields in __slots__ and assigns them in a plain __init__, which builds
-several times faster. Fields are never reassigned after construction.
+several times faster, and no module needs to import `dataclasses`.
+
+A subclass may name fields in `_uncompared`: they are kept and shown by
+repr but left out of == and hash, as source locations are. A subclass
+whose fields change after construction sets `__hash__ = None`. The others
+never reassign a field after construction.
 """
 
 from operator import attrgetter
@@ -16,10 +23,12 @@ class Record:
     fields, never a tuple or a record of another type."""
 
     __slots__ = ()
+    _uncompared = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._values = property(attrgetter(*cls.__slots__))
+        compared = [f for f in cls.__slots__ if f not in cls._uncompared]
+        cls._values = property(attrgetter(*compared))
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -70,7 +70,6 @@ dense: `pipeline` renumbers a program's atoms before it builds a Solver.
 """
 
 import sys
-from dataclasses import dataclass
 
 from .analysis import strongly_connected_components
 from .grounding import FALSITY
@@ -82,24 +81,32 @@ from .primitives import (
     WeightRule,
     normalize_weight_elements,
 )
+from .records import Record
 
 UNKNOWN, TRUE, FALSE = 0, 1, 2
 _LIVE = sys.maxsize  # dead[r] of a rule that can still fire: above every trail index
 
 
-@dataclass(frozen=True)
-class Conflict:
-    atom: int
+class Conflict(Record):
+    __slots__ = ("atom",)
+
+    def __init__(self, atom):
+        self.atom = atom
 
 
-@dataclass
-class SolveStats:
-    decisions: int = 0
-    conflicts: int = 0
-    propagations: int = 0
-    probes: int = 0           # every lookahead probe, one literal each
-    failed_literals: int = 0  # literals forced because a probe failed
-    unfounded_runs: int = 0   # unfounded-set runs, one SCC each
+class SolveStats(Record):
+    __slots__ = ("decisions", "conflicts", "propagations", "probes",
+                 "failed_literals", "unfounded_runs")
+    __hash__ = None
+
+    def __init__(self, decisions=0, conflicts=0, propagations=0, probes=0,
+                 failed_literals=0, unfounded_runs=0):
+        self.decisions = decisions
+        self.conflicts = conflicts
+        self.propagations = propagations
+        self.probes = probes                    # every lookahead probe, one literal each
+        self.failed_literals = failed_literals  # literals forced because a probe failed
+        self.unfounded_runs = unfounded_runs    # unfounded-set runs, one SCC each
 
 
 class _ConflictSignal(Exception):

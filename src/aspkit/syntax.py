@@ -1,12 +1,12 @@
 """AST for the input rule language.
 
-Terms, literals, aggregates, rules and programs are immutable dataclasses.
-Source locations ride along on the nodes that need them for diagnostics but
-are excluded from structural equality, so parse -> print -> parse round-trips
-compare equal.
+Terms, literals, aggregates, rules and programs are immutable records
+(`records.Record`). Source locations ride along on the nodes that need them
+for diagnostics but are excluded from structural equality, so
+parse -> print -> parse round-trips compare equal.
 """
 
-from dataclasses import dataclass, field
+from .records import Record
 
 ARITH_OPS = ("+", "-", "*", "/", "mod")
 COMPARISON_OPS = ("==", "!=", "<", "<=", ">", ">=")
@@ -18,71 +18,82 @@ _MUL_LEVEL = 2
 _UNARY_LEVEL = 3
 
 
-@dataclass(frozen=True)
-class Loc:
-    file: str
-    line: int
-    col: int
+class Loc(Record):
+    __slots__ = ("file", "line", "col")
+
+    def __init__(self, file, line, col):
+        self.file = file
+        self.line = line
+        self.col = col
 
     def __str__(self):
         return f"{self.file}:{self.line}:{self.col}"
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
+class Variable(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
 
     def to_source(self):
         return self.name
 
 
-@dataclass(frozen=True)
-class SymbolicConst:
-    name: str
+class SymbolicConst(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
 
     def to_source(self):
         return self.name
 
 
-@dataclass(frozen=True)
-class Integer:
-    value: int
+class Integer(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
 
     def to_source(self):
         return str(self.value)
 
 
-@dataclass(frozen=True)
-class Range:
+class Range(Record):
     """Inclusive integer range, argument positions only (e.g. d(1..8))."""
+    __slots__ = ("lo", "hi")
 
-    lo: "Term"
-    hi: "Term"
+    def __init__(self, lo, hi):
+        self.lo = lo
+        self.hi = hi
 
     def to_source(self):
         return f"{term_source(self.lo)}..{term_source(self.hi)}"
 
 
-@dataclass(frozen=True)
-class Pool:
+class Pool(Record):
     """Alternative terms at one argument position (e.g. node(a; b; c))."""
+    __slots__ = ("members",)
 
-    members: tuple
+    def __init__(self, members):
+        self.members = members
 
     def to_source(self):
         return "; ".join(term_source(m) for m in self.members)
 
 
-@dataclass(frozen=True)
-class FuncApp:
+class FuncApp(Record):
     """Built-in arithmetic application; op in ARITH_OPS or "abs".
 
     Unary minus is FuncApp("-", (x,)); the parser folds it on integer
     literals so plain negative numbers stay Integer nodes.
     """
+    __slots__ = ("op", "args")
 
-    op: str
-    args: tuple
+    def __init__(self, op, args):
+        self.op = op
+        self.args = args
 
     def to_source(self):
         return _func_source(self, 0, False)
@@ -125,11 +136,14 @@ def term_source(t):
     return _func_source(t, 0, False)
 
 
-@dataclass(frozen=True)
-class Atom:
-    pred: str
-    args: tuple = ()
-    loc: Loc | None = field(default=None, compare=False)
+class Atom(Record):
+    __slots__ = ("pred", "args", "loc")
+    _uncompared = ("loc",)
+
+    def __init__(self, pred, args=(), loc=None):
+        self.pred = pred
+        self.args = args
+        self.loc = loc
 
     def key(self):
         return (self.pred, len(self.args))
@@ -140,31 +154,34 @@ class Atom:
         return f"{self.pred}({','.join(term_source(a) for a in self.args)})"
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(Record):
     """Built-in comparison between two terms; always positive polarity."""
+    __slots__ = ("lhs", "op", "rhs", "loc")
+    _uncompared = ("loc",)
 
-    lhs: Term
-    op: str
-    rhs: Term
-    loc: Loc | None = field(default=None, compare=False)
+    def __init__(self, lhs, op, rhs, loc=None):
+        self.lhs = lhs
+        self.op = op
+        self.rhs = rhs
+        self.loc = loc
 
     def to_source(self):
         return f"{term_source(self.lhs)} {self.op} {term_source(self.rhs)}"
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(Record):
     """An atom or comparison with polarity and optional conditions.
 
     A non-empty `conditions` tuple makes this a conditional literal
     (a(X):d(X)); conditions are atoms over domain predicates, checked by
     domain analysis.  Comparisons never carry `not` or conditions.
     """
+    __slots__ = ("positive", "atom", "conditions")
 
-    positive: bool
-    atom: Atom | Comparison
-    conditions: tuple = ()
+    def __init__(self, positive, atom, conditions=()):
+        self.positive = positive
+        self.atom = atom
+        self.conditions = conditions
 
     def to_source(self):
         s = self.atom.to_source()
@@ -173,10 +190,12 @@ class Literal:
         return s if self.positive else f"not {s}"
 
 
-@dataclass(frozen=True)
-class AggregateElem:
-    literal: Literal
-    weight: Term | None = None
+class AggregateElem(Record):
+    __slots__ = ("literal", "weight")
+
+    def __init__(self, literal, weight=None):
+        self.literal = literal
+        self.weight = weight
 
     def to_source(self):
         s = self.literal.to_source()
@@ -185,20 +204,22 @@ class AggregateElem:
         return s
 
 
-@dataclass(frozen=True)
-class Aggregate:
+class Aggregate(Record):
     """Cardinality ({...}) or weight ([...]) aggregate with optional bounds.
 
     Serves both as a rule head (choice with bounds; element literals must be
     positive atoms) and as a body element.  Missing lower bound means 0,
     missing upper bound means unbounded.
     """
+    __slots__ = ("weighted", "lower", "elements", "upper", "loc")
+    _uncompared = ("loc",)
 
-    weighted: bool
-    lower: Term | None
-    elements: tuple
-    upper: Term | None
-    loc: Loc | None = field(default=None, compare=False)
+    def __init__(self, weighted, lower, elements, upper, loc=None):
+        self.weighted = weighted
+        self.lower = lower
+        self.elements = elements
+        self.upper = upper
+        self.loc = loc
 
     def to_source(self):
         o, c = ("[", "]") if self.weighted else ("{", "}")
@@ -216,11 +237,14 @@ BodyElem = Literal | Aggregate
 Head = Atom | Aggregate | None  # None: integrity constraint
 
 
-@dataclass(frozen=True)
-class Rule:
-    head: Head
-    body: tuple = ()
-    loc: Loc | None = field(default=None, compare=False)
+class Rule(Record):
+    __slots__ = ("head", "body", "loc")
+    _uncompared = ("loc",)
+
+    def __init__(self, head, body=(), loc=None):
+        self.head = head  # Atom, Aggregate, or None for an integrity constraint
+        self.body = body
+        self.loc = loc
 
     def to_source(self):
         body = ", ".join(b.to_source() for b in self.body)
@@ -230,11 +254,13 @@ class Rule:
         return f"{head} :- {body}." if body else f"{head}."
 
 
-@dataclass(frozen=True)
-class Program:
-    rules: tuple = ()
-    compute: tuple | None = None       # literals; None when absent
-    const_decls: dict = field(default_factory=dict)  # name -> int
+class Program(Record):
+    __slots__ = ("rules", "compute", "const_decls")
+
+    def __init__(self, rules=(), compute=None, const_decls=None):
+        self.rules = rules
+        self.compute = compute  # literals; None when absent
+        self.const_decls = {} if const_decls is None else const_decls  # name -> int
 
     def to_source(self):
         lines = [f"#const {n} = {v}." for n, v in self.const_decls.items()]

@@ -12,6 +12,7 @@ import pytest
 import aspkit
 import gen
 from aspkit.cli import main
+from test_ground_bytes import INPUTS, ROOT
 
 # Subprocesses import the same aspkit as the suite, installed or not.
 SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -65,6 +66,45 @@ def test_ground_text_mode(run, tmp_path):
     code, out, err = run(["ground", "--text", src])
     assert code == 0
     assert "q(1)." in out and "q(2)." in out
+
+
+# The shipped programs with their options, without the generated instance.
+SHIPPED = [(files, extra) for files, extra in INPUTS.values() if files]
+
+
+def model_sets(out):
+    return sorted(sorted(line.split()[2:]) for line in out.splitlines()
+                  if line.startswith("Stable Model:"))
+
+
+def assert_text_runs_as_source(run, tmp_path, paths, extra, mode):
+    # `ground --text` output is source aspkit reads back: run on it gives
+    # the models and the exit code of run on the source. The text is
+    # ground, so it runs in keep mode; in none mode it already lacks the
+    # domain atoms that run on the source leaves out.
+    code, text, err = run(["ground", "--text", *extra, "-d", mode, *paths])
+    assert (code, err) == (0, "")
+    ground = write(tmp_path, "text.lp", text)
+    src_code, src_out, _ = run(["run", *extra, "-d", mode, *paths, "0"])
+    text_code, text_out, text_err = run(["run", ground, "0"])
+    assert text_err == ""
+    assert (text_code, model_sets(text_out)) == (src_code, model_sets(src_out))
+
+
+@pytest.mark.parametrize("mode", ["keep", "none"])
+@pytest.mark.parametrize("files, extra", SHIPPED, ids=lambda v: " ".join(v) or "-")
+def test_ground_text_of_shipped_programs_runs_as_source(run, tmp_path, files, extra, mode):
+    # graph.lp in none mode grounds a constraint whose body evaluated away.
+    assert_text_runs_as_source(run, tmp_path, [str(ROOT / f) for f in files], extra, mode)
+
+
+def test_ground_text_of_aggregate_sources_runs_as_source(run, tmp_path):
+    # gen.aggregate_source prints its rules with grule_source, as --text
+    # does, so each text must parse; empty-body constraints are common.
+    rng = random.Random(17)
+    for i in range(150):
+        src = write(tmp_path, "p.lp", gen.aggregate_source(rng))
+        assert_text_runs_as_source(run, tmp_path, [src], [], ("keep", "none")[i % 2])
 
 
 def test_ground_missing_file(run):
@@ -456,7 +496,7 @@ def test_source_mutants_end_in_a_documented_exit_code(run, tmp_path):
             # may report several rules, one line each.
             assert code in (2, 3, 4) and out == "" and lines
             assert len(lines) == 1 or code == 3
-    assert codes == {0: 57, 1: 9, 2: 306, 3: 28}
+    assert codes == {0: 61, 1: 22, 2: 286, 3: 30, 4: 1}
 
 
 # -- input that is not UTF-8 ----------------------------------------------------
@@ -518,3 +558,22 @@ def test_installed_script_runs():
         capture_output=True, text=True, env=SUBPROCESS_ENV)
     assert proc.returncode == 0
     assert "ground" in proc.stdout and "solve" in proc.stdout
+
+
+def test_cli_imports_neither_dataclasses_nor_the_oracle():
+    # Every process pays for what `import aspkit.cli` loads: value classes
+    # are records, not dataclasses, and only verify loads the oracle. The
+    # package's oracle names still resolve, on first use.
+    script = ("import sys, aspkit.cli\n"
+              "print(*[m for m in ('dataclasses', 'inspect', 'aspkit.oracle')"
+              " if m in sys.modules])\n"
+              "import aspkit\n"
+              "print(aspkit.is_stable.__module__, aspkit.ComputeSpec.__module__)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=SUBPROCESS_ENV)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "\naspkit.oracle aspkit.oracle\n"
+    for name in aspkit.__all__:
+        assert getattr(aspkit, name) is not None
+    with pytest.raises(AttributeError, match="no_such_name"):
+        aspkit.no_such_name
