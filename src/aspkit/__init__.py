@@ -1,120 +1,60 @@
 """aspkit: a two-stage grounder and stable-model solver.
 
-The front half turns logic programs with variables, ranges, and
-cardinality/weight constructs into a flat numeric ground format; the back
-half enumerates the stable models of such ground programs. A small oracle
-module re-derives everything slowly and independently, for checking; its
-names load on first use.
+Two halves, as lparse and smodels are two programs. The front end (lexer,
+syntax, parser, analysis, grounding, primitives) turns logic programs with
+variables, ranges, and cardinality/weight constructs into a flat numeric
+ground format; the back end (ground_format, solver, wellfounded) reads such
+ground programs and enumerates their stable models. Both import `shared`,
+which holds the primitive rule records, and the back end imports nothing of
+the front end, so `aspkit solve` never loads it. A small oracle module
+re-derives everything slowly and independently, for checking.
+
+Every public name below loads its module on first use (PEP 562 module
+__getattr__), so importing the package loads nothing else.
 """
 
 __version__ = "0.1.0"
 
-from .lexer import LexError
-from .parser import ParseError, parse_files, parse_text, substitute_constants
-from .analysis import classify_domain_predicates, check_domain_restriction, lint
-from .grounding import (
-    ArithmeticEvalError,
-    GroundingError,
-    UnboundConstantError,
-    desugar_program,
-    ground_program,
-    ground_text,
-)
-from .primitives import (
-    BasicRule,
-    ChoiceRule,
-    ConstraintRule,
-    UnsupportedRuleTypeError,
-    WeightRule,
-    translate_program,
-)
-from .ground_format import (
-    FormatError,
-    GroundProgram,
-    emit_ground_program,
-    parse_ground_program,
-)
-from .solver import Conflict, SolveStats, Solver
-from .wellfounded import well_founded
-from .pipeline import (
-    Grounded,
-    GroundOptions,
-    SemanticError,
-    SolveOptions,
-    VerifyError,
-    ground_files,
-    ground_text_input,
-    solve_ground,
-    verify_model,
-    well_founded_ground,
-)
-
-# Only `verify` and checking code need the oracle, so a process that grounds
-# or solves does not import it (PEP 562 module __getattr__).
-_ORACLE_NAMES = frozenset((
-    "CapExceededError",
-    "ComputeSpec",
-    "brute_force_models",
-    "is_stable",
-    "least_model",
-    "reduct",
-    "source_is_stable",
-    "source_models",
-))
+# Public name -> the module that defines it.
+_HOME = {
+    name: module
+    for module, names in (
+        ("shared", ("BasicRule", "ChoiceRule", "ConstraintRule", "LexError",
+                    "UnsupportedRuleTypeError", "WeightRule")),
+        ("parser", ("ParseError", "parse_files", "parse_text",
+                    "substitute_constants")),
+        ("analysis", ("check_domain_restriction", "classify_domain_predicates",
+                      "lint")),
+        ("grounding", ("ArithmeticEvalError", "GroundingError",
+                       "UnboundConstantError", "desugar_program",
+                       "ground_program", "ground_text")),
+        ("primitives", ("translate_program",)),
+        ("ground_format", ("FormatError", "GroundProgram",
+                           "emit_ground_program", "parse_ground_program")),
+        ("solver", ("Conflict", "SolveStats", "Solver")),
+        ("wellfounded", ("well_founded",)),
+        ("pipeline", ("Grounded", "GroundOptions", "SemanticError",
+                      "SolveOptions", "VerifyError", "ground_files",
+                      "ground_text_input", "solve_ground", "verify_model",
+                      "well_founded_ground")),
+        ("oracle", ("CapExceededError", "ComputeSpec", "brute_force_models",
+                    "is_stable", "least_model", "reduct", "source_is_stable",
+                    "source_models")),
+    )
+    for name in names
+}
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name):
-    if name in _ORACLE_NAMES:
-        from . import oracle
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value
 
 
-__all__ = [
-    "ArithmeticEvalError",
-    "BasicRule",
-    "CapExceededError",
-    "ChoiceRule",
-    "ComputeSpec",
-    "Conflict",
-    "ConstraintRule",
-    "FormatError",
-    "GroundOptions",
-    "GroundProgram",
-    "Grounded",
-    "GroundingError",
-    "LexError",
-    "ParseError",
-    "SemanticError",
-    "SolveOptions",
-    "SolveStats",
-    "Solver",
-    "UnboundConstantError",
-    "UnsupportedRuleTypeError",
-    "VerifyError",
-    "WeightRule",
-    "brute_force_models",
-    "check_domain_restriction",
-    "classify_domain_predicates",
-    "desugar_program",
-    "emit_ground_program",
-    "ground_files",
-    "ground_program",
-    "ground_text",
-    "ground_text_input",
-    "is_stable",
-    "least_model",
-    "lint",
-    "parse_files",
-    "parse_ground_program",
-    "parse_text",
-    "reduct",
-    "solve_ground",
-    "source_is_stable",
-    "source_models",
-    "substitute_constants",
-    "translate_program",
-    "verify_model",
-    "well_founded",
-    "well_founded_ground",
-]
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))

@@ -19,6 +19,7 @@ from .syntax import (
     Variable,
 )
 from .records import Record
+from .shared import strongly_connected_components
 
 
 class Diagnostic(Record):
@@ -74,62 +75,6 @@ class DependencyGraph:
         adj = [[self._index[dep] for dep in self._deps[key]] for key in self.nodes]
         return [tuple(self.nodes[i] for i in comp)
                 for comp in strongly_connected_components(adj)]
-
-
-def strongly_connected_components(adj, first=0):
-    """Tarjan's strongly connected components of the graph on nodes
-    first..len(adj)-1, where `adj[v]` lists the nodes v depends on; edges to
-    nodes below `first` are ignored.
-
-    Returns every component, each in stack-pop order, in Tarjan order:
-    a component comes after every component it depends on. Iterative, so
-    deep graphs do not hit the recursion limit.
-    """
-    n = len(adj)
-    index = [0] * n   # 0 = unvisited
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
-    counter = 0
-    out = []
-    for root in range(first, n):
-        if index[root]:
-            continue
-        counter += 1
-        index[root] = low[root] = counter
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, iter(adj[root]))]  # each node with its unvisited edges
-        while work:
-            node, deps = work[-1]
-            for dep in deps:
-                if dep < first:
-                    continue
-                if not index[dep]:
-                    counter += 1
-                    index[dep] = low[dep] = counter
-                    stack.append(dep)
-                    on_stack[dep] = True
-                    work.append((dep, iter(adj[dep])))
-                    break
-                if on_stack[dep] and index[dep] < low[node]:
-                    low[node] = index[dep]
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    if low[node] < low[parent]:
-                        low[parent] = low[node]
-                if low[node] == index[node]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
-                        if w == node:
-                            break
-                    out.append(comp)
-    return out
 
 
 def _literal_deps(lit, deps):

@@ -12,6 +12,10 @@ Exit codes for ground/run: 0 ok, 1 usage, 2 parse error, 3 semantic error,
 one model, 1 none, 2 malformed input; with --wfs, 1 when the well-founded
 model shows that no stable model exists, else 0. verify: 0 all models
 stable, 1 some model is not, 2 anything that prevented checking.
+
+Only ground and run load the front end (lexer, parser, analysis, grounder)
+and handle its errors (_grounds); solve and verify read the ground format
+without it.
 """
 
 import argparse
@@ -20,9 +24,6 @@ import re
 import sys
 
 from .ground_format import FormatError, emit_ground_program, parse_ground_program
-from .grounding import ArithmeticEvalError, GroundingError, ground_text
-from .lexer import INT64_MAX, INT64_MIN, LexError, read_text
-from .parser import ParseError
 from .pipeline import (
     GroundOptions,
     SemanticError,
@@ -34,7 +35,7 @@ from .pipeline import (
     well_founded_conflict,
     well_founded_ground,
 )
-from .primitives import UnsupportedRuleTypeError
+from .shared import LexError, UnsupportedRuleTypeError, read_text
 
 _CONST_RE = re.compile(r"^([a-z][A-Za-z0-9_]*)=(-?[0-9]+)$")
 _INT_RE = re.compile(r"^-?[0-9]+$")
@@ -99,6 +100,7 @@ def _build_parser():
 
 
 def _ground_options(args):
+    from .lexer import INT64_MAX, INT64_MIN
     consts = {}
     for item in args.consts:
         m = _CONST_RE.match(item)
@@ -130,6 +132,30 @@ def _split_count(inputs):
     return list(inputs), None
 
 
+def _grounds(cmd):
+    """A command that grounds source files (ground, run). Only these load
+    the front end, so only they map its errors to exit codes."""
+    def run(args):
+        from .grounding import ArithmeticEvalError, GroundingError
+        from .parser import ParseError
+        try:
+            return cmd(args)
+        except ParseError as e:
+            print(e, file=sys.stderr)
+            return 2
+        except SemanticError as e:
+            for diag in e.diagnostics:
+                print(diag, file=sys.stderr)
+            return 3
+        except ArithmeticEvalError as e:
+            print(e, file=sys.stderr)
+            return 4
+        except GroundingError as e:
+            print(e, file=sys.stderr)
+            return 3
+    return run
+
+
 def _do_ground(args):
     opts = _ground_options(args)
     grounded = ground_files(args.files, opts)
@@ -140,10 +166,16 @@ def _do_ground(args):
     return grounded
 
 
+def _ground_text(grounded):
+    from .grounding import ground_text
+    return ground_text(grounded.source)
+
+
+@_grounds
 def _cmd_ground(args):
     grounded = _do_ground(args)
     if args.text:
-        sys.stdout.write(ground_text(grounded.source))
+        sys.stdout.write(_ground_text(grounded))
     else:
         sys.stdout.write(emit_ground_program(grounded.interchange))
     return 0
@@ -179,14 +211,21 @@ def _cmd_solve(args):
     if len(files) > 1:
         raise _UsageError("solve takes at most one ground file")
     if files:
-        with open(files[0], "r", encoding="utf-8") as fh:
-            text = read_text(fh, files[0])
+        name = files[0]
+        with open(name, "r", encoding="utf-8") as fh:
+            text = read_text(fh, name)
     else:
-        text = read_text(sys.stdin.buffer, "<stdin>")
-    gp = parse_ground_program(text)
+        name = "<stdin>"
+        text = read_text(sys.stdin.buffer, name)
+    try:
+        gp = parse_ground_program(text)
+    except FormatError as e:
+        print(f"{name}: {e}", file=sys.stderr)
+        return 2
     return _enumerate(gp, count, args)
 
 
+@_grounds
 def _cmd_run(args):
     files, count = _split_count(args.inputs)
     if not files:
@@ -194,7 +233,7 @@ def _cmd_run(args):
     args.files = files
     grounded = _do_ground(args)
     if args.text:
-        sys.stdout.write(ground_text(grounded.source))
+        sys.stdout.write(_ground_text(grounded))
         return 0
     return _enumerate(grounded.interchange, count, args)
 
@@ -263,25 +302,9 @@ def main(argv=None):
     except OSError as e:
         print(f"aspkit: {e}", file=sys.stderr)
         return 1
-    except (LexError, ParseError) as e:
+    except (LexError, UnsupportedRuleTypeError) as e:
         print(e, file=sys.stderr)
         return 2
-    except FormatError as e:
-        print(e, file=sys.stderr)
-        return 2
-    except UnsupportedRuleTypeError as e:
-        print(e, file=sys.stderr)
-        return 2
-    except SemanticError as e:
-        for diag in e.diagnostics:
-            print(diag, file=sys.stderr)
-        return 3
-    except ArithmeticEvalError as e:
-        print(e, file=sys.stderr)
-        return 4
-    except GroundingError as e:
-        print(e, file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

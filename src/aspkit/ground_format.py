@@ -23,8 +23,8 @@ import re
 from functools import lru_cache
 from itertools import repeat
 
-from .primitives import BasicRule, ChoiceRule, ConstraintRule, WeightRule
 from .records import Record
+from .shared import BasicRule, ChoiceRule, ConstraintRule, WeightRule
 
 
 class FormatError(Exception):

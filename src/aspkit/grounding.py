@@ -25,6 +25,7 @@ from bisect import bisect_left, bisect_right
 from .analysis import Diagnostic, atom_vars, term_vars
 from .lexer import INT64_MAX, INT64_MIN
 from .records import Record
+from .shared import FALSITY
 from .syntax import (
     Aggregate,
     Atom,
@@ -39,8 +40,6 @@ from .syntax import (
     SymbolicConst,
     Variable,
 )
-
-FALSITY = 1  # reserved atom id, never user-visible
 
 
 class GroundingError(Exception):

@@ -5,6 +5,7 @@ end of line. Integer literals are unsigned here; the parser folds unary minus.
 """
 
 from .records import Record
+from .shared import LexError
 
 INT64_MAX = 2**63 - 1
 INT64_MIN = -(2**63)
@@ -42,29 +43,6 @@ _PUNCT = [
     ("*", "STAR"),
     ("/", "SLASH"),
 ]
-
-
-class LexError(Exception):
-    def __init__(self, file, line, col, message):
-        self.file = file
-        self.line = line
-        self.col = col
-        self.message = message
-        super().__init__(f"{file}:{line}:{col}: {message}")
-
-
-def read_text(fh, name):
-    """All of a text stream opened as UTF-8, or of a byte stream decoded as
-    UTF-8; a byte that is not UTF-8 is a LexError at its line and byte
-    column."""
-    try:
-        data = fh.read()
-        return data.decode("utf-8") if isinstance(data, bytes) else data
-    except UnicodeDecodeError as e:
-        data = e.object  # read() decodes the whole stream in one piece
-        line = data.count(b"\n", 0, e.start) + 1
-        col = e.start - data.rfind(b"\n", 0, e.start)
-        raise LexError(name, line, col, f"invalid UTF-8 byte 0x{data[e.start]:02x}") from None
 
 
 class Token(Record):

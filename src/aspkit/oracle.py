@@ -16,9 +16,9 @@ Everything in this module favours obviousness over speed.
 
 import itertools
 
-from .grounding import FALSITY, GAgg
-from .primitives import BasicRule, ChoiceRule, ConstraintRule, WeightRule
+from .grounding import GAgg
 from .records import Record
+from .shared import FALSITY, BasicRule, ChoiceRule, ConstraintRule, WeightRule
 from . import syntax
 
 

@@ -8,7 +8,8 @@ Terms nest at most MAX_TERM_DEPTH levels deep.
 """
 
 from . import lexer
-from .lexer import read_text, tokenize
+from .lexer import tokenize
+from .shared import read_text
 from .syntax import (
     Aggregate,
     AggregateElem,

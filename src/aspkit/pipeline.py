@@ -1,18 +1,53 @@
 """End-to-end plumbing shared by the command line and the test suite.
 
-parse -> substitute constants -> desugar -> classify domains -> check
-domain restriction -> instantiate -> translate to primitive rules ->
-interchange format, and on the other side interchange -> search.
+The front half: parse -> substitute constants -> desugar -> classify
+domains -> check domain restriction -> instantiate -> translate to
+primitive rules -> interchange format. The back half: interchange ->
+search, the well-founded model, or model verification.
+
+The back half imports nothing of the front end. The front end's names are
+bound into this module on the first ground_files or ground_text_input
+call, or when one of them is read from outside (PEP 562 module
+__getattr__), so that a process that only solves never loads the front
+end. They stay module attributes looked up at call time, which lets
+perfbench's tracer wrap them.
 """
 
-from . import analysis
+from importlib import import_module
+
 from .ground_format import GroundProgram, compact_atom_ids
-from .grounding import FALSITY, desugar_program, ground_program
-from .parser import parse_files, parse_text, substitute_constants
-from .primitives import ChoiceRule, translate_program
 from .records import Record
+from .shared import FALSITY, ChoiceRule
 from .solver import Solver
 from .wellfounded import well_founded
+
+# Front-end names and the modules they come from; see _load_front_end.
+_FRONT_END = {
+    "parse_files": "parser",
+    "parse_text": "parser",
+    "substitute_constants": "parser",
+    "desugar_program": "grounding",
+    "ground_program": "grounding",
+    "translate_program": "primitives",
+}
+
+
+def _load_front_end():
+    """Imports the front end and binds its names into this module. A name
+    already bound here, such as a tracer's wrapper, is kept."""
+    g = globals()
+    for name, module in _FRONT_END.items():
+        if name not in g:
+            g[name] = getattr(import_module("." + module, __package__), name)
+    if "analysis" not in g:
+        g["analysis"] = import_module(".analysis", __package__)
+
+
+def __getattr__(name):
+    if name in _FRONT_END:
+        _load_front_end()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SemanticError(Exception):
@@ -81,10 +116,12 @@ def _ground(program, opts):
 
 
 def ground_files(paths, opts=None):
+    _load_front_end()
     return _ground(parse_files(paths), opts or GroundOptions())
 
 
 def ground_text_input(text, opts=None, filename="<string>"):
+    _load_front_end()
     return _ground(parse_text(text, filename), opts or GroundOptions())
 
 

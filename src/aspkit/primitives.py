@@ -1,7 +1,9 @@
 """Translation of ground rules into the primitive rule types.
 
 The solver and the numeric interchange format know four rule shapes: basic,
-choice, cardinality constraint, and weight. Aggregates in rule bodies turn
+choice, cardinality constraint, and weight. Their records live in `shared`,
+which both halves import; this module is the last stage of the front end,
+since it reads the grounder's aggregates (`GAgg`). Aggregates in rule bodies turn
 into auxiliary "at least" atoms (positive for the lower bound, negated for
 the upper); an aggregate head becomes a choice rule plus two integrity
 constraints over the same auxiliaries. Each source construct expands into a
@@ -11,92 +13,15 @@ Auxiliary atoms are allocated after all user atoms, in rule order, which
 keeps the output deterministic.
 """
 
-from .grounding import FALSITY, GAgg
-from .records import Record
-
-
-class UnsupportedRuleTypeError(Exception):
-    """A rule of a type the consumer of a primitive program cannot handle."""
-
-
-class BasicRule(Record):
-    __slots__ = ("head", "pos", "neg")
-
-    def __init__(self, head, pos, neg):
-        self.head = head
-        self.pos = pos
-        self.neg = neg
-
-
-class ConstraintRule(Record):
-    """head derivable when at least `bound` body literals hold."""
-    __slots__ = ("head", "bound", "pos", "neg")
-
-    def __init__(self, head, bound, pos, neg):
-        self.head = head
-        self.bound = bound
-        self.pos = pos
-        self.neg = neg
-
-
-class ChoiceRule(Record):
-    __slots__ = ("heads", "pos", "neg")
-
-    def __init__(self, heads, pos, neg):
-        self.heads = heads
-        self.pos = pos
-        self.neg = neg
-
-
-class WeightRule(Record):
-    """head derivable when the satisfied weights sum to at least `bound`."""
-    __slots__ = ("head", "bound", "pos", "neg", "pos_weights", "neg_weights")
-
-    def __init__(self, head, bound, pos, neg, pos_weights, neg_weights):
-        self.head = head
-        self.bound = bound
-        self.pos = pos
-        self.neg = neg
-        self.pos_weights = pos_weights
-        self.neg_weights = neg_weights
-
-
-def normalize_weight_elements(elements, bound):
-    """Merge duplicates and rewrite negative weights on the complement.
-
-    (lit, w) with w < 0 becomes (not lit, -w) with the bound raised by -w,
-    since w*[lit] = -w*[not lit] + w. Zero-weight elements vanish. The
-    resulting bound is clamped at 0; a bound above the weight total is left
-    alone (such a rule can never fire, which is a legal way to encode an
-    unsatisfiable condition).
-    """
-    merged = {}
-    order = []
-    for lit, w in elements:
-        if lit in merged:
-            merged[lit] += w
-        else:
-            merged[lit] = w
-            order.append(lit)
-    out = {}
-    order2 = []
-
-    def add(lit, w):
-        if lit in out:
-            out[lit] += w
-        else:
-            out[lit] = w
-            order2.append(lit)
-
-    for lit in order:
-        w = merged[lit]
-        if w < 0:
-            bound += -w
-            add(-lit, -w)
-        elif w > 0:
-            add(lit, w)
-    final = tuple((lit, out[lit]) for lit in order2 if out[lit] != 0)
-    return final, max(bound, 0)
+from .grounding import GAgg
+from .shared import (
+    FALSITY,
+    BasicRule,
+    ChoiceRule,
+    ConstraintRule,
+    WeightRule,
+    normalize_weight_elements,
+)
 
 
 def _split_signed(lits):

@@ -71,17 +71,17 @@ dense: `pipeline` renumbers a program's atoms before it builds a Solver.
 
 import sys
 
-from .analysis import strongly_connected_components
-from .grounding import FALSITY
-from .primitives import (
+from .records import Record
+from .shared import (
+    FALSITY,
     BasicRule,
     ChoiceRule,
     ConstraintRule,
     UnsupportedRuleTypeError,
     WeightRule,
     normalize_weight_elements,
+    strongly_connected_components,
 )
-from .records import Record
 
 UNKNOWN, TRUE, FALSE = 0, 1, 2
 _LIVE = sys.maxsize  # dead[r] of a rule that can still fire: above every trail index

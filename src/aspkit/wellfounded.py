@@ -20,8 +20,7 @@ A program without negative literals has one reduct, so its well-founded
 model is its least model, computed once.
 """
 
-from .grounding import FALSITY
-from .primitives import BasicRule, UnsupportedRuleTypeError
+from .shared import FALSITY, BasicRule, UnsupportedRuleTypeError
 
 
 def well_founded(rules, extra_atoms=()):

@@ -8,8 +8,9 @@ import random
 import re
 
 from aspkit.ground_format import GroundProgram
-from aspkit.grounding import FALSITY, GAgg, GRule, SymbolTable, grule_source
-from aspkit.primitives import BasicRule, ChoiceRule, translate_program
+from aspkit.grounding import GAgg, GRule, SymbolTable, grule_source
+from aspkit.primitives import translate_program
+from aspkit.shared import FALSITY, BasicRule, ChoiceRule
 
 
 def random_normal_ground(rng, max_atoms=10, max_rules=15):

@@ -20,9 +20,9 @@ way.
 
 import random
 
-from aspkit.grounding import FALSITY
 from aspkit.oracle import least_model, reduct
-from aspkit.primitives import (
+from aspkit.shared import (
+    FALSITY,
     BasicRule,
     ChoiceRule,
     ConstraintRule,

@@ -5,10 +5,10 @@ from aspkit.analysis import (
     check_domain_restriction,
     classify_domain_predicates,
     lint,
-    strongly_connected_components,
 )
 from aspkit.grounding import desugar_program
 from aspkit.parser import parse_text, substitute_constants
+from aspkit.shared import strongly_connected_components
 
 
 def analyze(text):

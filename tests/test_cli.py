@@ -241,16 +241,23 @@ def test_solve_no_model_exits_one(run, tmp_path):
     assert "Answer:" not in out
 
 
-def test_solve_malformed_input(run):
-    code, out, err = run(["solve"], stdin="1 2 oops\n")
-    assert code == 2
+def test_solve_malformed_input(run, tmp_path):
+    # Each message names its input, as verify's and the UTF-8 errors do.
+    for text, message in (
+            ("1 2 oops\n", "line 1: expected a rule line or 0, got '1 2 oops'"),
+            ("", "line 1: unexpected end of input, expected a rule line or 0")):
+        gfile = write(tmp_path, "bad.sm", text)
+        assert run(["solve"], stdin=text) == (2, "", f"<stdin>: {message}\n")
+        for argv in (["solve", gfile], ["solve", "--wfs", gfile],
+                     ["verify", gfile, gfile]):
+            assert run(argv) == (2, "", f"{gfile}: {message}\n")
 
 
 @pytest.mark.parametrize("rule", ["1 -3 0 0", "1 0 0 0"])
 def test_solve_rejects_nonpositive_atom_id(run, rule):
     code, out, err = run(["solve"], stdin=f"{rule}\n0\n2 a\n0\nB+\n0\nB-\n1\n0\n1\n")
     assert code == 2
-    assert err.startswith("line 1: atom id ")
+    assert err.startswith("<stdin>: line 1: atom id ")
     assert "Traceback" not in err and out == ""
 
 
@@ -262,7 +269,7 @@ def test_solve_rejects_bad_symbol_id(run, symbol, message):
     ground = f"1 2 0 0\n0\n{symbol}\n0\nB+\n0\nB-\n1\n0\n1\n"
     for argv in (["solve"], ["solve", "--wfs"]):
         code, out, err = run(argv, stdin=ground)
-        assert (code, out, err) == (2, "", f"line 3: {message}\n")
+        assert (code, out, err) == (2, "", f"<stdin>: line 3: {message}\n")
 
 
 @pytest.mark.parametrize("rule", ["1 \u0662 0 0", "1 1_0 0 0", "1\x1f2 0 0"])
@@ -272,7 +279,7 @@ def test_solve_rejects_numbers_int_would_misread(run, rule):
     ground = f"{rule}\n0\n2 a\n0\nB+\n0\nB-\n1\n0\n1\n"
     for argv in (["solve"], ["solve", "--wfs"]):
         code, out, err = run(argv, stdin=ground)
-        assert (code, out, err) == (2, "", f"line 1: expected a rule line or 0, got {rule!r}\n")
+        assert (code, out, err) == (2, "", f"<stdin>: line 1: expected a rule line or 0, got {rule!r}\n")
 
 
 def test_solve_rejects_negative_choice_head_count(run):
@@ -280,7 +287,7 @@ def test_solve_rejects_negative_choice_head_count(run):
     ground = "3 -2 2 3 0 0\n0\n2 a\n3 b\n0\nB+\n0\nB-\n1\n0\n0\n"
     for argv in (["solve"], ["solve", "--wfs"]):
         code, out, err = run(argv, stdin=ground)
-        assert (code, out, err) == (2, "", "line 1: bad head count in choice rule\n")
+        assert (code, out, err) == (2, "", "<stdin>: line 1: bad head count in choice rule\n")
 
 
 @pytest.mark.parametrize("line, lineno, message", [
@@ -296,7 +303,7 @@ def test_solve_rejects_whitespace_other_than_spaces_and_tabs(run, line, lineno, 
     ground = "\n".join(lines) + "\n"
     for argv in (["solve"], ["solve", "--wfs"]):
         code, out, err = run(argv, stdin=ground)
-        assert (code, out, err) == (2, "", f"line {lineno}: {message}\n")
+        assert (code, out, err) == (2, "", f"<stdin>: line {lineno}: {message}\n")
 
 
 def sparse_ground(ids):
@@ -560,20 +567,39 @@ def test_installed_script_runs():
     assert "ground" in proc.stdout and "solve" in proc.stdout
 
 
-def test_cli_imports_neither_dataclasses_nor_the_oracle():
+FRONT_END = ("aspkit.lexer", "aspkit.syntax", "aspkit.parser", "aspkit.analysis",
+             "aspkit.grounding", "aspkit.primitives")
+
+
+def test_cli_imports_neither_dataclasses_nor_the_oracle(run, tmp_path):
     # Every process pays for what `import aspkit.cli` loads: value classes
-    # are records, not dataclasses, and only verify loads the oracle. The
-    # package's oracle names still resolve, on first use.
-    script = ("import sys, aspkit.cli\n"
-              "print(*[m for m in ('dataclasses', 'inspect', 'aspkit.oracle')"
-              " if m in sys.modules])\n"
+    # are records, not dataclasses, only verify loads the oracle, and only
+    # ground and run load the front end. The package's names resolve on
+    # first use, each to the object its module defines.
+    src = write(tmp_path, "p.lp", TWO_CYCLE + " c :- a.")
+    _, ground_out, _ = run(["ground", src])
+    gfile = write(tmp_path, "p.sm", ground_out)
+    unwanted = ("dataclasses", "inspect", "aspkit.oracle") + FRONT_END
+    script = ("import contextlib, io, sys, aspkit.cli\n"
+              f"unwanted = {unwanted!r}\n"
+              "print(*[m for m in unwanted if m in sys.modules])\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    codes = [aspkit.cli.main(['solve', {gfile!r}]),\n"
+              f"             aspkit.cli.main(['solve', '--wfs', {gfile!r}])]\n"
+              "print(codes, *[m for m in unwanted if m in sys.modules])\n"
               "import aspkit\n"
-              "print(aspkit.is_stable.__module__, aspkit.ComputeSpec.__module__)\n")
+              "print(aspkit.is_stable.__module__, aspkit.ComputeSpec.__module__)\n"
+              "names = {}\n"
+              "exec('from aspkit import *', names)\n"
+              "print(*[n for n in aspkit.__all__ if n not in names])\n"
+              "print(*[n for n in aspkit.__all__ if n not in dir(aspkit)])\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, env=SUBPROCESS_ENV)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "\naspkit.oracle aspkit.oracle\n"
+    assert proc.stdout == "\n[0, 0]\naspkit.oracle aspkit.oracle\n\n\n"
     for name in aspkit.__all__:
-        assert getattr(aspkit, name) is not None
+        value = getattr(aspkit, name)
+        assert value.__module__.startswith("aspkit.")
+        assert getattr(sys.modules[value.__module__], name) is value
     with pytest.raises(AttributeError, match="no_such_name"):
         aspkit.no_such_name

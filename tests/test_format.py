@@ -23,7 +23,7 @@ from aspkit.pipeline import (
     verify_model,
     well_founded_ground,
 )
-from aspkit.primitives import UnsupportedRuleTypeError
+from aspkit.shared import UnsupportedRuleTypeError
 
 import gen
 

@@ -8,7 +8,7 @@ from aspkit.grounding import GAgg, GroundResult, GRule
 from aspkit.lexer import Token
 from aspkit.oracle import ComputeSpec
 from aspkit.pipeline import Grounded, GroundOptions, SolveOptions
-from aspkit.primitives import BasicRule, ChoiceRule, ConstraintRule, WeightRule
+from aspkit.shared import BasicRule, ChoiceRule, ConstraintRule, WeightRule
 from aspkit.solver import Conflict, SolveStats
 from aspkit.syntax import (Aggregate, AggregateElem, Atom, Comparison, FuncApp, Integer,
                            Literal, Loc, Pool, Program, Range, Rule, SymbolicConst, Variable)

@@ -1,6 +1,6 @@
 from aspkit.ground_format import BasicRule, ChoiceRule, ConstraintRule, WeightRule
 from aspkit.pipeline import ground_text_input
-from aspkit.primitives import normalize_weight_elements
+from aspkit.shared import normalize_weight_elements
 
 
 def rules_of(text):

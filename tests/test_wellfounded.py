@@ -7,7 +7,7 @@ import pytest
 from aspkit.ground_format import BasicRule, ChoiceRule
 from aspkit.oracle import brute_force_models
 from aspkit.pipeline import GroundOptions, ground_files
-from aspkit.primitives import UnsupportedRuleTypeError
+from aspkit.shared import UnsupportedRuleTypeError
 from aspkit.wellfounded import well_founded
 
 import gen
