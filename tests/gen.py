@@ -368,6 +368,90 @@ def comparison_program(rng):
     return render(False), render(True)
 
 
+def conditional_program(rng):
+    """A random domain-restricted program whose bodies and heads hold
+    conditional literals and aggregate elements over domain and non-domain
+    predicates, positive and negative, in cardinality and weight aggregates
+    whose weights may be negative.
+
+    Domain predicates: the facts d/1 and e/2 and the rules f0/1 and f1/1,
+    which put conditional literals over d, e and each other in domain rule
+    bodies. Non-domain predicates: q/1 and r/2, chosen freely, and s0/1 to
+    s2/1, whose rules, like the head-aggregate rules and the constraint,
+    mix every kind of body part. The choices stay small enough to
+    enumerate every stable model.
+    """
+    lines = [f"d({v})." for v in rng.sample(range(5), rng.randint(2, 3))]
+    lines += [f"e({a},{b})." for a, b in rng.sample(
+        [(a, b) for a in range(4) for b in range(4)], rng.randint(1, 3))]
+    domain = [("d", 1), ("e", 2)]
+    other = [("q", 1), ("r", 2)]
+
+    def conditions(local):
+        """Domain atoms that bind every variable of `local`."""
+        if len(local) == 2 and rng.random() < 0.6:
+            return [f"e({local[0]},{local[1]})"]
+        out = []
+        for v in local:
+            pred = rng.choice([p for p, n in domain if n == 1])
+            out.append(f"{pred}({v})")
+        if rng.random() < 0.3:
+            pred, arity = rng.choice(domain)
+            out.append(f"{pred}({','.join(rng.choice(local) for _ in range(arity))})")
+        return out
+
+    def element(preds, weighted, positive_only=False):
+        local = rng.sample(["Y", "W"], rng.randint(1, 2))
+        pred, arity = rng.choice(preds)
+        args = [rng.choice(local + ["X"]) for _ in range(arity)]
+        sign = "" if positive_only or rng.random() < 0.6 else "not "
+        text = f"{sign}{pred}({','.join(args)})"
+        text += "".join(f" : {c}" for c in conditions(local))
+        if weighted:
+            text += " = " + rng.choice([str(rng.randint(-2, 3)), f"{local[0]} - 2"])
+        return text
+
+    def aggregate(preds, head=False):
+        weighted = rng.random() < 0.5
+        elems = ", ".join(element(preds, weighted, head) for _ in range(rng.randint(1, 3)))
+        lower = rng.randint(-2, 1 if head else 3) if weighted else rng.randint(0, 1 if head else 2)
+        body = f"[ {elems} ]" if weighted else f"{{ {elems} }}"
+        if head or rng.random() < 0.4:
+            return f"{lower} {body} {lower + rng.randint(0, 1 if head else 3)}"
+        return f"{lower} {body}"
+
+    def body(preds, non_domain):
+        parts = ["d(X)"]
+        unary = [p for p, n in preds if n == 1]
+        for _ in range(rng.randint(1, 3)):
+            roll = rng.random()
+            if roll < 0.5:
+                parts.append(element(preds, False))
+            elif roll < 0.7 and non_domain:
+                parts.append(aggregate(preds))
+            elif roll < 0.85 and len(unary) > 1:
+                pred = rng.choice(unary[1:])
+                parts.append(f"{'not ' if rng.random() < 0.5 else ''}{pred}(X)")
+            else:
+                parts.append(f"X {rng.choice(_COMPARISON_OPS)} {rng.randint(0, 4)}")
+        return ", ".join(parts)
+
+    lines.append("{ q(Y) : d(Y) }.")
+    lines.append(f"{{ r(Y,W) : e(Y,W) }} {rng.randint(1, 2)}.")
+    for i in range(2):
+        lines.append(f"f{i}(X) :- {body(domain, False)}.")
+        domain.append((f"f{i}", 1))
+    for i in range(3):
+        lines.append(f"s{i}(X) :- {body(domain + other, True)}.")
+        other.append((f"s{i}", 1))
+    heads = [("q", 1), ("s1", 1), ("s2", 1)]
+    for _ in range(2):
+        lines.append(f"{aggregate(heads, head=True)} :- {body(domain + other, True)}.")
+    if rng.random() < 0.3:
+        lines.append(f":- {body(domain + other, True)}.")
+    return "\n".join(lines) + "\n"
+
+
 def queens_solutions(n):
     """All n-queens solutions as frozensets of (column, row) pairs.
 

@@ -12,6 +12,8 @@ import hashlib
 import io
 import json
 import pathlib
+import random
+import re
 import sys
 
 import gen
@@ -20,7 +22,22 @@ from aspkit.cli import main
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DIGESTS = pathlib.Path(__file__).resolve().parent / "ground_digests.json"
 
-# name -> (source files, extra options); None stands for the generated input
+
+def conditional_instance(n=20):
+    """`n` seeded gen.conditional_program texts in one program, the
+    predicates of each renamed apart."""
+    return "".join(re.sub(r"\b([a-z]\w*)\(", rf"\1_{i}(",
+                          gen.conditional_program(random.Random(i)))
+                   for i in range(n))
+
+
+# Generated inputs: name -> source text
+GENERATED = {
+    "scale-300": lambda: gen.scale_instance(n=300),
+    "conditional": conditional_instance,
+}
+
+# name -> (source files, extra options); None stands for a generated input
 INPUTS = {
     "ancestor": (["programs/ancestor.lp"], []),
     "graph": (["programs/graph.lp"], []),
@@ -28,15 +45,19 @@ INPUTS = {
     "ncolor": (["programs/ncolor.lp", "programs/graph.lp"], []),
     "queens-6": (["programs/queens.lp"], ["-c", "n=6"]),
     "scale-300": (None, []),
+    "conditional": (None, []),
 }
 
 
 def ground_digests(tmp_dir):
-    scale = pathlib.Path(tmp_dir) / "scale.lp"
-    scale.write_text(gen.scale_instance(n=300), encoding="utf-8")
     out = {}
     for name, (files, extra) in INPUTS.items():
-        paths = [str(scale)] if files is None else [str(ROOT / f) for f in files]
+        if files is None:
+            path = pathlib.Path(tmp_dir) / f"{name}.lp"
+            path.write_text(GENERATED[name](), encoding="utf-8")
+            paths = [str(path)]
+        else:
+            paths = [str(ROOT / f) for f in files]
         for mode in ("keep", "none"):
             for text in ((), ("--text",)):
                 buf = io.StringIO()
