@@ -187,20 +187,49 @@ def top_level_vars(a):
     return {t.name for t in a.args if isinstance(t, Variable)}
 
 
-def _element_vars(lit, weight):
-    """(local, other): condition variables are local to the element."""
-    local = set()
-    for c in lit.conditions:
-        atom_vars(c, local)
-    rest = set()
-    if isinstance(lit.atom, Comparison):
-        term_vars(lit.atom.lhs, rest)
-        term_vars(lit.atom.rhs, rest)
-    else:
-        atom_vars(lit.atom, rest)
-    if weight is not None:
-        term_vars(weight, rest)
-    return local, rest - local
+def rule_scopes(rule):
+    """(globals, elements): each global variable of `rule` with the
+    location of its first occurrence, and (local variables, conditions,
+    location) for each conditional element. The variables of an element's
+    conditions are local to it."""
+    global_vars = {}
+    elements = []
+
+    def note_global(names, loc):
+        for v in sorted(names):
+            global_vars.setdefault(v, loc)
+
+    def note_literal(lit, weight=None):
+        rest = atom_vars(lit.atom)
+        if weight is not None:
+            term_vars(weight, rest)
+        if lit.conditions:
+            local = set()
+            for c in lit.conditions:
+                atom_vars(c, local)
+            elements.append((local, lit.conditions, lit.atom.loc))
+            rest -= local
+        note_global(rest, lit.atom.loc)
+
+    def note_aggregate(agg):
+        for bound in (agg.lower, agg.upper):
+            if bound is not None:
+                note_global(term_vars(bound), agg.loc)
+        for e in agg.elements:
+            note_literal(e.literal, e.weight)
+
+    if isinstance(rule.head, Atom):
+        note_global(atom_vars(rule.head), rule.head.loc)
+    elif isinstance(rule.head, Aggregate):
+        note_aggregate(rule.head)
+    for b in rule.body:
+        if isinstance(b, Aggregate):
+            note_aggregate(b)
+        elif isinstance(b.atom, Comparison):
+            note_global(term_vars(b.atom.lhs) | term_vars(b.atom.rhs), b.atom.loc)
+        else:
+            note_literal(b)
+    return global_vars, elements
 
 
 def check_domain_restriction(program, domain):
@@ -220,44 +249,7 @@ def check_domain_restriction(program, domain):
                     and isinstance(b.atom, Atom) and b.atom.key() in domain):
                 cover |= top_level_vars(b.atom)
 
-        global_vars = {}   # name -> loc of first occurrence
-        elements = []      # (local, cond_atoms, loc)
-
-        def note_global(names, loc):
-            for v in sorted(names):
-                global_vars.setdefault(v, loc)
-
-        def note_element(lit, weight, loc):
-            local, rest = _element_vars(lit, weight)
-            if lit.conditions:
-                elements.append((local, lit.conditions, loc))
-            note_global(rest, loc)
-
-        if isinstance(rule.head, Atom):
-            note_global(atom_vars(rule.head), rule.head.loc)
-        elif isinstance(rule.head, Aggregate):
-            agg = rule.head
-            for bound in (agg.lower, agg.upper):
-                if bound is not None:
-                    note_global(term_vars(bound), agg.loc)
-            for e in agg.elements:
-                note_element(e.literal, e.weight, e.literal.atom.loc)
-
-        for b in rule.body:
-            if isinstance(b, Aggregate):
-                for bound in (b.lower, b.upper):
-                    if bound is not None:
-                        note_global(term_vars(bound), b.loc)
-                for e in b.elements:
-                    note_element(e.literal, e.weight, e.literal.atom.loc)
-            elif isinstance(b.atom, Comparison):
-                note_global(term_vars(b.atom.lhs) | term_vars(b.atom.rhs), b.atom.loc)
-            else:
-                if b.conditions:
-                    note_element(b, None, b.atom.loc)
-                else:
-                    note_global(atom_vars(b.atom), b.atom.loc)
-
+        global_vars, elements = rule_scopes(rule)
         for local, conds, loc in elements:
             bound_here = set()
             for c in conds:

@@ -2,10 +2,15 @@
 
 Ground values are plain Python ints and strs (symbolic constants). The
 grounder fully evaluates domain predicates bottom-up in dependency order,
-then instantiates the remaining rules by joining over the positive domain
-literals in their bodies. Negative domain literals are always evaluated
-away; positive ones stay in rule bodies only in "keep" mode, where domain
-extensions are also emitted as facts ahead of all other rules.
+then instantiates the remaining rules. One body compiler serves both
+stages: a rule body joins over its positive domain literals with its
+negative domain literals and comparisons as checks, and then the rest is
+assembled in body order (literals over other predicates, conditional
+literals, aggregates). An instance of a domain rule adds its head row to
+the extension; any other becomes a ground rule. One rule holds for every
+literal over a domain predicate: the extension decides it, and only a true
+positive one stays in the ground rule, and only in "keep" mode, where
+domain extensions are also emitted as facts ahead of all other rules.
 
 Comparisons drive the join where they can. When a comparison binds a
 variable first bound by a join literal against an already bound term that
@@ -22,7 +27,7 @@ import itertools
 import operator
 from bisect import bisect_left, bisect_right
 
-from .analysis import Diagnostic, atom_vars, term_vars
+from .analysis import Diagnostic, atom_vars, rule_scopes, term_vars
 from .lexer import INT64_MAX, INT64_MIN
 from .records import Record
 from .shared import FALSITY
@@ -173,23 +178,6 @@ def _compile_name(atom):
     return lambda binding: prefix + ",".join(map(str, row(binding))) + ")"
 
 
-def compare_values(op, a, b, loc):
-    if op == "==":
-        return a == b
-    if op == "!=":
-        return a != b
-    if not (isinstance(a, int) and isinstance(b, int)):
-        bad = a if not isinstance(a, int) else b
-        raise GroundingError(loc, f"ordering comparison on non-integer value '{bad}'")
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    return a >= b
-
-
 _ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
@@ -210,7 +198,8 @@ def _comparison_check(comp):
         b = rhs(binding)
         if isinstance(a, int) and isinstance(b, int):
             return rel(a, b)
-        return compare_values(op, a, b, loc)  # raises
+        bad = a if not isinstance(a, int) else b
+        raise GroundingError(loc, f"ordering comparison on non-integer value '{bad}'")
     return ordered
 
 
@@ -615,25 +604,15 @@ def _absent_check(atom, ext):
     return lambda binding: row(binding) not in ext
 
 
-def _conditional_truth(expander, exts):
-    """All-instances truth check for a conditional domain literal."""
-    key = expander.atom.key()
-
-    def check(binding):
-        ext = exts.get(key, _EMPTY_EXT)
-        for row, _, _ in expander.instances(binding):
-            if (row in ext) != expander.positive:
-                return False
-        return True
-    return check
-
-
 class _ElementExpander:
-    """Enumerates ground instances of a conditional literal or element."""
+    """Enumerates ground instances of a conditional literal or element.
+    `ext` is the extension that decides each instance when the literal is
+    over a domain predicate, else None."""
 
-    def __init__(self, literal, weight, globals_, exts, loc):
+    def __init__(self, literal, weight, globals_, exts, domain, loc):
         self.atom = literal.atom
         self.positive = literal.positive
+        self.ext = exts.get(self.atom.key(), _EMPTY_EXT) if self.atom.key() in domain else None
         self.loc = loc
         self.row = _compile_row(self.atom.args, self.atom.loc)
         self.weight = None if weight is None else compile_term(weight, loc)
@@ -672,40 +651,6 @@ class GRule(Record):
         self.body = body            # signed atom ids and GAggs, in source order
 
 
-def _rule_globals(rule):
-    """Variables of a rule that are not local to some conditional element."""
-    out = set()
-
-    def lit_vars(lit, weight):
-        if lit.conditions:
-            return  # locals, bound by the conditions
-        if isinstance(lit.atom, Comparison):
-            term_vars(lit.atom.lhs, out)
-            term_vars(lit.atom.rhs, out)
-        else:
-            atom_vars(lit.atom, out)
-        if weight is not None:
-            term_vars(weight, out)
-
-    def agg_vars(agg):
-        for bound in (agg.lower, agg.upper):
-            if bound is not None:
-                term_vars(bound, out)
-        for e in agg.elements:
-            lit_vars(e.literal, e.weight)
-
-    if isinstance(rule.head, Atom):
-        atom_vars(rule.head, out)
-    elif isinstance(rule.head, Aggregate):
-        agg_vars(rule.head)
-    for b in rule.body:
-        if isinstance(b, Aggregate):
-            agg_vars(b)
-        else:
-            lit_vars(b, None)
-    return out
-
-
 # -- domain predicate evaluation ---------------------------------------------------
 
 def evaluate_domain_predicates(program, analysis):
@@ -714,7 +659,8 @@ def evaluate_domain_predicates(program, analysis):
     The domain component is acyclic by construction, so evaluating each
     predicate once in dependency order reaches the bottom-up fixpoint (the
     degenerate case of semi-naive iteration, with nothing left for a second
-    pass to add).
+    pass to add). Each rule is compiled as any other rule is, and the head
+    row of each instance whose body survives joins the extension.
     """
     domain = analysis.domain
     exts = {}
@@ -723,155 +669,146 @@ def evaluate_domain_predicates(program, analysis):
         if isinstance(rule.head, Atom) and rule.head.key() in domain:
             by_head.setdefault(rule.head.key(), []).append(rule)
 
-    def ext_of(key):
-        return exts.get(key, _EMPTY_EXT)
-
     for scc in analysis.graph.sccs():
         key = scc[0]
         if key not in domain:
             continue
         ext = exts.setdefault(key, Extension())
         for rule in by_head.get(key, ()):
-            globals_ = _rule_globals(rule)
-            join_atoms = []
-            checks = []
-            for b in rule.body:
-                if isinstance(b.atom, Comparison):
-                    checks.append(_comparison_entry(b.atom))
-                elif b.conditions:
-                    exp = _ElementExpander(b, None, globals_, exts, rule.loc)
-                    used = atom_vars(b.atom).union(*map(atom_vars, b.conditions))
-                    checks.append((frozenset(used & globals_),
-                                   _conditional_truth(exp, exts), None))
-                elif b.positive:
-                    join_atoms.append(b.atom)
-                else:
-                    checks.append(_absent_entry(b.atom, ext_of(b.atom.key())))
-            plan = _Plan(join_atoms, checks, set(), ext_of, rule.loc)
-            head_row = _compile_row(rule.head.args, rule.head.loc)
-            for binding in plan.run({}):
+            inst = _RuleInstantiator(rule, domain, exts, False)
+            head_row = inst.head_row
+            bindings = inst.plan.run({})
+            if inst.shape:  # conditional literals, evaluated after the join
+                bindings = (b for b in bindings if inst._assemble(b) is not None)
+            for binding in bindings:
                 ext.add(head_row(binding))
     return exts
 
 
-def _comparison_entry(comp):
-    needed = frozenset(term_vars(comp.lhs) | term_vars(comp.rhs))
-    return needed, _comparison_check(comp), comp
-
-
-def _absent_entry(atom, ext):
-    return frozenset(atom_vars(atom)), _absent_check(atom, ext), None
-
-
 # -- rule instantiation ---------------------------------------------------------
 
+def _compile_bound(term, loc):
+    """Compiled aggregate bound: binding -> int, or None when absent."""
+    if term is None:
+        return lambda binding: None
+    value = compile_term(term, loc)
+
+    def bound(binding):
+        v = value(binding)
+        if not isinstance(v, int):
+            raise GroundingError(loc, f"non-integer aggregate bound '{v}'")
+        return v
+    return bound
+
+
+# How an instance of a conditional literal or element enters its rule.
+_FAILS, _HOLDS, _STAYS = range(3)
+
+
 class _RuleInstantiator:
-    def __init__(self, rule, domain, exts, mode, loc):
-        self.domain = domain
-        self.exts = exts
-        self.keep = mode == "keep"
-        self.loc = loc
-        globals_ = _rule_globals(rule)
+    """One rule compiled against the domain extensions `exts`.
+
+    The positive domain literals of the body form the join; negative
+    domain literals and comparisons are checks inside it. What is left,
+    in body order, is assembled per binding after the join: literals over
+    other predicates, conditional literals and aggregates. In keep mode a
+    true positive literal over a domain predicate stays in the rule;
+    otherwise such literals are evaluated away (`_fate`). A domain rule's
+    head compiles to the row each instance adds to the extension, any
+    other head to what `grule` interns.
+    """
+
+    def __init__(self, rule, domain, exts, keep):
+        self.keep = keep
+        loc = rule.loc
         join_atoms = []
-        checks = []
-        shape = []  # assembly recipe in source body order
+        checks = []     # (needed variables, check, comparison or None)
+        shape = []      # assembly recipe in source body order
 
         def ext_of(key):
             return exts.get(key, _EMPTY_EXT)
 
+        def expander(literal, weight=None):
+            globals_ = rule_scopes(rule)[0]
+            return _ElementExpander(literal, weight, globals_, exts, domain, loc)
+
         def agg_recipe(agg):
-            return (agg,
-                    [_ElementExpander(e.literal, e.weight, globals_, exts, rule.loc)
-                     for e in agg.elements],
-                    self._bound(agg.lower), self._bound(agg.upper))
+            return (agg.weighted, [expander(e.literal, e.weight) for e in agg.elements],
+                    _compile_bound(agg.lower, loc), _compile_bound(agg.upper, loc))
 
         for b in rule.body:
             if isinstance(b, Aggregate):
                 shape.append(("agg", agg_recipe(b)))
             elif isinstance(b.atom, Comparison):
-                checks.append(_comparison_entry(b.atom))
+                comp = b.atom
+                checks.append((term_vars(comp.lhs) | term_vars(comp.rhs),
+                               _comparison_check(comp), comp))
             elif b.conditions:
-                shape.append(("cond", _ElementExpander(b, None, globals_, exts, rule.loc)))
-            elif b.atom.key() in domain:
-                if b.positive:
-                    join_atoms.append(b.atom)
-                    if self.keep:
-                        shape.append(("lit", True, _compile_name(b.atom)))
-                else:
-                    checks.append(_absent_entry(b.atom, ext_of(b.atom.key())))
-            else:
+                shape.append(("cond", expander(b)))
+            elif b.atom.key() not in domain:
                 shape.append(("lit", b.positive, _compile_name(b.atom)))
+            elif not b.positive:
+                checks.append((atom_vars(b.atom), _absent_check(b.atom, ext_of(b.atom.key())),
+                               None))
+            else:
+                join_atoms.append(b.atom)
+                if keep:  # the join made it true
+                    shape.append(("lit", True, _compile_name(b.atom)))
 
         self.shape = shape
-        self.plan = _Plan(join_atoms, checks, set(), ext_of, rule.loc)
+        self.plan = _Plan(join_atoms, checks, set(), ext_of, loc)
+        self.head_row = self.head_name = self.head_agg = None
         if isinstance(rule.head, Aggregate):
-            self.head_kind = "agg"
-            self.head_data = agg_recipe(rule.head)
+            self.head_agg = agg_recipe(rule.head)
+        elif isinstance(rule.head, Atom) and rule.head.key() in domain:
+            self.head_row = _compile_row(rule.head.args, rule.head.loc)  # joins the extension
         elif isinstance(rule.head, Atom):
-            self.head_kind = "atom"
-            self.head_data = _compile_name(rule.head)
-        else:
-            self.head_kind = "none"
-            self.head_data = None
+            self.head_name = _compile_name(rule.head)
 
-    def _bound(self, term):
-        """Compiled aggregate bound: binding -> int, or None when absent."""
-        if term is None:
-            return lambda binding: None
-        value = compile_term(term, self.loc)
-        loc = self.loc
+    def _fate(self, exp, row):
+        """Whether the instance `row` of the conditional literal or element
+        `exp` stays in the rule, holds or fails. Only a literal over a
+        domain predicate can hold or fail; it stays only when it is true
+        and positive, in keep mode."""
+        if exp.ext is None:
+            return _STAYS
+        if (row in exp.ext) != exp.positive:
+            return _FAILS
+        return _STAYS if exp.positive and self.keep else _HOLDS
 
-        def bound(binding):
-            v = value(binding)
-            if not isinstance(v, int):
-                raise GroundingError(loc, f"non-integer aggregate bound '{v}'")
-            return v
-        return bound
-
-    def _domain_truth(self, key, row):
-        return row in self.exts.get(key, _EMPTY_EXT)
-
-    def _build_agg(self, recipe, binding, in_head):
-        agg, expanders, lower_of, upper_of = recipe
+    def _build_agg(self, recipe, binding):
+        """The aggregate's instance as a GAgg over (positive, name, weight)
+        elements. An element that holds takes its weight off both bounds,
+        and one that fails goes; equal elements merge, adding their weights
+        in a weight aggregate."""
+        weighted, expanders, lower_of, upper_of = recipe
         lower = lower_of(binding)
         upper = upper_of(binding)
-        elements = []   # (positive, name, weight) staged
+        elements = []   # (positive, name, weight)
         index = {}      # (positive, name) -> element position, for merging
         for exp in expanders:
             for row, w, pred in exp.instances(binding):
-                key = (pred, len(row))
-                if not in_head and key in self.domain:
-                    truth = self._domain_truth(key, row)
-                    if exp.positive:
-                        if truth and self.keep:
-                            pass  # fall through and keep the atom
-                        elif truth:
-                            lower = None if lower is None else lower - w
-                            upper = None if upper is None else upper - w
-                            continue
-                        else:
-                            continue  # can never contribute
-                    else:
-                        # negative domain literals are always evaluated away
-                        if truth:
-                            continue
-                        lower = None if lower is None else lower - w
-                        upper = None if upper is None else upper - w
-                        continue
+                fate = self._fate(exp, row)
+                if fate == _HOLDS:
+                    lower = None if lower is None else lower - w
+                    upper = None if upper is None else upper - w
+                if fate != _STAYS:
+                    continue
                 name = format_atom(pred, row)
                 mkey = (exp.positive, name)
                 if mkey in index:
-                    if agg.weighted:
+                    if weighted:
                         pos = index[mkey]
                         old = elements[pos]
                         elements[pos] = (old[0], old[1], old[2] + w)
                     continue
                 index[mkey] = len(elements)
                 elements.append((exp.positive, name, w))
-        return lower, upper, elements
+        return GAgg(weighted, lower, upper, elements)
 
     def _assemble(self, binding):
-        """Returns (head_stage, body_stage) or None if the instance dies."""
+        """The body at `binding` in source order, literals as (positive,
+        name) and aggregates from `_build_agg`; None if the instance dies."""
         body = []
         signs = {}
 
@@ -890,93 +827,57 @@ class _RuleInstantiator:
                     return None
             elif kind == "cond":
                 exp = entry[1]
-                key = exp.atom.key()
                 for row, _, pred in exp.instances(binding):
-                    if key in self.domain:
-                        truth = self._domain_truth(key, row)
-                        if truth != exp.positive:
+                    fate = self._fate(exp, row)
+                    if fate == _STAYS:
+                        if not push(exp.positive, format_atom(pred, row)):
                             return None
-                        if exp.positive and self.keep:
-                            if not push(True, format_atom(pred, row)):
-                                return None
-                    elif not push(exp.positive, format_atom(pred, row)):
+                    elif fate == _FAILS:
                         return None
-            else:  # agg
-                agg = entry[1][0]
-                lower, upper, elements = self._build_agg(entry[1], binding, False)
-                if not elements:
-                    total = 0
-                    sat = ((lower is None or lower <= 0)
-                           and (upper is None or upper >= total))
-                    if sat:
-                        continue
-                    return None
-                body.append(("agg", agg.weighted, lower, upper, tuple(elements)))
+            else:
+                agg = self._build_agg(entry[1], binding)
+                if agg.elements:
+                    body.append(agg)
+                elif not ((agg.lower is None or agg.lower <= 0)
+                          and (agg.upper is None or agg.upper >= 0)):
+                    return None  # no element left and 0 outside the bounds
+        return body
 
-        if self.head_kind == "atom":
-            head = ("atom", self.head_data(binding))
-        elif self.head_kind == "agg":
-            agg = self.head_data[0]
-            lower, upper, elements = self._build_agg(self.head_data, binding, True)
-            head = ("agg", agg.weighted, lower, upper, tuple(elements))
-        else:
-            head = None
-        return head, body
+    def grule(self, binding, body, table):
+        """The GRule of the instance at `binding`, whose body `_assemble`
+        gave, its atoms interned head first and then body."""
+        intern = table.intern
 
-    def instances(self):
-        for binding in self.plan.run({}):
-            staged = self._assemble(binding)
-            if staged is not None:
-                yield staged
+        def interned(agg):
+            return GAgg(agg.weighted, agg.lower, agg.upper,
+                        tuple((intern(name) if positive else -intern(name), w)
+                              for positive, name, w in agg.elements))
 
-
-def _intern_staged(head, body, table):
-    def agg_of(stage):
-        _, weighted, lower, upper, elements = stage
-        elems = tuple((table.intern(name) if pos else -table.intern(name), w)
-                      for pos, name, w in elements)
-        return GAgg(weighted, lower, upper, elems)
-
-    head_id = None
-    head_agg = None
-    if head is not None:
-        if head[0] == "atom":
-            head_id = table.intern(head[1])
-        else:
-            head_agg = agg_of(head)
-    out = []
-    for entry in body:
-        if entry[0] == "agg":
-            out.append(agg_of(entry))
-        else:
-            pos, name = entry
-            i = table.intern(name)
-            out.append(i if pos else -i)
-    return GRule(head_id, head_agg, tuple(out))
+        head = head_agg = None
+        if self.head_name is not None:
+            head = intern(self.head_name(binding))
+        elif self.head_agg is not None:
+            head_agg = interned(self._build_agg(self.head_agg, binding))
+        out = []
+        for entry in body:
+            if isinstance(entry, GAgg):
+                out.append(interned(entry))
+            else:
+                positive, name = entry
+                i = intern(name)
+                out.append(i if positive else -i)
+        return GRule(head, head_agg, tuple(out))
 
 
 class GroundResult(Record):
-    __slots__ = ("rules", "table", "compute_true", "compute_false", "exts")
+    __slots__ = ("rules", "table", "compute_true", "compute_false")
     __hash__ = None
 
-    def __init__(self, rules, table, compute_true, compute_false, exts):
+    def __init__(self, rules, table, compute_true, compute_false):
         self.rules = rules
         self.table = table
         self.compute_true = compute_true
         self.compute_false = compute_false
-        self.exts = exts
-
-
-def _first_definition_order(program, domain):
-    order = []
-    seen = set()
-    for rule in program.rules:
-        if isinstance(rule.head, Atom):
-            key = rule.head.key()
-            if key in domain and key not in seen:
-                seen.add(key)
-                order.append(key)
-    return order
 
 
 def ground_program(program, analysis, domain_mode="keep"):
@@ -988,18 +889,21 @@ def ground_program(program, analysis, domain_mode="keep"):
     table = SymbolTable()
     rules = []
 
-    if domain_mode == "keep":
-        for key in _first_definition_order(program, domain):
-            pred = key[0]
-            for row in exts.get(key, _EMPTY_EXT):
-                rules.append(GRule(table.intern(format_atom(pred, row)), None, ()))
+    if domain_mode == "keep":  # each domain predicate by its first defining rule
+        for key in dict.fromkeys(rule.head.key() for rule in program.rules
+                                 if isinstance(rule.head, Atom)):
+            if key in domain:
+                for row in exts[key]:
+                    rules.append(GRule(table.intern(format_atom(key[0], row)), None, ()))
 
     for rule in program.rules:
         if isinstance(rule.head, Atom) and rule.head.key() in domain:
             continue  # fully evaluated above
-        inst = _RuleInstantiator(rule, domain, exts, domain_mode, rule.loc)
-        for head, body in inst.instances():
-            rules.append(_intern_staged(head, body, table))
+        inst = _RuleInstantiator(rule, domain, exts, domain_mode == "keep")
+        for binding in inst.plan.run({}):
+            body = inst._assemble(binding)
+            if body is not None:
+                rules.append(inst.grule(binding, body, table))
 
     compute_true = []
     compute_false = []
@@ -1021,7 +925,7 @@ def ground_program(program, analysis, domain_mode="keep"):
         target = compute_true if lit.positive else compute_false
         if i not in target:
             target.append(i)
-    return GroundResult(rules, table, tuple(compute_true), tuple(compute_false), exts)
+    return GroundResult(rules, table, tuple(compute_true), tuple(compute_false))
 
 
 # -- source-syntax printing of ground rules ----------------------------------------

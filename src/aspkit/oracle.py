@@ -11,15 +11,14 @@ Two deliberately separate routes are kept here:
 There is also a tiny self-contained evaluator for definite source programs,
 used to double-check the grounder's bottom-up evaluation.
 
-Everything in this module favours obviousness over speed.
+Everything in this module favours obviousness over speed, and it imports
+nothing of the front end at load time, so that `verify` loads none of it.
 """
 
 import itertools
 
-from .grounding import GAgg
 from .records import Record
 from .shared import FALSITY, BasicRule, ChoiceRule, ConstraintRule, WeightRule
-from . import syntax
 
 
 class CapExceededError(Exception):
@@ -129,17 +128,18 @@ def brute_force_models(rules, spec=None, cap=20):
 
 # -- ground source-level route -------------------------------------------------------
 
-def _agg_value(agg, holds):
+def _agg_value(elements, holds):
     """Sum of weights of the aggregate elements satisfied under `holds`."""
     total = 0
-    for lit, w in agg.elements:
+    for lit, w in elements:
         if holds(lit):
             total += w
     return total
 
 
 def _agg_nonneg(agg):
-    """Negative weights flipped onto the complementary literal.
+    """(lower, upper, elements) of `agg` with negative weights flipped onto
+    the complementary literal.
 
     `w < 0` on a literal counts exactly when the literal fails, so it is
     the same constraint as weight -w on the opposite literal with both
@@ -154,15 +154,13 @@ def _agg_nonneg(agg):
             shift -= w
         else:
             elements.append((lit, w))
-    if not shift:
-        return agg
     lower = None if agg.lower is None else agg.lower + shift
     upper = None if agg.upper is None else agg.upper + shift
-    return GAgg(agg.weighted, lower, upper, tuple(elements))
+    return lower, upper, elements
 
 
 def _agg_within(agg, holds):
-    v = _agg_value(agg, holds)
+    v = _agg_value(agg.elements, holds)
     if agg.lower is not None and v < agg.lower:
         return False
     if agg.upper is not None and v > agg.upper:
@@ -179,10 +177,10 @@ def _holds_in(model):
 def _source_body_sat(body, model):
     holds = _holds_in(model)
     for part in body:
-        if isinstance(part, GAgg):
-            if not _agg_within(part, holds):
+        if isinstance(part, int):
+            if not holds(part):
                 return False
-        elif not holds(part):
+        elif not _agg_within(part, holds):
             return False
     return True
 
@@ -221,20 +219,20 @@ def source_is_stable(grules, model, required_true=(), required_false=()):
 
     holds_m = _holds_in(m)
 
-    def agg_fires(raw, justified):
-        agg = _agg_nonneg(raw)
-        if agg.upper is not None and _agg_value(agg, holds_m) > agg.upper:
+    def agg_fires(agg, justified):
+        lower, upper, elements = _agg_nonneg(agg)
+        if upper is not None and _agg_value(elements, holds_m) > upper:
             return False
-        if agg.lower is None:
+        if lower is None:
             return True
         lo = 0
-        for lit, w in agg.elements:
+        for lit, w in elements:
             if lit > 0:
                 if lit in justified:
                     lo += w
             elif -lit not in m:
                 lo += w
-        return lo >= agg.lower
+        return lo >= lower
 
     justified = set()
     changed = True
@@ -245,7 +243,7 @@ def source_is_stable(grules, model, required_true=(), required_false=()):
                 continue
             fires = True
             for part in r.body:
-                if isinstance(part, GAgg):
+                if not isinstance(part, int):
                     if not agg_fires(part, justified):
                         fires = False
                         break
@@ -274,11 +272,11 @@ def _grule_atoms(grules):
     for r in grules:
         if r.head is not None:
             atoms.add(r.head)
-        aggs = [p for p in r.body if isinstance(p, GAgg)]
+        aggs = [p for p in r.body if not isinstance(p, int)]
         if r.head_agg is not None:
             aggs.append(r.head_agg)
         for part in r.body:
-            if not isinstance(part, GAgg):
+            if isinstance(part, int):
                 atoms.add(abs(part))
         for agg in aggs:
             for lit, _ in agg.elements:
@@ -304,6 +302,8 @@ def source_models(grules, required_true=(), required_false=(), cap=20):
 # -- definite source programs -------------------------------------------------------
 
 def _naive_eval(term, binding):
+    from . import syntax
+
     if isinstance(term, syntax.Integer):
         return term.value
     if isinstance(term, syntax.SymbolicConst):
@@ -359,6 +359,8 @@ def naive_least_model(program):
     Variables range over every constant mentioned anywhere in the program,
     so this is hopeless on anything but small inputs; that is the point.
     """
+    from . import syntax
+
     consts = set()
 
     def scan(term):
@@ -426,6 +428,8 @@ def naive_least_model(program):
 
 
 def _rule_vars(rule):
+    from . import syntax
+
     seen = set()
 
     def walk(term):

@@ -374,11 +374,14 @@ def conditional_program(rng):
     predicates, positive and negative, in cardinality and weight aggregates
     whose weights may be negative.
 
-    Domain predicates: the facts d/1 and e/2 and the rules f0/1 and f1/1,
-    which put conditional literals over d, e and each other in domain rule
-    bodies. Non-domain predicates: q/1 and r/2, chosen freely, and s0/1 to
-    s2/1, whose rules, like the head-aggregate rules and the constraint,
-    mix every kind of body part. The choices stay small enough to
+    The facts d/1 and e/2 and the rules for f0/1 and f1/1 define domain
+    predicates; f0's and f1's bodies may hold conditional literals over d,
+    e and f0, negative literals and comparisons. q/1 and r/2 are chosen
+    freely. The rules for s0/1 to s2/1, the two head-aggregate rules over
+    q, s1 and s2, and the optional constraint mix conditional literals,
+    aggregates, plain literals and comparisons over all of these, so s0
+    is a domain predicate when its body happens to hold neither an
+    aggregate nor a non-domain literal. The choices stay small enough to
     enumerate every stable model.
     """
     lines = [f"d({v})." for v in rng.sample(range(5), rng.randint(2, 3))]

@@ -154,6 +154,29 @@ def test_ground_arithmetic_error(run, tmp_path):
     assert "division by zero" in err
 
 
+# (program, a rule that makes its head recursive, exit code): each
+# program's conditional literal would raise on a binding that a later
+# comparison or join rejects.
+CONDITIONAL_AFTER_JOIN = [
+    ("d(0..2). q(1).\np :- d(Y), q(Z/Y) : d(Z), Y != 0.\n", "p :- p.\n", 0),
+    ("d(1). d(a). e(1). f(1,1).\np(X) :- d(X), f(X,Y) : e(Y), X < 2.\n",
+     "p(X) :- d(X), p(X).\n", 3),
+]
+
+
+@pytest.mark.parametrize("text, recursion, code", CONDITIONAL_AFTER_JOIN)
+def test_conditional_literals_wait_for_the_join_in_every_rule(run, tmp_path, text,
+                                                              recursion, code):
+    # A conditional literal is evaluated after the rule's join and
+    # comparisons, whether its head is a domain predicate or, made
+    # recursive by one more rule that derives nothing, not.
+    for mode in ("keep", "none"):
+        domain = run(["run", "-d", mode, write(tmp_path, "p.lp", text)])
+        other = run(["run", "-d", mode, write(tmp_path, "p.lp", text + recursion)])
+        assert domain[0] == code
+        assert domain == other
+
+
 def test_ground_constant_override(run, tmp_path):
     src = write(tmp_path, "p.lp", "#const n = 2. d(1..n).")
     code, out, _ = run(["ground", "--text", "-c", "n=3", src])
@@ -579,6 +602,7 @@ def test_cli_imports_neither_dataclasses_nor_the_oracle(run, tmp_path):
     src = write(tmp_path, "p.lp", TWO_CYCLE + " c :- a.")
     _, ground_out, _ = run(["ground", src])
     gfile = write(tmp_path, "p.sm", ground_out)
+    mfile = write(tmp_path, "m.txt", "Stable Model: a c\n")
     unwanted = ("dataclasses", "inspect", "aspkit.oracle") + FRONT_END
     script = ("import contextlib, io, sys, aspkit.cli\n"
               f"unwanted = {unwanted!r}\n"
@@ -587,6 +611,9 @@ def test_cli_imports_neither_dataclasses_nor_the_oracle(run, tmp_path):
               f"    codes = [aspkit.cli.main(['solve', {gfile!r}]),\n"
               f"             aspkit.cli.main(['solve', '--wfs', {gfile!r}])]\n"
               "print(codes, *[m for m in unwanted if m in sys.modules])\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    code = aspkit.cli.main(['verify', {gfile!r}, {mfile!r}])\n"
+              "print(code, *[m for m in unwanted if m in sys.modules])\n"
               "import aspkit\n"
               "print(aspkit.is_stable.__module__, aspkit.ComputeSpec.__module__)\n"
               "names = {}\n"
@@ -596,7 +623,7 @@ def test_cli_imports_neither_dataclasses_nor_the_oracle(run, tmp_path):
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, env=SUBPROCESS_ENV)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "\n[0, 0]\naspkit.oracle aspkit.oracle\n\n\n"
+    assert proc.stdout == "\n[0, 0]\n0 aspkit.oracle\naspkit.oracle aspkit.oracle\n\n\n"
     for name in aspkit.__all__:
         value = getattr(aspkit, name)
         assert value.__module__.startswith("aspkit.")

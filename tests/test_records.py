@@ -47,7 +47,7 @@ MUTABLE = [
     GroundProgram([BasicRule(2, (), ())], {2: "a"}, (), (1,), 1, 2),
     SolveStats(decisions=3),
     DomainAnalysis(None, frozenset(), frozenset(), frozenset()),
-    GroundResult([], None, (), (), {}),
+    GroundResult([], None, (), ()),
     GroundOptions(constants={"n": 2}),
     SolveOptions(model_count=0),
     Grounded(None, None, [], []),
