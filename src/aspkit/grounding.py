@@ -2,49 +2,22 @@
 
 Ground values are plain Python ints and strs (symbolic constants). The
 grounder fully evaluates domain predicates bottom-up in dependency order,
-then instantiates the remaining rules. One body compiler serves both
-stages: a rule body joins over its positive domain literals with its
-negative domain literals and comparisons as checks, and then the rest is
-assembled in body order (literals over other predicates, conditional
-literals, aggregates). An instance of a domain rule adds its head row to
-the extension; any other becomes a ground rule. One rule holds for every
-literal over a domain predicate: the extension decides it, and only a true
-positive one stays in the ground rule, and only in "keep" mode, where
-domain extensions are also emitted as facts ahead of all other rules.
-
-Comparisons drive the join where they can. When a comparison binds a
-variable first bound by a join literal against an already bound term that
-evaluates to an integer, `V == expr` selects that literal's rows by index
-lookup and `V < expr`, `V <= expr`, `V > expr`, `V >= expr` by a bisect
-range over the integer column, instead of filtering every row. The rows
-come back in the extension's insertion order, and any case where selecting
-could skip a row that filtering would have raised an error on falls back
-to filtering; so instance order, output bytes and errors do not depend on
-it. Terms, checks and atom names are compiled once per rule into closures.
+then instantiates the remaining rules. Both stages run each rule but a
+fact as one Python function from `rulegen`: a join over the positive
+domain literals, and the rest assembled in body order. A domain rule's
+instance adds its head row to the extension; any other becomes a ground
+rule. The extension decides every literal over a domain predicate: only
+a true positive one stays in the ground rule, and only in "keep" mode,
+where domain extensions are also emitted as facts ahead of all other
+rules. A fact's row is its head's ground arguments.
 """
 
 import itertools
-import operator
-from bisect import bisect_left, bisect_right
 
-from .analysis import Diagnostic, atom_vars, rule_scopes, term_vars
-from .lexer import INT64_MAX, INT64_MIN
+from .analysis import Diagnostic, term_vars
 from .records import Record
 from .shared import FALSITY
-from .syntax import (
-    Aggregate,
-    Atom,
-    Comparison,
-    FuncApp,
-    Integer,
-    Literal,
-    Pool,
-    Program,
-    Range,
-    Rule,
-    SymbolicConst,
-    Variable,
-)
+from .syntax import Atom, Integer, Literal, Pool, Program, Range, Rule, SymbolicConst
 
 
 class GroundingError(Exception):
@@ -64,149 +37,21 @@ class UnboundConstantError(GroundingError):
         super().__init__(loc, f"unbound symbolic constant '{name}' used as an integer")
 
 
-def _check64(v, loc):
-    if v > INT64_MAX or v < INT64_MIN:
-        raise ArithmeticEvalError(loc, "integer overflow in arithmetic")
-    return v
-
-
-def _divide(a, b, loc):
-    """Quotient truncated toward zero."""
-    if b == 0:
-        raise ArithmeticEvalError(loc, "division by zero")
-    q = abs(a) // abs(b)
-    return -q if (a < 0) != (b < 0) else q
-
-
-_ARITH = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": _divide,
-    # the remainder of truncating division keeps the dividend's sign
-    "mod": lambda a, b, loc: a - _divide(a, b, loc) * b,
-}
-
-
-def compile_term(t, loc):
-    """Compile a term into a closure from a binding to an int or a
-    symbolic-constant str. Evaluation order and errors match a direct walk
-    of the term: arguments left to right, each type-checked before the next
-    is evaluated."""
-    if isinstance(t, Integer):
-        v = t.value
-        return lambda binding: v
-    if isinstance(t, SymbolicConst):
-        name = t.name
-        return lambda binding: name
-    if isinstance(t, Variable):
-        name = t.name
-
-        def variable(binding):
-            try:
-                return binding[name]
-            except KeyError:
-                raise GroundingError(loc, f"unbound variable '{name}'") from None
-        return variable
-    # FuncApp
-    args = [_compile_int_arg(arg, loc) for arg in t.args]
-    if t.op == "abs":
-        (x,) = args
-        return lambda binding: _check64(abs(x(binding)), loc)
-    if len(args) == 1:
-        (x,) = args
-        return lambda binding: _check64(-x(binding), loc)
-    x, y = args
-    fn = _ARITH[t.op]
-    if t.op in ("/", "mod"):
-        return lambda binding: _check64(fn(x(binding), y(binding), loc), loc)
-    return lambda binding: _check64(fn(x(binding), y(binding)), loc)
-
-
-def _compile_int_arg(arg, loc):
-    f = compile_term(arg, loc)
-    if isinstance(arg, (Integer, FuncApp)):
-        return f  # always an int
-    if isinstance(arg, SymbolicConst):
-        name = arg.name
-
-        def unbound(binding):
-            raise UnboundConstantError(loc, name)
-        return unbound
-
-    def checked(binding):
-        v = f(binding)
-        if isinstance(v, int):
-            return v
-        raise GroundingError(loc, f"arithmetic on non-integer value '{v}'")
-    return checked
-
-
-def eval_term(t, binding, loc):
-    """Evaluate a ground or bound term to an int or a symbolic-constant str."""
-    return compile_term(t, loc)(binding)
-
-
-def _compile_row(args, loc):
-    """Closure from a binding to the tuple of the evaluated `args`."""
-    fns = [compile_term(t, loc) for t in args]
-    if not fns:
-        return lambda binding: ()
-    if len(fns) == 1:
-        (f,) = fns
-        return lambda binding: (f(binding),)
-    if len(fns) == 2:
-        f, g = fns
-        return lambda binding: (f(binding), g(binding))
-    return lambda binding: tuple([f(binding) for f in fns])
-
-
-def _compile_name(atom):
-    """Closure from a binding to the printed name of the ground `atom`."""
-    if not atom.args:
-        pred = atom.pred
-        return lambda binding: pred
-    prefix = atom.pred + "("
-    if len(atom.args) <= 2:  # f-string fields print ints and strs as str() does
-        fns = [compile_term(t, atom.loc) for t in atom.args]
-        if len(fns) == 1:
-            (f,) = fns
-            return lambda binding: f"{prefix}{f(binding)})"
-        f, g = fns
-        return lambda binding: f"{prefix}{f(binding)},{g(binding)})"
-    row = _compile_row(atom.args, atom.loc)
-    return lambda binding: prefix + ",".join(map(str, row(binding))) + ")"
-
-
-_ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-
-
-def _comparison_check(comp):
-    """Compile a comparison literal into a check on a binding."""
-    lhs = compile_term(comp.lhs, comp.loc)
-    rhs = compile_term(comp.rhs, comp.loc)
-    op = comp.op
-    if op == "==":
-        return lambda binding: lhs(binding) == rhs(binding)
-    if op == "!=":
-        return lambda binding: lhs(binding) != rhs(binding)
-    rel = _ORDER[op]
-    loc = comp.loc
-
-    def ordered(binding):
-        a = lhs(binding)
-        b = rhs(binding)
-        if isinstance(a, int) and isinstance(b, int):
-            return rel(a, b)
-        bad = a if not isinstance(a, int) else b
-        raise GroundingError(loc, f"ordering comparison on non-integer value '{bad}'")
-    return ordered
-
-
 def format_atom(pred, vals):
     if not vals:
         return pred
     return pred + "(" + ",".join(map(str, vals)) + ")"
+
+
+def eval_term(t, loc):
+    """Evaluate a ground term to an int or a symbolic-constant str."""
+    if isinstance(t, (Integer, SymbolicConst)):
+        return t.value if isinstance(t, Integer) else t.name
+    return rulegen.evaluate(t, loc)
+
+
+def _ground_row(args, loc):
+    return tuple([eval_term(t, loc) for t in args])
 
 
 # -- range and pool expansion --------------------------------------------------
@@ -214,7 +59,7 @@ def format_atom(pred, vals):
 def _range_bound(term, loc):
     if term_vars(term):
         raise GroundingError(loc, "range bounds must not contain variables")
-    v = eval_term(term, {}, loc)
+    v = eval_term(term, loc)
     if not isinstance(v, int):
         raise UnboundConstantError(loc, v)
     return v
@@ -318,16 +163,10 @@ class Extension:
         self._sorted = {}
 
     def add(self, row):
-        if row in self.rows:
-            return False
-        self.rows[row] = True
-        if self._indexes or self._sorted:
+        if row not in self.rows:
+            self.rows[row] = True
             self._indexes.clear()
             self._sorted.clear()
-        return True
-
-    def __contains__(self, row):
-        return row in self.rows
 
     def __len__(self):
         return len(self.rows)
@@ -340,8 +179,7 @@ class Extension:
         if idx is None:
             idx = {}
             for row in self.rows:
-                key = tuple(row[p] for p in positions)
-                idx.setdefault(key, []).append(row)
+                idx.setdefault(tuple(row[p] for p in positions), []).append(row)
             self._indexes[positions] = idx
         return idx
 
@@ -366,268 +204,6 @@ class Extension:
 
 
 _EMPTY_EXT = Extension()
-
-
-# -- join planning and execution -------------------------------------------------
-
-_FLIP = {"==": "==", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
-
-def _driving_shape(comp, outs, bound):
-    """(position, op, term) when `comp` reads `V op term`, with V a variable
-    first bound at `outs[V]` and every variable of `term` in `bound`."""
-    for var, op, other in ((comp.lhs, comp.op, comp.rhs),
-                           (comp.rhs, _FLIP.get(comp.op), comp.lhs)):
-        if (isinstance(var, Variable) and var.name in outs and op in _FLIP
-                and term_vars(other) <= bound):
-            return outs[var.name], op, other
-    return None
-
-
-class _Step:
-    """One positive literal of a join: the rows of `ext` that agree with the
-    binding so far, optionally narrowed by driving comparisons.
-
-    The driving comparisons are the leading checks of `checks` that compare a
-    variable first bound here against an already bound term: `==` becomes
-    one more index key, and `<`, `<=`, `>`, `>=` on one column become a
-    bisect range over `Extension.sorted_index`. Only a leading run of
-    checks may drive, and only when none of them could raise on a skipped row,
-    so the rows that survive the checks, their order and every error are
-    those of scanning the unnarrowed rows; when a bound term fails to
-    evaluate, an ordering bound is not an int or the column holds a
-    non-int, the step scans the unnarrowed rows instead. A driving
-    comparison is not re-checked on the rows it selected: it holds, and
-    cannot raise, on each of them.
-    """
-    __slots__ = ("ext", "key_positions", "key_row", "outs", "intra", "checks",
-                 "undriven", "eq_positions", "eq_row", "range_col", "ranges")
-
-    def __init__(self, ext, key_positions, key_terms, outs, intra, loc):
-        self.ext = ext
-        self.key_positions = key_positions
-        self.key_row = _compile_row(key_terms, loc)
-        self.outs = outs          # (position, name) pairs newly bound here
-        self.intra = intra        # (position, earlier position) equalities
-        self.checks = []          # checks runnable once this step has bound
-        self.eq_positions = ()
-        self.eq_row = None
-        self.range_col = None
-        self.ranges = ()          # (op, compiled bound term) on range_col
-
-    def drive(self, comps, bound):
-        """Pick the driving comparisons from the leading `comps` (None for a
-        check that is not a comparison) given the variables `bound` before
-        this step."""
-        outs = {name: i for i, name in self.outs if not name.startswith("\x00")}
-        eq = []
-        ranges = []
-        for comp in comps:
-            shape = comp and _driving_shape(comp, outs, bound)
-            if not shape:
-                break
-            pos, op, term = shape
-            if op == "==":
-                eq.append((pos, term))
-            elif self.range_col in (None, pos):
-                self.range_col = pos
-                ranges.append((op, compile_term(term, comp.loc)))
-            else:
-                break
-        if eq:
-            self.eq_positions = tuple(pos for pos, _ in eq)
-            # an error evaluating these only selects the unnarrowed rows
-            self.eq_row = _compile_row([term for _, term in eq], None)
-        self.ranges = tuple(ranges)
-        self.undriven = self.checks[len(eq) + len(ranges):]  # the checks after them
-
-    def rows(self, binding):
-        """(rows to join, checks to run on each of them)."""
-        key = self.key_row(binding)
-        if self.eq_row or self.ranges:
-            rows = self._driven(binding, key)
-            if rows is not None:
-                return rows, self.undriven
-        if self.key_positions:
-            return self.ext.index(self.key_positions).get(key, ()), self.checks
-        return self.ext.rows, self.checks
-
-    def _driven(self, binding, key):
-        """Rows the driving comparisons admit, in insertion order, or None."""
-        try:
-            if self.eq_row:
-                key += self.eq_row(binding)
-            bounds = [(op, f(binding)) for op, f in self.ranges]
-        except GroundingError:
-            return None
-        positions = self.key_positions + self.eq_positions
-        if not bounds:
-            return self.ext.index(positions).get(key, ())
-        if not all(isinstance(v, int) for _, v in bounds):
-            return None
-        groups = self.ext.sorted_index(positions, self.range_col)
-        if groups is None:
-            return None
-        group = groups.get(key)
-        if group is None:
-            return ()
-        values, ranks, rows = group
-        lo, hi = 0, len(values)
-        for op, v in bounds:
-            if op == ">":
-                lo = max(lo, bisect_right(values, v))
-            elif op == ">=":
-                lo = max(lo, bisect_left(values, v))
-            elif op == "<":
-                hi = min(hi, bisect_left(values, v))
-            else:
-                hi = min(hi, bisect_right(values, v))
-        if hi - lo == len(rows):
-            return rows
-        return [rows[r] for r in sorted(ranks[lo:hi])]
-
-
-class _Plan:
-    """Static join order for one rule body, greedy by extension size.
-
-    Literals whose arithmetic arguments are fully bound are preferred; when
-    none qualifies the smallest extension is taken anyway and its computed
-    arguments turn into deferred equality checks. `checks` holds
-    (needed variables, check, comparison or None) triples in body order.
-    """
-
-    def __init__(self, atoms, checks, bound0, ext_of, loc):
-        self.pre_checks = []
-        self.steps = []
-        bound = set(bound0)
-        remaining = list(atoms)
-        fresh_n = 0
-        deferred = []
-        while remaining:
-            ready = [a for a in remaining
-                     if all(not (isinstance(arg, FuncApp) and term_vars(arg) - bound)
-                            for arg in a.args)]
-            pool = ready or remaining
-            pick = min(pool, key=lambda a: (len(ext_of(a.key())), remaining.index(a)))
-            remaining.remove(pick)
-            key_positions = []
-            key_terms = []
-            outs = []
-            intra = []
-            local = {}
-            for i, arg in enumerate(pick.args):
-                if isinstance(arg, Variable):
-                    if arg.name in bound:
-                        key_positions.append(i)
-                        key_terms.append(arg)
-                    elif arg.name in local:
-                        intra.append((i, local[arg.name]))
-                    else:
-                        local[arg.name] = i
-                        outs.append((i, arg.name))
-                elif isinstance(arg, (Integer, SymbolicConst)):
-                    key_positions.append(i)
-                    key_terms.append(arg)
-                else:  # FuncApp
-                    if term_vars(arg) <= bound:
-                        key_positions.append(i)
-                        key_terms.append(arg)
-                    else:
-                        name = f"\x00{fresh_n}"
-                        fresh_n += 1
-                        outs.append((i, name))
-                        deferred.append((term_vars(arg), _deferred_eq(name, arg, loc), None))
-            self.steps.append(_Step(ext_of(pick.key()), tuple(key_positions),
-                                    key_terms, tuple(outs), tuple(intra), loc))
-            bound.update(local)
-
-        bound = set(bound0)
-        pending = list(checks) + deferred
-        for step in [None] + self.steps:
-            before = set(bound)
-            if step is not None:
-                bound.update(name for _, name in step.outs if not name.startswith("\x00"))
-            rest = []
-            comps = []
-            for needed, check, comp in pending:
-                if needed <= bound:
-                    (self.pre_checks if step is None else step.checks).append(check)
-                    comps.append(comp)
-                else:
-                    rest.append((needed, check, comp))
-            pending = rest
-            if step is not None:
-                step.drive(comps, before)
-        if pending:
-            raise GroundingError(loc, "internal: unbindable variable in rule body")
-
-    def run(self, binding):
-        for check in self.pre_checks:
-            if not check(binding):
-                return
-        if self.steps:
-            yield from self._run(0, binding)
-        else:
-            yield binding
-
-    def _run(self, depth, binding):
-        step = self.steps[depth]
-        last = depth + 1 == len(self.steps)
-        intra = step.intra
-        outs = step.outs
-        rows, checks = step.rows(binding)
-        for row in rows:
-            if intra and any(row[i] != row[j] for i, j in intra):
-                continue
-            nb = binding.copy()
-            for i, name in outs:
-                nb[name] = row[i]
-            for check in checks:
-                if not check(nb):
-                    break
-            else:
-                if last:
-                    yield nb
-                else:
-                    yield from self._run(depth + 1, nb)
-
-
-def _deferred_eq(name, term, loc):
-    """A computed argument matched against the value its position bound."""
-    value = compile_term(term, loc)
-    return lambda binding: binding[name] == value(binding)
-
-
-def _absent_check(atom, ext):
-    """Negative literal over a fully evaluated (domain) predicate."""
-    row = _compile_row(atom.args, atom.loc)
-    return lambda binding: row(binding) not in ext
-
-
-class _ElementExpander:
-    """Enumerates ground instances of a conditional literal or element.
-    `ext` is the extension that decides each instance when the literal is
-    over a domain predicate, else None."""
-
-    def __init__(self, literal, weight, globals_, exts, domain, loc):
-        self.atom = literal.atom
-        self.positive = literal.positive
-        self.ext = exts.get(self.atom.key(), _EMPTY_EXT) if self.atom.key() in domain else None
-        self.loc = loc
-        self.row = _compile_row(self.atom.args, self.atom.loc)
-        self.weight = None if weight is None else compile_term(weight, loc)
-        self.plan = _Plan(list(literal.conditions), [], globals_,
-                          lambda key: exts.get(key, _EMPTY_EXT), loc)
-
-    def instances(self, binding):
-        """Yields (args_row, weight, pred) per condition instance."""
-        pred = self.atom.pred
-        for b in self.plan.run(binding):
-            row = self.row(b)
-            w = 1 if self.weight is None else self.weight(b)
-            if not isinstance(w, int):
-                raise GroundingError(self.loc, f"non-integer weight '{w}'")
-            yield row, w, pred
 
 
 # -- ground rule representation ---------------------------------------------------
@@ -657,10 +233,10 @@ def evaluate_domain_predicates(program, analysis):
     """Computes the extension of every domain predicate.
 
     The domain component is acyclic by construction, so evaluating each
-    predicate once in dependency order reaches the bottom-up fixpoint (the
-    degenerate case of semi-naive iteration, with nothing left for a second
-    pass to add). Each rule is compiled as any other rule is, and the head
-    row of each instance whose body survives joins the extension.
+    predicate once in dependency order reaches the bottom-up fixpoint. A
+    fact's row is its head's ground arguments. Any other rule is compiled as
+    every rule is, and each instance's head row goes straight into the
+    extension's rows: no rule that reads them, and indexes them, has run.
     """
     domain = analysis.domain
     exts = {}
@@ -675,198 +251,11 @@ def evaluate_domain_predicates(program, analysis):
             continue
         ext = exts.setdefault(key, Extension())
         for rule in by_head.get(key, ()):
-            inst = _RuleInstantiator(rule, domain, exts, False)
-            head_row = inst.head_row
-            bindings = inst.plan.run({})
-            if inst.shape:  # conditional literals, evaluated after the join
-                bindings = (b for b in bindings if inst._assemble(b) is not None)
-            for binding in bindings:
-                ext.add(head_row(binding))
+            if rule.body:
+                rulegen.RuleFunction(rule, domain, exts, False).run(ext.rows)
+            else:
+                ext.add(_ground_row(rule.head.args, rule.head.loc))
     return exts
-
-
-# -- rule instantiation ---------------------------------------------------------
-
-def _compile_bound(term, loc):
-    """Compiled aggregate bound: binding -> int, or None when absent."""
-    if term is None:
-        return lambda binding: None
-    value = compile_term(term, loc)
-
-    def bound(binding):
-        v = value(binding)
-        if not isinstance(v, int):
-            raise GroundingError(loc, f"non-integer aggregate bound '{v}'")
-        return v
-    return bound
-
-
-# How an instance of a conditional literal or element enters its rule.
-_FAILS, _HOLDS, _STAYS = range(3)
-
-
-class _RuleInstantiator:
-    """One rule compiled against the domain extensions `exts`.
-
-    The positive domain literals of the body form the join; negative
-    domain literals and comparisons are checks inside it. What is left,
-    in body order, is assembled per binding after the join: literals over
-    other predicates, conditional literals and aggregates. In keep mode a
-    true positive literal over a domain predicate stays in the rule;
-    otherwise such literals are evaluated away (`_fate`). A domain rule's
-    head compiles to the row each instance adds to the extension, any
-    other head to what `grule` interns.
-    """
-
-    def __init__(self, rule, domain, exts, keep):
-        self.keep = keep
-        loc = rule.loc
-        join_atoms = []
-        checks = []     # (needed variables, check, comparison or None)
-        shape = []      # assembly recipe in source body order
-
-        def ext_of(key):
-            return exts.get(key, _EMPTY_EXT)
-
-        def expander(literal, weight=None):
-            globals_ = rule_scopes(rule)[0]
-            return _ElementExpander(literal, weight, globals_, exts, domain, loc)
-
-        def agg_recipe(agg):
-            return (agg.weighted, [expander(e.literal, e.weight) for e in agg.elements],
-                    _compile_bound(agg.lower, loc), _compile_bound(agg.upper, loc))
-
-        for b in rule.body:
-            if isinstance(b, Aggregate):
-                shape.append(("agg", agg_recipe(b)))
-            elif isinstance(b.atom, Comparison):
-                comp = b.atom
-                checks.append((term_vars(comp.lhs) | term_vars(comp.rhs),
-                               _comparison_check(comp), comp))
-            elif b.conditions:
-                shape.append(("cond", expander(b)))
-            elif b.atom.key() not in domain:
-                shape.append(("lit", b.positive, _compile_name(b.atom)))
-            elif not b.positive:
-                checks.append((atom_vars(b.atom), _absent_check(b.atom, ext_of(b.atom.key())),
-                               None))
-            else:
-                join_atoms.append(b.atom)
-                if keep:  # the join made it true
-                    shape.append(("lit", True, _compile_name(b.atom)))
-
-        self.shape = shape
-        self.plan = _Plan(join_atoms, checks, set(), ext_of, loc)
-        self.head_row = self.head_name = self.head_agg = None
-        if isinstance(rule.head, Aggregate):
-            self.head_agg = agg_recipe(rule.head)
-        elif isinstance(rule.head, Atom) and rule.head.key() in domain:
-            self.head_row = _compile_row(rule.head.args, rule.head.loc)  # joins the extension
-        elif isinstance(rule.head, Atom):
-            self.head_name = _compile_name(rule.head)
-
-    def _fate(self, exp, row):
-        """Whether the instance `row` of the conditional literal or element
-        `exp` stays in the rule, holds or fails. Only a literal over a
-        domain predicate can hold or fail; it stays only when it is true
-        and positive, in keep mode."""
-        if exp.ext is None:
-            return _STAYS
-        if (row in exp.ext) != exp.positive:
-            return _FAILS
-        return _STAYS if exp.positive and self.keep else _HOLDS
-
-    def _build_agg(self, recipe, binding):
-        """The aggregate's instance as a GAgg over (positive, name, weight)
-        elements. An element that holds takes its weight off both bounds,
-        and one that fails goes; equal elements merge, adding their weights
-        in a weight aggregate."""
-        weighted, expanders, lower_of, upper_of = recipe
-        lower = lower_of(binding)
-        upper = upper_of(binding)
-        elements = []   # (positive, name, weight)
-        index = {}      # (positive, name) -> element position, for merging
-        for exp in expanders:
-            for row, w, pred in exp.instances(binding):
-                fate = self._fate(exp, row)
-                if fate == _HOLDS:
-                    lower = None if lower is None else lower - w
-                    upper = None if upper is None else upper - w
-                if fate != _STAYS:
-                    continue
-                name = format_atom(pred, row)
-                mkey = (exp.positive, name)
-                if mkey in index:
-                    if weighted:
-                        pos = index[mkey]
-                        old = elements[pos]
-                        elements[pos] = (old[0], old[1], old[2] + w)
-                    continue
-                index[mkey] = len(elements)
-                elements.append((exp.positive, name, w))
-        return GAgg(weighted, lower, upper, elements)
-
-    def _assemble(self, binding):
-        """The body at `binding` in source order, literals as (positive,
-        name) and aggregates from `_build_agg`; None if the instance dies."""
-        body = []
-        signs = {}
-
-        def push(positive, name):
-            prev = signs.get(name)
-            if prev is None:
-                signs[name] = positive
-                body.append((positive, name))
-                return True
-            return prev == positive  # p and not p in one body: never fires
-
-        for entry in self.shape:
-            kind = entry[0]
-            if kind == "lit":
-                if not push(entry[1], entry[2](binding)):
-                    return None
-            elif kind == "cond":
-                exp = entry[1]
-                for row, _, pred in exp.instances(binding):
-                    fate = self._fate(exp, row)
-                    if fate == _STAYS:
-                        if not push(exp.positive, format_atom(pred, row)):
-                            return None
-                    elif fate == _FAILS:
-                        return None
-            else:
-                agg = self._build_agg(entry[1], binding)
-                if agg.elements:
-                    body.append(agg)
-                elif not ((agg.lower is None or agg.lower <= 0)
-                          and (agg.upper is None or agg.upper >= 0)):
-                    return None  # no element left and 0 outside the bounds
-        return body
-
-    def grule(self, binding, body, table):
-        """The GRule of the instance at `binding`, whose body `_assemble`
-        gave, its atoms interned head first and then body."""
-        intern = table.intern
-
-        def interned(agg):
-            return GAgg(agg.weighted, agg.lower, agg.upper,
-                        tuple((intern(name) if positive else -intern(name), w)
-                              for positive, name, w in agg.elements))
-
-        head = head_agg = None
-        if self.head_name is not None:
-            head = intern(self.head_name(binding))
-        elif self.head_agg is not None:
-            head_agg = interned(self._build_agg(self.head_agg, binding))
-        out = []
-        for entry in body:
-            if isinstance(entry, GAgg):
-                out.append(interned(entry))
-            else:
-                positive, name = entry
-                i = intern(name)
-                out.append(i if positive else -i)
-        return GRule(head, head_agg, tuple(out))
 
 
 class GroundResult(Record):
@@ -897,23 +286,25 @@ def ground_program(program, analysis, domain_mode="keep"):
                     rules.append(GRule(table.intern(format_atom(key[0], row)), None, ()))
 
     for rule in program.rules:
-        if isinstance(rule.head, Atom) and rule.head.key() in domain:
+        head = rule.head
+        if isinstance(head, Atom) and head.key() in domain:
             continue  # fully evaluated above
-        inst = _RuleInstantiator(rule, domain, exts, domain_mode == "keep")
-        for binding in inst.plan.run({}):
-            body = inst._assemble(binding)
-            if body is not None:
-                rules.append(inst.grule(binding, body, table))
+        if isinstance(head, Atom) and not rule.body:
+            name = format_atom(head.pred, _ground_row(head.args, head.loc))
+            rules.append(GRule(table.intern(name), None, ()))
+        else:
+            inst = rulegen.RuleFunction(rule, domain, exts, domain_mode == "keep")
+            inst.run(rules.append, table._ids.get, table.intern)
 
     compute_true = []
     compute_false = []
     for lit in program.compute or ():
         atom = lit.atom
-        row = tuple(eval_term(t, {}, atom.loc) for t in atom.args)
+        row = _ground_row(atom.args, atom.loc)
         name = format_atom(atom.pred, row)
         key = atom.key()
         if domain_mode == "none" and key in domain:
-            truth = row in exts.get(key, _EMPTY_EXT)
+            truth = row in exts.get(key, _EMPTY_EXT).rows
             if truth != lit.positive:
                 rules.append(GRule(FALSITY, None, ()))  # no model can satisfy this
             continue
@@ -978,3 +369,6 @@ def ground_text(result):
         lits += [f"not {result.table.name(i)}" for i in result.compute_false]
         lines.append(f"compute {{ {', '.join(lits)} }}.")
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+from . import rulegen  # last, as the rule compiler builds on the records above

@@ -361,6 +361,11 @@ def naive_least_model(program):
     """
     from . import syntax
 
+    # the parser wraps a comparison in a literal
+    program = syntax.Program(tuple(syntax.Rule(rule.head, tuple(
+        p.atom if isinstance(getattr(p, "atom", None), syntax.Comparison) else p
+        for p in rule.body))
+        for rule in program.rules))
     consts = set()
 
     def scan(term):
@@ -419,7 +424,7 @@ def naive_least_model(program):
                     head = _render(rule.head.pred,
                                    [_naive_eval(a, binding)
                                     for a in rule.head.args])
-                except (ValueError, ZeroDivisionError, KeyError):
+                except (ValueError, ZeroDivisionError, KeyError, TypeError):
                     continue
                 if head not in derived:
                     derived.add(head)

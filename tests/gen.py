@@ -455,6 +455,56 @@ def conditional_program(rng):
     return "\n".join(lines) + "\n"
 
 
+def arithmetic_program(rng):
+    """A random definite program that computes with + - * / mod abs over
+    negative and positive operands, compares, and mixes in symbolic
+    constants.
+
+    d/1, e/2 and s/1 are facts, and the rules for p0/1 to p2/1 and q/2
+    define domain predicates over them. t/1 is recursive, so it and u/1,
+    which reads t and p0, are not domain predicates. Every value a rule
+    derives is first matched against n(-6..6), so each is a constant the
+    program mentions, as `oracle.naive_least_model` needs; every divisor
+    is a nonzero constant or abs(V) + 1, and the values stay small, so
+    grounding raises no error. Each rule has at most two variables, which
+    keeps the naive evaluation quick.
+    """
+    lines = ["n(-6..6).", "s(a; b; c).", "t(0)."]
+    lines += [f"d({v})." for v in rng.sample(range(-5, 6), rng.randint(2, 5))]
+    lines += [f"e({a},{b})." for a, b in rng.sample(
+        [(a, b) for a in range(-3, 4) for b in range(-3, 4)], rng.randint(1, 6))]
+
+    def expr(names):
+        x = rng.choice(names)
+        y = rng.choice(names + [str(rng.randint(-3, 3))])
+        k = rng.choice([-3, -2, -1, 1, 2, 3])
+        return rng.choice([
+            x, f"{x} + {y}", f"{x} - {y}", f"{x} * {k}", f"{y} * -{x}", f"{x} / {k}",
+            f"{x} mod {k}", f"abs({x}) - {abs(k)}", f"-{x}", f"{y} / (abs({x}) + 1)",
+            f"({x} - {y}) mod (abs({y}) + 2)", f"abs({x} * {y}) / {k} + {x}"])
+
+    def comparison(names):
+        return f"{expr(names)} {rng.choice(_COMPARISON_OPS)} {expr(names)}"
+
+    def rule(head, body, names):
+        value = expr(names)
+        parts = body + [f"n({value})"]
+        if rng.random() < 0.7:
+            parts.insert(rng.randrange(len(parts) + 1), comparison(names))
+        return f"{head}({value}) :- {', '.join(parts)}."
+
+    for i in range(3):
+        body = rng.choice([["d(X)"], ["d(X)", "d(Y)"], ["e(X,Y)"], ["e(X,Y)", "d(Y)"]])
+        lines.append(rule(f"p{i}", body, ["X", "Y"] if "Y" in "".join(body) else ["X"]))
+    value = expr(["X"])
+    lines.append(f"q(S,{value}) :- s(S), d(X), n({value}), "
+                 f"S {rng.choice(['==', '!='])} {rng.choice('abc')}.")
+    step = rng.choice(["X + 2", "X - 3", "X * -2 + 1", "abs(X) + 1", "(X + 5) mod 4"])
+    lines.append(f"t(Z) :- t(X), n(X), n(Z), Z == {step}.")
+    lines.append(rule("u", ["t(X)", "n(X)", "p0(Y)"], ["X", "Y"]))
+    return "\n".join(lines) + "\n"
+
+
 def queens_solutions(n):
     """All n-queens solutions as frozensets of (column, row) pairs.
 

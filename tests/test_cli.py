@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import io
 import os
 import pathlib
@@ -152,6 +153,54 @@ def test_ground_arithmetic_error(run, tmp_path):
     code, out, err = run(["ground", src])
     assert code == 4
     assert "division by zero" in err
+
+
+# ASP names that are Python keywords, builtins or dunder-like, and the
+# 64-bit limits; the grounder compiles each rule to Python, so none of
+# these may reach the generated source as anything but a value.
+HYGIENE = """\
+d(1). d(lambda). e(2).
+p(None,True) :- d(None), e(True), None != True.
+q(X__,_Y) :- d(X__), e(_Y).
+class(False) :- p(False,B), not r(False).
+r(X) :- d(X), not class(X).
+big(9223372036854775807). big(lo).
+pair(X,Y) :- big(X), big(Y), X > Y, Y == lo, X == 9223372036854775807.
+low(X - 1) :- big(X), X > lo.
+top(lo + 0, 9223372036854775807 - 0) :- e(2), not class(2).
+"""
+
+HYGIENE_DOMAIN = ("d(1).\nd(lambda).\ne(2).\np(1,2).\np(lambda,2).\nq(1,2).\nq(lambda,2).\n"
+                  "big(9223372036854775807).\nbig(-9223372036854775808).\n"
+                  "pair(9223372036854775807,-9223372036854775808).\nlow(9223372036854775806).\n")
+HYGIENE_RULES = ("class(1) :- {p}not r(1).\nclass(lambda) :- {pl}not r(lambda).\n"
+                 "r(1) :- {d}not class(1).\nr(lambda) :- {dl}not class(lambda).\n"
+                 "top(-9223372036854775808,9223372036854775807) :- {e}not class(2).\n")
+HYGIENE_MODELS = [("class(1)", "class(lambda)"), ("class(1)", "r(lambda)"),
+                  ("r(1)", "class(lambda)"), ("r(1)", "r(lambda)")]
+
+
+@pytest.mark.parametrize("mode", ["keep", "none"])
+def test_generated_code_keeps_asp_names_apart_from_python_names(run, tmp_path, mode):
+    src = write(tmp_path, "h.lp", HYGIENE)
+    lo = ["-c", "lo=-9223372036854775808", "-d", mode]
+    keep = mode == "keep"
+    code, out, err = run(["ground", "--text", *lo, src])
+    rules = HYGIENE_RULES.format(**({"p": "p(1,2), ", "pl": "p(lambda,2), ", "d": "d(1), ",
+                                     "dl": "d(lambda), ", "e": "e(2), "} if keep else
+                                    {k: "" for k in ("p", "pl", "d", "dl", "e")}))
+    assert (code, out, err) == (0, (HYGIENE_DOMAIN if keep else "") + rules, "")
+    code, out, err = run(["ground", *lo, src])
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, err) == (0, "")
+    assert digest == ("88d218d7896c6190f12fafa3951b07fc1c64087324b56018d6152032482110c5" if keep
+                      else "04b3898f79854da4a7c86e9b3df1b8c08327b67f66f0aac3db187fc2dacb917e")
+    code, out, err = run(["run", *lo, src, "0"])
+    facts = " ".join(HYGIENE_DOMAIN.replace(".", "").split()) + " " if keep else ""
+    top = "top(-9223372036854775808,9223372036854775807)"
+    want = "".join(f"Answer: {i}\nStable Model: {facts}{a} {b} {top}\n"
+                   for i, (a, b) in enumerate(HYGIENE_MODELS, 1)) + "True\n"
+    assert (code, out, err) == (0, want, "")
 
 
 # (program, a rule that makes its head recursive, exit code): each
@@ -591,7 +640,7 @@ def test_installed_script_runs():
 
 
 FRONT_END = ("aspkit.lexer", "aspkit.syntax", "aspkit.parser", "aspkit.analysis",
-             "aspkit.grounding", "aspkit.primitives")
+             "aspkit.grounding", "aspkit.rulegen", "aspkit.primitives")
 
 
 def test_cli_imports_neither_dataclasses_nor_the_oracle(run, tmp_path):

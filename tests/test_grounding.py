@@ -1,4 +1,11 @@
+import ast
+import contextlib
+import cProfile
+import linecache
+import pstats
 import random
+import sys
+import traceback
 from collections import Counter
 
 import pytest
@@ -46,7 +53,7 @@ def fact_names(gp):
 
 def ev(expr):
     p = parse_text(f"p({expr}).", "<t>")
-    return eval_term(p.rules[0].head.args[0], {}, Loc("<t>", 1, 1))
+    return eval_term(p.rules[0].head.args[0], Loc("<t>", 1, 1))
 
 
 # -- instantiation ------------------------------------------------------------
@@ -202,6 +209,47 @@ def test_range_bound_must_be_ground():
         ground("d(1..n).")
 
 
+def test_arithmetic_matches_naive_least_model():
+    # Rules compile to Python; the oracle evaluates the source terms. Every
+    # program is definite, so its one stable model is its least model.
+    rng = random.Random(29)
+    derived = Counter()
+    for _ in range(60):
+        text = gen.arithmetic_program(rng)
+        program, _ = desugar_program(parse_text(text, "<t>"))
+        want = naive_least_model(program)
+        domain = {pred for pred, _ in classify_domain_predicates(program).domain}
+        assert {"t", "u"}.isdisjoint(domain) and {"p0", "q"} <= domain
+        for mode in ("keep", "none"):
+            (_, visible), = solve_ground(ground(text, domain_mode=mode).interchange,
+                                         SolveOptions(model_count=0))
+            shown = want if mode == "keep" else {a for a in want if a.split("(")[0] not in domain}
+            assert set(visible) == shown, text
+        derived.update(a.split("(")[0] for a in want)
+    assert all(derived[pred] >= 30 for pred in ("p0", "p1", "p2", "q", "t", "u"))
+
+
+# (facts, rule, location, message, exit code): each error that evaluating a
+# term or a comparison raises. The rule is a domain rule as it stands, and
+# not one with `c` added to its body.
+ARITHMETIC_ERRORS = [
+    ("d(1).", "p(X / 0) :- d(X)", "3:1", "division by zero", 4),
+    ("d(9223372036854775807).", "p(X + 1) :- d(X)", "3:1", "integer overflow in arithmetic", 4),
+    ("d(a).", "p(X + 1) :- d(X)", "3:1", "arithmetic on non-integer value 'a'", 3),
+    ("d(a).", "p(X) :- d(X), X < 1", "3:15", "ordering comparison on non-integer value 'a'", 3),
+    ("d(1).", "p(X + n) :- d(X)", "3:1", "unbound symbolic constant 'n' used as an integer", 3),
+]
+
+
+@pytest.mark.parametrize("facts, rule, where, message, code", ARITHMETIC_ERRORS)
+def test_arithmetic_errors_in_domain_and_other_rules(capsys, tmp_path, facts, rule, where,
+                                                     message, code):
+    for body in ("", ", c"):
+        for mode in ((), ("-d", "none")):
+            got = ground_cli(capsys, tmp_path, f"{facts}\n{{ c }}.\n{rule}{body}.\n", *mode)
+            assert got == (code, "", f"{tmp_path / 'p.lp'}:{where}: {message}\n")
+
+
 # -- compute statements -------------------------------------------------------
 
 def test_compute_literals_become_constraints():
@@ -223,26 +271,44 @@ def ground_cli(capsys, tmp_path, text, *args):
     return code, captured.out, captured.err
 
 
-def test_driven_joins_match_filtered_joins(capsys, tmp_path, monkeypatch):
-    driven = Counter()
-    real = grounding._Step._driven
+@contextlib.contextmanager
+def generated_lines():
+    """Counts the runs of generated rule code's marked lines by their mark:
+    `compare` is a comparison checked on one row, and `lookup` and `range`
+    a join step whose rows a driving comparison selected by index lookup or
+    by bisection. Each rule runs as soon as it is compiled, under the file
+    name `<rule FILE:LINE>`, whose source linecache then holds."""
+    counts = Counter()
 
-    def counting(self, binding, key):
-        rows = real(self, binding, key)
-        if rows is not None:
-            driven["range" if self.ranges else "lookup"] += 1
-        return rows
-    monkeypatch.setattr(grounding._Step, "_driven", counting)
+    def line(frame, event, arg):
+        if event == "line":
+            text = linecache.getline(frame.f_code.co_filename, frame.f_lineno)
+            counts[text.partition("  # ")[2].partition(":")[0]] += 1
+        return line
+
+    def call(frame, event, arg):
+        return line if frame.f_code.co_filename.startswith("<rule ") else None
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        yield counts
+    finally:
+        sys.settrace(previous)
+
+
+def test_driven_joins_match_filtered_joins(capsys, tmp_path):
     grounded = 0
-    for seed in range(300):
-        text, filtered = gen.comparison_program(random.Random(seed))
-        mode = ("-d", "none") if seed % 2 else ()
-        want = ground_cli(capsys, tmp_path, filtered, *mode)
-        got = ground_cli(capsys, tmp_path, text, *mode)
-        assert got == want, f"seed {seed}:\n{text}"
-        grounded += want[0] == 0
+    with generated_lines() as lines:
+        for seed in range(300):
+            text, filtered = gen.comparison_program(random.Random(seed))
+            mode = ("-d", "none") if seed % 2 else ()
+            want = ground_cli(capsys, tmp_path, filtered, *mode)
+            got = ground_cli(capsys, tmp_path, text, *mode)
+            assert got == want, f"seed {seed}:\n{text}"
+            grounded += want[0] == 0
     assert grounded >= 250
-    assert driven["range"] > 100 and driven["lookup"] > 100
+    assert lines["range"] > 100 and lines["lookup"] > 100
 
 
 # (program, the same program with its driving comparisons turned into plain
@@ -301,40 +367,27 @@ CHAIN = "node(1..2000). edge(X,Y) :- node(X), node(Y), Y == X + 1.\n"
     (gen.scale_instance(n=300, fanout=50), ("near", "link")),
     (CHAIN, ("edge",)),
 ])
-def test_comparison_checks_stay_proportional_to_rows(monkeypatch, text, preds):
+def test_comparison_checks_stay_proportional_to_rows(text, preds):
     # A join that filters a cross product makes n * n checks. Here every
     # comparison drives its join, so none is run as a check at all: a
     # driving comparison holds on every row it selected.
-    calls = count_comparison_checks(monkeypatch)
-    exts = domain_extensions(text)
+    with generated_lines() as lines:
+        exts = domain_extensions(text)
     rows = sum(len(exts[(p, 2)]) for p in preds)
     assert rows >= 1999
-    assert calls["checks"] == 0
+    assert lines["compare"] == 0
+    assert lines["range" if "<" in text else "lookup"] >= 300
 
 
-def test_comparison_that_falls_back_checks_every_row(monkeypatch):
+def test_comparison_that_falls_back_checks_every_row():
     # Column Y of d holds the symbol b, so `Y > X` cannot select by bisection:
     # the step scans the rows of d(X, _) and checks each of its 3 * 3.
-    calls = count_comparison_checks(monkeypatch)
-    exts = domain_extensions(
-        "e(1..3). d(X,Y) :- e(X), e(Y). d(a,b). p(X,Y) :- e(X), d(X,Y), Y > X.\n")
+    with generated_lines() as lines:
+        exts = domain_extensions(
+            "e(1..3). d(X,Y) :- e(X), e(Y). d(a,b). p(X,Y) :- e(X), d(X,Y), Y > X.\n")
     assert sorted(exts[("p", 2)]) == [(1, 2), (1, 3), (2, 3)]
-    assert calls["checks"] == 9
-
-
-def count_comparison_checks(monkeypatch):
-    calls = Counter()
-    real = grounding._comparison_check
-
-    def counted(comp):
-        check = real(comp)
-
-        def wrapper(binding):
-            calls["checks"] += 1
-            return check(binding)
-        return wrapper
-    monkeypatch.setattr(grounding, "_comparison_check", counted)
-    return calls
+    assert lines["compare"] == 9
+    assert lines["range"] == 0
 
 
 # -- dense atom ids -----------------------------------------------------------
@@ -359,3 +412,78 @@ def test_grounder_numbers_atoms_densely():
     for g in grounded:
         ids = g.interchange.atom_ids()
         assert g.interchange.n_atoms == len(ids) == max(ids)
+
+
+# -- generated code -----------------------------------------------------------
+
+class _RecordedSources(dict):
+    """A linecache that also keeps every generated rule's source."""
+
+    def __init__(self, sources):
+        super().__init__(linecache.cache)
+        self.sources = sources
+
+    def __setitem__(self, name, entry):
+        if name.startswith("<rule "):
+            self.sources.append("".join(entry[2]))
+        super().__setitem__(name, entry)
+
+
+def test_generated_code_parses_as_python_3_10(monkeypatch):
+    # CI runs Python 3.10, whose f-strings cannot nest quotes (PEP 701).
+    sources = []
+    monkeypatch.setattr(linecache, "cache", _RecordedSources(sources))
+    for files in (["ancestor.lp"], ["graph.lp"], ["knapsack.lp"], ["ncolor.lp", "graph.lp"],
+                  ["queens.lp"]):
+        for mode in ("keep", "none"):
+            ground_files([f"programs/{f}" for f in files],
+                         GroundOptions(constants={"n": 5}, domain_mode=mode))
+    rng = random.Random(31)
+    texts = [gen.aggregate_source(rng) for _ in range(20)]
+    texts += [t for _ in range(20) for t in gen.comparison_program(rng)]
+    texts += [gen.conditional_program(rng) for _ in range(20)]
+    texts += [gen.arithmetic_program(rng) for _ in range(20)]
+    texts.append(gen.scale_instance(n=20, fanout=5))
+    for i, text in enumerate(texts):
+        try:
+            ground(text, domain_mode=("keep", "none")[i % 2])
+        except (GroundingError, SemanticError):
+            pass
+    assert len(sources) >= 500
+    for source in sources:
+        ast.parse(source, feature_version=(3, 10))
+
+
+def test_generated_functions_are_named_after_their_rule(tmp_path):
+    path = tmp_path / "p.lp"
+    path.write_text("d(0..2).\np(X) :- d(X), 1 / X > 0.\n{ q(X) : d(X) }.\n", encoding="utf-8")
+    profile = cProfile.Profile()
+    with pytest.raises(ArithmeticEvalError) as raised:
+        profile.runcall(ground_files, [str(path)], GroundOptions())
+    # a fact compiles nothing
+    assert {f for f, _, _ in pstats.Stats(profile).stats if f.startswith("<rule ")} == {
+        f"<rule {path}:2>"}
+    frame = [f for f in traceback.extract_tb(raised.value.__traceback__)
+             if f.filename.startswith("<rule ")][-1]
+    assert frame.filename == f"<rule {path}:2>"
+    assert frame.line.endswith("# compare: 1 / X > 0")
+    assert linecache.getlines(frame.filename)[1] == "    # p(X) :- d(X), 1 / X > 0.\n"
+
+    path.write_text("d(1..2).\n{ q(X) : d(X) }.\n", encoding="utf-8")
+    profile = cProfile.Profile()
+    profile.runcall(ground_files, [str(path)], GroundOptions())
+    assert {f for f, _, _ in pstats.Stats(profile).stats if f.startswith("<rule ")} == {
+        f"<rule {path}:2>"}
+
+
+def test_join_deeper_than_python_nests_blocks(capsys, tmp_path):
+    # Python compiles at most 20 nested blocks into one function; a longer
+    # join goes on in a function of its own.
+    body = ", ".join(f"d(X{i})" for i in range(22))
+    text = (f"d(1). e(1..2). {{ c }}. {{ q(Y) : e(Y) }}.\n"
+            f"p(X0,Z) :- {body}, e(Z), e(W), Z < W, c, q(Y) : e(Y).\n"
+            f"r :- {body}, e(Z), e(W), Z < W, 1 {{ c : e(Y) }}.\n"
+            f"s(X0,W) :- {body}, e(Z), e(W), Z < W.\n"
+            f"t(W) :- s(X0,W), {body}, c.\n")
+    assert ground_cli(capsys, tmp_path, text, "--text", "-d", "none") == (
+        0, "{ c }.\n{ q(1), q(2) }.\np(1,1) :- c, q(1), q(2).\nr :- 1 { c }.\nt(2) :- c.\n", "")
