@@ -1,10 +1,16 @@
-"""Predicate dependency analysis and domain-restriction checking.
+"""Domain predicates, the domain-restriction check, and lint.
 
-A predicate is a domain predicate when its definition is non-recursive,
-it never occurs in the head of a choice or weight rule, none of its
-defining rules carries a body aggregate, and everything it depends on is
-itself a domain predicate. Domain predicates are exactly what the grounder
-can evaluate bottom-up before instantiating the remaining rules.
+Smodels accepts only domain-restricted programs, so the front end has one
+job before instantiation. It first classifies the domain predicates from
+the predicate dependency graph: a predicate is a domain predicate when its
+definition is non-recursive, it never occurs in the head of a choice or
+weight rule, none of its defining rules carries a body aggregate, and
+everything it depends on is itself a domain predicate. Then it checks that
+every variable is bound by a positive domain literal. Domain predicates
+are exactly what the grounder can evaluate bottom-up before instantiating
+the remaining rules. The dependency pass, the check and the optional lint
+all read a rule through `_rule_parts`, and every term through
+`_term_symbols`.
 """
 
 from .syntax import (
@@ -12,6 +18,7 @@ from .syntax import (
     Atom,
     Comparison,
     FuncApp,
+    Integer,
     Literal,
     Pool,
     Range,
@@ -38,140 +45,26 @@ def pred_name(key):
     return f"{key[0]}/{key[1]}"
 
 
-class DependencyGraph:
-    """Predicate-level dependency graph with edge polarity.
+# -- walking a rule --------------------------------------------------------------
 
-    An edge p -> q means some rule defining p uses q in its body (or in a
-    condition, or inside an aggregate). Nodes and adjacency keep first-seen
-    order so traversals are deterministic.
-    """
-
-    def __init__(self):
-        self.nodes = []
-        self._index = {}
-        self._deps = {}  # key -> {dep_key: set of polarities}
-
-    def add_node(self, key):
-        if key not in self._index:
-            self._index[key] = len(self.nodes)
-            self.nodes.append(key)
-            self._deps[key] = {}
-
-    def add_edge(self, src, dep, positive):
-        self.add_node(src)
-        self.add_node(dep)
-        self._deps[src].setdefault(dep, set()).add(positive)
-
-    def deps(self, key):
-        for dep, pols in self._deps.get(key, {}).items():
-            for pol in sorted(pols, reverse=True):
-                yield dep, pol
-
-    def has_self_loop(self, key):
-        return key in self._deps.get(key, {})
-
-    def sccs(self):
-        """Strongly connected components, dependencies before dependents."""
-        adj = [[self._index[dep] for dep in self._deps[key]] for key in self.nodes]
-        return [tuple(self.nodes[i] for i in comp)
-                for comp in strongly_connected_components(adj)]
-
-
-def _literal_deps(lit, deps):
-    if isinstance(lit.atom, Atom):
-        deps.append((lit.atom.key(), lit.positive))
-    for c in lit.conditions:
-        deps.append((c.key(), True))
-
-
-def build_dependency_graph(program):
-    """Returns (graph, demoted) where demoted preds can never be domain."""
-    g = DependencyGraph()
-    demoted = set()
-    for rule in program.rules:
-        heads = []
-        if isinstance(rule.head, Atom):
-            heads = [rule.head.key()]
-        elif isinstance(rule.head, Aggregate):
-            heads = [e.literal.atom.key() for e in rule.head.elements]
-            demoted.update(heads)
-        deps = []
-        for b in rule.body:
-            if isinstance(b, Aggregate):
-                for e in b.elements:
-                    _literal_deps(e.literal, deps)
-            else:
-                _literal_deps(b, deps)
-        if any(isinstance(b, Aggregate) for b in rule.body):
-            demoted.update(heads)
-        if isinstance(rule.head, Aggregate):
-            for e in rule.head.elements:
-                for c in e.literal.conditions:
-                    deps.append((c.key(), True))
-        for h in heads:
-            g.add_node(h)
-            for d, pos in deps:
-                g.add_edge(h, d, pos)
-        for d, _ in deps:
-            g.add_node(d)
-    for lit in program.compute or ():
-        if isinstance(lit.atom, Atom):
-            g.add_node(lit.atom.key())
-    return g, demoted
-
-
-class DomainAnalysis(Record):
-    __slots__ = ("graph", "domain", "defined", "demoted")
-    __hash__ = None
-
-    def __init__(self, graph, domain, defined, demoted):
-        self.graph = graph
-        self.domain = domain
-        self.defined = defined
-        self.demoted = demoted
-
-
-def defined_keys(program):
-    out = set()
-    for rule in program.rules:
-        if isinstance(rule.head, Atom):
-            out.add(rule.head.key())
-        elif isinstance(rule.head, Aggregate):
-            out.update(e.literal.atom.key() for e in rule.head.elements)
+def _term_symbols(t, out):
+    """Appends the variables and symbolic constants of term `t` to the list
+    `out`, left to right, and returns it."""
+    if isinstance(t, (Variable, SymbolicConst)):
+        out.append(t)
+    elif isinstance(t, (FuncApp, Range, Pool)):
+        for sub in (t.args if isinstance(t, FuncApp) else (t.lo, t.hi) if isinstance(t, Range)
+                    else t.members):
+            _term_symbols(sub, out)
     return out
 
-
-def classify_domain_predicates(program):
-    g, demoted = build_dependency_graph(program)
-    domain = set()
-    for scc in g.sccs():
-        if len(scc) > 1 or g.has_self_loop(scc[0]):
-            continue
-        key = scc[0]
-        if key in demoted:
-            continue
-        if all(dep in domain for dep, _ in g.deps(key)):
-            domain.add(key)
-    return DomainAnalysis(g, frozenset(domain), frozenset(defined_keys(program)),
-                          frozenset(demoted))
-
-
-# -- variable collection -----------------------------------------------------
 
 def term_vars(t, out=None):
     if out is None:
         out = set()
-    if isinstance(t, Variable):
-        out.add(t.name)
-    elif isinstance(t, FuncApp):
-        for a in t.args:
-            term_vars(a, out)
-    elif isinstance(t, Range):
-        term_vars(t.lo, out)
-        term_vars(t.hi, out)
-    elif isinstance(t, Pool):
-        for m in t.members:
-            term_vars(m, out)
+    for s in _term_symbols(t, []):
+        if isinstance(s, Variable):
+            out.add(s.name)
     return out
 
 
@@ -187,50 +80,84 @@ def top_level_vars(a):
     return {t.name for t in a.args if isinstance(t, Variable)}
 
 
-def rule_scopes(rule):
-    """(globals, elements): each global variable of `rule` with the
-    location of its first occurrence, and (local variables, conditions,
-    location) for each conditional element. The variables of an element's
-    conditions are local to it."""
-    global_vars = {}
-    elements = []
+_ONE = Integer(1)
 
-    def note_global(names, loc):
-        for v in sorted(names):
-            global_vars.setdefault(v, loc)
 
-    def note_literal(lit, weight=None):
-        rest = atom_vars(lit.atom)
-        if weight is not None:
-            term_vars(weight, rest)
-        if lit.conditions:
-            local = set()
-            for c in lit.conditions:
-                atom_vars(c, local)
-            elements.append((local, lit.conditions, lit.atom.loc))
-            rest -= local
-        note_global(rest, lit.atom.loc)
+def _rule_parts(rule):
+    """Yield (in_head, part, weight, loc) for each part of `rule` in source
+    order: the head atom; each aggregate's bounds (terms, located at the
+    aggregate), then its elements, each as a Literal with its weight (1 in
+    a cardinality aggregate); each Comparison; each other body literal, a
+    Literal with weight None."""
+    head = rule.head
+    for part in (head, *rule.body):
+        in_head = part is head
+        if isinstance(part, Atom):
+            yield True, part, None, part.loc
+        elif isinstance(part, Aggregate):
+            for bound in (part.lower, part.upper):
+                if bound is not None:
+                    yield in_head, bound, None, part.loc
+            for e in part.elements:
+                yield in_head, e.literal, e.weight or _ONE, e.literal.atom.loc
+        elif isinstance(part, Literal):
+            atom = part.atom
+            yield False, atom if isinstance(atom, Comparison) else part, None, atom.loc
 
-    def note_aggregate(agg):
-        for bound in (agg.lower, agg.upper):
-            if bound is not None:
-                note_global(term_vars(bound), agg.loc)
-        for e in agg.elements:
-            note_literal(e.literal, e.weight)
 
-    if isinstance(rule.head, Atom):
-        note_global(atom_vars(rule.head), rule.head.loc)
-    elif isinstance(rule.head, Aggregate):
-        note_aggregate(rule.head)
-    for b in rule.body:
-        if isinstance(b, Aggregate):
-            note_aggregate(b)
-        elif isinstance(b.atom, Comparison):
-            note_global(term_vars(b.atom.lhs) | term_vars(b.atom.rhs), b.atom.loc)
-        else:
-            note_literal(b)
-    return global_vars, elements
+# -- domain predicates --------------------------------------------------------------
 
+class DomainAnalysis(Record):
+    __slots__ = ("domain", "order")
+    __hash__ = None
+
+    def __init__(self, domain, order):
+        self.domain = domain  # frozenset of (name, arity) keys
+        self.order = order    # the same keys, dependencies before dependents
+
+
+def classify_domain_predicates(program):
+    """Builds the predicate dependency graph and finds the domain predicates
+    with one pass of Tarjan's algorithm. An edge p -> q means a rule
+    defining p uses q in its body, a condition or an aggregate; predicates
+    and their dependencies keep first-seen order, so the order is
+    deterministic."""
+    graph, demoted = {}, set()
+    for rule in program.rules:
+        heads, deps, head_conditions = [], [], []
+        for in_head, part, _, _ in _rule_parts(rule):
+            if isinstance(part, Atom):
+                heads.append(part.key())
+            elif isinstance(part, Literal) and in_head:
+                heads.append(part.atom.key())
+                head_conditions += [c.key() for c in part.conditions]
+            elif isinstance(part, Literal):
+                deps += [part.atom.key(), *(c.key() for c in part.conditions)]
+        # A head's conditions come after the body: the order of the edges
+        # fixes the evaluation order, and so which of two failing domain
+        # rules is reported.
+        deps += head_conditions
+        if isinstance(rule.head, Aggregate) or any(isinstance(b, Aggregate) for b in rule.body):
+            demoted.update(heads)
+        for key in heads + deps:
+            graph.setdefault(key, {})
+        for key in heads:
+            graph[key].update(dict.fromkeys(deps))
+    for lit in program.compute or ():
+        graph.setdefault(lit.atom.key(), {})
+
+    keys = list(graph)
+    index = {key: i for i, key in enumerate(keys)}
+    domain = {}  # in evaluation order
+    for comp in strongly_connected_components([[index[d] for d in graph[key]] for key in keys]):
+        key = keys[comp[0]]
+        # a self-loop is a dependency not yet in the domain
+        if len(comp) == 1 and key not in demoted and all(d in domain for d in graph[key]):
+            domain[key] = None
+    return DomainAnalysis(frozenset(domain), tuple(domain))
+
+
+# -- domain restriction ----------------------------------------------------------
 
 def check_domain_restriction(program, domain):
     """Every variable must be bound by a positive domain literal.
@@ -243,13 +170,27 @@ def check_domain_restriction(program, domain):
     """
     diags = []
     for rule in program.rules:
-        cover = set()
-        for b in rule.body:
-            if (isinstance(b, Literal) and b.positive and not b.conditions
-                    and isinstance(b.atom, Atom) and b.atom.key() in domain):
-                cover |= top_level_vars(b.atom)
+        cover, global_vars, elements = set(), {}, []
+        for _, part, weight, loc in _rule_parts(rule):
+            if isinstance(part, Literal):
+                names = atom_vars(part.atom, term_vars(weight))
+                if part.conditions:
+                    local = set()
+                    for c in part.conditions:
+                        atom_vars(c, local)
+                    elements.append((local, part.conditions, loc))
+                    names -= local
+                elif weight is None and part.positive and part.atom.key() in domain:
+                    cover |= top_level_vars(part.atom)
+            elif isinstance(part, Atom):
+                names = atom_vars(part)
+            elif isinstance(part, Comparison):
+                names = term_vars(part.lhs, term_vars(part.rhs))
+            else:
+                names = term_vars(part)
+            for v in sorted(names):
+                global_vars.setdefault(v, loc)
 
-        global_vars, elements = rule_scopes(rule)
         for local, conds, loc in elements:
             bound_here = set()
             for c in conds:
@@ -275,7 +216,7 @@ def check_domain_restriction(program, domain):
                     f"variable '{v}' is not bound by a positive domain literal"))
 
     for lit in program.compute or ():
-        if isinstance(lit.atom, Atom) and atom_vars(lit.atom):
+        if atom_vars(lit.atom):
             diags.append(Diagnostic(lit.atom.loc, "error",
                                     "compute statement literals must be ground"))
     return diags
@@ -283,119 +224,46 @@ def check_domain_restriction(program, domain):
 
 # -- optional lint ------------------------------------------------------------
 
-def _walk_rule_atoms(rule):
-    """Yield every atom of a rule (head, body, conditions, elements)."""
-    def from_literal(lit):
-        if isinstance(lit.atom, Atom):
-            yield lit.atom
-        yield from lit.conditions
-
-    if isinstance(rule.head, Atom):
-        yield rule.head
-    elif isinstance(rule.head, Aggregate):
-        for e in rule.head.elements:
-            yield from from_literal(e.literal)
-    for b in rule.body:
-        if isinstance(b, Aggregate):
-            for e in b.elements:
-                yield from from_literal(e.literal)
-        else:
-            yield from from_literal(b)
-
-
-def _walk_rule_terms(rule):
-    """Yield (term, loc) for every top-level term of a rule."""
-    def from_literal(lit):
-        if isinstance(lit.atom, Comparison):
-            yield lit.atom.lhs, lit.atom.loc
-            yield lit.atom.rhs, lit.atom.loc
-        else:
-            for t in lit.atom.args:
-                yield t, lit.atom.loc
-        for c in lit.conditions:
-            for t in c.args:
-                yield t, c.loc
-
-    def from_aggregate(agg):
-        for bound in (agg.lower, agg.upper):
-            if bound is not None:
-                yield bound, agg.loc
-        for e in agg.elements:
-            yield from from_literal(e.literal)
-            if e.weight is not None:
-                yield e.weight, e.literal.atom.loc
-
-    if isinstance(rule.head, Atom):
-        for t in rule.head.args:
-            yield t, rule.head.loc
-    elif isinstance(rule.head, Aggregate):
-        yield from from_aggregate(rule.head)
-    for b in rule.body:
-        if isinstance(b, Aggregate):
-            yield from from_aggregate(b)
-        else:
-            yield from from_literal(b)
-
-
-def _count_symbols(term, loc, consts, variables):
-    if isinstance(term, SymbolicConst):
-        cnt, first = consts.get(term.name, (0, loc))
-        consts[term.name] = (cnt + 1, first)
-    elif isinstance(term, Variable):
-        cnt, first = variables.get(term.name, (0, loc))
-        variables[term.name] = (cnt + 1, first)
-    elif isinstance(term, FuncApp):
-        for a in term.args:
-            _count_symbols(a, loc, consts, variables)
-    elif isinstance(term, Range):
-        _count_symbols(term.lo, loc, consts, variables)
-        _count_symbols(term.hi, loc, consts, variables)
-    elif isinstance(term, Pool):
-        for m in term.members:
-            _count_symbols(m, loc, consts, variables)
-
-
 def lint(program):
     """Heuristic warnings; enabled with -W, off by default."""
-    diags = []
-    defined = defined_keys(program)
+    defined, used, consts = set(), {}, {}
 
-    used = {}
-    for rule in program.rules:
-        head_atoms = set()
-        if isinstance(rule.head, Atom):
-            head_atoms.add(id(rule.head))
-        for a in _walk_rule_atoms(rule):
-            if id(a) in head_atoms:
-                continue
-            used.setdefault(a.key(), a.loc)
-    for lit in program.compute or ():
-        if isinstance(lit.atom, Atom):
-            used.setdefault(lit.atom.key(), lit.atom.loc)
-    for key, loc in used.items():
-        if key not in defined:
-            diags.append(Diagnostic(loc, "warning",
-                                    f"predicate '{pred_name(key)}' is used but never defined"))
+    def count(terms, loc, variables):
+        """Notes where each variable and symbolic constant of `terms` occurs."""
+        for t in terms:
+            for s in _term_symbols(t, []):
+                table = variables if isinstance(s, Variable) else consts
+                table.setdefault(s.name, []).append(loc)
 
-    consts = {}
-    singleton_diags = []
+    singletons = []
     for rule in program.rules:
         variables = {}
-        for t, loc in _walk_rule_terms(rule):
-            _count_symbols(t, loc, consts, variables)
-        for name, (cnt, loc) in variables.items():
-            if cnt == 1 and not name.startswith("_"):
-                singleton_diags.append(Diagnostic(
-                    loc, "warning", f"variable '{name}' occurs only once in this rule"))
+        for in_head, part, weight, loc in _rule_parts(rule):
+            if isinstance(part, Atom):
+                defined.add(part.key())
+                count(part.args, loc, variables)
+            elif isinstance(part, Literal):
+                if in_head:
+                    defined.add(part.atom.key())
+                for a in (part.atom, *part.conditions):
+                    used.setdefault(a.key(), a.loc)
+                    count(a.args, a.loc, variables)
+                count((weight,), loc, variables)
+            elif isinstance(part, Comparison):
+                count((part.lhs, part.rhs), loc, variables)
+            else:
+                count((part,), loc, variables)
+        singletons += [Diagnostic(locs[0], "warning",
+                                  f"variable '{name}' occurs only once in this rule")
+                       for name, locs in variables.items()
+                       if len(locs) == 1 and not name.startswith("_")]
     for lit in program.compute or ():
-        if isinstance(lit.atom, Atom):
-            for t in lit.atom.args:
-                _count_symbols(t, lit.atom.loc, consts, {})
+        used.setdefault(lit.atom.key(), lit.atom.loc)
+        count(lit.atom.args, lit.atom.loc, {})
 
-    for name, (cnt, loc) in consts.items():
-        if cnt == 1:
-            diags.append(Diagnostic(
-                loc, "warning",
-                f"symbolic constant '{name}' occurs only once; possible typo"))
-    diags.extend(singleton_diags)
-    return diags
+    return ([Diagnostic(loc, "warning", f"predicate '{pred_name(key)}' is used but never defined")
+             for key, loc in used.items() if key not in defined]
+            + [Diagnostic(locs[0], "warning",
+                          f"symbolic constant '{name}' occurs only once; possible typo")
+               for name, locs in consts.items() if len(locs) == 1]
+            + singletons)

@@ -245,11 +245,8 @@ def evaluate_domain_predicates(program, analysis):
         if isinstance(rule.head, Atom) and rule.head.key() in domain:
             by_head.setdefault(rule.head.key(), []).append(rule)
 
-    for scc in analysis.graph.sccs():
-        key = scc[0]
-        if key not in domain:
-            continue
-        ext = exts.setdefault(key, Extension())
+    for key in analysis.order:
+        ext = exts[key] = Extension()
         for rule in by_head.get(key, ()):
             if rule.body:
                 rulegen.RuleFunction(rule, domain, exts, False).run(ext.rows)

@@ -96,11 +96,9 @@ def _ground(program, opts):
     program = substitute_constants(program, opts.constants)
     program, warnings = desugar_program(program)
     info = analysis.classify_domain_predicates(program)
-    diags = analysis.check_domain_restriction(program, info.domain)
-    errors = [d for d in diags if d.severity == "error"]
+    errors = analysis.check_domain_restriction(program, info.domain)
     if errors:
         raise SemanticError(errors)
-    warnings.extend(d for d in diags if d.severity != "error")
     lint_notes = analysis.lint(program) if opts.lint else []
     result = ground_program(program, info, opts.domain_mode)
     rules = translate_program(result.rules, result.table)

@@ -20,7 +20,7 @@ bytes and errors do not depend on it.
 import linecache
 from bisect import bisect_left, bisect_right
 
-from .analysis import atom_vars, rule_scopes, term_vars
+from .analysis import atom_vars, term_vars
 from .grounding import (_EMPTY_EXT, ArithmeticEvalError, GAgg, GRule, GroundingError,
                         UnboundConstantError, format_atom)
 from .lexer import INT64_MAX, INT64_MIN
@@ -345,7 +345,7 @@ class RuleFunction(_Source):
         super().__init__()
         self.rule, self.domain, self.keep = rule, domain, keep
         self.ext = lambda key: exts.get(key, _EMPTY_EXT)
-        self.globals, self.defs = None, []
+        self.defs = []
         join_atoms, checks, self.shape = [], [], []
         for b in rule.body:
             if isinstance(b, Aggregate) or b.conditions or (
@@ -584,9 +584,8 @@ class RuleFunction(_Source):
     def element(self, depth, literal, weight, handle):
         """Emit the loops over the instances of a conditional literal or
         aggregate element, and `handle` each: its row, name, weight (after
-        the row) and the extension that decides it, if it is a domain's."""
-        if self.globals is None:
-            self.globals = set(rule_scopes(self.rule)[0])
+        the row) and the extension that decides it, if it is a domain's.
+        The variables the rule's join has bound are its globals."""
         outer = dict(self.vars)
 
         def inner(depth, skip):
@@ -596,6 +595,6 @@ class RuleFunction(_Source):
             handle(depth, literal, _tuple(args), self.printed(atom, args), w,
                    self.ext(atom.key()) if atom.key() in self.domain else None)
 
-        self.join(depth, _Plan(list(literal.conditions), [], self.globals, self.ext,
+        self.join(depth, _Plan(list(literal.conditions), [], outer, self.ext,
                                self.rule.loc), "continue", inner)
         self.vars = outer

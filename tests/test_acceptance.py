@@ -87,7 +87,8 @@ def test_c3_ancestor_grounds_to_three_facts():
     from aspkit.grounding import desugar_program
     program, _ = desugar_program(substitute_constants(parse_text(text, "ancestor.lp")))
     an = classify_domain_predicates(program)
-    only_ancestor = sorted(an.defined - an.domain) == [("ancestor", 2)]
+    heads = {rule.head.key() for rule in program.rules}
+    only_ancestor = sorted(heads - an.domain) == [("ancestor", 2)]
 
     g = ground_text_input(text, GroundOptions(domain_mode="none"))
     models = list(solve_ground(g.interchange, SolveOptions(model_count=0)))

@@ -1,7 +1,6 @@
 import random
 
 from aspkit.analysis import (
-    build_dependency_graph,
     check_domain_restriction,
     classify_domain_predicates,
     lint,
@@ -32,7 +31,7 @@ def test_recursive_predicate_is_not_domain():
     _, an = analyze("e(a,b). r(X,Y) :- e(X,Y). r(X,Z) :- r(X,Y), e(Y,Z).")
     assert ("e", 2) in an.domain
     assert ("r", 2) not in an.domain
-    assert ("r", 2) in an.defined
+    assert an.order == (("e", 2),)
 
 
 def test_stratified_negation_keeps_domain_status():
@@ -42,32 +41,33 @@ def test_stratified_negation_keeps_domain_status():
 
 
 def test_choice_head_is_demoted():
-    _, an = analyze("d(1..3). { pick(X):d(X) }.")
-    assert ("pick", 1) not in an.domain
-    assert ("pick", 1) in an.demoted
+    # pick/1 is not recursive, but a choice head keeps it out of the domain
+    _, an = analyze("d(1..3). { pick(X):d(X) }. p(X) :- pick(X).")
+    assert an.order == (("d", 1),)
 
 
 def test_aggregate_body_demotes_head():
-    _, an = analyze("d(1..3). { pick(X):d(X) }. two :- 2 { pick(X):d(X) }.")
-    assert ("two", 0) in an.demoted
-    assert ("two", 0) not in an.domain
+    # two/0 and its dependants are not recursive, but an aggregate body
+    # keeps two/0 out of the domain
+    _, an = analyze("d(1..3). two :- 2 { d(X):d(X) }. three :- two.")
+    assert an.order == (("d", 1),)
 
 
 def test_ancestor_classification():
     with open("programs/ancestor.lp", encoding="utf-8") as fh:
         text = fh.read()
-    _, an = analyze(text)
-    non_domain = sorted(an.defined - an.domain)
-    assert non_domain == [("ancestor", 2)]
+    program, an = analyze(text)
+    heads = {rule.head.key() for rule in program.rules}
+    assert sorted(heads - an.domain) == [("ancestor", 2)]
 
 
 def test_dependency_graph_edges():
-    program, _ = analyze("p(X) :- q(X), not r(X). q(a). r(b).")
-    g, demoted = build_dependency_graph(program)
-    deps = list(g.deps(("p", 1)))
-    assert (("q", 1), True) in deps
-    assert (("r", 1), False) in deps
-    assert demoted == set()
+    # p depends on q through a positive literal, on r through a negative
+    # one, and on s and t through a conditional literal and its condition:
+    # each comes before p, in the order the rule uses it
+    _, an = analyze("p(X) :- q(X), not r(X), s(Y) : t(Y). q(a). r(b). s(c). t(c).")
+    assert an.order == (("q", 1), ("r", 1), ("s", 1), ("t", 1), ("p", 1))
+    assert an.domain == frozenset(an.order)
 
 
 def test_unbound_variable_in_negative_literal():

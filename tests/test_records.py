@@ -46,7 +46,7 @@ RECORDS = [
 MUTABLE = [
     GroundProgram([BasicRule(2, (), ())], {2: "a"}, (), (1,), 1, 2),
     SolveStats(decisions=3),
-    DomainAnalysis(None, frozenset(), frozenset(), frozenset()),
+    DomainAnalysis(frozenset({("p", 1)}), (("p", 1),)),
     GroundResult([], None, (), ()),
     GroundOptions(constants={"n": 2}),
     SolveOptions(model_count=0),
