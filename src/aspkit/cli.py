@@ -11,7 +11,13 @@ Exit codes for ground/run: 0 ok, 1 usage, 2 parse error, 3 semantic error,
 4 arithmetic failure during grounding. For solve/run enumeration: 0 at least
 one model, 1 none, 2 malformed input; with --wfs, 1 when the well-founded
 model shows that no stable model exists, else 0. verify: 0 all models
-stable, 1 some model is not, 2 anything that prevented checking.
+stable, 1 some model is not, 2 malformed input, an unknown atom name or
+an empty listing. Grounding warnings and -W notes go to stderr before the
+error lines of a failed grounding too.
+
+verify fixes the named atoms of each listing through the compute
+sections, lets the solver search the hidden (unnamed) atoms, however many
+there are, and confirms each model it finds with the oracle.
 
 Only ground and run load the front end (lexer, parser, analysis, grounder)
 and handle its errors (_grounds); solve and verify read the ground format
@@ -23,7 +29,12 @@ import os
 import re
 import sys
 
-from .ground_format import FormatError, emit_ground_program, parse_ground_program
+from .ground_format import (
+    FormatError,
+    compact_atom_ids,
+    emit_ground_program,
+    parse_ground_program,
+)
 from .pipeline import (
     GroundOptions,
     SemanticError,
@@ -140,19 +151,14 @@ def _grounds(cmd):
         from .parser import ParseError
         try:
             return cmd(args)
-        except ParseError as e:
-            print(e, file=sys.stderr)
-            return 2
-        except SemanticError as e:
-            for diag in e.diagnostics:
-                print(diag, file=sys.stderr)
-            return 3
-        except ArithmeticEvalError as e:
-            print(e, file=sys.stderr)
-            return 4
-        except GroundingError as e:
-            print(e, file=sys.stderr)
-            return 3
+        except (ParseError, SemanticError, GroundingError) as e:
+            # the warnings and lint notes made before the error come first
+            lines = getattr(e, "warnings", []) + getattr(e, "diagnostics", [e])
+            for line in lines:
+                print(line, file=sys.stderr)
+            if isinstance(e, ParseError):
+                return 2
+            return 4 if isinstance(e, ArithmeticEvalError) else 3
     return run
 
 
@@ -260,7 +266,8 @@ def _read_model_file(path):
 def _cmd_verify(args):
     try:
         with open(args.ground_file, "r", encoding="utf-8") as fh:
-            gp = parse_ground_program(read_text(fh, args.ground_file))
+            # renumbered once, so that no listing scans the rules for atom ids
+            gp = compact_atom_ids(parse_ground_program(read_text(fh, args.ground_file)))[0]
         models = _read_model_file(args.model_file)
     except OSError as e:
         print(e, file=sys.stderr)

@@ -86,15 +86,18 @@ def _expand_atom(a, warnings):
     return [Atom(a.pred, combo, a.loc) for combo in itertools.product(*alts)]
 
 
-def desugar_program(program):
+def desugar_program(program, warnings=None):
     """Expand ranges and pools; each alternative yields its own rule copy.
 
     A range behaves like a fresh variable over the interval, so an atom with
     n alternatives multiplies the rule n ways (for facts this is the familiar
     node(a;b;c) -> three facts). An empty interval drops the affected copies
-    and emits a warning.
+    and emits a warning. Returns the program and the warnings, which are
+    appended to `warnings` when it is given, so that a caller keeps those
+    made before an error.
     """
-    warnings = []
+    if warnings is None:
+        warnings = []
     rules = []
     for rule in program.rules:
         if isinstance(rule.head, Atom):

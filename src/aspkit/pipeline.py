@@ -17,7 +17,7 @@ from importlib import import_module
 
 from .ground_format import GroundProgram, compact_atom_ids
 from .records import Record
-from .shared import FALSITY, ChoiceRule
+from .shared import FALSITY
 from .solver import Solver
 from .wellfounded import well_founded
 
@@ -27,6 +27,7 @@ _FRONT_END = {
     "parse_text": "parser",
     "substitute_constants": "parser",
     "desugar_program": "grounding",
+    "GroundingError": "grounding",
     "ground_program": "grounding",
     "translate_program": "primitives",
 }
@@ -93,15 +94,24 @@ class Grounded(Record):
 
 
 def _ground(program, opts):
+    """Grounds `program`. An error raised after constant substitution
+    carries the warnings and lint notes made before it, in the order a
+    success prints them, as its `warnings` attribute."""
     program = substitute_constants(program, opts.constants)
-    program, warnings = desugar_program(program)
-    info = analysis.classify_domain_predicates(program)
-    errors = analysis.check_domain_restriction(program, info.domain)
-    if errors:
-        raise SemanticError(errors)
+    # lint reads the program as written, before ranges are copied out
     lint_notes = analysis.lint(program) if opts.lint else []
-    result = ground_program(program, info, opts.domain_mode)
-    rules = translate_program(result.rules, result.table)
+    warnings = []
+    try:
+        program, _ = desugar_program(program, warnings)
+        info = analysis.classify_domain_predicates(program)
+        errors = analysis.check_domain_restriction(program, info.domain)
+        if errors:
+            raise SemanticError(errors)
+        result = ground_program(program, info, opts.domain_mode)
+        rules = translate_program(result.rules, result.table)
+    except (SemanticError, GroundingError) as e:
+        e.warnings = warnings + lint_notes
+        raise
     gp = GroundProgram(
         rules=rules,
         symbols=dict(result.table.named_items()),
@@ -170,104 +180,26 @@ def well_founded_conflict(gp, true, false):
 
 # -- model verification -----------------------------------------------------------
 
-def _body_truth(rule, truth):
-    """Three-valued body satisfaction; None when still undetermined."""
-    if isinstance(rule, ChoiceRule):
-        raise ValueError("choice rules have no determined head")
-    pos = list(rule.pos)
-    neg = list(rule.neg)
-    if hasattr(rule, "pos_weights"):
-        pw, nw = list(rule.pos_weights), list(rule.neg_weights)
-        bound = rule.bound
-    else:
-        pw, nw = [1] * len(pos), [1] * len(neg)
-        bound = getattr(rule, "bound", len(pos) + len(neg))
-    sat = 0
-    pending = 0
-    for a, w in zip(pos, pw):
-        v = truth.get(a)
-        if v is None:
-            pending += w
-        elif v:
-            sat += w
-    for a, w in zip(neg, nw):
-        v = truth.get(a)
-        if v is None:
-            pending += w
-        elif not v:
-            sat += w
-    if sat >= bound:
-        return True
-    if sat + pending < bound:
-        return False
-    return None
+def verify_model(gp, names):
+    """Whether the visible atoms `names` extend to a stable model of `gp`.
 
-
-def verify_model(gp, names, completion_cap=12):
-    """Check whether visible atom names extend to a stable model.
-
-    Hidden atoms are reconstructed from their defining rules when that is
-    unambiguous; any that remain open are enumerated, up to 2**completion_cap
-    combinations.
+    The compute sections fix every named atom, the listed ones true and the
+    rest false. The solver searches the hidden (unnamed) atoms of that
+    program, however many there are, and the oracle confirms each model it
+    finds against the rules and `gp`'s own compute sections.
     """
     from . import oracle  # only verify needs the reference semantics
 
     gp = compact_atom_ids(gp)[0]
-    by_name = {}
-    for i, n in gp.symbols.items():
-        by_name[n] = i
+    by_name = {n: i for i, n in gp.symbols.items()}
     chosen = set()
     for n in names:
         if n not in by_name:
             raise VerifyError(f"unknown atom name '{n}'")
         chosen.add(by_name[n])
-
-    truth = {a: (a in chosen) for a in gp.symbols}
-    truth[FALSITY] = False
-    defs = {}
-    for r in gp.rules:
-        heads = r.heads if isinstance(r, ChoiceRule) else (r.head,)
-        for h in heads:
-            defs.setdefault(h, []).append(r)
-    hidden = [a for a in range(2, gp.atom_count() + 1) if a not in truth]
-
-    open_atoms = set(hidden)
-    changed = True
-    while changed and open_atoms:
-        changed = False
-        for h in sorted(open_atoms):
-            rules_h = defs.get(h, ())
-            if not rules_h:
-                truth[h] = False
-            elif len(rules_h) == 1 and not isinstance(rules_h[0], ChoiceRule):
-                v = _body_truth(rules_h[0], truth)
-                if v is None:
-                    continue
-                truth[h] = v
-            else:
-                continue
-            open_atoms.discard(h)
-            changed = True
-
-    required_true = set(gp.compute_true)
-    required_false = set(gp.compute_false)
-
-    def stable(assign):
-        m = {a for a, v in assign.items() if v}
-        return (oracle.is_stable(gp.rules, m)
-                and m.issuperset(required_true)
-                and not (m & required_false))
-
-    if not open_atoms:
-        return stable(truth)
-    rest = sorted(open_atoms)
-    if len(rest) > completion_cap:
-        raise VerifyError(
-            f"cannot reconstruct {len(rest)} interdependent hidden atoms")
-    for mask in range(1 << len(rest)):
-        assign = dict(truth)
-        for i, a in enumerate(rest):
-            assign[a] = bool(mask >> i & 1)
-        if stable(assign):
-            return True
-    return False
+    fixed = GroundProgram(gp.rules, gp.symbols, (*gp.compute_true, *chosen),
+                          (*gp.compute_false, *(a for a in gp.symbols if a not in chosen)),
+                          gp.models, gp.n_atoms)
+    required_true, required_false = set(gp.compute_true), set(gp.compute_false)
+    return any(oracle.is_stable(gp.rules, m) and required_true.issubset(m)
+               and required_false.isdisjoint(m) for m in Solver(fixed).models())

@@ -552,6 +552,26 @@ def test_verify_unknown_atom_is_an_error(run, tmp_path):
     assert code == 2
 
 
+# A choice over the 13 unnamed atoms 2..14, `{ b }`, `a :- 2` and `:- 2, b`.
+HIDDEN_CHOICE = ("3 13 2 3 4 5 6 7 8 9 10 11 12 13 14 0 0\n"
+                 "3 1 16 0 0\n"
+                 "1 15 1 0 2\n"
+                 "1 1 2 0 2 16\n"
+                 "0\n15 a\n16 b\n0\nB+\n0\nB-\n1\n0\n1\n")
+
+
+@pytest.mark.parametrize("listing, code, out", [
+    ("Stable Model:\nStable Model: a\n", 0, "Model 1: stable\nModel 2: stable\n"),
+    # a needs atom 2, and the constraint forbids atom 2 beside b
+    ("Stable Model: a b\n", 1, "Model 1: not stable\n"),
+    ("Stable Model: b\n", 0, "Model 1: stable\n"),
+])
+def test_verify_searches_any_number_of_hidden_atoms(run, tmp_path, listing, code, out):
+    gfile = write(tmp_path, "g.sm", HIDDEN_CHOICE)
+    mfile = write(tmp_path, "models.txt", listing)
+    assert run(["verify", gfile, mfile]) == (code, out, "")
+
+
 # -- source mutants -----------------------------------------------------------
 
 def test_source_mutants_end_in_a_documented_exit_code(run, tmp_path):

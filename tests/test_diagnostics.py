@@ -110,8 +110,22 @@ PINNED = {
     "compute.lp": ("d(1..2).\ncompute { p(X) }.\np(X) :- d(X).\n", 3,
                    "compute.lp:2:11: error: compute statement literals must be ground\n"),
     "empty.lp": ("d(1..0).\np(X) :- d(X).\n", 0,
-                 "empty.lp:1:1: warning: empty range (1..0)\n"
-                 "empty.lp:2:9: warning: predicate 'd/1' is used but never defined\n"),
+                 "empty.lp:1:1: warning: empty range (1..0)\n"),
+    # lint reads the rule before its range is copied out
+    "copies.lp": ("d(1..2).\nq(1..3) :- d(Y).\n", 0,
+                  "copies.lp:2:12: warning: variable 'Y' occurs only once in this rule\n"),
+    # warnings and lint notes come before the error that stops grounding
+    "lost.lp": ("d(1..0).\np(X) :- not q(X), r(a).\n", 3,
+                "lost.lp:1:1: warning: empty range (1..0)\n"
+                "lost.lp:2:13: warning: predicate 'q/1' is used but never defined\n"
+                "lost.lp:2:19: warning: predicate 'r/1' is used but never defined\n"
+                "lost.lp:2:19: warning: symbolic constant 'a' occurs only once; possible typo\n"
+                "lost.lp:2:1: error: variable 'X' is not bound by a positive domain literal\n"),
+    "bound.lp": ("d(1..0).\ne(1..X) :- d(X), f(a).\n", 3,
+                 "bound.lp:1:1: warning: empty range (1..0)\n"
+                 "bound.lp:2:18: warning: predicate 'f/1' is used but never defined\n"
+                 "bound.lp:2:18: warning: symbolic constant 'a' occurs only once; possible typo\n"
+                 "bound.lp:2:1: range bounds must not contain variables\n"),
     "lint.lp": ("p(X) :- d(X), ghost(Y), q(a).\nr(Z) :- d(b), other(Z), e(W).\nd(1).\n", 0,
                 "lint.lp:1:15: warning: predicate 'ghost/1' is used but never defined\n"
                 "lint.lp:1:25: warning: predicate 'q/1' is used but never defined\n"

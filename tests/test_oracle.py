@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from aspkit.ground_format import BasicRule, ChoiceRule, ConstraintRule, WeightRule
+from aspkit.ground_format import (
+    BasicRule,
+    ChoiceRule,
+    ConstraintRule,
+    GroundProgram,
+    WeightRule,
+)
 from aspkit.grounding import GAgg, GRule, SymbolTable
 from aspkit.oracle import (
     CapExceededError,
@@ -16,6 +22,14 @@ from aspkit.oracle import (
     source_models,
 )
 from aspkit.parser import parse_text
+from aspkit.pipeline import (
+    GroundOptions,
+    SolveOptions,
+    ground_text_input,
+    solve_ground,
+    verify_model,
+)
+from aspkit.shared import FALSITY
 
 import gen
 
@@ -189,3 +203,45 @@ def test_naive_least_model_arithmetic():
     text = "d(1). d(2). d(3). s(X + X) :- d(X)."
     m = naive_least_model(parse_text(text, "<t>"))
     assert {"s(2)", "s(4)", "s(6)"} <= m
+
+
+# -- verify_model against brute force ---------------------------------------------
+
+def _with_compute(gp, rng):
+    """gp with a random atom in B+ and one in B-, hidden ones and the
+    falsity atom too."""
+    atoms = range(1, gp.n_atoms + 1)
+    return GroundProgram(gp.rules, gp.symbols, (rng.choice(atoms),),
+                         (FALSITY, rng.choice(atoms)), gp.models, gp.n_atoms)
+
+
+def test_verify_model_agrees_with_brute_force():
+    # verify_model fixes the named atoms and lets the solver search the
+    # hidden ones, the translation's auxiliary atoms. In keep and none mode,
+    # each listing solve_ground yields verifies, and a seeded set of visible
+    # names verifies exactly when some brute-force stable model with those
+    # true visible atoms meets B+ and B-.
+    rng = random.Random(7)
+    compared = 0
+    for make in (gen.aggregate_source, gen.conditional_program):
+        for i in range(40):
+            text = make(rng)
+            gp = ground_text_input(text, GroundOptions(domain_mode=("keep", "none")[i % 2]))
+            for program in (gp.interchange, _with_compute(gp.interchange, rng)):
+                listings = [frozenset(names) for _, names in
+                            solve_ground(program, SolveOptions(model_count=0))]
+                assert all(verify_model(program, names) for names in listings)
+                try:
+                    models = brute_force_models(program.rules, cap=10)
+                except CapExceededError:
+                    continue
+                b_plus, b_minus = set(program.compute_true), set(program.compute_false)
+                parts = {frozenset(program.symbols[a] for a in m if a in program.symbols)
+                         for m in models if b_plus <= m and not m & b_minus}
+                assert set(listings) == parts
+                visible = sorted(program.symbols.values())
+                for _ in range(6):
+                    names = rng.sample(visible, rng.randint(0, len(visible)))
+                    assert verify_model(program, names) == (frozenset(names) in parts)
+                    compared += 1
+    assert compared > 300
