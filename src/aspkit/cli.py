@@ -25,6 +25,7 @@ without it.
 """
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -65,6 +66,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache  # once per process: argparse's objects form reference cycles
 def _build_parser():
     top = _Parser(prog="aspkit", description="ground and solve logic programs")
     sub = top.add_subparsers(dest="command", required=True, metavar="COMMAND")
@@ -122,7 +124,7 @@ def _ground_options(args):
             raise _UsageError(f"constant {m.group(1)} out of 64-bit range")
         consts[m.group(1)] = value
     return GroundOptions(constants=consts, domain_mode=args.domain_mode,
-                         lint=args.lint)
+                         lint=args.lint, text=args.text)
 
 
 def _int(digits, what):
@@ -292,8 +294,7 @@ def _cmd_verify(args):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _UsageError as e:

@@ -317,6 +317,8 @@ def _read_symbols(lines, lineno):
             raise FormatError(lineno, f"malformed symbol line {line!r}") from None
         if i == 0:
             raise FormatError(lineno, "atom id 0 in symbol line is not positive")
+        if i == 1:
+            raise FormatError(lineno, "atom id 1 in symbol line is the falsity atom")
         if i in symbols:
             raise FormatError(lineno, f"duplicate symbol entry for atom {i}")
         symbols[i] = m[2]
@@ -325,7 +327,8 @@ def _read_symbols(lines, lineno):
 def _read_symbols_bulk(lines, lineno):
     """What _read_symbols(lines, lineno) returns, for a symbol table in the
     writer's canonical form; None for any other form, and for a duplicate
-    id. The table is checked as a whole, then each line is split once."""
+    id or for the falsity atom. The table is checked as a whole, then each
+    line is split once."""
     try:
         end = lines.index("0", lineno)
     except ValueError:
@@ -343,7 +346,7 @@ def _read_symbols_bulk(lines, lineno):
             symbols[int(i)] = name
     except ValueError:  # an id with more digits than int() reads
         return None
-    if len(symbols) != len(block):
+    if len(symbols) != len(block) or 1 in symbols:
         return None
     return symbols, end + 1
 

@@ -9,11 +9,14 @@ the upper); an aggregate head becomes a choice rule plus two integrity
 constraints over the same auxiliaries. Each source construct expands into a
 bounded number of primitive rules, so the translation is linear.
 
-Auxiliary atoms are allocated after all user atoms, in rule order, which
-keeps the output deterministic.
+The grounder already builds the `BasicRule` of each aggregate-free
+instance with a plain body, and `translate_program` passes such records
+through; `translate_rule` stays the reference for that case, which
+`ground --text` still translates. Auxiliary atoms are allocated after all
+user atoms, in rule order, which keeps the output deterministic.
 """
 
-from .grounding import GAgg
+from .grounding import GAgg, GRule
 from .shared import (
     FALSITY,
     BasicRule,
@@ -120,8 +123,13 @@ def translate_rule(grule, table, out):
 
 
 def translate_program(grules, table):
-    """Translates ground rules, allocating aux atom ids in `table`."""
+    """Translates ground rules in order, allocating aux atom ids in
+    `table`; a primitive record, which the grounder makes where
+    `translate_rule` would, passes through."""
     out = []
     for grule in grules:
-        translate_rule(grule, table, out)
+        if type(grule) is GRule:
+            translate_rule(grule, table, out)
+        else:
+            out.append(grule)
     return out

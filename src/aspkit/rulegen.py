@@ -6,7 +6,11 @@ literals, its other literals checked or assembled inline, atom names as
 f-strings. ASP variables are numbered locals, constants the `repr()` of
 parsed values, and arithmetic calls `_check64` and `_divide`, so errors
 are those of a direct evaluation. The file name `<rule FILE:LINE>` and the
-lines in `linecache` name the rule in tracebacks and profiles.
+lines in `linecache` name the rule in tracebacks and profiles. An
+instance whose body is plain literals, no two of which can be equal, and
+whose head is an atom or none can be appended as the primitive
+`BasicRule` that translation would make of it; any other is a `GRule`,
+which `primitives` translates.
 
 Comparisons drive the join where they can: `V == expr`, for a variable V
 first bound by a join literal and an already bound integer term, selects
@@ -24,6 +28,7 @@ from .analysis import atom_vars, term_vars
 from .grounding import (_EMPTY_EXT, ArithmeticEvalError, GAgg, GRule, GroundingError,
                         UnboundConstantError, format_atom)
 from .lexer import INT64_MAX, INT64_MIN
+from .shared import FALSITY, BasicRule
 from .syntax import Aggregate, Atom, Comparison, FuncApp, Integer, Literal, SymbolicConst, Variable
 
 
@@ -319,8 +324,8 @@ class _Plan:
 
 # The globals of generated code.
 _RUNTIME = {name: globals()[name] for name in (
-    "GAgg", "GRule", "GroundingError", "_Dead", "_abs", "_add_element", "_between",
-    "_check64", "_fail", "_interned", "_mod", "_quotient", "_unbound_constant")}
+    "BasicRule", "GAgg", "GRule", "GroundingError", "_Dead", "_abs", "_add_element",
+    "_between", "_check64", "_fail", "_interned", "_mod", "_quotient", "_unbound_constant")}
 
 
 # -- rule instantiation ---------------------------------------------------------
@@ -338,12 +343,15 @@ class RuleFunction(_Source):
     predicate, which holds or fails by its extension. A domain rule's
     instance adds its head row to the extension's rows `R`; any other
     appends a GRule to `out`, its atoms interned head first through the
-    symbol table's `G` (its dict's `get`) and `I` (`intern`).
+    symbol table's `G` (its dict's `get`) and `I` (`intern`). With
+    `primitive`, an instance whose body is plain literals, no two of which
+    can be equal, under an atom head or none, appends the `BasicRule` that
+    `translate_rule` would make of its GRule instead, with the same ids.
     """
 
-    def __init__(self, rule, domain, exts, keep):
+    def __init__(self, rule, domain, exts, keep, primitive=False):
         super().__init__()
-        self.rule, self.domain, self.keep = rule, domain, keep
+        self.rule, self.domain, self.keep, self.primitive = rule, domain, keep, primitive
         self.ext = lambda key: exts.get(key, _EMPTY_EXT)
         self.defs = []
         join_atoms, checks, self.shape = [], [], []
@@ -488,23 +496,34 @@ class RuleFunction(_Source):
 
     def instance(self, depth, skip):
         """Emit the assembly of an instance's body, then its head, then
-        what it adds: a row of the extension or a ground rule."""
+        what it adds: a row of the extension, a primitive basic rule or a
+        ground rule."""
         head = self.rule.head
         keys = {b.atom.key() for b in self.shape if isinstance(b, Literal) and not b.conditions}
+        names = None
         if len(keys) == len(self.shape):  # plain literals, no two of which can be equal
-            body = []
-            for b in self.shape:
-                n = self.local("n")
+            names = [self.local("n") for _ in self.shape]
+            for b, n in zip(self.shape, names):
                 self.emit(depth, f"{n} = {self.name(depth, b.atom)}")
-                body.append(f"{'' if b.positive else '-'}(G({n}) or I({n}))")
-            body = _tuple(body)
+            body = _tuple([f"{'' if b.positive else '-'}(G({n}) or I({n}))"
+                           for b, n in zip(self.shape, names)])
         else:
             body = self.assemble(depth, skip)
         if self.domain_head:
             self.emit(depth, f"R[{_tuple(self.terms(depth, head.args, head.loc))}] = True")
-        elif isinstance(head, Atom):
+            return
+        h = None
+        if isinstance(head, Atom):
             h = self.local("h")
             self.emit(depth, f"{h} = {self.name(depth, head)}")
+        if names is not None and self.primitive and not isinstance(head, Aggregate):
+            # what translate_rule makes of it: ids interned head first, then in body order
+            for n in [h] * bool(h) + names:
+                self.emit(depth, f"{n} = G({n}) or I({n})")
+            pos = _tuple([n for b, n in zip(self.shape, names) if b.positive])
+            neg = _tuple([n for b, n in zip(self.shape, names) if not b.positive])
+            self.emit(depth, f"out(BasicRule({h or FALSITY}, {pos}, {neg}))")
+        elif h:
             self.emit(depth, f"out(GRule(G({h}) or I({h}), None, {body}))")
         else:
             agg = head and f"_interned(({self.aggregate(depth, head)[0]},), G, I)[0]"

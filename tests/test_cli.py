@@ -1,4 +1,5 @@
 import collections
+import gc
 import hashlib
 import io
 import os
@@ -336,6 +337,7 @@ def test_solve_rejects_nonpositive_atom_id(run, rule):
 @pytest.mark.parametrize("symbol, message", [
     ("² a", "malformed symbol line '² a'"),
     ("0 a", "atom id 0 in symbol line is not positive"),
+    ("1 x", "atom id 1 in symbol line is the falsity atom"),
 ])
 def test_solve_rejects_bad_symbol_id(run, symbol, message):
     ground = f"1 2 0 0\n0\n{symbol}\n0\nB+\n0\nB-\n1\n0\n1\n"
@@ -552,6 +554,13 @@ def test_verify_unknown_atom_is_an_error(run, tmp_path):
     assert code == 2
 
 
+def test_verify_rejects_a_name_for_the_falsity_atom(run, tmp_path):
+    gfile = write(tmp_path, "g.sm", "1 2 0 0\n0\n1 x\n2 a\n0\nB+\n0\nB-\n1\n0\n1\n")
+    mfile = write(tmp_path, "models.txt", "Stable Model: a x\n")
+    assert run(["verify", gfile, mfile]) == (
+        2, "", f"{gfile}: line 3: atom id 1 in symbol line is the falsity atom\n")
+
+
 # A choice over the 13 unnamed atoms 2..14, `{ b }`, `a :- 2` and `:- 2, b`.
 HIDDEN_CHOICE = ("3 13 2 3 4 5 6 7 8 9 10 11 12 13 14 0 0\n"
                  "3 1 16 0 0\n"
@@ -649,6 +658,32 @@ def test_closed_stdout_pipe_exits_quietly(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+def test_warmed_up_main_leaves_no_cyclic_garbage(run, tmp_path):
+    # Library callers and the benchmark's worker call main in one process
+    # many times; what it leaves to the cyclic collector costs every later
+    # collection. The argparse parser, a web of cycles, is built once.
+    src = write(tmp_path, "p.lp", COLORING)
+    for argv in (["run", src, "0"], ["ground", "--text", src]):
+        assert run(argv)[0] == 0  # imports, caches and the parser
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            code = run(argv)[0]
+            gc.collect()
+            garbage = len(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert (code, garbage) == (0, 0), argv
+
+
+def test_consecutive_calls_share_no_constants(run, tmp_path):
+    src = write(tmp_path, "p.lp", "p(n).")
+    assert run(["ground", "--text", "-c", "n=2", src]) == (0, "p(2).\n", "")
+    assert run(["ground", "--text", src]) == (0, "p(n).\n", "")
+    assert run(["ground", "--text", "-c", "n=3", src]) == (0, "p(3).\n", "")
 
 
 def test_installed_script_runs():
