@@ -58,9 +58,10 @@ def corpus(count=80, mutants=3):
     return out
 
 
-def outcomes(items, work_dir):
-    """name -> [mode, exit code, stdout, stderr] for keep and none mode,
-    each file written to `work_dir` and named relative to it."""
+def outcomes(items, work_dir, options=("-W", "--text")):
+    """name -> [mode, exit code, stdout, stderr] of `ground` with `options`
+    in keep and none mode, each file written to `work_dir` and named
+    relative to it."""
     out = {}
     cwd = os.getcwd()
     os.chdir(work_dir)
@@ -72,7 +73,7 @@ def outcomes(items, work_dir):
             for mode in ("keep", "none"):
                 stdout, stderr = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                    code = main(["ground", "-W", "--text", "-d", mode, *extra,
+                    code = main(["ground", *options, "-d", mode, *extra,
                                  *[f for f, _ in files]])
                 out[name].append([mode, code, stdout.getvalue(), stderr.getvalue()])
     finally:

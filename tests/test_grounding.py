@@ -13,9 +13,8 @@ import pytest
 import gen
 from aspkit import grounding, pipeline
 from aspkit.cli import main
-from aspkit.analysis import check_domain_restriction, classify_domain_predicates
+from aspkit.analysis import classify_domain_predicates
 from aspkit.grounding import ArithmeticEvalError, GroundingError, desugar_program, eval_term
-from aspkit.primitives import translate_program
 from aspkit.ground_format import BasicRule
 from aspkit.oracle import naive_least_model
 from aspkit.parser import ParseError, parse_text
@@ -491,45 +490,6 @@ def test_join_deeper_than_python_nests_blocks(capsys, tmp_path):
 
 
 # -- primitive records ----------------------------------------------------------
-
-def test_primitive_records_equal_the_translation_of_text_rules():
-    # The grounder builds the BasicRule of each aggregate-free instance with
-    # a plain body itself, and translate_program passes it through. Over the
-    # GRules that --text prints, translation must give the same program: the
-    # same rules in order, the same symbols and the same compute sections,
-    # or the same error.
-    rng = random.Random(23)
-    deep = ", ".join(f"d(X{i})" for i in range(22))  # split into two functions
-    texts = [f"d(1). e(1..2). {{ c }}. s(1,2). t(W) :- s(X0,W), {deep}, c, not f(W).\n"
-             "f(1..2) :- not g. g :- not f(1). compute { not g }."]
-    for _ in range(40):
-        texts += [gen.comparison_program(rng)[0], gen.conditional_program(rng),
-                  gen.aggregate_source(rng), gen.arithmetic_program(rng)]
-    made = Counter()
-    for text in texts:
-        program, _ = desugar_program(parse_text(text, "<t>"))
-        info = classify_domain_predicates(program)
-        if check_domain_restriction(program, info.domain):
-            continue
-        for mode in ("keep", "none"):
-            outcomes = []
-            for text_form in (False, True):
-                try:
-                    result = grounding.ground_program(program, info, mode, text_form)
-                except GroundingError as e:
-                    outcomes.append(str(e))
-                    continue
-                kinds = Counter(type(r).__name__ for r in result.rules)
-                assert set(kinds) <= ({"GRule"} if text_form else {"BasicRule", "GRule"})
-                made.update(kinds if not text_form else ())
-                outcomes.append((translate_program(result.rules, result.table),
-                                 result.table.named_items(), len(result.table),
-                                 result.compute_true, result.compute_false))
-            assert outcomes[0] == outcomes[1], (mode, text)
-            made["compared"] += 1
-    assert made["compared"] >= 250
-    assert made["BasicRule"] >= 3000 and made["GRule"] >= 1000, made
-
 
 def test_ancestor_reaches_translation_as_primitive_records_only(monkeypatch):
     translate = pipeline.translate_program
