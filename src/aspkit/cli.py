@@ -11,8 +11,9 @@ Exit codes for ground/run: 0 ok, 1 usage, 2 parse error, 3 semantic error,
 4 arithmetic failure during grounding. For solve/run enumeration: 0 at least
 one model, 1 none, 2 malformed input; with --wfs, 1 when the well-founded
 model shows that no stable model exists, else 0. verify: 0 all models
-stable, 1 some model is not, 2 malformed input, an unknown atom name or
-an empty listing. Grounding warnings and -W notes go to stderr before the
+stable, 1 some model is not, 2 malformed input, an unknown atom name, an
+empty listing or a file that cannot be read. Elsewhere a file that cannot
+be read exits 1. Grounding warnings and -W notes go to stderr before the
 error lines of a failed grounding too.
 
 verify fixes the named atoms of each listing through the compute
@@ -123,8 +124,7 @@ def _ground_options(args):
         if not INT64_MIN <= value <= INT64_MAX:
             raise _UsageError(f"constant {m.group(1)} out of 64-bit range")
         consts[m.group(1)] = value
-    return GroundOptions(constants=consts, domain_mode=args.domain_mode,
-                         lint=args.lint, text=args.text)
+    return GroundOptions(constants=consts, domain_mode=args.domain_mode, lint=args.lint)
 
 
 def _int(digits, what):
@@ -272,7 +272,7 @@ def _cmd_verify(args):
             gp = compact_atom_ids(parse_ground_program(read_text(fh, args.ground_file)))[0]
         models = _read_model_file(args.model_file)
     except OSError as e:
-        print(e, file=sys.stderr)
+        print(f"aspkit: {e}", file=sys.stderr)
         return 2
     except FormatError as e:
         print(f"{args.ground_file}: {e}", file=sys.stderr)

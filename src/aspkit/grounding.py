@@ -11,11 +11,11 @@ a true positive one stays in the ground rule, and only in "keep" mode,
 where domain extensions are also emitted as facts ahead of all other
 rules. A fact's row is its head's ground arguments.
 
-An aggregate-free ground rule with a plain body and an atom head or none
-is built as its primitive record (`shared.BasicRule`), which `primitives`
-passes through; the others are `GRule`s that it translates. Only
-`ground_text`, whose bodies keep their source order, needs every rule a
-`GRule` (`ground_program`'s `text`).
+A ground rule whose body is plain literals, positive ones first, under an
+atom head or none is built as its primitive record (`shared.BasicRule`),
+which `primitives` passes through; the others are `GRule`s that it
+translates. One grounding serves both outputs: `ground_text` prints either
+kind with its body in source order.
 """
 
 import itertools
@@ -269,20 +269,20 @@ class GroundResult(Record):
     __hash__ = None
 
     def __init__(self, rules, table, compute_true, compute_false):
-        self.rules = rules          # BasicRules and GRules in source order; see ground_program
+        self.rules = rules          # BasicRules and GRules in source order, one per instance
         self.table = table
         self.compute_true = compute_true
         self.compute_false = compute_false
 
 
-def ground_program(program, analysis, domain_mode="keep", text=False):
+def ground_program(program, analysis, domain_mode="keep"):
     """Instantiate a desugared, constant-substituted program.
 
     The result's rules are in source order. Each is a `BasicRule`, as
-    `translate_rule` would make it, where the instance is aggregate-free,
-    its body plain literals no two of which can be equal, and its head an
-    atom or none; any other instance is a `GRule`. With `text`, every rule
-    is a `GRule`, whose body keeps the source order `ground_text` prints.
+    `translate_rule` would make it, where the instance's body is plain
+    literals, no two of which can be equal, its positive ones before its
+    negative ones, and its head an atom or none; any other instance is a
+    `GRule`. Either prints in `ground_text` with its body in source order.
     """
     if domain_mode not in ("keep", "none"):
         raise ValueError(f"unknown domain mode {domain_mode!r}")
@@ -291,15 +291,12 @@ def ground_program(program, analysis, domain_mode="keep", text=False):
     table = SymbolTable()
     rules = []
 
-    def fact(i):
-        return GRule(i, None, ()) if text else BasicRule(i, (), ())
-
     if domain_mode == "keep":  # each domain predicate by its first defining rule
         for key in dict.fromkeys(rule.head.key() for rule in program.rules
                                  if isinstance(rule.head, Atom)):
             if key in domain:
                 for row in exts[key]:
-                    rules.append(fact(table.intern(format_atom(key[0], row))))
+                    rules.append(BasicRule(table.intern(format_atom(key[0], row)), (), ()))
 
     for rule in program.rules:
         head = rule.head
@@ -307,9 +304,9 @@ def ground_program(program, analysis, domain_mode="keep", text=False):
             continue  # fully evaluated above
         if isinstance(head, Atom) and not rule.body:
             name = format_atom(head.pred, _ground_row(head.args, head.loc))
-            rules.append(fact(table.intern(name)))
+            rules.append(BasicRule(table.intern(name), (), ()))
         else:
-            inst = rulegen.RuleFunction(rule, domain, exts, domain_mode == "keep", not text)
+            inst = rulegen.RuleFunction(rule, domain, exts, domain_mode == "keep")
             inst.run(rules.append, table._ids.get, table.intern)
 
     compute_true = []
@@ -322,7 +319,7 @@ def ground_program(program, analysis, domain_mode="keep", text=False):
         if domain_mode == "none" and key in domain:
             truth = row in exts.get(key, _EMPTY_EXT).rows
             if truth != lit.positive:
-                rules.append(fact(FALSITY))  # no model can satisfy this
+                rules.append(BasicRule(FALSITY, (), ()))  # no model can satisfy this
             continue
         i = table.lookup(name)
         if i is None:
@@ -381,8 +378,7 @@ def grule_source(rule, table):
 
 
 def ground_text(result):
-    """`result` in source syntax, a rule a line. Its bodies are in source
-    order where `result` was grounded with `text`."""
+    """`result` in source syntax, a rule a line, each body in source order."""
     lines = [grule_source(r, result.table) for r in result.rules]
     if result.compute_true or result.compute_false:
         lits = [result.table.name(i) for i in result.compute_true]

@@ -65,14 +65,13 @@ class VerifyError(Exception):
 
 
 class GroundOptions(Record):
-    __slots__ = ("constants", "domain_mode", "lint", "text")
+    __slots__ = ("constants", "domain_mode", "lint")
     __hash__ = None
 
-    def __init__(self, constants=None, domain_mode="keep", lint=False, text=False):
+    def __init__(self, constants=None, domain_mode="keep", lint=False):
         self.constants = {} if constants is None else constants
         self.domain_mode = domain_mode
         self.lint = lint
-        self.text = text  # keep every ground rule a GRule, for ground_text
 
 
 class SolveOptions(Record):
@@ -89,8 +88,8 @@ class Grounded(Record):
 
     def __init__(self, interchange, source, warnings, lint_notes):
         self.interchange = interchange  # GroundProgram
-        # GroundResult, for text output: its rules are the primitive records
-        # of aggregate-free instances and GRules, or only GRules with opts.text
+        # GroundResult: the grounding that both the interchange and ground_text
+        # come from, primitive records of plain instances and GRules
         self.source = source
         self.warnings = warnings
         self.lint_notes = lint_notes
@@ -110,7 +109,7 @@ def _ground(program, opts):
         errors = analysis.check_domain_restriction(program, info.domain)
         if errors:
             raise SemanticError(errors)
-        result = ground_program(program, info, opts.domain_mode, opts.text)
+        result = ground_program(program, info, opts.domain_mode)
         rules = translate_program(result.rules, result.table)
     except (SemanticError, GroundingError) as e:
         e.warnings = warnings + lint_notes

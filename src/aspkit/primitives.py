@@ -9,11 +9,12 @@ the upper); an aggregate head becomes a choice rule plus two integrity
 constraints over the same auxiliaries. Each source construct expands into a
 bounded number of primitive rules, so the translation is linear.
 
-The grounder already builds the `BasicRule` of each aggregate-free
-instance with a plain body, and `translate_program` passes such records
-through; `translate_rule` stays the reference for that case, which
-`ground --text` still translates. Auxiliary atoms are allocated after all
-user atoms, in rule order, which keeps the output deterministic.
+The grounder already builds the `BasicRule` of each instance whose body is
+plain literals, positive ones first, under an atom head or none, and
+`translate_program` passes such records through; `translate_rule`
+translates every `GRule`, a plain one with a negative literal first among
+them. Auxiliary atoms are allocated after all user atoms, in rule order,
+which keeps the output deterministic.
 """
 
 from .grounding import GAgg, GRule

@@ -6,11 +6,12 @@ literals, its other literals checked or assembled inline, atom names as
 f-strings. ASP variables are numbered locals, constants the `repr()` of
 parsed values, and arithmetic calls `_check64` and `_divide`, so errors
 are those of a direct evaluation. The file name `<rule FILE:LINE>` and the
-lines in `linecache` name the rule in tracebacks and profiles. An
-instance whose body is plain literals, no two of which can be equal, and
-whose head is an atom or none can be appended as the primitive
-`BasicRule` that translation would make of it; any other is a `GRule`,
-which `primitives` translates.
+lines in `linecache` name the rule in tracebacks and profiles. The rule
+decides the form of its instances: where the body is plain literals, no
+two of which can be equal, positive ones before negative ones, and the head
+an atom or none, an instance is the primitive `BasicRule` that translation
+would make of it, which prints as its `GRule` would; any other instance is
+an assembled `GRule`, which `primitives` translates.
 
 Comparisons drive the join where they can: `V == expr`, for a variable V
 first bound by a join literal and an already bound integer term, selects
@@ -342,16 +343,15 @@ class RuleFunction(_Source):
     as is each instance of a conditional literal or element over a domain
     predicate, which holds or fails by its extension. A domain rule's
     instance adds its head row to the extension's rows `R`; any other
-    appends a GRule to `out`, its atoms interned head first through the
-    symbol table's `G` (its dict's `get`) and `I` (`intern`). With
-    `primitive`, an instance whose body is plain literals, no two of which
-    can be equal, under an atom head or none, appends the `BasicRule` that
-    `translate_rule` would make of its GRule instead, with the same ids.
+    appends a rule to `out`, its atoms interned head first through the
+    symbol table's `G` (its dict's `get`) and `I` (`intern`). Where
+    `primitive` holds, that is the `BasicRule` that `translate_rule` would
+    make of the instance's GRule, with the same ids; elsewhere the GRule.
     """
 
-    def __init__(self, rule, domain, exts, keep, primitive=False):
+    def __init__(self, rule, domain, exts, keep):
         super().__init__()
-        self.rule, self.domain, self.keep, self.primitive = rule, domain, keep, primitive
+        self.rule, self.domain, self.keep = rule, domain, keep
         self.ext = lambda key: exts.get(key, _EMPTY_EXT)
         self.defs = []
         join_atoms, checks, self.shape = [], [], []
@@ -368,6 +368,12 @@ class RuleFunction(_Source):
                 if keep:  # the join made it true
                     self.shape.append(b)
         self.domain_head = isinstance(rule.head, Atom) and rule.head.key() in domain
+        # Plain literals, no two of which can be equal, positive ones first:
+        # the BasicRule then prints as the GRule would.
+        plain = [b for b in self.shape if isinstance(b, Literal) and not b.conditions]
+        signs = [b.positive for b in plain]
+        self.primitive = (not isinstance(rule.head, Aggregate) and signs == sorted(signs, reverse=True)
+                          and len({b.atom.key() for b in plain}) == len(self.shape))
         self.emit(1, "", rule.to_source())
         body = self.lines
         self.join(1, _Plan(join_atoms, checks, (), self.ext, rule.loc), "return",
@@ -495,29 +501,25 @@ class RuleFunction(_Source):
         self.emit(depth, f"if {sides[0]} {_NEGATED[comp.op]} {sides[1]}: {skip}", note)
 
     def instance(self, depth, skip):
-        """Emit the assembly of an instance's body, then its head, then
-        what it adds: a row of the extension, a primitive basic rule or a
-        ground rule."""
+        """Emit what an instance adds: a row of the extension, its primitive
+        basic rule where `primitive` holds, or else an assembled ground rule.
+        Body names are made before the head's, and ids interned head first."""
         head = self.rule.head
-        keys = {b.atom.key() for b in self.shape if isinstance(b, Literal) and not b.conditions}
-        names = None
-        if len(keys) == len(self.shape):  # plain literals, no two of which can be equal
+        if self.domain_head:
+            if self.shape:  # a conditional literal can still kill it
+                self.assemble(depth, skip)
+            self.emit(depth, f"R[{_tuple(self.terms(depth, head.args, head.loc))}] = True")
+            return
+        if self.primitive:
             names = [self.local("n") for _ in self.shape]
             for b, n in zip(self.shape, names):
                 self.emit(depth, f"{n} = {self.name(depth, b.atom)}")
-            body = _tuple([f"{'' if b.positive else '-'}(G({n}) or I({n}))"
-                           for b, n in zip(self.shape, names)])
         else:
             body = self.assemble(depth, skip)
-        if self.domain_head:
-            self.emit(depth, f"R[{_tuple(self.terms(depth, head.args, head.loc))}] = True")
-            return
-        h = None
-        if isinstance(head, Atom):
-            h = self.local("h")
+        h = isinstance(head, Atom) and self.local("h")
+        if h:
             self.emit(depth, f"{h} = {self.name(depth, head)}")
-        if names is not None and self.primitive and not isinstance(head, Aggregate):
-            # what translate_rule makes of it: ids interned head first, then in body order
+        if self.primitive:
             for n in [h] * bool(h) + names:
                 self.emit(depth, f"{n} = G({n}) or I({n})")
             pos = _tuple([n for b, n in zip(self.shape, names) if b.positive])

@@ -554,6 +554,23 @@ def test_verify_unknown_atom_is_an_error(run, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, code", [
+    (["ground", "{missing}"], 1),
+    (["run", "{missing}"], 1),
+    (["solve", "{missing}"], 1),
+    # verify exits 2, since 1 means that some model is not stable
+    (["verify", "{missing}", "{models}"], 2),
+    (["verify", "{ground}", "{missing}"], 2),
+])
+def test_a_missing_file_is_one_line_after_the_program_name(run, tmp_path, command, code):
+    paths = {"missing": str(tmp_path / "missing"),
+             "ground": ground_to_file(run, tmp_path, TWO_CYCLE),
+             "models": write(tmp_path, "models.txt", "a\n")}
+    got, out, err = run([arg.format(**paths) for arg in command])
+    assert (got, out) == (code, "")
+    assert err == f"aspkit: [Errno 2] No such file or directory: {paths['missing']!r}\n"
+
+
 def test_verify_rejects_a_name_for_the_falsity_atom(run, tmp_path):
     gfile = write(tmp_path, "g.sm", "1 2 0 0\n0\n1 x\n2 a\n0\nB+\n0\nB-\n1\n0\n1\n")
     mfile = write(tmp_path, "models.txt", "Stable Model: a x\n")

@@ -17,11 +17,23 @@ import random
 import sys
 
 import gen
+from aspkit.grounding import ground_text
+from aspkit.pipeline import GroundOptions, ground_text_input
 from test_diagnostics import digests, outcomes
+from test_ground_bytes import GENERATED, INPUTS, ROOT
 
 DIGESTS = pathlib.Path(__file__).resolve().parent / "seeded_ground_digests.json"
 
 _DEEP = ", ".join(f"d(X{i})" for i in range(22))
+
+# Plain bodies with a negative literal first or in between, under atom,
+# choice and constraint heads.
+MIXED_ORDER = ("d(1..3). { q(X) : d(X) }. { r(X) } :- d(X).\n"
+               "p(X) :- not q(X), r(X), d(X).\n"
+               "1 { t(X) : d(X) } 2 :- not r(1), q(2).\n"
+               "{ u(X) } :- d(X), not q(X).\n"
+               ":- not u(1), r(1), q(1).\n"
+               "v(X) :- r(X), not q(X), not u(X), d(X).\n")
 
 
 def seeded_texts():
@@ -43,12 +55,27 @@ def seeded_outcomes(work_dir):
 
 
 def test_seeded_ground_output_matches_the_committed_digests(tmp_path):
-    results = seeded_outcomes(tmp_path)
     want = json.loads(DIGESTS.read_text(encoding="utf-8"))
-    got = digests(results)
+    got = digests(seeded_outcomes(tmp_path))
     assert sorted(got) == sorted(want)
     assert [name for name in want if got[name] != want[name]] == []
-    assert len(results) == 161
+
+
+def test_library_ground_text_equals_the_text_command(tmp_path):
+    # One grounding behind both outputs: the library's ground_text of
+    # Grounded.source is what `ground --text` prints.
+    inputs = {name: (GENERATED[name]() if files is None else
+                     "".join((ROOT / f).read_text(encoding="utf-8") for f in files), extra)
+              for name, (files, extra) in INPUTS.items()}
+    inputs.update((name, (text, [])) for name, text in seeded_texts().items())
+    inputs["mixed-order"] = (MIXED_ORDER, [])
+    printed = outcomes({name: ([(f"{name}.lp", text)], extra)
+                        for name, (text, extra) in inputs.items()}, tmp_path, options=("--text",))
+    for name, (text, extra) in inputs.items():
+        constants = {k: int(v) for k, v in (c.split("=") for c in extra[1::2])}
+        for mode, code, stdout, _ in printed[name]:
+            grounded = ground_text_input(text, GroundOptions(constants, mode))
+            assert (code, ground_text(grounded.source)) == (0, stdout), (name, mode)
 
 
 if __name__ == "__main__":
