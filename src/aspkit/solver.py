@@ -16,7 +16,10 @@ those not yet false), `heads`, `head` (the single head, None for a choice
 rule), and `pos`/`neg` with their weights `pw`/`nw` (None for unit
 weights; negative weights are moved onto the complement at setup).
 `occ_pos[a]` and `occ_neg[a]` hold the (rule, weight) pairs in which atom
-a occurs, and `defs[a]` the rules with a among their heads.
+a occurs, and `defs[a]` the rules with a among their heads. Setup builds
+what the rules hold: `occ_pos` and `defs` have a list per atom, while
+the atoms without entries in `occ_neg`, `imp_true` or `imp_false` share
+one () there. The counted basic rules of a head share one `(h,)`.
 
 A rule is dead once `wmax < bound`. `dead[r]` is the trail index of the
 literal that made it so, -1 for a rule dead from the start, and `_LIVE`
@@ -49,7 +52,11 @@ first literal's list meets the second literal true, which can be before
 the second literal is taken off the trail (Een and Sorensson, SAT 2003,
 keep binary clauses the same way).
 
-Each nontrivial SCC has a table built at setup: the rules defining its
+Setup finds the dependency cycles with Tarjan's algorithm only if the
+atom ids allow one: when every body atom of every rule but an integrity
+constraint has a lower id than each of the rule's heads, every edge of
+the dependency graph leads to a lower id, and there is no cycle. Each
+nontrivial SCC has a table built at setup: the rules defining its
 atoms, their bounds, their positive literals inside the SCC, their heads
 inside the SCC, and per SCC atom the (rule, weight) pairs it feeds. An
 unfounded-set run starts a live rule's credit at its wmax less the weight
@@ -123,6 +130,17 @@ def _cyclic_sccs(adj, first=0):
             if len(comp) > 1 or comp[0] in adj[comp[0]]]
 
 
+def _append(rows, a, entry):
+    """Append `entry` to row a of a table whose empty rows are one shared
+    (), giving the atom a list of its own; return the row's new length."""
+    row = rows[a]
+    if row:
+        row.append(entry)
+        return len(row)
+    rows[a] = [entry]
+    return 1
+
+
 class Solver:
     """Enumerates the stable models of a ground primitive program."""
 
@@ -143,88 +161,110 @@ class Solver:
         self.bound, self.wmax, self.dead = bound, wmax, dead = [], [], []
         self.wtop = wtop = []
         self.occ_pos = occ_pos = [[] for _ in range(n + 1)]
-        self.occ_neg = occ_neg = [[] for _ in range(n + 1)]
         self.defs = defs = [[] for _ in range(n + 1)]
         self.supports = supports = [0] * (n + 1)
-        self.imp_true = imp_true = [[] for _ in range(n + 1)]
-        self.imp_false = imp_false = [[] for _ in range(n + 1)]
+        self.occ_neg = occ_neg = [()] * (n + 1)
+        self.imp_true = imp_true = [()] * (n + 1)
+        self.imp_false = imp_false = [()] * (n + 1)
+        add_heads, add_head, add_pos, add_neg = heads.append, head.append, pos.append, neg.append
+        add_pw, add_nw, add_bound, add_wmax = pw.append, nw.append, bound.append, wmax.append
+        add_dead, add_wtop = dead.append, wtop.append
+        single = {}  # head atom -> the one (h,) of its counted basic rules
+        repeated = []  # (implication table, atom) of rows with a second entry
+        acyclic = True  # every body atom below every head of its rule: no cycle
         nonbasic = set()  # heads of choice, cardinality and weight rules
         for rule in gp.rules:
-            p_w = n_w = None
-            if isinstance(rule, BasicRule):
+            kind = type(rule)
+            if kind is BasicRule:
                 h, p, q = rule.head, rule.pos, rule.neg
-                b = total = len(p) + len(q)
+                b = len(p) + len(q)
                 if h == FALSITY and b == 2:
-                    # per literal: the lists read when it is true, its atom,
+                    # per literal: the table read when it is true, its atom,
                     # and the value that falsifies it
                     (xs, x, fx), (ys, y, fy) = ([(imp_true, a, FALSE) for a in p]
                                                 + [(imp_false, a, TRUE) for a in q])
-                    xs[x].append((y, fy))
-                    ys[y].append((x, fx))
+                    for imp, a, entry in ((xs, x, (y, fy)), (ys, y, (x, fx))):
+                        if _append(imp, a, entry) == 2:
+                            repeated.append((imp, a))
                     continue
-            elif isinstance(rule, ConstraintRule):
-                h, p, q, b = rule.head, rule.pos, rule.neg, rule.bound
-                total = len(p) + len(q)
-            elif isinstance(rule, ChoiceRule):
-                h, p, q = None, rule.pos, rule.neg
-                b = total = len(p) + len(q)
-            elif isinstance(rule, WeightRule):
-                h, p, q, b = rule.head, rule.pos, rule.neg, rule.bound
-                p_w, n_w = rule.pos_weights, rule.neg_weights
-                if any(w < 0 for w in p_w) or any(w < 0 for w in n_w):
-                    elems = list(zip(p, p_w)) + [(-a, w) for a, w in zip(q, n_w)]
-                    elems, b = normalize_weight_elements(elems, b)
-                    p = tuple(l for l, _ in elems if l > 0)
-                    p_w = tuple(w for l, w in elems if l > 0)
-                    q = tuple(-l for l, _ in elems if l < 0)
-                    n_w = tuple(w for l, w in elems if l < 0)
-                total = sum(p_w) + sum(n_w)
-            else:
-                raise UnsupportedRuleTypeError(f"unsupported rule {rule!r}")
-            r = len(bound)
-            hs = rule.heads if h is None else (h,)
-            if p_w is None:
+                r = len(bound)
                 unit = (r, 1)
                 for a in p:
                     occ_pos[a].append(unit)
                 for a in q:
-                    occ_neg[a].append(unit)
-                wtop.append(1)
+                    _append(occ_neg, a, unit)
+                defs[h].append(r)
+                supports[h] += 1
+                hs = single.setdefault(h, (h,))
+                if acyclic and h != FALSITY and (p and max(p) >= h or q and max(q) >= h):
+                    acyclic = False
+                add_pw(None)
+                add_nw(None)
+                add_wmax(b)
+                add_dead(_LIVE)
+                add_wtop(1)
             else:
-                for a, w in zip(p, p_w):
-                    occ_pos[a].append((r, w))
-                for a, w in zip(q, n_w):
-                    occ_neg[a].append((r, w))
-                wtop.append(max((*p_w, *n_w), default=0))
-            live = total >= b
-            for x in hs:
-                defs[x].append(r)
-                if live:
-                    supports[x] += 1
-            if h is None or p_w is not None or b != len(p) + len(q):
-                nonbasic.update(hs)
-            heads.append(hs)
-            head.append(h)
-            pos.append(p)
-            neg.append(q)
-            pw.append(p_w)
-            nw.append(n_w)
-            bound.append(b)
-            wmax.append(total)
-            dead.append(_LIVE if live else -1)
+                p_w = n_w = None
+                if kind is ConstraintRule:
+                    h, p, q, b = rule.head, rule.pos, rule.neg, rule.bound
+                    total = len(p) + len(q)
+                elif kind is ChoiceRule:
+                    h, p, q = None, rule.pos, rule.neg
+                    b = total = len(p) + len(q)
+                elif kind is WeightRule:
+                    h, p, q, b = rule.head, rule.pos, rule.neg, rule.bound
+                    p_w, n_w = rule.pos_weights, rule.neg_weights
+                    if any(w < 0 for w in p_w) or any(w < 0 for w in n_w):
+                        elems = list(zip(p, p_w)) + [(-a, w) for a, w in zip(q, n_w)]
+                        elems, b = normalize_weight_elements(elems, b)
+                        p = tuple(l for l, _ in elems if l > 0)
+                        p_w = tuple(w for l, w in elems if l > 0)
+                        q = tuple(-l for l, _ in elems if l < 0)
+                        n_w = tuple(w for l, w in elems if l < 0)
+                    total = sum(p_w) + sum(n_w)
+                else:
+                    raise UnsupportedRuleTypeError(f"unsupported rule {rule!r}")
+                r = len(bound)
+                hs = rule.heads if h is None else (h,)
+                unit = (r, 1)
+                pe = [unit] * len(p) if p_w is None else [(r, w) for w in p_w]
+                ne = [unit] * len(q) if n_w is None else [(r, w) for w in n_w]
+                add_wtop(1 if p_w is None else max((*p_w, *n_w), default=0))
+                for a, entry in zip(p, pe):
+                    occ_pos[a].append(entry)
+                for a, entry in zip(q, ne):
+                    _append(occ_neg, a, entry)
+                live = total >= b
+                for x in hs:
+                    defs[x].append(r)
+                    if live:
+                        supports[x] += 1
+                if acyclic and h != FALSITY and hs and (p or q) and max((*p, *q)) >= min(hs):
+                    acyclic = False
+                if h is None or p_w is not None or b != len(p) + len(q):
+                    nonbasic.update(hs)
+                add_pw(p_w)
+                add_nw(n_w)
+                add_wmax(total)
+                add_dead(_LIVE if live else -1)
+            add_heads(hs)
+            add_head(h)
+            add_pos(p)
+            add_neg(q)
+            add_bound(b)
         self.wsat = [0] * len(bound)
-        for imp in (imp_true, imp_false):
-            for a, entries in enumerate(imp):
-                if len(entries) > 1:
-                    imp[a] = list(dict.fromkeys(entries))
+        for imp, a in repeated:
+            imp[a] = list(dict.fromkeys(imp[a]))
 
         self.compute_true = gp.compute_true
         self.compute_false = gp.compute_false
         # The one pass over the full dependency graph, in which an atom
         # depends on the atoms of the bodies of its defining rules. Integrity
-        # constraints, the rules defining atom 1, never enter it.
-        full = _cyclic_sccs([(), ()] + [[a for r in rs for body in (pos, neg) for a in body[r]]
-                                        for rs in defs[2:]], first=2)
+        # constraints, the rules defining atom 1, never enter it. No pass
+        # when the ids certify that there is no cycle.
+        full = [] if acyclic else _cyclic_sccs(
+            [(), ()] + [[a for r in rs for body in (pos, neg) for a in body[r]]
+                        for rs in defs[2:]], first=2)
         self._setup_sccs(full)
         self._setup_branch_order(nonbasic, full)
 
@@ -402,10 +442,10 @@ class Solver:
             # positive ones: the propagation count at a conflict depends on
             # the trail order.
             if v == TRUE:
-                pend = gains = imp_true[a][:]
+                pend = gains = [*imp_true[a]]
                 sat, lost = occ_pos[a], occ_neg[a]
             else:
-                pend, gains = imp_false[a][:], []
+                pend, gains = [*imp_false[a]], []
                 sat, lost = occ_neg[a], occ_pos[a]
             for r, w in sat:
                 if dead[r] < i:

@@ -422,7 +422,9 @@ def static_structure(solver, gp):
 
 
 def built_structure(solver):
-    """The same views, read off a constructed Solver."""
+    """The same views, read off a constructed Solver. The per-atom rows
+    are read as lists: setup shares one () among the atoms a row leaves
+    empty, which differs from [] in type only."""
     tables = []
     for rules, bounds, inside, inheads, watch in solver.scc_tables:
         entries = {r: (bounds[k], sorted(inside[k]), sorted(inheads[k]))
@@ -432,11 +434,16 @@ def built_structure(solver):
     rows = list(zip(solver.heads, solver.head, solver.pos, solver.neg, solver.pw,
                     solver.nw, solver.bound, solver.wmax, solver.dead))
     return {"rows": rows, "wtop": solver.wtop,
-            "occurrences": (solver.occ_pos, solver.occ_neg, solver.defs, solver.supports),
-            "implications": (solver.imp_true, solver.imp_false),
+            "occurrences": (*map(_as_lists, (solver.occ_pos, solver.occ_neg, solver.defs)),
+                            solver.supports),
+            "implications": (_as_lists(solver.imp_true), _as_lists(solver.imp_false)),
             "scc_atoms": solver.scc_atoms, "scc_of": solver.scc_of,
             "scc_rules": [sorted(table[0]) for table in solver.scc_tables],
             "scc_tables": tables,
             "dirty_on_false": solver.dirty_on_false,
             "dirty_on_true": solver.dirty_on_true,
             "branch_order": list(solver.branch_order)}
+
+
+def _as_lists(rows):
+    return [list(row) for row in rows]

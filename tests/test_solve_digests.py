@@ -3,8 +3,8 @@ the six SolveStats counters after the enumeration must match the sha256
 digests in solve_digests.json.
 
 The inputs are every program under programs/ (queens at n=6 and n=8,
-ncolor with graph) and the 160 seeded texts of test_seeded_ground, each
-grounded in keep and none mode. Enumeration stops after 200 models. A
+ncolor with graph) and the texts of test_seeded_ground (160 generator
+texts and the deep join), each grounded in keep and none mode. Enumeration stops after 200 models. A
 change to solver setup must leave both digests of every input alone; a
 change to the search that moves the order or a counter on purpose
 rewrites the file with `PYTHONPATH=src python tests/test_solve_digests.py
@@ -45,7 +45,8 @@ def ground_inputs():
             yield f"{name} {mode}", ground_files([str(ROOT / "programs" / f) for f in files],
                                                  opts).interchange
         for name, text in texts.items():
-            yield f"{name} {mode}", ground_text_input(text, GroundOptions(domain_mode=mode)).interchange
+            opts = GroundOptions(domain_mode=mode)
+            yield f"{name} {mode}", ground_text_input(text, opts).interchange
 
 
 def solve_digests():

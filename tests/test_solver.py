@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,8 @@ from aspkit.ground_format import (
 from aspkit.ground_format import parse_ground_program
 from aspkit.oracle import CapExceededError, ComputeSpec, brute_force_models, is_stable
 from aspkit.pipeline import GroundOptions, ground_files, ground_text_input
+from aspkit import solver as solver_module
+from aspkit.shared import FALSITY
 from aspkit.solver import (
     FALSE,
     TRUE,
@@ -496,24 +499,40 @@ def test_backchaining_skips_rules_that_cannot_force():
     assert s.calls == 8392
 
 
-def test_static_structure_matches_reference():
+def test_static_structure_matches_reference(monkeypatch):
     # The rule arrays, the implication lists, the occurrence lists, the
     # SCCs with their rules and unfounded-set tables, the dirty maps and the
     # branch order agree with a recomputation from the primitive rules and
     # reachability; a wrong branch order would only reorder the search, so
-    # no model-level test sees it.
+    # no model-level test sees it. Setup runs Tarjan on the full dependency
+    # graph exactly when the atom ids do not certify that it is acyclic,
+    # and both kinds of program are reached.
+    firsts = []  # `first` of each _cyclic_sccs call; the full pass starts at 2
+    cyclic_sccs = solver_module._cyclic_sccs
+
+    def recorded(adj, first=0):
+        firsts.append(first)
+        return cyclic_sccs(adj, first)
+
+    monkeypatch.setattr(solver_module, "_cyclic_sccs", recorded)
     rng = random.Random(41)
     shared_choice_sccs = 0
+    paths = {True: 0, False: 0}  # ids certify acyclicity -> programs
     for i in range(2400):
         if i % 2:
             gp = gen.to_interchange(*gen.random_extended_source(rng))
         else:
             gp = gen.random_normal_ground(rng)
+        del firsts[:]
         s = Solver(gp)
         assert built_structure(s) == static_structure(s, gp)
+        certified = _ids_order_every_rule(s)
+        assert firsts.count(2) == (0 if certified else 1)
+        paths[certified] += 1
         shared_choice_sccs += any(_heads_share_an_scc(s, r)
                                   for r, h in enumerate(s.head) if h is None)
     assert shared_choice_sccs >= 50
+    assert min(paths.values()) >= 50, paths
     rng = random.Random(43)
     repeats = 0
     for _ in range(300):
@@ -522,6 +541,55 @@ def test_static_structure_matches_reference():
         assert built_structure(s) == static_structure(s, gp)
         repeats += sum(map(len, s.imp_true + s.imp_false)) < 2 * len(binary_constraints(gp))
     assert repeats >= 50
+
+
+def _ids_order_every_rule(s):
+    """Whether every body atom of every rule not defining atom 1 has a
+    lower id than each of the rule's heads, so that no dependency cycle
+    can exist."""
+    return all(a < h for r, hs in enumerate(s.heads) if s.head[r] != FALSITY
+               for h in hs for a in s.pos[r] + s.neg[r])
+
+
+def test_two_atom_loops_keep_their_sccs_and_branch_order():
+    # Both loops break the id order, so setup finds their cycles by Tarjan.
+    # a :- b. b :- a.: one positive SCC, nothing to branch on.
+    s = Solver(program([BasicRule(head=2, pos=(3,), neg=()),
+                        BasicRule(head=3, pos=(2,), neg=())], 2))
+    assert (s.scc_atoms, s.branch_order) == ([[2, 3]], [])
+    assert list(s.models()) == [()]
+    # a :- not b. b :- not a.: no positive SCC; both atoms occur negatively
+    # on a cycle of the full graph, so both are branched on.
+    s = Solver(program([BasicRule(head=2, pos=(), neg=(3,)),
+                        BasicRule(head=3, pos=(), neg=(2,))], 2))
+    assert (s.scc_atoms, s.branch_order) == ([], [2, 3])
+    assert list(s.models()) == [(2,), (3,)]
+
+
+def test_choice_rule_without_heads_keeps_the_id_order():
+    # A ground file may hold a choice rule with no heads and a body
+    # (`3 0 1 0 2`). It defines no atom, so it adds no dependency edge.
+    s = Solver(program([ChoiceRule(heads=(), pos=(2,), neg=()),
+                        ChoiceRule(heads=(2,), pos=(), neg=())], 1))
+    assert (s.scc_atoms, s.branch_order) == ([], [2])
+    assert sorted(s.models()) == [(), (2,)]
+
+
+def test_setup_memory_grows_with_the_rules_not_the_atom_ids():
+    # One choice rule over 200,000 atoms. Rows that the rules leave empty
+    # share one (), so setup's peak stays under 400 bytes per atom; five
+    # lists per atom would take about 660.
+    n = 200_000
+    gp = GroundProgram(rules=[ChoiceRule(heads=tuple(range(2, n + 2)), pos=(), neg=())],
+                       symbols={}, compute_true=(), compute_false=(1,), models=0,
+                       n_atoms=n + 1)
+    tracemalloc.start()
+    try:
+        Solver(gp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * n, peak / n
 
 
 def _heads_share_an_scc(s, r):
