@@ -400,6 +400,15 @@ def test_queens_8_lookahead_probe_budget():
     assert s.stats.failed_literals > 0
 
 
+HAMCYCLE_ENCODING = """\
+{ in(X,Y) } :- edge(X,Y).
+:- 2 { in(X,Y) : node(Y) }, node(X).
+:- 2 { in(X,Y) : node(X) }, node(Y).
+reached(Y) :- in(1,Y), edge(1,Y).
+reached(Y) :- reached(X), in(X,Y), edge(X,Y).
+:- node(Y), not reached(Y).
+"""
+
 HAMCYCLE_10 = """\
 node(1..10).
 edge(1,3). edge(1,5). edge(1,6). edge(1,10). edge(2,3). edge(2,6). edge(2,7).
@@ -408,13 +417,7 @@ edge(4,6). edge(4,7). edge(5,3). edge(5,4). edge(5,7). edge(5,8). edge(6,1).
 edge(6,7). edge(6,8). edge(6,10). edge(7,2). edge(7,3). edge(7,4). edge(7,6).
 edge(8,4). edge(8,5). edge(8,7). edge(8,10). edge(9,1). edge(9,3). edge(9,4).
 edge(9,10). edge(10,2). edge(10,3). edge(10,6). edge(10,9).
-{ in(X,Y) } :- edge(X,Y).
-:- 2 { in(X,Y) : node(Y) }, node(X).
-:- 2 { in(X,Y) : node(X) }, node(Y).
-reached(Y) :- in(1,Y), edge(1,Y).
-reached(Y) :- reached(X), in(X,Y), edge(X,Y).
-:- node(Y), not reached(Y).
-"""
+""" + HAMCYCLE_ENCODING
 
 # The 92 boards in search order, each the column of the queen in rows 1..8.
 QUEENS_8_MODELS = """
@@ -478,6 +481,58 @@ def test_flat_core_keeps_every_count():
     assert cycles == HAMCYCLE_10_MODELS
     assert s.stats == SolveStats(decisions=78, conflicts=82, propagations=6259,
                                  probes=1194, failed_literals=80, unfounded_runs=1316)
+
+
+def _planted_digraph(rng, n, degree):
+    """A random digraph on nodes 1..n with out-degree `degree` around a
+    planted Hamiltonian cycle."""
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    succ = {order[i]: {order[(i + 1) % n]} for i in range(n)}
+    for v in range(1, n + 1):
+        others = [w for w in range(1, n + 1) if w != v and w not in succ[v]]
+        succ[v].update(rng.sample(others, degree - 1))
+    return sorted((v, w) for v in succ for w in succ[v])
+
+
+def _hamiltonian_cycles(n, edges):
+    """Every directed Hamiltonian cycle, as its sorted edges, by depth-first
+    search from node 1."""
+    succ = {v: sorted(w for u, w in edges if u == v) for v in range(1, n + 1)}
+    cycles = []
+    path = [1]
+
+    def walk(v):
+        for w in succ[v]:
+            if w == 1 and len(path) == n:
+                cycles.append(tuple(sorted(zip(path, path[1:] + [1]))))
+            elif w not in path:
+                path.append(w)
+                walk(w)
+                path.pop()
+    walk(1)
+    return sorted(cycles)
+
+
+def test_hamcycle_on_larger_planted_graphs():
+    # reached/1 is one SCC whose rules chain up to n - 1 steps from node 1,
+    # so the unfounded-set check meets deep derivations, and losing one
+    # edge can cut off a long tail of them. The models must be exactly the
+    # cycles a depth-first search finds, under any candidate order.
+    rng = random.Random(83)
+    total = 0
+    for seed in range(4):
+        n = rng.randint(12, 14)
+        edges = _planted_digraph(rng, n, 3)
+        want = _hamiltonian_cycles(n, edges)
+        text = (f"node(1..{n}).\n" + "".join(f"edge({a},{b}).\n" for a, b in edges)
+                + HAMCYCLE_ENCODING)
+        gp = ground_text_input(text, GroundOptions(domain_mode="none")).interchange
+        models = sorted(CheckedSolver(gp).models())
+        assert sorted(tuple(sorted(_pairs(gp, m, "in"))) for m in models) == want
+        assert sorted(ShuffledSolver(gp, seed).models()) == models
+        total += len(want)
+    assert total >= 40
 
 
 def test_backchaining_skips_rules_that_cannot_force():
