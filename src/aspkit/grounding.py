@@ -11,11 +11,11 @@ a true positive one stays in the ground rule, and only in "keep" mode,
 where domain extensions are also emitted as facts ahead of all other
 rules. A fact's row is its head's ground arguments.
 
-A ground rule whose body is plain literals, positive ones first, under an
-atom head or none is built as its primitive record (`shared.BasicRule`),
-which `primitives` passes through; the others are `GRule`s that it
-translates. One grounding serves both outputs: `ground_text` prints either
-kind with its body in source order.
+A ground rule whose body is plain literals, positive ones first, no two
+of them equal, under an atom head or none is built as its primitive
+record (`shared.BasicRule`), which `primitives` passes through; the others
+are `GRule`s that it translates. One grounding serves both outputs:
+`ground_text` prints either kind with its body in source order.
 """
 
 import itertools

@@ -7,11 +7,13 @@ f-strings. ASP variables are numbered locals, constants the `repr()` of
 parsed values, and arithmetic calls `_check64` and `_divide`, so errors
 are those of a direct evaluation. The file name `<rule FILE:LINE>` and the
 lines in `linecache` name the rule in tracebacks and profiles. The rule
-decides the form of its instances: where the body is plain literals, no
-two of which can be equal, positive ones before negative ones, and the head
-an atom or none, an instance is the primitive `BasicRule` that translation
-would make of it, which prints as its `GRule` would; any other instance is
-an assembled `GRule`, which `primitives` translates.
+decides the form of its instances: where the body is plain literals,
+positive ones before negative ones, and the head an atom or none, an
+instance whose literals of one predicate have different names is the
+primitive `BasicRule` that translation would make of it, which prints as
+its `GRule` would; any other instance is an assembled `GRule`, which
+`primitives` translates, with a repeated literal kept once and a literal
+beside its negation dropping the instance.
 
 Comparisons drive the join where they can: `V == expr`, for a variable V
 first bound by a join literal and an already bound integer term, selects
@@ -345,8 +347,10 @@ class RuleFunction(_Source):
     instance adds its head row to the extension's rows `R`; any other
     appends a rule to `out`, its atoms interned head first through the
     symbol table's `G` (its dict's `get`) and `I` (`intern`). Where
-    `primitive` holds, that is the `BasicRule` that `translate_rule` would
-    make of the instance's GRule, with the same ids; elsewhere the GRule.
+    `primitive` holds and the instance's literals of one predicate, the
+    index pairs in `same`, have different names, that is the `BasicRule`
+    that `translate_rule` would make of the instance's GRule, with the same
+    ids; elsewhere the GRule.
     """
 
     def __init__(self, rule, domain, exts, keep):
@@ -368,12 +372,15 @@ class RuleFunction(_Source):
                 if keep:  # the join made it true
                     self.shape.append(b)
         self.domain_head = isinstance(rule.head, Atom) and rule.head.key() in domain
-        # Plain literals, no two of which can be equal, positive ones first:
-        # the BasicRule then prints as the GRule would.
+        # Plain literals, positive ones first: the BasicRule then prints as
+        # the GRule would. Two literals of one predicate can be equal, so an
+        # instance compares their names (`same`) and assembles where they are.
         plain = [b for b in self.shape if isinstance(b, Literal) and not b.conditions]
         signs = [b.positive for b in plain]
         self.primitive = (not isinstance(rule.head, Aggregate) and signs == sorted(signs, reverse=True)
-                          and len({b.atom.key() for b in plain}) == len(self.shape))
+                          and len(plain) == len(self.shape))
+        self.same = [(i, j) for j, b in enumerate(plain) for i in range(j)
+                     if plain[i].atom.key() == b.atom.key()]
         self.emit(1, "", rule.to_source())
         body = self.lines
         self.join(1, _Plan(join_atoms, checks, (), self.ext, rule.loc), "return",
@@ -502,8 +509,9 @@ class RuleFunction(_Source):
 
     def instance(self, depth, skip):
         """Emit what an instance adds: a row of the extension, its primitive
-        basic rule where `primitive` holds, or else an assembled ground rule.
-        Body names are made before the head's, and ids interned head first."""
+        basic rule where `primitive` holds and no two body names of one
+        predicate are equal, or else an assembled ground rule. Body names
+        are made before the head's, and ids interned head first."""
         head = self.rule.head
         if self.domain_head:
             if self.shape:  # a conditional literal can still kill it
@@ -519,6 +527,16 @@ class RuleFunction(_Source):
         h = isinstance(head, Atom) and self.local("h")
         if h:
             self.emit(depth, f"{h} = {self.name(depth, head)}")
+        if self.primitive and self.same:
+            # equal literals take the assembly, which keeps one or drops the instance
+            self.emit(depth, f"if {' or '.join(f'{names[i]} == {names[j]}' for i, j in self.same)}:")
+            self.emit(depth + 1, "bd, sg = [], {}")
+            for b, n in zip(self.shape, names):
+                self.push(depth + 1, b.positive, n, skip)
+            self.emit(depth + 1, f"out(GRule({f'G({h}) or I({h})' if h else None}, None, "
+                                 "_interned(bd, G, I)))")
+            self.emit(depth, "else:")
+            depth += 1
         if self.primitive:
             for n in [h] * bool(h) + names:
                 self.emit(depth, f"{n} = G({n}) or I({n})")

@@ -6,9 +6,10 @@ Propagation combines two closures run to a joint fixpoint:
     true; head false => literals that would satisfy the body are refuted;
     an atom whose last possible supporting rule remains must be derived by
     it, so that rule's body literals get forced);
-  * unfounded-set falsification: atoms outside the maximal optimistically
-    derivable set are false. Recomputation is incremental per strongly
-    connected component of the positive dependency graph.
+  * unfounded-set falsification (ATMOST): atoms outside the maximal
+    optimistically derivable set are false. It runs per strongly connected
+    component of the positive dependency graph, and only on the atoms
+    whose source was lost.
 
 Rules are parallel lists indexed by rule number: `bound`, the counters
 `wsat` (weight of the body literals true so far) and `wmax` (weight of
@@ -58,10 +59,26 @@ constraint has a lower id than each of the rule's heads, every edge of
 the dependency graph leads to a lower id, and there is no cycle. Each
 nontrivial SCC has a table built at setup: the rules defining its
 atoms, their bounds, their positive literals inside the SCC, their heads
-inside the SCC, and per SCC atom the (rule, weight) pairs it feeds. An
-unfounded-set run starts a live rule's credit at its wmax less the weight
-of its in-SCC literals not yet false, which is the weight of its other
-body literals not yet false; a dead rule gets no credit.
+inside the SCC, and per SCC atom the (rule, weight) pairs it feeds and
+the rules defining it. Rules are named there by their index k in the
+table.
+
+ATMOST keeps, for every atom not false of a nontrivial SCC, `src[a]`,
+the rule that derived it in the SCC's last unfounded-set run, as
+smodels keeps one source rule per atom (Simons, Niemelä and Soininen,
+AIJ 2002). The sources found every such atom: each source is live, and
+its credit from outside the SCC plus that of atoms derived before it
+reaches its bound. They stay so until a source rule loses weight, so
+`dirty_on_false[a]` (`dirty_on_true[a]`) holds an entry (scc, k, h) for
+every rule k of an SCC with a in its positive (negative) body and every
+head h of k in the SCC, and `_propagate` marks h lost only if `src[h] ==
+k`. An SCC with no lost atom is not run: its atoms not false are all
+founded, so a run could falsify none, and the trail, the model order and
+every counter but `unfounded_runs` are those of running it on every loss
+of weight. The first run of an SCC has every atom lost. A run logs each
+source it changes with the trail length, and `_undo_to` restores the
+sources changed after its mark, so a mark's sources come back with its
+values.
 
 Branching uses lookahead with failed-literal forcing: candidates are
 probed both ways, a probe that conflicts forces the opposite value, and
@@ -113,7 +130,7 @@ class SolveStats(Record):
         self.propagations = propagations
         self.probes = probes                    # every lookahead probe, one literal each
         self.failed_literals = failed_literals  # literals forced because a probe failed
-        self.unfounded_runs = unfounded_runs    # unfounded-set runs, one SCC each
+        self.unfounded_runs = unfounded_runs    # unfounded-set runs a lost source triggered
 
 
 class _ConflictSignal(Exception):
@@ -272,8 +289,8 @@ class Solver:
 
     def _setup_sccs(self, full):
         """Nontrivial SCCs of the positive dependency graph, for ATMOST: the
-        table an unfounded-set run reads, and the SCCs whose rules each
-        atom's value can shrink. Each lies inside one of `full`, the
+        table an unfounded-set run reads, the sources, and per atom the
+        (scc, k, head) entries of the SCC rules its value can shrink. Each lies inside one of `full`, the
         nontrivial SCCs of the full graph, which setup finds in its one full
         pass; so only their atoms and the positive edges among them are
         searched, and nothing when `full` is empty."""
@@ -286,14 +303,17 @@ class Solver:
         self.scc_atoms = sccs
         self.scc_of = scc_of = [-1] * (n + 1)
         self.scc_tables = []
-        self.dirty_on_false = [()] * (n + 1)
-        self.dirty_on_true = [()] * (n + 1)
+        self.src = [-1] * (n + 1)
+        self._src_log = []
+        self.dirty_on_false = dirty_on_false = [()] * (n + 1)
+        self.dirty_on_true = dirty_on_true = [()] * (n + 1)
         for ci, comp in enumerate(sccs):
             for a in comp:
                 scc_of[a] = ci
             rules = list(dict.fromkeys(r for a in comp for r in self.defs[a]))
             bounds, inside, inheads = [], [], []
             watch = {a: [] for a in comp}
+            tdefs = {a: [] for a in comp}
             for k, r in enumerate(rules):
                 bounds.append(self.bound[r])
                 p = self.pos[r]
@@ -302,14 +322,17 @@ class Solver:
                 for a, w in feeds:
                     watch[a].append((k, w))
                 inside.append(feeds)
-                inheads.append([h for h in self.heads[r] if scc_of[h] == ci])
-                for dirty, atoms in ((self.dirty_on_false, self.pos[r]),
-                                     (self.dirty_on_true, self.neg[r])):
-                    for a in atoms:
-                        if not dirty[a] or dirty[a][-1] != ci:
-                            dirty[a] += (ci,)
-            self.scc_tables.append((rules, bounds, inside, inheads, watch))
-        self._dirty = set(range(len(sccs)))
+                hs = [h for h in self.heads[r] if scc_of[h] == ci]
+                inheads.append(hs)
+                for h in hs:
+                    tdefs[h].append(k)
+                for dirty, atoms in ((dirty_on_false, p), (dirty_on_true, self.neg[r])):
+                    for a in dict.fromkeys(atoms):
+                        for h in hs:
+                            _append(dirty, a, (ci, k, h))
+            self.scc_tables.append((rules, bounds, inside, inheads, watch, tdefs))
+        # SCC -> its lost atoms; before its first run every atom is lost
+        self._dirty = {ci: list(comp) for ci, comp in enumerate(sccs)}
 
     def _setup_branch_order(self, nonbasic, full):
         """Branch on the heads of choice, cardinality and weight rules and
@@ -336,8 +359,9 @@ class Solver:
 
     def _undo_to(self, mark):
         """Unassign the trail from `mark` on, restoring the counters of the
-        literals already propagated. A mark is always a fixpoint, so no SCC
-        is left to recompute."""
+        literals already propagated and the sources that unfounded-set runs
+        changed after the mark. A mark is always a fixpoint, so no SCC is
+        left to recompute."""
         values, trail, dead = self.values, self.trail, self.dead
         wsat, wmax, bound = self.wsat, self.wmax, self.bound
         heads, supports = self.heads, self.supports
@@ -367,6 +391,10 @@ class Solver:
         if qhead > mark:
             self.qhead = mark
         self._dirty.clear()
+        log, src = self._src_log, self.src
+        while log and log[-1][0] > mark:
+            _, a, k = log.pop()
+            src[a] = k
 
     # -- ATLEAST propagation -----------------------------------------------------
 
@@ -432,6 +460,7 @@ class Solver:
         occ_pos, occ_neg = self.occ_pos, self.occ_neg
         imp_true, imp_false = self.imp_true, self.imp_false
         dirty_on_true, dirty_on_false, dirty = self.dirty_on_true, self.dirty_on_false, self._dirty
+        src = self.src
         contrapose, backchain = self._contrapose, self._backchain_atom
         start = i = self.qhead
         while i < len(trail):
@@ -498,7 +527,14 @@ class Solver:
                         contrapose(r, pend)
                 d = dirty_on_false[a]
             if d:
-                dirty.update(d)
+                # rules of SCCs lost weight: the heads they are the source of are lost
+                for ci, k, h in d:
+                    if src[h] == k:
+                        row = dirty.get(ci)
+                        if row is None:
+                            dirty[ci] = [h]
+                        else:
+                            row.append(h)
             i += 1
             for atom, value in pend:
                 cur = values[atom]
@@ -514,44 +550,71 @@ class Solver:
 
     # -- ATMOST (unfounded sets) ---------------------------------------------------
 
-    def _atmost_scc(self, ci):
+    def _atmost_scc(self, ci, lost):
         """Falsify the atoms of SCC ci that no rule can derive from atoms
         outside it that are not false, negative literals not true, and atoms
-        inside it derived that way. Runs with the trail fully propagated, so
-        a live rule's credit from outside the SCC is its wmax less the
-        weight of its in-SCC literals not false; a dead rule gets none."""
+        inside it derived that way, given `lost`, the atoms whose source
+        rule lost weight since the last run.
+
+        Lost are the atoms of `lost` not false and, closed over the sources,
+        every atom not false whose source has a lost atom in its positive
+        body. Every other atom not false keeps its source, which founds it
+        without a lost atom, so only the lost ones are derived again. Each
+        rule defining a lost atom gets its credit before any is derived: a
+        dead rule none, a live one its wmax less the weight of its lost
+        in-SCC atoms. Runs with the trail fully propagated, so wmax counts
+        exactly the literals not false. A rule whose credit reaches its
+        bound becomes the source of its lost heads, which add their weight
+        to the credits of the rules they feed. The kept and the derived
+        atoms are then those a run with every atom lost derives, so the
+        lost atoms left, falsified by id, are exactly those it falsifies.
+        A run with no lost atom not false is not counted. Each source
+        changed is logged with the trail length, for `_undo_to`."""
+        values, src = self.values, self.src
+        lost = [a for a in dict.fromkeys(lost) if values[a] != FALSE]
+        if not lost:
+            return
         self.stats.unfounded_runs += 1
-        values, wmax, dead = self.values, self.wmax, self.dead
-        rules, bounds, inside, inheads, watch = self.scc_tables[ci]
-        avail = []
-        derivable = set()
-        queue = []
-        for k, r in enumerate(rules):
-            if dead[r] != _LIVE:
-                avail.append(-_LIVE)
-                continue
-            credit = wmax[r]
-            for a, w in inside[k]:
-                if values[a] != FALSE:
-                    credit -= w
-            avail.append(credit)
-            if credit >= bounds[k]:
+        wmax, dead = self.wmax, self.dead
+        rules, bounds, inside, inheads, watch, tdefs = self.scc_tables[ci]
+        left = set(lost)  # lost atoms not derived again yet
+        for a in lost:
+            for k, _ in watch[a]:
                 for h in inheads[k]:
-                    if values[h] != FALSE and h not in derivable:
-                        derivable.add(h)
-                        queue.append(h)
-        for a in queue:
-            for k, w in watch[a]:
-                before = avail[k]
-                avail[k] = before + w
-                if before < bounds[k] <= before + w:
-                    for h in inheads[k]:
-                        if values[h] != FALSE and h not in derivable:
-                            derivable.add(h)
-                            queue.append(h)
-        for a in self.scc_atoms[ci]:
-            if values[a] != FALSE and a not in derivable:
-                self._set(a, FALSE)
+                    if src[h] == k and h not in left and values[h] != FALSE:
+                        left.add(h)
+                        lost.append(h)
+        avail = {}
+        for a in lost:
+            for k in tdefs[a]:
+                if k not in avail:
+                    r = rules[k]
+                    if dead[r] != _LIVE:
+                        avail[k] = -_LIVE
+                        continue
+                    credit = wmax[r]
+                    for b, w in inside[k]:
+                        if b in left:
+                            credit -= w
+                    avail[k] = credit
+        log, mark = self._src_log, len(self.trail)
+        ready = [k for k, credit in avail.items() if credit >= bounds[k]]
+        for k in ready:
+            for h in inheads[k]:
+                if h not in left:
+                    continue
+                left.discard(h)
+                if src[h] != k:
+                    log.append((mark, h, src[h]))
+                    src[h] = k
+                for j, w in watch[h]:
+                    before = avail.get(j)  # None: j defines no lost atom
+                    if before is not None:
+                        avail[j] = before + w
+                        if before < bounds[j] <= before + w:
+                            ready.append(j)
+        for a in sorted(left):
+            self._set(a, FALSE)
 
     # -- expand ---------------------------------------------------------------------
 
@@ -579,8 +642,7 @@ class Solver:
                 self._propagate()
                 if self._dirty:
                     ci = min(self._dirty)
-                    self._dirty.discard(ci)
-                    self._atmost_scc(ci)
+                    self._atmost_scc(ci, self._dirty.pop(ci))
                     continue
                 return None
         except _ConflictSignal as c:

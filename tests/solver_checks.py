@@ -4,10 +4,12 @@
 unchanged at a fixpoint and that backtracking must restore. `CheckedSolver`
 holds the incremental, per-SCC unfounded-set propagation to the global
 recompute of the optimistically derivable set at every fixpoint it reaches,
-and the rule counters, dead-rule marks and supports to a recompute from the
-values there and after every backtrack (`counter_faults`), where no
-two-literal integrity constraint may have one body literal true and the
-other not false (`implication_faults`).
+the source of every SCC atom not false to the invariant that lets a run be
+skipped (`source_faults`), and the rule counters, dead-rule marks and
+supports to a recompute from the values there and after every backtrack
+(`counter_faults`), where no two-literal integrity constraint may have one
+body literal true and the other not false (`implication_faults`), and the
+whole state must be the one its mark was taken at.
 `ShuffledSolver` perturbs the lookahead candidate order. `FullProbeSolver`
 is the reference lookahead that probes every candidate both ways, and
 `BoundCheckedSolver` re-probes every literal a lookahead probe implied, to
@@ -34,7 +36,7 @@ from aspkit.solver import _LIVE, FALSE, TRUE, UNKNOWN, Conflict, Solver
 
 def state_fingerprint(solver):
     return (tuple(solver.values), tuple(solver.wsat), tuple(solver.wmax),
-            tuple(solver.dead), tuple(solver.supports))
+            tuple(solver.dead), tuple(solver.supports), tuple(solver.src))
 
 
 def _items(atoms, weights):
@@ -107,34 +109,83 @@ def counter_faults(solver):
     return faults
 
 
+def source_faults(solver):
+    """Where the sources of the SCC atoms break the invariant that lets an
+    unfounded-set run be skipped. The source of every atom not false must
+    be a rule of its SCC's table with the atom among its heads and, by a
+    recompute from the values, live. The sources must found every such
+    atom: starting from none, an atom is founded once its source's credit,
+    the weight of its literals outside the SCC that are not false plus that
+    of the founded atoms of its positive body, reaches the rule's bound.
+    An atom whose sources lead round a cycle is never founded."""
+    values, src, faults = solver.values, solver.src, []
+    for ci, comp in enumerate(solver.scc_atoms):
+        rules, inheads = solver.scc_tables[ci][0], solver.scc_tables[ci][3]
+        atoms = [a for a in comp if values[a] != FALSE]
+        outside = {}
+        for a in atoms:
+            k = src[a]
+            if not 0 <= k < len(rules) or a not in inheads[k]:
+                faults.append(f"atom {a} of SCC {ci} has source {k}, not a rule defining it")
+                continue
+            r = rules[k]
+            if rule_counters(solver, r)[1] < solver.bound[r]:
+                faults.append(f"atom {a} of SCC {ci} has the dead rule {r} as its source")
+            outside[a] = (r, sum(w for b, w in _items(solver.pos[r], solver.pw[r])
+                                 if solver.scc_of[b] != ci and values[b] != FALSE)
+                          + sum(w for b, w in _items(solver.neg[r], solver.nw[r])
+                                if values[b] != TRUE))
+        founded = set()
+        changed = True
+        while changed:
+            changed = False
+            for a, (r, credit) in outside.items():
+                if a not in founded and credit + sum(
+                        w for b, w in _items(solver.pos[r], solver.pw[r])
+                        if b in founded) >= solver.bound[r]:
+                    founded.add(a)
+                    changed = True
+        faults += [f"atom {a} of SCC {ci} is not founded by the sources"
+                   for a in outside if a not in founded]
+    return faults
+
+
 class CheckedSolver(Solver):
     """A Solver that, after every successful expand() (lookahead probes
     included), asserts that the global recompute falsifies nothing new, that
-    the rule counters agree with the values and that no two-literal
-    constraint has a true literal beside one not false, and after every
-    _undo_to() that no SCC is left to recompute and the counters and
-    two-literal constraints pass the same checks."""
+    the sources found every SCC atom not false, that the rule counters agree
+    with the values and that no two-literal constraint has a true literal
+    beside one not false, and after every _undo_to() that no SCC is left to
+    recompute, that the counters, sources and two-literal constraints pass
+    the same checks and that the state, sources included, is the fixpoint
+    the mark was taken at."""
 
     def __init__(self, gp):
         super().__init__(gp)
         self.fixpoints = 0
         self.constraints = binary_constraints(gp)
+        self._at_length = {}  # trail length -> fingerprint of the last fixpoint of it
 
     def expand(self):
         conflict = super().expand()
         if conflict is None:
             missed = unfounded_atoms(self)
             assert not missed, f"unfounded atoms left open at a fixpoint: {missed}"
-            faults = counter_faults(self) + implication_faults(self, self.constraints)
-            assert not faults, f"counters or implications wrong at a fixpoint: {faults}"
+            faults = (counter_faults(self) + source_faults(self)
+                      + implication_faults(self, self.constraints))
+            assert not faults, f"counters, sources or implications wrong at a fixpoint: {faults}"
             self.fixpoints += 1
+            self._at_length[len(self.trail)] = state_fingerprint(self)
         return conflict
 
     def _undo_to(self, mark):
         super()._undo_to(mark)
         assert not self._dirty, f"SCCs {self._dirty} left dirty at mark {mark}"
-        faults = counter_faults(self) + implication_faults(self, self.constraints)
-        assert not faults, f"counters or implications wrong after undoing to {mark}: {faults}"
+        faults = (counter_faults(self) + source_faults(self)
+                  + implication_faults(self, self.constraints))
+        assert not faults, (f"counters, sources or implications wrong after undoing to "
+                            f"{mark}: {faults}")
+        assert state_fingerprint(self) == self._at_length[mark], f"state not restored at {mark}"
 
 
 class ShuffledSolver(Solver):
@@ -347,10 +398,12 @@ def static_structure(solver, gp):
     order), the occurrence, definition and support lists they give, the
     nontrivial SCCs (atoms >= 2, size > 1 or a self-loop) of the positive
     dependency graph, the indexes of the rules defining an atom of each and
-    each SCC's unfounded-set table, the SCCs a rule of which has the atom
-    in its positive (dirty_on_false) or negative (dirty_on_true) body, and
-    the branch order: heads of non-basic rules, plus atoms that occur
-    negatively and sit on a cycle of the full dependency graph."""
+    each SCC's unfounded-set table (with the rules defining each SCC atom),
+    per atom the (SCC, rule, in-SCC head) triples of the rules of an SCC
+    with the atom in their positive (dirty_on_false) or negative
+    (dirty_on_true) body, and the branch order: heads of non-basic rules,
+    plus atoms that occur negatively and sit on a cycle of the full
+    dependency graph."""
     constraints = binary_constraints(gp)
     rows = [_reference_row(rule) for rule in gp.rules if not _is_binary_constraint(rule)]
     n = solver.n_atoms
@@ -383,12 +436,10 @@ def static_structure(solver, gp):
             scc_of[a] = ci
     scc_rules = [[r for r, row in enumerate(rows) if any(scc_of[h] == ci for h in row[0])]
                  for ci in range(len(sccs))]
-    dirty_on_false = [tuple(ci for ci in range(len(sccs))
-                            if any(a in rows[r][2] for r in scc_rules[ci]))
-                      for a in range(n + 1)]
-    dirty_on_true = [tuple(ci for ci in range(len(sccs))
-                           if any(a in rows[r][3] for r in scc_rules[ci]))
-                     for a in range(n + 1)]
+    dirty_on_false, dirty_on_true = ([sorted((ci, r, h) for ci in range(len(sccs))
+                                             for r in scc_rules[ci] if a in rows[r][body]
+                                             for h in rows[r][0] if scc_of[h] == ci)
+                                     for a in range(n + 1)] for body in (2, 3))
     tables = []
     for ci, comp in enumerate(sccs):
         entries = {}
@@ -399,7 +450,9 @@ def static_structure(solver, gp):
         watch = {a: sorted((r, w) for r in scc_rules[ci]
                            for b, w in _items(rows[r][2], rows[r][4]) if b == a)
                  for a in comp}
-        tables.append((entries, watch))
+        defining = {a: sorted(r for r in scc_rules[ci] for h in rows[r][0] if h == a)
+                    for a in comp}
+        tables.append((entries, watch, defining))
     cyclic = {a for comp in _cyclic_components(full_adj, atoms) for a in comp}
     negative = {a for row in rows for a in row[3]}
     negative.update(a for lits in constraints for a, value in lits if value == FALSE)
@@ -424,13 +477,18 @@ def static_structure(solver, gp):
 def built_structure(solver):
     """The same views, read off a constructed Solver. The per-atom rows
     are read as lists: setup shares one () among the atoms a row leaves
-    empty, which differs from [] in type only."""
+    empty, which differs from [] in type only. The dirty rows name a rule
+    by its index in the SCC's table; they are read with its rule number,
+    sorted."""
     tables = []
-    for rules, bounds, inside, inheads, watch in solver.scc_tables:
+    for rules, bounds, inside, inheads, watch, tdefs in solver.scc_tables:
         entries = {r: (bounds[k], sorted(inside[k]), sorted(inheads[k]))
                    for k, r in enumerate(rules)}
         tables.append((entries, {a: sorted((rules[k], w) for k, w in ws)
-                                 for a, ws in watch.items()}))
+                                 for a, ws in watch.items()},
+                       {a: sorted(rules[k] for k in ks) for a, ks in tdefs.items()}))
+    dirty = [[sorted((ci, solver.scc_tables[ci][0][k], h) for ci, k, h in row)
+              for row in rows] for rows in (solver.dirty_on_false, solver.dirty_on_true)]
     rows = list(zip(solver.heads, solver.head, solver.pos, solver.neg, solver.pw,
                     solver.nw, solver.bound, solver.wmax, solver.dead))
     return {"rows": rows, "wtop": solver.wtop,
@@ -440,8 +498,7 @@ def built_structure(solver):
             "scc_atoms": solver.scc_atoms, "scc_of": solver.scc_of,
             "scc_rules": [sorted(table[0]) for table in solver.scc_tables],
             "scc_tables": tables,
-            "dirty_on_false": solver.dirty_on_false,
-            "dirty_on_true": solver.dirty_on_true,
+            "dirty_on_false": dirty[0], "dirty_on_true": dirty[1],
             "branch_order": list(solver.branch_order)}
 
 

@@ -505,6 +505,27 @@ def test_ancestor_reaches_translation_as_primitive_records_only(monkeypatch):
     assert set(seen) == {"BasicRule"}
 
 
+def test_literals_of_one_predicate_are_compared_per_instance():
+    # Two plain literals of one predicate can be equal, so each instance
+    # compares their names. Where they differ, as in every instance of
+    # 8-queens' constraint, it is a BasicRule; where two are equal, it is
+    # assembled as before: a repeated literal is kept once, and a literal
+    # beside its negation drops the instance.
+    g = ground_files(["programs/queens.lp"], GroundOptions(constants={"n": 8}, domain_mode="none"))
+    assert Counter(type(r).__name__ for r in g.source.rules) == {"GRule": 16, "BasicRule": 560}
+    assert all(type(r) is BasicRule for r in g.source.rules if r.head == 1)
+    text = ("d(1..2). { q(X) : d(X) }.\n"
+            "p(X,Y) :- q(X), q(Y), d(X), d(Y).\n"
+            "r(X,Y) :- q(X), not q(Y), d(X), d(Y).\n")
+    g = ground(text, domain_mode="none")
+    assert [type(r).__name__ for r in g.source.rules] == [
+        "GRule", "GRule", "BasicRule", "BasicRule", "GRule", "BasicRule", "BasicRule"]
+    assert grounding.ground_text(g.source) == (
+        "{ q(1), q(2) }.\n"
+        "p(1,1) :- q(1).\np(1,2) :- q(1), q(2).\np(2,1) :- q(2), q(1).\np(2,2) :- q(2).\n"
+        "r(1,2) :- q(1), not q(2).\nr(2,1) :- q(2), not q(1).\n")
+
+
 def test_text_keeps_the_source_order_of_a_body(capsys, tmp_path):
     text = "{ q }.\n{ r }.\np :- not q, r.\n"
     for mode in ("keep", "none"):

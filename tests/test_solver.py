@@ -479,8 +479,10 @@ def test_flat_core_keeps_every_count():
     cycles = ["".join(str(dict(_pairs(gp, m, "in"))[v] % 10) for v in range(1, 11))
               for m in s.models()]
     assert cycles == HAMCYCLE_10_MODELS
+    # Source pointers skip the unfounded-set runs in which every atom
+    # keeps its source; rerunning the SCC on every loss of weight took 1,316.
     assert s.stats == SolveStats(decisions=78, conflicts=82, propagations=6259,
-                                 probes=1194, failed_literals=80, unfounded_runs=1316)
+                                 probes=1194, failed_literals=80, unfounded_runs=990)
 
 
 def _planted_digraph(rng, n, degree):
@@ -533,6 +535,92 @@ def test_hamcycle_on_larger_planted_graphs():
         assert sorted(ShuffledSolver(gp, seed).models()) == models
         total += len(want)
     assert total >= 40
+
+
+def test_losing_weight_off_the_source_runs_nothing():
+    # a :- b.  b :- a.  a :- c.  a :- d.  { c, d }.  The first run finds a
+    # from a :- c (rule 2) and b from b :- a. d false takes weight from
+    # a :- d, which is no atom's source, so the SCC is not run again (a
+    # rerun on every loss of weight would run it); c false takes a's
+    # source, and then a and b are unfounded.
+    gp = program([BasicRule(head=2, pos=(3,), neg=()),
+                  BasicRule(head=3, pos=(2,), neg=()),
+                  BasicRule(head=2, pos=(4,), neg=()),
+                  BasicRule(head=2, pos=(5,), neg=()),
+                  ChoiceRule(heads=(4, 5), pos=(), neg=())], 4)
+    s = CheckedSolver(gp)
+    assert s.expand() is None
+    rules = s.scc_tables[0][0]
+    assert (rules[s.src[2]], rules[s.src[3]]) == (2, 1)
+    runs = s.stats.unfounded_runs
+    s._set(5, FALSE)
+    assert s.expand() is None
+    assert s.stats.unfounded_runs == runs
+    assert (s.values[2], s.values[3]) == (UNKNOWN, UNKNOWN)
+    s._set(4, FALSE)
+    assert s.expand() is None
+    assert s.stats.unfounded_runs == runs + 1
+    assert (s.values[2], s.values[3]) == (FALSE, FALSE)
+    assert sorted(CheckedSolver(gp).models()) == [(), (2, 3, 4), (2, 3, 4, 5), (2, 3, 5)]
+
+
+def test_weight_rule_and_two_head_choice_rule_share_an_scc():
+    # { a, b } :- c.  c :- 2 [a = 1, b = 1, x = 2].  { x }.  c :- y.  { y }.
+    # a, b and c are one SCC. The weight rule founds c on x alone, and the
+    # choice rule is the source of both a and b. x false takes c's source
+    # and, through c, a's and b's; c :- y founds c again, and the choice
+    # rule a and b. y false leaves the weight rule 2 on a and b, which
+    # found nothing, so all three are unfounded.
+    gp = program([ChoiceRule(heads=(2, 3), pos=(4,), neg=()),
+                  WeightRule(head=4, bound=2, pos=(2, 3, 5), neg=(),
+                             pos_weights=(1, 1, 2), neg_weights=()),
+                  ChoiceRule(heads=(5,), pos=(), neg=()),
+                  BasicRule(head=4, pos=(6,), neg=()),
+                  ChoiceRule(heads=(6,), pos=(), neg=())], 5)
+    s = CheckedSolver(gp)
+    assert s.expand() is None
+    assert s.scc_atoms == [[2, 3, 4]]
+    rules = s.scc_tables[0][0]
+    assert [rules[s.src[a]] for a in (2, 3, 4)] == [0, 0, 1]
+    s._set(5, FALSE)
+    assert s.expand() is None
+    assert [rules[s.src[a]] for a in (2, 3, 4)] == [0, 0, 3]
+    assert [s.values[a] for a in (2, 3, 4)] == [UNKNOWN] * 3
+    s._set(6, FALSE)
+    assert s.expand() is None
+    assert [s.values[a] for a in (2, 3, 4)] == [FALSE] * 3
+    want = sorted(tuple(sorted(m)) for m in brute_force_models(gp.rules))
+    assert sorted(CheckedSolver(gp).models()) == want
+    for seed in (1, 7):
+        assert sorted(ShuffledSolver(gp, seed).models()) == want
+
+
+def test_sources_come_back_after_probes_and_backtracks():
+    # CheckedSolver holds the state after every undo, sources included, to
+    # the fixpoint its mark was taken at. Count the undos that had sources
+    # to restore, after a probe and after a backtrack.
+    class Counting(CheckedSolver):
+        def __init__(self, gp):
+            super().__init__(gp)
+            self.restored = {"probe": 0, "backtrack": 0}
+            self._undoing = "backtrack"
+
+        def _probe(self, atom, value, bounds=None):
+            self._undoing = "probe"
+            try:
+                return super()._probe(atom, value, bounds)
+            finally:
+                self._undoing = "backtrack"
+
+        def _undo_to(self, mark):
+            before = list(self.src)
+            super()._undo_to(mark)
+            self.restored[self._undoing] += self.src != before
+
+    gp = ground_text_input(HAMCYCLE_10, GroundOptions(domain_mode="none")).interchange
+    s = Counting(gp)
+    assert len(list(s.models())) == len(HAMCYCLE_10_MODELS)
+    assert min(s.restored.values()) >= 50, s.restored
 
 
 def test_backchaining_skips_rules_that_cannot_force():
