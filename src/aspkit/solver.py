@@ -172,6 +172,8 @@ class Solver:
         self.trail = []
         self.qhead = 0
         self._started = False
+        self._probed = {}  # literal -> record of its last successful probe, see _probe
+        self._probed_log = []  # (trail length, literal) per record, in the order taken
 
         self.heads, self.head = heads, head = [], []
         self.pos, self.neg, self.pw, self.nw = pos, neg, pw, nw = [], [], [], []
@@ -399,22 +401,22 @@ class Solver:
     # -- ATLEAST propagation -----------------------------------------------------
 
     def _contrapose(self, r, pend):
-        """Head is false: refute any literal that alone satisfies the body."""
+        """Head is false: refute any literal that alone satisfies the body.
+        Called only for a live rule whose gap, bound - wsat, is at most
+        wtop[r]: a larger gap leaves no literal heavy enough."""
         gap = self.bound[r] - self.wsat[r]
         if gap <= 0:
             # body already satisfied; the flush below reports the conflict
             pend.append((self.head[r], TRUE))
             return
-        if self.dead[r] != _LIVE:
-            return
         values = self.values
         for atoms, weights, value in ((self.pos[r], self.pw[r], FALSE),
                                       (self.neg[r], self.nw[r], TRUE)):
             if weights is None:
-                if gap <= 1:
-                    for a in atoms:
-                        if values[a] == UNKNOWN:
-                            pend.append((a, value))
+                # unit weights: wtop is 1, so the gap is 1
+                for a in atoms:
+                    if values[a] == UNKNOWN:
+                        pend.append((a, value))
             else:
                 for a, w in zip(atoms, weights):
                     if values[a] == UNKNOWN and w >= gap:
@@ -486,7 +488,7 @@ class Solver:
                     continue
                 if s >= bound[r]:
                     gains.append((h, TRUE))
-                elif values[h] == FALSE:
+                elif values[h] == FALSE and bound[r] - s <= wtop[r]:
                     contrapose(r, gains)
             for r, w in lost:
                 d = dead[r]
@@ -522,8 +524,9 @@ class Solver:
                     backchain(a, pend)
                 d = dirty_on_true[a]
             else:
+                # a rule with a satisfied body is live, and its gap is <= 0
                 for r in defs[a]:
-                    if head[r] is not None:
+                    if head[r] is not None and dead[r] == _LIVE and bound[r] - wsat[r] <= wtop[r]:
                         contrapose(r, pend)
                 d = dirty_on_false[a]
             if d:
@@ -654,24 +657,77 @@ class Solver:
     def _probe(self, atom, value, bounds=None):
         """Set atom to value, expand, undo; returns (conflict, atoms fixed).
 
-        With `bounds`, a successful probe lowers bounds[lit] to its count
-        for every literal it fixed (lit is the atom if true, its negation if
-        false). Propagation is monotone, so probing such a literal at the
-        same assignment cannot conflict and fixes at most that many atoms.
+        A successful probe becomes the record of its literal (the atom if
+        true, its negation if false), replacing an earlier one: the trail
+        length it was taken at, the atoms it fixed, its own first, and
+        their values. With `bounds`, it lowers bounds[lit] to its count for
+        every literal it fixed. Propagation is monotone, so probing such a
+        literal at the same assignment cannot conflict and fixes at most
+        that many atoms.
         """
         self.stats.probes += 1
-        mark = len(self.trail)
+        trail = self.trail
+        mark = len(trail)
         self._set(atom, value)
         conflict = self.expand()
-        fixed = len(self.trail) - mark
-        if bounds is not None and conflict is None:
+        fixed = len(trail) - mark
+        if conflict is None:
             values = self.values
-            for b in self.trail[mark:]:
-                lit = b if values[b] == TRUE else -b
-                if bounds.get(lit, fixed) >= fixed:
-                    bounds[lit] = fixed
+            atoms = trail[mark:]
+            lit = atom if value == TRUE else -atom
+            self._probed[lit] = (mark, atoms, bytes(map(values.__getitem__, atoms)))
+            self._probed_log.append((mark, lit))
+            if bounds is not None:
+                for b in atoms:
+                    lit = b if values[b] == TRUE else -b
+                    if bounds.get(lit, fixed) >= fixed:
+                        bounds[lit] = fixed
         self._undo_to(mark)
         return conflict, fixed
+
+    def _recall(self, lit, bounds=None):
+        """(None, atoms fixed) of probing `lit` now, read off its record, or
+        None when the record does not give it.
+
+        The record holds the fixpoint of the assignment it was taken at
+        plus lit, and `_backtrack` drops a record once the trail is undone
+        below its length, so the trail up to that length is unchanged. If
+        every literal assigned since is one the probe fixed, the current
+        assignment lies between that assignment and the fixpoint, so
+        expanding it with lit reaches the same fixpoint: no conflict, and
+        the record's literals still open are the ones it fixes. `bounds`
+        is lowered over those as `_probe` lowers it.
+        """
+        entry = self._probed.get(lit)
+        if entry is None:
+            return None
+        base, atoms, fixpoint = entry
+        trail = self.trail
+        since = len(trail) - base
+        if since >= len(atoms):
+            return None
+        values = self.values
+        if since:
+            # the first atom assigned since is a decision, a flip or a forced
+            # failed literal, which most records do not hold
+            b = trail[base]
+            if b not in atoms or fixpoint[atoms.index(b)] != values[b]:
+                return None
+        opened = []
+        for b, v in zip(atoms, fixpoint):
+            cur = values[b]
+            if cur == UNKNOWN:
+                opened.append(b if v == TRUE else -b)
+            elif cur != v:
+                return None
+        fixed = len(opened)
+        if len(atoms) - fixed != since:
+            return None
+        if bounds is not None:
+            for lit in opened:
+                if bounds.get(lit, fixed) >= fixed:
+                    bounds[lit] = fixed
+        return None, fixed
 
     def _candidates(self):
         """Unassigned atoms of the branch order, else every unassigned atom."""
@@ -706,9 +762,9 @@ class Solver:
             for a in cands:
                 conflict_t = conflict_f = fixed_t = fixed_f = None
                 if a not in bounds:
-                    conflict_t, fixed_t = self._probe(a, TRUE, bounds)
+                    conflict_t, fixed_t = self._recall(a, bounds) or self._probe(a, TRUE, bounds)
                 if -a not in bounds:
-                    conflict_f, fixed_f = self._probe(a, FALSE, bounds)
+                    conflict_f, fixed_f = self._recall(-a, bounds) or self._probe(a, FALSE, bounds)
                 if conflict_t and conflict_f:
                     return Conflict(a)
                 if conflict_t or conflict_f:
@@ -729,9 +785,9 @@ class Solver:
                     if not (bound > best_score or (bound == best_score and a < best_atom)):
                         break
                     if fixed_t is None:
-                        fixed_t = self._probe(a, TRUE)[1]
+                        fixed_t = (self._recall(a) or self._probe(a, TRUE))[1]
                     if fixed_f is None:
-                        fixed_f = self._probe(a, FALSE)[1]
+                        fixed_f = (self._recall(-a) or self._probe(a, FALSE))[1]
                     score = fixed_t + fixed_f
                     if score > best_score or (score == best_score and a < best_atom):
                         best_score = score
@@ -766,10 +822,16 @@ class Solver:
                     return
 
     def _backtrack(self, stack):
-        """Flip the deepest untried decision; False when tree is exhausted."""
+        """Flip the deepest untried decision; False when tree is exhausted.
+        Drops the probe records taken above the mark it undoes to, newest
+        first: records are taken at a trail length no lower than any kept."""
+        probed, log = self._probed, self._probed_log
         while stack:
             atom, mark, flipped = stack.pop()
             self._undo_to(mark)
+            while log and log[-1][0] > mark:
+                # a newer record of the same literal came later in the log
+                probed.pop(log.pop()[1], None)
             if flipped:
                 continue
             stack.append([atom, mark, True])

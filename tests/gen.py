@@ -526,3 +526,37 @@ def queens_solutions(n):
         if ok:
             out.add(frozenset((perm[r], r + 1) for r in range(n)))
     return out
+
+
+def pigeonhole(pigeons, holes):
+    """Source text placing every pigeon in one hole, no two in the same
+    hole: no model when there are more pigeons than holes."""
+    return "\n".join([
+        f"pigeon(1..{pigeons}).",
+        f"hole(1..{holes}).",
+        "1 { in(P,H) : hole(H) } 1 :- pigeon(P).",
+        ":- in(P,H), in(Q,H), pigeon(P), pigeon(Q), hole(H), P < Q.",
+    ]) + "\n"
+
+
+def planted_3sat(rng, variables, ratio=4.26):
+    """A random 3-SAT instance with round(ratio * variables) clauses over
+    variables 1..n, each of three distinct variables, drawn until it is
+    true under a hidden random assignment, so that a model exists.
+
+    Returns (text, clauses). The text is a choice rule over t/1 and one
+    integrity constraint per clause, whose body is the clause's
+    complement; a clause is a tuple of signed variables.
+    """
+    planted = {v: rng.random() < 0.5 for v in range(1, variables + 1)}
+    clauses = []
+    while len(clauses) < round(ratio * variables):
+        clause = tuple(v if rng.random() < 0.5 else -v
+                       for v in rng.sample(range(1, variables + 1), 3))
+        if any(planted[abs(l)] == (l > 0) for l in clause):
+            clauses.append(clause)
+    lines = [f"var(1..{variables}).", "{ t(V) } :- var(V)."]
+    for clause in clauses:
+        lines.append(":- " + ", ".join(f"not t({l})" if l > 0 else f"t({-l})"
+                                       for l in clause) + ".")
+    return "\n".join(lines) + "\n", clauses

@@ -9,11 +9,12 @@ skipped (`source_faults`), and the rule counters, dead-rule marks and
 supports to a recompute from the values there and after every backtrack
 (`counter_faults`), where no two-literal integrity constraint may have one
 body literal true and the other not false (`implication_faults`), and the
-whole state must be the one its mark was taken at.
-`ShuffledSolver` perturbs the lookahead candidate order. `FullProbeSolver`
-is the reference lookahead that probes every candidate both ways, and
-`BoundCheckedSolver` re-probes every literal a lookahead probe implied, to
-hold the solver to the bounds it skips probes by. `alternating_fixpoint` is
+whole state must be the one its mark was taken at, and it re-probes every
+probe result the lookahead reuses. `ShuffledSolver` perturbs the lookahead
+candidate order. `FullProbeSolver` is the reference lookahead that probes
+every candidate both ways, and `BoundCheckedSolver` re-probes every literal
+a lookahead probe implied, to hold the solver to the bounds it skips
+probes by; both run a real probe wherever they probe. `alternating_fixpoint` is
 the reference well-founded model, built from the oracle's reduct and least
 model. `static_structure` recomputes the solver's rule arrays, implication
 lists, SCCs, unfounded-set tables, dirty maps and branch order the slow
@@ -158,11 +159,15 @@ class CheckedSolver(Solver):
     beside one not false, and after every _undo_to() that no SCC is left to
     recompute, that the counters, sources and two-literal constraints pass
     the same checks and that the state, sources included, is the fixpoint
-    the mark was taken at."""
+    the mark was taken at. Every probe result the lookahead reads off a
+    record is probed again for real: the probe must not conflict, must fix
+    as many atoms, and must lower the bounds to what the record lowered
+    them to. `recalls` counts them."""
 
     def __init__(self, gp):
         super().__init__(gp)
         self.fixpoints = 0
+        self.recalls = 0
         self.constraints = binary_constraints(gp)
         self._at_length = {}  # trail length -> fingerprint of the last fixpoint of it
 
@@ -186,6 +191,22 @@ class CheckedSolver(Solver):
         assert not faults, (f"counters, sources or implications wrong after undoing to "
                             f"{mark}: {faults}")
         assert state_fingerprint(self) == self._at_length[mark], f"state not restored at {mark}"
+
+    def _recall(self, lit, bounds=None):
+        before = None if bounds is None else dict(bounds)
+        recalled = super()._recall(lit, bounds)
+        if recalled is not None:
+            self.recalls += 1
+            conflict, lits = fixed_literals(self, abs(lit), TRUE if lit > 0 else FALSE)
+            assert conflict is None, f"reused probe of {lit} conflicts when probed again"
+            assert recalled == (None, len(lits)), (
+                f"reused probe of {lit} fixes {recalled[1]} atoms, probed again {len(lits)}")
+            if bounds is not None:
+                want = dict(before)
+                for b in lits:
+                    want[b] = min(before.get(b, len(lits)), len(lits))
+                assert bounds == want, f"bounds {bounds} after reusing {lit}, expected {want}"
+        return recalled
 
 
 class ShuffledSolver(Solver):
@@ -271,24 +292,31 @@ def alternating_fixpoint(rules, extra_atoms=()):
     return true, false, frozenset(universe - true - false)
 
 
+def fixed_literals(solver, atom, value):
+    """(conflict, literals fixed) of setting atom to value and expanding,
+    undone again, without recording a probe."""
+    mark = len(solver.trail)
+    solver._set(atom, value)
+    conflict = solver.expand()
+    lits = [b if solver.values[b] == TRUE else -b for b in solver.trail[mark:]]
+    solver._undo_to(mark)
+    return conflict, lits
+
+
 class BoundCheckedSolver(Solver):
     """A Solver that checks each lookahead probe's bookkeeping: after a
     successful probe, every literal it fixed has as its bound the least count
     of the probes of the round that fixed it, and probing that literal
     itself at the same assignment neither conflicts nor fixes more atoms
-    than its bound. `reprobes` counts the literals probed for the check."""
+    than its bound. It reuses no probe result, so every bound comes from a
+    real probe. `reprobes` counts the literals probed for the check."""
 
     def __init__(self, gp):
         super().__init__(gp)
         self.reprobes = 0
 
-    def _fixed_literals(self, atom, value):
-        mark = len(self.trail)
-        self._set(atom, value)
-        conflict = self.expand()
-        lits = [b if self.values[b] == TRUE else -b for b in self.trail[mark:]]
-        self._undo_to(mark)
-        return conflict, lits
+    def _recall(self, lit, bounds=None):
+        return None
 
     def _probe(self, atom, value, bounds=None):
         if bounds is None:
@@ -298,7 +326,7 @@ class BoundCheckedSolver(Solver):
         if conflict:
             assert bounds == before, "a failed probe changed the bounds"
             return conflict, fixed
-        again, lits = self._fixed_literals(atom, value)
+        again, lits = fixed_literals(self, atom, value)
         assert again is None and len(lits) == fixed
         want = dict(before)
         for lit in lits:

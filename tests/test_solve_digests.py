@@ -10,9 +10,12 @@ texts and the deep join), each grounded in keep and none mode. Enumeration
 stops after 200 models. A change to solver setup must leave every digest
 alone. A change to the unfounded-set check may save runs, so it may move
 the third digest only: the trail, and with it the models and the choice
-counters, must not move. A change to the search that moves a digest on
-purpose rewrites the file with `PYTHONPATH=src python
-tests/test_solve_digests.py --write` and says in the change why they moved.
+counters, must not move. A change that saves lookahead probes without
+changing a choice moves `probes` and `propagations`, so only the second.
+A failure names, per input, the digests that moved. A change to the
+search that moves a digest on purpose rewrites the file with
+`PYTHONPATH=src python tests/test_solve_digests.py --write` and says in
+the change why they moved.
 """
 
 import hashlib
@@ -54,6 +57,7 @@ def ground_inputs():
 
 
 CHOICE_COUNTERS = ("decisions", "conflicts", "propagations", "probes", "failed_literals")
+DIGEST_NAMES = ("model list", "choice counters", "unfounded_runs")
 
 
 def solve_digests():
@@ -74,7 +78,11 @@ def test_search_matches_the_committed_digests():
     got = solve_digests()
     assert sorted(got) == sorted(want)
     assert SolveStats.__slots__ == CHOICE_COUNTERS + ("unfounded_runs",)
-    assert [name for name in want if got[name] != want[name]] == []
+    moved = {name: [part for part, old, new in zip(DIGEST_NAMES, want[name], got[name])
+                    if old != new]
+             for name in want if got[name] != want[name]}
+    assert moved == {}, "digests moved, per input: " + "; ".join(
+        f"{name}: {', '.join(parts)}" for name, parts in sorted(moved.items()))
 
 
 if __name__ == "__main__":

@@ -284,18 +284,22 @@ def test_seeded_lookahead_sampling_keeps_model_set():
 
 def test_incremental_unfounded_sets_match_global_recompute():
     # Every fixpoint of a full enumeration, lookahead probes included, must
-    # leave open no atom that the global recompute would falsify.
+    # leave open no atom that the global recompute would falsify, and every
+    # probe result read off a record must be the one probing gives.
     rng = random.Random(13)
-    fixpoints = 0
+    programs = [queens(6)]
     for i in range(800):
         if i % 2:
-            gp = gen.to_interchange(*gen.random_extended_source(rng))
+            programs.append(gen.to_interchange(*gen.random_extended_source(rng)))
         else:
-            gp = gen.random_normal_ground(rng)
+            programs.append(gen.random_normal_ground(rng))
+    fixpoints = recalls = 0
+    for gp in programs:
         s = CheckedSolver(gp)
         list(s.models())
         fixpoints += s.fixpoints
-    assert fixpoints > 1000
+        recalls += s.recalls
+    assert fixpoints > 1000 and recalls > 100
 
 
 def test_aggregate_programs_beyond_the_brute_force_cap():
@@ -400,6 +404,104 @@ def test_queens_8_lookahead_probe_budget():
     assert s.stats.failed_literals > 0
 
 
+def _queens_placed(n, queens):
+    """n queens, no two on one row, column or diagonal."""
+    return (len(queens) == n and len({x for x, _ in queens}) == n
+            and len({y for _, y in queens}) == n
+            and len({x - y for x, y in queens}) == n and len({x + y for x, y in queens}) == n)
+
+
+def _satisfies(gp, model, clauses):
+    true = {int(gp.symbols[a][2:-1]) for a in model if gp.symbols.get(a, "").startswith("t(")}
+    return all(any((l > 0) == (abs(l) in true) for l in clause) for clause in clauses)
+
+
+def _first_model_instances():
+    """name -> (ground program, check of the first model, None when there
+    is none): the first-model searches no benchmark workload runs."""
+    none = GroundOptions(domain_mode="none")
+    gp = queens(20)
+    yield "queens-20", gp, lambda m: m is not None and _queens_placed(20, _pairs(gp, m, "q"))
+    yield "pigeonhole-7-6", ground_text_input(gen.pigeonhole(7, 6), none).interchange, \
+        lambda m: m is None
+    for seed in (1, 2):
+        text, clauses = gen.planted_3sat(random.Random(seed), 150)
+        sat = ground_text_input(text, none).interchange
+        yield f"3sat-150-{seed}", sat, \
+            lambda m, sat=sat, clauses=clauses: m is not None and _satisfies(sat, m, clauses)
+
+
+# name -> (decisions, conflicts, failed_literals, probes, propagations) of the
+# first model when every candidate was probed, not read off a record
+FIRST_MODEL_COUNTS = {
+    "queens-20": (14, 29, 23, 809, 14091),
+    "pigeonhole-7-6": (434, 753, 317, 10201, 48496),
+    "3sat-150-1": (20, 78, 70, 1725, 9161),
+    "3sat-150-2": (96, 305, 235, 6068, 27750),
+}
+
+
+def test_first_models_keep_their_choices():
+    # Lookahead pays on first-model searches, where perfbench runs none.
+    # Reusing probe results must leave their choices alone and may only
+    # save probes and propagations.
+    for name, gp, check in _first_model_instances():
+        s = Solver(gp)
+        assert check(next(s.models(), None)), name
+        decisions, conflicts, failed, probes, propagations = FIRST_MODEL_COUNTS[name]
+        assert (s.stats.decisions, s.stats.conflicts, s.stats.failed_literals) == (
+            decisions, conflicts, failed), name
+        assert s.stats.probes <= probes and s.stats.propagations <= propagations, name
+
+
+def test_probe_records_are_dropped_below_their_trail_length():
+    # A probe record holds for the trail it was taken at. Every record
+    # kept must still sit on that trail prefix, after every backtrack and
+    # whenever the lookahead reads it, and each literal has one record.
+    class Recorded(Solver):
+        def __init__(self, gp):
+            super().__init__(gp)
+            self.prefix = {}
+            self.dropped = 0
+
+        def _probe(self, atom, value, bounds=None):
+            result = super()._probe(atom, value, bounds)
+            if result[0] is None:
+                lit = atom if value == TRUE else -atom
+                self.prefix[lit] = self.trail[:self._probed[lit][0]]
+            return result
+
+        def _recall(self, lit, bounds=None):
+            self.check()
+            return super()._recall(lit, bounds)
+
+        def _backtrack(self, stack):
+            before = set(self._probed)
+            more = super()._backtrack(stack)
+            self.dropped += len(before - set(self._probed))
+            self.check()
+            return more
+
+        def check(self):
+            assert len(self._probed) <= 2 * self.n_atoms
+            for lit, (base, _, _) in self._probed.items():
+                assert self.trail[:base] == self.prefix[lit], f"record of {lit} outlived its trail"
+
+    rng = random.Random(67)
+    programs = [queens(6)]
+    for i in range(400):
+        if i % 2:
+            programs.append(gen.to_interchange(*gen.random_extended_source(rng)))
+        else:
+            programs.append(gen.random_normal_ground(rng))
+    dropped = 0
+    for gp in programs:
+        s = Recorded(gp)
+        assert list(s.models()) == list(BoundCheckedSolver(gp).models())
+        dropped += s.dropped
+    assert dropped > 100
+
+
 HAMCYCLE_ENCODING = """\
 { in(X,Y) } :- edge(X,Y).
 :- 2 { in(X,Y) : node(Y) }, node(X).
@@ -470,9 +572,12 @@ def test_flat_core_keeps_every_count():
     # literal earlier: when both body literals turn true in the same flush,
     # the first one's implication meets the second already true, where the
     # rule counters noticed only on processing the second. The counter
-    # core took 67,793 propagations here.
-    assert s.stats == SolveStats(decisions=214, conflicts=379, propagations=67442,
-                                 probes=6319, failed_literals=347, unfounded_runs=0)
+    # core took 67,793 propagations here. Reading probe results off their
+    # records after forced literals and backtracks saves probes, and the
+    # propagations they would make: probing each took 6,319 probes and
+    # 67,442 propagations.
+    assert s.stats == SolveStats(decisions=214, conflicts=379, propagations=44688,
+                                 probes=4825, failed_literals=347, unfounded_runs=0)
 
     gp = ground_text_input(HAMCYCLE_10, GroundOptions(domain_mode="none")).interchange
     s = Solver(gp)
@@ -481,8 +586,10 @@ def test_flat_core_keeps_every_count():
     assert cycles == HAMCYCLE_10_MODELS
     # Source pointers skip the unfounded-set runs in which every atom
     # keeps its source; rerunning the SCC on every loss of weight took 1,316.
-    assert s.stats == SolveStats(decisions=78, conflicts=82, propagations=6259,
-                                 probes=1194, failed_literals=80, unfounded_runs=990)
+    # Probing every time, not reusing records, took 1,194 probes, 6,259
+    # propagations and 990 runs.
+    assert s.stats == SolveStats(decisions=78, conflicts=82, propagations=5281,
+                                 probes=1027, failed_literals=80, unfounded_runs=847)
 
 
 def _planted_digraph(rng, n, degree):
@@ -629,7 +736,9 @@ def test_backchaining_skips_rules_that_cannot_force():
     # and its body is not yet satisfied; otherwise nothing in its body can
     # be forced. Without these guards the core made 114,070 backchaining
     # calls on 8-queens, with the slack guard alone 21,063; 6,812 of them
-    # forced a literal. test_flat_core_keeps_every_count holds the choices.
+    # forced a literal. With both guards it made 8,392 while the lookahead
+    # probed every time; probe results reused from their records save the
+    # rest. test_flat_core_keeps_every_count holds the choices.
     class Counting(Solver):
         calls = 0
 
@@ -639,7 +748,7 @@ def test_backchaining_skips_rules_that_cannot_force():
 
     s = Counting(queens(8))
     assert len(list(s.models())) == 92
-    assert s.calls == 8392
+    assert s.calls == 4609
 
 
 def test_static_structure_matches_reference(monkeypatch):
