@@ -88,9 +88,26 @@ of the same round fixed is not probed in the failed-literal scan: by
 monotonicity it cannot fail, and it fixes at most what that probe fixed,
 which bounds its score. It is probed only if that bound could still win,
 so the choices are those of probing every candidate both ways (Simons,
-Niemelä and Soininen, AIJ 2002). Enumeration is chronological backtracking
-with a decision flip, which visits each model exactly once. Atom ids are
-dense: `pipeline` renumbers a program's atoms before it builds a Solver.
+Niemelä and Soininen, AIJ 2002).
+
+The same monotonicity lets a probe's result outlive its round. `expand`
+reaches the least fixpoint that contains the assignment, so each
+successful probe is kept as the record of its literal: the trail length
+it was taken at and the literals it fixed. While the trail below that
+length stands and every literal assigned since is one the probe fixed
+(every decision, flip and forced failed literal since, and so what they
+implied), probing the literal again would reach the same fixpoint: it
+cannot conflict, and it fixes the recorded literals still open. The
+lookahead reads such a result off the record instead of probing, as
+march shares lookahead work between implied literals (Heule, Dufour, van
+Zwieten and van Maaren, SAT 2004); it counts and bounds as the probe
+would, so every choice stays. A literal keeps one record, its latest, and
+backtracking drops the records taken above the mark it undoes to, newest
+first, from a log in the order they were taken.
+
+Enumeration is chronological backtracking with a decision flip, which
+visits each model exactly once. Atom ids are dense: `pipeline` renumbers
+a program's atoms before it builds a Solver.
 """
 
 import sys
@@ -128,7 +145,8 @@ class SolveStats(Record):
         self.decisions = decisions
         self.conflicts = conflicts
         self.propagations = propagations
-        self.probes = probes                    # every lookahead probe, one literal each
+        self.probes = probes                    # lookahead probes run, one literal each; a result
+                                                # read off a probe record is not one
         self.failed_literals = failed_literals  # literals forced because a probe failed
         self.unfounded_runs = unfounded_runs    # unfounded-set runs a lost source triggered
 
@@ -747,7 +765,10 @@ class Solver:
         lowest id. Candidates are visited by their score, or by its bound
         when a side was skipped, highest first; a skipped side is probed
         only while that bound could still beat the best score so far, so
-        the choice is the one probing every side would make.
+        the choice is the one probing every side would make. A side whose
+        probe record still holds (`_recall`) is not probed again: its count
+        and its lowering of `bounds` are read off the record, and they are
+        those the probe would give, so no choice moves.
         """
         while True:
             cands = self._candidates()
@@ -830,7 +851,8 @@ class Solver:
             atom, mark, flipped = stack.pop()
             self._undo_to(mark)
             while log and log[-1][0] > mark:
-                # a newer record of the same literal came later in the log
+                # a newer record of the literal may have replaced this one
+                # and been dropped before it
                 probed.pop(log.pop()[1], None)
             if flipped:
                 continue

@@ -13,7 +13,8 @@ from aspkit.ground_format import (
 )
 from aspkit.ground_format import parse_ground_program
 from aspkit.oracle import CapExceededError, ComputeSpec, brute_force_models, is_stable
-from aspkit.pipeline import GroundOptions, ground_files, ground_text_input
+from aspkit import pipeline
+from aspkit.pipeline import GroundOptions, ground_files, ground_text_input, verify_model
 from aspkit import solver as solver_module
 from aspkit.shared import FALSITY
 from aspkit.solver import (
@@ -749,6 +750,28 @@ def test_backchaining_skips_rules_that_cannot_force():
     s = Counting(queens(8))
     assert len(list(s.models())) == 92
     assert s.calls == 4609
+
+
+def test_contraposition_skips_rules_that_cannot_refute(monkeypatch):
+    # A false head refutes a body literal of a live rule only when that
+    # literal alone weighs the rule's gap, bound - wsat, so a rule whose gap
+    # is above its largest body weight is not visited. Verifying the 92
+    # listings of 8-queens fixes every named atom: unguarded, contraposition
+    # ran 243,540 times there, 228,160 of them on such a gap and 1,472 on
+    # dead rules, and queued nothing.
+    class Counting(Solver):
+        calls = 0
+
+        def _contrapose(self, r, pend):
+            Counting.calls += 1
+            super()._contrapose(r, pend)
+
+    path = Path(__file__).resolve().parent.parent / "programs" / "queens.lp"
+    gp = ground_files([str(path)], GroundOptions(constants={"n": 8})).interchange
+    listings = [[gp.symbols[a] for a in m if a in gp.symbols] for m in Solver(gp).models()]
+    monkeypatch.setattr(pipeline, "Solver", Counting)
+    assert len(listings) == 92 and all(verify_model(gp, names) for names in listings)
+    assert Counting.calls == 13908
 
 
 def test_static_structure_matches_reference(monkeypatch):
