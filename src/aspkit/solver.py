@@ -692,9 +692,9 @@ class Solver:
         if conflict is None:
             values = self.values
             atoms = trail[mark:]
-            lit = atom if value == TRUE else -atom
-            self._probed[lit] = (mark, atoms, bytes(map(values.__getitem__, atoms)))
-            self._probed_log.append((mark, lit))
+            own = atom if value == TRUE else -atom
+            self._probed[own] = (mark, atoms, bytes(map(values.__getitem__, atoms)))
+            self._probed_log.append((mark, own))
             if bounds is not None:
                 for b in atoms:
                     lit = b if values[b] == TRUE else -b

@@ -541,8 +541,8 @@ def pigeonhole(pigeons, holes):
 
 def planted_3sat(rng, variables, ratio=4.26):
     """A random 3-SAT instance with round(ratio * variables) clauses over
-    variables 1..n, each of three distinct variables, drawn until it is
-    true under a hidden random assignment, so that a model exists.
+    variables 1..n, each of three distinct variables and drawn again until
+    a hidden random assignment satisfies it, so that a model exists.
 
     Returns (text, clauses). The text is a choice rule over t/1 and one
     integrity constraint per clause, whose body is the clause's

@@ -14,9 +14,9 @@ probe result the lookahead reuses. `ShuffledSolver` perturbs the lookahead
 candidate order. `FullProbeSolver` is the reference lookahead that probes
 every candidate both ways, and `BoundCheckedSolver` re-probes every literal
 a lookahead probe implied, to hold the solver to the bounds it skips
-probes by; both run a real probe wherever they probe. `alternating_fixpoint` is
-the reference well-founded model, built from the oracle's reduct and least
-model. `static_structure` recomputes the solver's rule arrays, implication
+probes by; both run a real probe wherever they probe.
+`alternating_fixpoint` is the reference well-founded model, built from the
+oracle's reduct and least model. `static_structure` recomputes the solver's rule arrays, implication
 lists, SCCs, unfounded-set tables, dirty maps and branch order the slow
 way.
 """

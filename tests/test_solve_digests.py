@@ -11,7 +11,8 @@ stops after 200 models. A change to solver setup must leave every digest
 alone. A change to the unfounded-set check may save runs, so it may move
 the third digest only: the trail, and with it the models and the choice
 counters, must not move. A change that saves lookahead probes without
-changing a choice moves `probes` and `propagations`, so only the second.
+changing a choice lowers `probes` and `propagations`, and may lower
+`unfounded_runs`, so it moves the second digest and may move the third.
 A failure names, per input, the digests that moved. A change to the
 search that moves a digest on purpose rewrites the file with
 `PYTHONPATH=src python tests/test_solve_digests.py --write` and says in

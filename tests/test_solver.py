@@ -418,8 +418,8 @@ def _satisfies(gp, model, clauses):
 
 
 def _first_model_instances():
-    """name -> (ground program, check of the first model, None when there
-    is none): the first-model searches no benchmark workload runs."""
+    """(name, ground program, check of its first model or of None when it
+    has none) of the first-model searches no benchmark workload runs."""
     none = GroundOptions(domain_mode="none")
     gp = queens(20)
     yield "queens-20", gp, lambda m: m is not None and _queens_placed(20, _pairs(gp, m, "q"))
