@@ -97,32 +97,16 @@ def normalize_weight_elements(elements, bound):
     unsatisfiable condition).
     """
     merged = {}
-    order = []
     for lit, w in elements:
-        if lit in merged:
-            merged[lit] += w
-        else:
-            merged[lit] = w
-            order.append(lit)
+        merged[lit] = merged.get(lit, 0) + w
     out = {}
-    order2 = []
-
-    def add(lit, w):
-        if lit in out:
-            out[lit] += w
-        else:
-            out[lit] = w
-            order2.append(lit)
-
-    for lit in order:
-        w = merged[lit]
+    for lit, w in merged.items():
         if w < 0:
-            bound += -w
-            add(-lit, -w)
-        elif w > 0:
-            add(lit, w)
-    final = tuple((lit, out[lit]) for lit in order2 if out[lit] != 0)
-    return final, max(bound, 0)
+            bound -= w
+            lit, w = -lit, -w
+        if w:
+            out[lit] = out.get(lit, 0) + w
+    return tuple(out.items()), max(bound, 0)
 
 
 def strongly_connected_components(adj, first=0):

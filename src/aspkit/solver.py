@@ -101,13 +101,26 @@ cannot conflict, and it fixes the recorded literals still open. The
 lookahead reads such a result off the record instead of probing, as
 march shares lookahead work between implied literals (Heule, Dufour, van
 Zwieten and van Maaren, SAT 2004); it counts and bounds as the probe
-would, so every choice stays. A literal keeps one record, its latest, and
-backtracking drops the records taken above the mark it undoes to, newest
-first, from a log in the order they were taken.
+would, so every choice stays. A literal keeps one record, its latest.
 
-Enumeration is chronological backtracking with a decision flip, which
-visits each model exactly once. Atom ids are dense: `pipeline` renumbers
-a program's atoms before it builds a Solver.
+Enumeration is chronological backtracking over a stack holding, per
+decision whose flip is untried, the atom and the trail length before it;
+it visits each model exactly once. A decision sets the chosen atom true,
+and a backtrack pops the newest entry, undoes to its trail length and
+sets the atom false; a flip is its decision's last branch and keeps no
+entry. Outside the probes only the expand at the root can conflict. The
+lookahead probed both values of the atom it returns at the current
+assignment, and it forces a failed literal's other value only when that
+value's probe succeeded or an earlier successful probe of the round fixed
+it. By monotonicity, setting a value that a successful probe at the same
+assignment set or fixed reaches a fixpoint inside that probe's, which is
+consistent. So neither a decision nor a forced value conflicts, and
+neither does a flip, since undoing to its decision's mark restores the
+assignment its probes saw. `_undo_to` is the one place that restores the
+state above a mark: the values, the rule counters, the sources, and the
+probe records, which it drops newest first from a log kept in the order
+they were taken. Atom ids are dense: `pipeline` renumbers a program's
+atoms before it builds a Solver.
 """
 
 import sys
@@ -380,8 +393,8 @@ class Solver:
     def _undo_to(self, mark):
         """Unassign the trail from `mark` on, restoring the counters of the
         literals already propagated and the sources that unfounded-set runs
-        changed after the mark. A mark is always a fixpoint, so no SCC is
-        left to recompute."""
+        changed after the mark, and drop the probe records taken above it.
+        A mark is always a fixpoint, so no SCC is left to recompute."""
         values, trail, dead = self.values, self.trail, self.dead
         wsat, wmax, bound = self.wsat, self.wmax, self.bound
         heads, supports = self.heads, self.supports
@@ -415,6 +428,12 @@ class Solver:
         while log and log[-1][0] > mark:
             _, a, k = log.pop()
             src[a] = k
+        log, probed = self._probed_log, self._probed
+        while log and log[-1][0] > mark:
+            # records are logged at non-decreasing trail lengths; a newer
+            # record of the literal may have replaced this one and been
+            # dropped before it
+            probed.pop(log.pop()[1], None)
 
     # -- ATLEAST propagation -----------------------------------------------------
 
@@ -441,18 +460,15 @@ class Solver:
                         pend.append((a, value))
 
     def _backchain_atom(self, h, pend):
-        """h is true with one potential supporter left: its body must fire."""
+        """h is true and supports[h] is 1, so exactly one live rule of
+        defs[h] is left: its body must fire. A choice rule listing h twice
+        withdraws it twice as it dies, and between the two supports[h] can
+        read 1 with no live rule left; the second withdrawal queues h false
+        behind what this queues, so the flush conflicts all the same."""
         dead = self.dead
-        last = None
         for r in self.defs[h]:
             if dead[r] == _LIVE:
-                if last is not None:
-                    return  # supports[] counts rule occurrences, recheck
-                last = r
-        if last is None:
-            pend.append((h, FALSE))
-            return
-        r = last
+                break
         if self.wsat[r] >= self.bound[r]:
             # the body holds: open literals weigh at most wmax - wsat <= slack
             return
@@ -708,7 +724,7 @@ class Solver:
         None when the record does not give it.
 
         The record holds the fixpoint of the assignment it was taken at
-        plus lit, and `_backtrack` drops a record once the trail is undone
+        plus lit, and `_undo_to` drops a record once the trail is undone
         below its length, so the trail up to that length is unchanged. If
         every literal assigned since is one the probe fixed, the current
         assignment lies between that assignment and the fixpoint, so
@@ -754,7 +770,8 @@ class Solver:
         return cands or [a for a in range(2, self.n_atoms + 1) if values[a] == UNKNOWN]
 
     def _choose(self):
-        """Next branching atom, or None when assignment is total.
+        """Next branching atom, None when the assignment is total, or a
+        Conflict when a candidate fails both ways.
 
         Each round probes the candidates in order, both ways, except a side
         that an earlier successful probe of the round already fixed: that
@@ -791,9 +808,7 @@ class Solver:
                 if conflict_t or conflict_f:
                     self.stats.failed_literals += 1
                     self._set(a, FALSE if conflict_t else TRUE)
-                    c = self.expand()
-                    if c:
-                        return c
+                    self.expand()  # cannot conflict, see the module docstring
                     break
                 probed.append((a, fixed_t, fixed_f))
             else:
@@ -820,48 +835,34 @@ class Solver:
                      if self.values[a] == TRUE)
 
     def models(self):
-        """Yields stable models as sorted tuples of true atom ids."""
+        """Yields stable models as sorted tuples of true atom ids.
+
+        `stack` holds (atom, trail length) for every decision whose flip
+        is untried; a branch ends at a model or at a candidate that fails
+        both ways, and then the newest entry is flipped. Outside the
+        lookahead's probes only the root expand can conflict (see the
+        module docstring), so no other expand is checked.
+        """
         if self.expand() is not None:
             return
         stack = []
+        trail = self.trail
+        root = len(trail)
         while True:
-            chosen = self._choose()
-            if isinstance(chosen, Conflict):
-                if not self._backtrack(stack):
-                    return
-                continue
-            if chosen is None:
+            atom = self._choose()
+            if atom is None:
                 yield self._model()
-                if not self._backtrack(stack):
+            if atom is None or isinstance(atom, Conflict):
+                if not stack:
+                    self._undo_to(root)  # the tree is done: back to the root fixpoint
                     return
-                continue
+                # a flip is its decision's last branch, so it keeps no entry
+                atom, mark = stack.pop()
+                self._undo_to(mark)
+                value = FALSE
+            else:
+                stack.append((atom, len(trail)))
+                value = TRUE
             self.stats.decisions += 1
-            stack.append([chosen, len(self.trail), False])
-            self._set(chosen, TRUE)
-            if self.expand() is not None:
-                if not self._backtrack(stack):
-                    return
-
-    def _backtrack(self, stack):
-        """Flip the deepest untried decision; False when tree is exhausted.
-        Drops the probe records taken above the mark it undoes to, newest
-        first: records are taken at a trail length no lower than any kept."""
-        probed, log = self._probed, self._probed_log
-        while stack:
-            atom, mark, flipped = stack.pop()
-            self._undo_to(mark)
-            while log and log[-1][0] > mark:
-                # a newer record of the literal may have replaced this one
-                # and been dropped before it
-                probed.pop(log.pop()[1], None)
-            if flipped:
-                continue
-            stack.append([atom, mark, True])
-            self.stats.decisions += 1
-            self._set(atom, FALSE)
-            if self.expand() is None:
-                return True
-            stack.pop()
-            self._undo_to(mark)
-        return False
-
+            self._set(atom, value)
+            self.expand()

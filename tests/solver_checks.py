@@ -162,7 +162,9 @@ class CheckedSolver(Solver):
     the mark was taken at. Every probe result the lookahead reads off a
     record is probed again for real: the probe must not conflict, must fix
     as many atoms, and must lower the bounds to what the record lowered
-    them to. `recalls` counts them."""
+    them to. `recalls` counts them. Only a probe's expand may conflict
+    after the root one: the lookahead probed every value that a decision,
+    a flip or a forced failed literal sets (see `Solver.models`)."""
 
     def __init__(self, gp):
         super().__init__(gp)
@@ -170,9 +172,20 @@ class CheckedSolver(Solver):
         self.recalls = 0
         self.constraints = binary_constraints(gp)
         self._at_length = {}  # trail length -> fingerprint of the last fixpoint of it
+        self._rooted = False  # the root expand has run
+        self._probing = False
+
+    def _probe(self, atom, value, bounds=None):
+        self._probing = True
+        result = super()._probe(atom, value, bounds)
+        self._probing = False
+        return result
 
     def expand(self):
         conflict = super().expand()
+        assert conflict is None or self._probing or not self._rooted, (
+            f"a value set outside a probe conflicts on atom {conflict.atom}")
+        self._rooted = True
         if conflict is None:
             missed = unfounded_atoms(self)
             assert not missed, f"unfounded atoms left open at a fixpoint: {missed}"
@@ -197,7 +210,9 @@ class CheckedSolver(Solver):
         recalled = super()._recall(lit, bounds)
         if recalled is not None:
             self.recalls += 1
+            self._probing = True
             conflict, lits = fixed_literals(self, abs(lit), TRUE if lit > 0 else FALSE)
+            self._probing = False
             assert conflict is None, f"reused probe of {lit} conflicts when probed again"
             assert recalled == (None, len(lits)), (
                 f"reused probe of {lit} fixes {recalled[1]} atoms, probed again {len(lits)}")

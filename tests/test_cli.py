@@ -274,6 +274,18 @@ def test_model_count_of_too_many_digits_is_a_usage_error(run, tmp_path):
     assert run(["run", src, "9" * 100])[0] == 0
 
 
+def test_argument_usage_errors_print_one_line(run, tmp_path):
+    src = write(tmp_path, "p.lp", TWO_CYCLE)
+    ground = write(tmp_path, "p.sm", run(["ground", src])[1])
+    empty = write(tmp_path, "empty.txt", "")
+    assert run(["solve", ground, "-3"]) == (
+        1, "", "aspkit: error: model count must be nonnegative\n")
+    assert run(["solve", ground, ground]) == (
+        1, "", "aspkit: error: solve takes at most one ground file\n")
+    assert run(["run", "3"]) == (1, "", "aspkit: error: run needs at least one source file\n")
+    assert run(["verify", ground, empty]) == (2, "", f"{empty}: no model found\n")
+
+
 # -- solve --------------------------------------------------------------------
 
 def test_solve_reads_ground_file(run, tmp_path):

@@ -11,7 +11,7 @@ from collections import Counter
 import pytest
 
 import gen
-from aspkit import grounding, pipeline
+from aspkit import grounding, pipeline, rulegen
 from aspkit.cli import main
 from aspkit.analysis import classify_domain_predicates
 from aspkit.grounding import ArithmeticEvalError, GroundingError, desugar_program, eval_term
@@ -26,6 +26,7 @@ from aspkit.pipeline import (
     ground_text_input,
     solve_ground,
 )
+from aspkit.shared import FALSITY
 from aspkit.syntax import Loc
 
 
@@ -229,6 +230,33 @@ def test_arithmetic_matches_naive_least_model():
     assert all(derived[pred] >= 30 for pred in ("p0", "p1", "p2", "q", "t", "u"))
 
 
+def test_computed_join_arguments_wait_for_their_variables(monkeypatch):
+    # A join argument computed from a variable no earlier literal binds
+    # becomes a deferred match check: `Y+1` waits for `e` to bind Y, and
+    # `X*2` for its own literal to bind X. Keep mode shows the domain
+    # atoms in the one model.
+    text = """
+    d(1,3). d(2,3). d(2,4). e(2,2). e(3,3). e(3,2).
+    p(X,Y) :- d(X,Y+1), e(Y,X+1).
+    q(X) :- d(X,X*2), e(X+1,X).
+    """
+    matched = set()
+    check = rulegen.RuleFunction.check
+
+    def spy(self, depth, step_check, skip):
+        if step_check[0] == "match":
+            matched.add(step_check[2].to_source())
+        return check(self, depth, step_check, skip)
+
+    monkeypatch.setattr(rulegen.RuleFunction, "check", spy)
+    want = naive_least_model(parse_text(text, "<t>"))
+    assert {a for a in want if a[0] in "pq"} == {"p(1,2)", "p(2,3)", "q(2)"}
+    (_, visible), = solve_ground(ground(text, domain_mode="keep").interchange,
+                                 SolveOptions(model_count=0))
+    assert set(visible) == want
+    assert matched == {"Y + 1", "X * 2"}
+
+
 # (facts, rule, location, message, exit code): each error that evaluating a
 # term or a comparison raises. The rule is a domain rule as it stands, and
 # not one with `c` added to its body.
@@ -259,6 +287,11 @@ def test_compute_literals_become_constraints():
     gp2 = ground("a :- not b. b :- not a. compute { not a }.")
     by_name = {v: k for k, v in gp2.interchange.symbols.items()}
     assert by_name["a"] in gp2.interchange.compute_false
+    # no rule derives a, so `not a` holds in every model and adds nothing
+    gp3 = ground("b. c :- b. compute { not a, c }.", domain_mode="keep").interchange
+    by_name = {v: k for k, v in gp3.symbols.items()}
+    assert gp3.compute_false == (FALSITY,) and gp3.compute_true == (by_name["c"],)
+    assert [names for _, names in solve_ground(gp3, SolveOptions(model_count=0))] == [["b", "c"]]
 
 
 # -- comparison-driven joins --------------------------------------------------

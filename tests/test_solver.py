@@ -18,6 +18,7 @@ from aspkit.pipeline import GroundOptions, ground_files, ground_text_input, veri
 from aspkit import solver as solver_module
 from aspkit.shared import FALSITY
 from aspkit.solver import (
+    _LIVE,
     FALSE,
     TRUE,
     UNKNOWN,
@@ -352,6 +353,39 @@ def test_two_literal_constraint_on_one_atom(constraint, want):
         assert sorted(ShuffledSolver(gp, seed).models()) == want
 
 
+def test_choice_rule_listing_a_head_twice_matches_brute_force():
+    # A ground file may list a choice head twice. Such a rule withdraws the
+    # head's support twice as it dies, so backchaining can run between the
+    # two withdrawals with no live rule left for the head (see
+    # Solver._backchain_atom). The model set must still be the oracle's.
+    class Counting(CheckedSolver):
+        unsupported = 0
+
+        def _backchain_atom(self, h, pend):
+            self.unsupported += all(self.dead[r] != _LIVE for r in self.defs[h])
+            super()._backchain_atom(h, pend)
+
+    rng = random.Random(5)
+    unsupported = 0
+    for _ in range(300):
+        atoms = list(range(2, rng.randint(2, 6) + 2))
+        rules = []
+        for _ in range(rng.randint(1, 8)):
+            pos = tuple(rng.sample(atoms, rng.randint(0, 2)))
+            neg = tuple(rng.sample(atoms, rng.randint(0, 2)))
+            h = rng.choice(atoms)
+            if rng.random() < 0.5:
+                rules.append(ChoiceRule((h, h, *rng.sample(atoms, rng.randint(0, 1))), pos, neg))
+            else:
+                rules.append(BasicRule(rng.choice((h, FALSITY)), pos, neg))
+        gp = program(rules, len(atoms))
+        want = sorted(tuple(sorted(m)) for m in brute_force_models(gp.rules))
+        s = Counting(gp)
+        assert sorted(s.models()) == want
+        unsupported += s.unsupported
+    assert unsupported > 10
+
+
 def test_lookahead_skips_probes_but_not_choices():
     # Skipping the probes an earlier probe of the round implied must leave
     # every choice as probing all of them makes it: the same models in the
@@ -457,18 +491,22 @@ def test_first_models_keep_their_choices():
 
 def test_probe_records_are_dropped_below_their_trail_length():
     # A probe record holds for the trail it was taken at. Every record
-    # kept must still sit on that trail prefix, after every backtrack and
+    # kept must still sit on that trail prefix, after every undo and
     # whenever the lookahead reads it, and each literal has one record.
+    # The undo that ends a probe sees the record that probe has just
+    # taken, whose prefix is noted only once the probe returns.
     class Recorded(Solver):
         def __init__(self, gp):
             super().__init__(gp)
             self.prefix = {}
             self.dropped = 0
+            self.probing = None
 
         def _probe(self, atom, value, bounds=None):
+            self.probing = lit = atom if value == TRUE else -atom
             result = super()._probe(atom, value, bounds)
+            self.probing = None
             if result[0] is None:
-                lit = atom if value == TRUE else -atom
                 self.prefix[lit] = self.trail[:self._probed[lit][0]]
             return result
 
@@ -476,17 +514,18 @@ def test_probe_records_are_dropped_below_their_trail_length():
             self.check()
             return super()._recall(lit, bounds)
 
-        def _backtrack(self, stack):
+        def _undo_to(self, mark):
             before = set(self._probed)
-            more = super()._backtrack(stack)
+            super()._undo_to(mark)
             self.dropped += len(before - set(self._probed))
             self.check()
-            return more
 
         def check(self):
             assert len(self._probed) <= 2 * self.n_atoms
             for lit, (base, _, _) in self._probed.items():
-                assert self.trail[:base] == self.prefix[lit], f"record of {lit} outlived its trail"
+                if lit != self.probing:
+                    assert self.trail[:base] == self.prefix[lit], (
+                        f"record of {lit} outlived its trail")
 
     rng = random.Random(67)
     programs = [queens(6)]

@@ -1,3 +1,5 @@
+import random
+
 from aspkit.ground_format import BasicRule, ChoiceRule, ConstraintRule, WeightRule
 from aspkit.pipeline import ground_text_input
 from aspkit.shared import normalize_weight_elements
@@ -48,6 +50,29 @@ def test_bound_never_negative():
     elems, bound = normalize_weight_elements([(2, 2)], -4)
     assert bound == 0
     assert elems == ((2, 2),)
+
+
+def test_normalised_weights_reach_the_bound_where_the_input_does():
+    # Seeded property: the normalised elements are positive, name each
+    # literal once, and with the bound (never below 0) reach it under
+    # exactly the assignments under which the input reaches its own.
+    rng = random.Random(29)
+    for _ in range(20000):
+        atoms = range(2, rng.randint(3, 6))
+        elements = [(rng.choice(atoms) * rng.choice((1, -1)), rng.randint(-4, 4))
+                    for _ in range(rng.randint(0, 6))]
+        bound = rng.randint(-6, 10)
+        normal, normal_bound = normalize_weight_elements(elements, bound)
+        assert normal_bound >= 0 and all(w > 0 for _, w in normal)
+        assert len({lit for lit, _ in normal}) == len(normal)
+        for mask in range(1 << len(atoms)):
+            true = {a for i, a in enumerate(atoms) if mask >> i & 1}
+
+            def weight(elems):
+                return sum(w for lit, w in elems if (lit > 0) == (abs(lit) in true))
+
+            assert (weight(normal) >= normal_bound) == (weight(elements) >= bound), (
+                elements, bound, true)
 
 
 def test_weight_body_becomes_single_weight_rule():
