@@ -16,12 +16,15 @@ lines (counts first, negative literals before positive ones):
 Parsing preserves section contents exactly, so emit(parse(text)) == text for
 any file this module itself produced. The rule section and the symbol table
 in the form the writer produces are read in bulk, and any other form line
-by line, with the same result.
+by line, with the same result. In bulk, a run of consecutive basic rule
+lines of one shape is read by columns: its type and count columns are
+compared as strings, and only its heads and literals are converted to int.
 """
 
 import re
 from functools import lru_cache
-from itertools import repeat
+from itertools import groupby, repeat
+from operator import ne
 
 from .records import Record
 from .shared import BasicRule, ChoiceRule, ConstraintRule, WeightRule
@@ -251,44 +254,101 @@ def _read_rules(lines):
 # section early, and each that holds only single spaces reads as a rule
 # line in _read_rules.
 _CANONICAL_RULES = re.compile(r"(?:[1-9][0-9 ]*\n)*0\n")
-# Rule lines whose integers are read at once; this bounds the memory their
-# number strings take.
+# Rule lines whose number strings are split at once; this bounds the memory
+# they take.
 _BLOCK = 1024
+# A block whose runs average fewer lines than this is read line by line:
+# below it the per-run slicing costs more than the int() calls it saves.
+_RUN_LINES = 6
 
 
 def _read_rules_bulk(text, lines):
     """What _read_rules(lines) returns, for a text whose rule section is in
-    the writer's canonical form; None for any other text. The integers of
-    a block of lines are read at once, and basic rules taken from them by
-    index arithmetic; every other line, and a basic rule line that fails a
-    check, goes to _parse_rule."""
+    the writer's canonical form; None for any other text, and for a number
+    int() cannot read. The section is split into blocks of lines, and a
+    block into runs: consecutive lines with the same number count. A run
+    of basic rules is read by columns (_read_run); any other run, and every
+    line of a block of short runs, is read line by line (_read_lines)."""
     m = _CANONICAL_RULES.match(text)
     if m is None:
         return None
     count = text.count("\n", 0, m.end()) - 1  # the rule lines
     rules = []
-    append = rules.append
-    for start in range(0, count, _BLOCK):
-        block = lines[start:min(start + _BLOCK, count)]
-        try:
-            nums = tuple(map(int, " ".join(block).split(" ")))
-        except ValueError:  # an empty string, from a run of spaces or a
-            return None     # leading or trailing one; or too many digits
-        i = 0  # nums[i] is the first integer of the line
-        for n in map(str.count, block, repeat(" ")):
-            end = i + n + 1
-            # 1 head #lits #neg <neg..> <pos..>, where no number is negative
-            if n > 2 and nums[i] == 1 and nums[i + 2] == n - 3 and nums[i + 1]:
-                k = i + 4 + nums[i + 3]
-                neg = nums[i + 4:k]
-                pos = nums[k:end]
-                if k <= end and 0 not in neg and 0 not in pos:
-                    append(BasicRule(nums[i + 1], pos, neg))
-                    i = end
-                    continue
-            append(_parse_rule(nums[i:end], len(rules) + 1))
-            i = end
+    try:
+        for start in range(0, count, _BLOCK):
+            block = lines[start:min(start + _BLOCK, count)]
+            widths = list(map(str.count, block, repeat(" ")))  # numbers less one
+            strings = " ".join(block).split(" ")
+            runs = 1 + sum(map(ne, widths[1:], widths))
+            if runs * _RUN_LINES > len(block):
+                _read_lines(strings, widths, rules)
+                continue
+            at = 0  # strings[at] is the first number of the run
+            for width, run in groupby(widths):
+                size = len(list(run))
+                end = at + size * (width + 1)
+                if not _read_run(strings, at, end, width + 1, rules):
+                    _read_lines(strings[at:end], repeat(width, size), rules)
+                at = end
+    except ValueError:  # an empty string, from a run of spaces or a leading
+        return None     # or trailing one; or too many digits
     return rules, count + 1
+
+
+def _read_run(strings, at, end, n, rules):
+    """Append the rules of the lines in strings[at:end], n numbers each,
+    when every line is `1 head #lits #neg <neg..> <pos..>` with #lits
+    n - 4, one #neg throughout and no atom 0; return whether it did. The
+    type and #lits columns must hold "1" and str(n - 4), so a count
+    written with a leading zero sends the run line by line, and every
+    #neg must be the first line's string. Only heads and literals go
+    through int()."""
+    if n < 4:
+        return False
+    lines = (end - at) // n
+    nneg = strings[at + 3]
+    k = int(nneg)
+    if not (k <= n - 4
+            and strings[at:end:n].count("1") == lines
+            and strings[at + 2:end:n].count(str(n - 4)) == lines
+            and strings[at + 3:end:n].count(nneg) == lines):
+        return False
+    heads = list(map(int, strings[at + 1:end:n]))
+    if 0 in heads:
+        return False
+    cols = []
+    for j in range(at + 4, at + n):
+        col = tuple(map(int, strings[j:end:n]))
+        if 0 in col:
+            return False
+        cols.append(col)
+    neg = zip(*cols[:k]) if k else repeat(())
+    pos = zip(*cols[k:]) if k < n - 4 else repeat(())
+    rules += map(BasicRule, heads, pos, neg)
+    return True
+
+
+def _read_lines(strings, widths, rules):
+    """Append the rules of lines whose number strings are `strings` and
+    whose space counts are `widths`, one line at a time: a basic rule by
+    index arithmetic, any other line, and a basic rule line that fails a
+    check, by _parse_rule."""
+    nums = tuple(map(int, strings))
+    append = rules.append
+    i = 0  # nums[i] is the first integer of the line
+    for n in widths:
+        end = i + n + 1
+        # 1 head #lits #neg <neg..> <pos..>, where no number is negative
+        if n > 2 and nums[i] == 1 and nums[i + 2] == n - 3 and nums[i + 1]:
+            k = i + 4 + nums[i + 3]
+            neg = nums[i + 4:k]
+            pos = nums[k:end]
+            if k <= end and 0 not in neg and 0 not in pos:
+                append(BasicRule(nums[i + 1], pos, neg))
+                i = end
+                continue
+        append(_parse_rule(nums[i:end], len(rules) + 1))
+        i = end
 
 
 # A symbol line: spaces and tabs lead the id and separate it from the name,

@@ -275,7 +275,8 @@ class Solver:
                 else:
                     raise UnsupportedRuleTypeError(f"unsupported rule {rule!r}")
                 r = len(bound)
-                hs = rule.heads if h is None else (h,)
+                # a choice head listed twice is one head: it counts one support
+                hs = tuple(dict.fromkeys(rule.heads)) if h is None else (h,)
                 unit = (r, 1)
                 pe = [unit] * len(p) if p_w is None else [(r, w) for w in p_w]
                 ne = [unit] * len(q) if n_w is None else [(r, w) for w in n_w]
@@ -461,10 +462,7 @@ class Solver:
 
     def _backchain_atom(self, h, pend):
         """h is true and supports[h] is 1, so exactly one live rule of
-        defs[h] is left: its body must fire. A choice rule listing h twice
-        withdraws it twice as it dies, and between the two supports[h] can
-        read 1 with no live rule left; the second withdrawal queues h false
-        behind what this queues, so the flush conflicts all the same."""
+        defs[h] is left: its body must fire."""
         dead = self.dead
         for r in self.defs[h]:
             if dead[r] == _LIVE:

@@ -61,6 +61,28 @@ def random_binary_constraint_ground(rng, max_atoms=8):
                          compute_false=(FALSITY,), models=0)
 
 
+def basic_rule_runs(rng, max_atoms=60, max_runs=6):
+    """A ground program whose rules come in runs of same-shaped basic rules,
+    as the grounder writes one source rule for many bindings: per run,
+    #lits 1-4, #neg 0-2 and 1-1,500 lines, so that runs cross the reader's
+    1,024-line blocks. Neighbouring runs may share a width with another
+    #neg, and a choice rule line may follow a run."""
+    atoms = range(2, 2 + rng.randint(1, max_atoms))
+    rules = []
+    for _ in range(rng.randint(1, max_runs)):
+        nlits = rng.randint(1, 4)
+        nneg = rng.randint(0, min(2, nlits))
+        for _ in range(rng.choice((rng.randint(1, 8), rng.randint(1, 1500)))):
+            lits = tuple(rng.choice(atoms) for _ in range(nlits))
+            head = FALSITY if rng.random() < 0.1 else rng.choice(atoms)
+            rules.append(BasicRule(head, lits[nneg:], lits[:nneg]))
+        if rng.random() < 0.3:
+            rules.append(ChoiceRule((rng.choice(atoms),), lits[nneg:], lits[:nneg]))
+    symbols = {a: f"x{a}" for a in atoms}
+    return GroundProgram(rules=rules, symbols=symbols, compute_true=(),
+                         compute_false=(FALSITY,), models=0)
+
+
 def random_extended_source(rng, max_atoms=8):
     """Random ground rules with cardinality/weight aggregates.
 

@@ -383,11 +383,13 @@ def _cyclic_components(adj, atoms):
 
 def _reference_row(rule):
     """(heads, head, pos, neg, pw, nw, bound, wmax, dead) of a primitive
-    rule before search: head is None for a choice rule, weights None for
-    unit weights, and dead -1 when the body weight cannot reach the bound."""
+    rule before search: head is None for a choice rule, whose heads are
+    listed once each, weights None for unit weights, and dead -1 when the
+    body weight cannot reach the bound."""
     pw = nw = None
     if isinstance(rule, ChoiceRule):
-        heads, head, bound = rule.heads, None, len(rule.pos) + len(rule.neg)
+        heads, head = tuple(dict.fromkeys(rule.heads)), None
+        bound = len(rule.pos) + len(rule.neg)
     else:
         heads, head = (rule.head,), rule.head
         bound = rule.bound if hasattr(rule, "bound") else len(rule.pos) + len(rule.neg)

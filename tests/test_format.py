@@ -358,6 +358,27 @@ def _outcome(text):
         return type(e), e.lineno, e.message
 
 
+# A run of 1,500 basic rules `h :- b, c, not a.`, written `1 h 3 1 a b c`:
+# it crosses the reader's 1,024-line block.
+_RUN = [BasicRule(2 + i % 7, (3 + i % 5, 2 + i % 3), (4 + i % 6,)) for i in range(1500)]
+
+
+def _run_program(lineno=None, rule=None):
+    """A program of the rules of _RUN, with rule `lineno` (from 1) replaced
+    by `rule`."""
+    rules = list(_RUN)
+    if lineno is not None:
+        rules[lineno - 1] = rule
+    return GroundProgram(rules, {2: "a"}, (), (1,), 0)
+
+
+def _run_text(lineno, edit):
+    """The emitted _run_program() with rule line `lineno` rewritten by `edit`."""
+    lines = emit_ground_program(_run_program()).split("\n")
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    return "\n".join(lines)
+
+
 # Inputs that take the bulk path part of the way, or the checked path, by
 # name: the outcome of each is pinned below, and bulk and checked agree on
 # every one.
@@ -383,6 +404,12 @@ _READER_CASES = {
     # more digits than int() reads by default
     "long-number": SMALL.replace("1 2 2 1 4 3", "1 2 2 1 4 " + "3" * 5000),
     "long-symbol-id": SMALL.replace("3 b", "3" * 5000 + " b"),
+    "zero-literal-in-second-block": _run_text(1025, lambda line: line[:line.rindex(" ")] + " 0"),
+    "leading-zero-neg-in-run": _run_text(10, lambda line: line.replace(" 3 1 ", " 3 01 ")),
+    "type-2-line-in-run": _run_text(500, lambda line: "2 5 2 1 1 4 3"),
+    "other-neg-in-run": _run_text(700, lambda line: "1 5 3 2 4 6 3"),
+    "zero-head-in-run": _run_text(1200, lambda line: "1 0" + line[line.index(" ", 2):]),
+    "run-with-more-neg-than-lits": "1 2 1 2 3\n" * 10 + "0\n0\nB+\n0\nB-\n1\n0\n1\n",
 }
 
 
@@ -411,6 +438,13 @@ def test_reader_cases():
         "long-number": (FormatError, 1, "expected a rule line or 0, got "
                         + repr("1 2 2 1 4 " + "3" * 5000)),
         "long-symbol-id": (FormatError, 5, f"malformed symbol line {'3' * 5000 + ' b'!r}"),
+        "zero-literal-in-second-block": (FormatError, 1025,
+                                         "atom id 0 in basic rule is not positive"),
+        "leading-zero-neg-in-run": _run_program(),
+        "type-2-line-in-run": _run_program(500, ConstraintRule(5, 1, (3,), (4,))),
+        "other-neg-in-run": _run_program(700, BasicRule(5, (3,), (4, 6))),
+        "zero-head-in-run": (FormatError, 1200, "atom id 0 in basic rule is not positive"),
+        "run-with-more-neg-than-lits": (FormatError, 1, "bad literal counts in basic rule"),
     }
     assert {name: _outcome(text) for name, text in _READER_CASES.items()} == want
 
@@ -451,3 +485,55 @@ def test_bulk_and_checked_reads_agree(monkeypatch):
     checked = [_outcome(text) for text in texts]
     for text, b, c in zip(texts, bulk, checked):
         assert b == c, text
+
+
+def test_runs_of_basic_rules_read_as_checked(monkeypatch):
+    # Writer-form files of long runs of same-shaped basic rules
+    # (gen.basic_rule_runs), most with negative literals, and seeded
+    # mutants of them: the bulk reader gives what the checked reader
+    # gives, and reads the runs of the unmutated files by columns.
+    rng = random.Random(12)
+    gps = [gen.basic_rule_runs(rng) for _ in range(24)]
+    texts = [emit_ground_program(gp) for gp in gps]
+    mutants = [gen.mutate_ground(rng, texts[i % len(texts)]) for i in range(240)]
+    by_columns = []
+    read = ground_format._read_run
+
+    def read_run(strings, at, end, n, rules):
+        done = read(strings, at, end, n, rules)
+        by_columns.append((end - at) // n if done else 0)
+        return done
+
+    monkeypatch.setattr(ground_format, "_read_run", read_run)
+    for gp, text in zip(gps, texts):
+        assert parse_ground_program(text) == gp
+    assert (len(by_columns), sum(by_columns), sum(map(len, (gp.rules for gp in gps)))) \
+        == (104, 29_171, 36_376)
+    bulk = [_outcome(text) for text in mutants]
+    monkeypatch.setattr(ground_format, "_read_rules_bulk", lambda text, lines: None)
+    checked = [_outcome(text) for text in mutants]
+    assert bulk == checked
+    assert sum(isinstance(b, GroundProgram) for b in bulk) == 55
+
+
+def test_ancestor_grounding_is_read_by_columns(monkeypatch):
+    # Every rule line the grounder writes for programs/ancestor.lp is a
+    # basic rule, so _parse_rule reads none of them. In the default mode
+    # its 18 lines come in 3 runs, long enough to be read by columns; in
+    # mode none, 8 lines in 2 runs are read line by line.
+    calls = []
+
+    def counted(name, reader):
+        def read(*args):
+            calls.append((mode, name))
+            return reader(*args)
+        return read
+
+    for name in ("_parse_rule", "_read_lines", "_read_run"):
+        monkeypatch.setattr(ground_format, name, counted(name, getattr(ground_format, name)))
+    programs = pathlib.Path(__file__).resolve().parent.parent / "programs"
+    for mode in ("keep", "none"):
+        gp = ground_files([str(programs / "ancestor.lp")],
+                          GroundOptions(domain_mode=mode)).interchange
+        assert parse_ground_program(emit_ground_program(gp)) == gp
+    assert calls == [("keep", "_read_run")] * 3 + [("none", "_read_lines")]
