@@ -10,11 +10,12 @@ Subcommands:
 Exit codes for ground/run: 0 ok, 1 usage, 2 parse error, 3 semantic error,
 4 arithmetic failure during grounding. For solve/run enumeration: 0 at least
 one model, 1 none, 2 malformed input; with --wfs, 1 when the well-founded
-model shows that no stable model exists, else 0. verify: 0 all models
-stable, 1 some model is not, 2 malformed input, an unknown atom name, an
-empty listing or a file that cannot be read. Elsewhere a file that cannot
-be read exits 1. Grounding warnings and -W notes go to stderr before the
-error lines of a failed grounding too.
+model shows that no stable model exists, 2 on a rule that is not basic,
+else 0. verify: 0 all models stable, 1 some model is not, 2 malformed
+input, an unknown atom name, an empty listing or a file that cannot be
+read. Elsewhere a file that cannot be read exits 1. Grounding warnings
+and -W notes go to stderr before the error lines of a failed grounding
+too.
 
 verify fixes the named atoms of each listing through the compute
 sections, lets the solver search the hidden (unnamed) atoms, however many
@@ -243,7 +244,11 @@ def _cmd_run(args):
     if args.text:
         sys.stdout.write(_ground_text(grounded))
         return 0
-    return _enumerate(grounded.interchange, count, args)
+    # the search needs only the interchange: the ground rules and the
+    # symbol table behind it go before it starts
+    gp = grounded.interchange
+    del grounded
+    return _enumerate(gp, count, args)
 
 
 def _read_model_file(path):
@@ -310,8 +315,12 @@ def main(argv=None):
     except OSError as e:
         print(f"aspkit: {e}", file=sys.stderr)
         return 1
-    except (LexError, UnsupportedRuleTypeError) as e:
+    except LexError as e:
+        # the message starts with its location
         print(e, file=sys.stderr)
+        return 2
+    except UnsupportedRuleTypeError as e:
+        print(f"aspkit: {e}", file=sys.stderr)
         return 2
 
 

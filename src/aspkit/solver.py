@@ -80,15 +80,16 @@ source it changes with the trail length, and `_undo_to` restores the
 sources changed after its mark, so a mark's sources come back with its
 values.
 
-Branching uses lookahead with failed-literal forcing: candidates are
-probed both ways, a probe that conflicts forces the opposite value, and
-otherwise the candidate fixing the most atoms (ties to the lowest id) is
-chosen, positive branch first. A literal that an earlier successful probe
-of the same round fixed is not probed in the failed-literal scan: by
-monotonicity it cannot fail, and it fixes at most what that probe fixed,
-which bounds its score. It is probed only if that bound could still win,
-so the choices are those of probing every candidate both ways (Simons,
-Niemelä and Soininen, AIJ 2002).
+Branching uses lookahead with failed-literal forcing. Each round probes
+`_candidates()`, at most `LOOKAHEAD` evenly spaced open candidates, both
+ways; a probe that conflicts forces the opposite value, and otherwise
+the candidate with the highest `_score` of its two probe counts is
+chosen, positive branch first. A literal that an earlier successful
+probe of the same round fixed is not probed in the failed-literal scan:
+by monotonicity it cannot fail, and it fixes at most what that probe
+fixed, which bounds its score. It is probed only if that bound could
+still win, so the choices are those of probing every candidate both ways
+(Simons, Niemelä and Soininen, AIJ 2002).
 
 The same monotonicity lets a probe's result outlive its round. `expand`
 reaches the least fixpoint that contains the assignment, so each
@@ -97,8 +98,8 @@ it was taken at and the literals it fixed. While the trail below that
 length stands and every literal assigned since is one the probe fixed
 (every decision, flip and forced failed literal since, and so what they
 implied), probing the literal again would reach the same fixpoint: it
-cannot conflict, and it fixes the recorded literals still open. The
-lookahead reads such a result off the record instead of probing, as
+cannot conflict, and it fixes the recorded literals still open. `_probe`
+reads such a result off the record (`_recall`) instead of probing, as
 march shares lookahead work between implied literals (Heule, Dufour, van
 Zwieten and van Maaren, SAT 2004); it counts and bounds as the probe
 would, so every choice stays. A literal keeps one record, its latest.
@@ -139,6 +140,7 @@ from .shared import (
 
 UNKNOWN, TRUE, FALSE = 0, 1, 2
 _LIVE = sys.maxsize  # dead[r] of a rule that can still fire: above every trail index
+LOOKAHEAD = 32  # candidates probed per lookahead round
 
 
 class Conflict(Record):
@@ -191,8 +193,6 @@ def _append(rows, a, entry):
 
 class Solver:
     """Enumerates the stable models of a ground primitive program."""
-
-    lookahead_limit = 32  # candidates probed per lookahead round
 
     def __init__(self, gp):
         self.stats = SolveStats()
@@ -686,40 +686,46 @@ class Solver:
 
     # -- lookahead and enumeration -----------------------------------------------
 
-    def _probe(self, atom, value, bounds=None):
-        """Set atom to value, expand, undo; returns (conflict, atoms fixed).
+    def _probe(self, lit, bounds=None):
+        """Atoms fixed by setting the signed literal `lit` and expanding,
+        undone again; 0 on a conflict, since a successful probe fixes at
+        least its own atom. The count comes off `lit`'s record when
+        `_recall` gives it, and no probe runs.
 
-        A successful probe becomes the record of its literal (the atom if
-        true, its negation if false), replacing an earlier one: the trail
-        length it was taken at, the atoms it fixed, its own first, and
-        their values. With `bounds`, it lowers bounds[lit] to its count for
-        every literal it fixed. Propagation is monotone, so probing such a
-        literal at the same assignment cannot conflict and fixes at most
-        that many atoms.
+        A successful probe becomes the record of its literal, replacing an
+        earlier one: the trail length it was taken at, the atoms it fixed,
+        its own first, and their values. With `bounds`, it lowers
+        bounds[l] to its count for every literal l it fixed. Propagation is
+        monotone, so probing such a literal at the same assignment cannot
+        conflict and fixes at most that many atoms.
         """
-        self.stats.probes += 1
-        trail = self.trail
-        mark = len(trail)
-        self._set(atom, value)
-        conflict = self.expand()
-        fixed = len(trail) - mark
-        if conflict is None:
-            values = self.values
+        opened = self._recall(lit)
+        if opened is None:
+            self.stats.probes += 1
+            trail, values = self.trail, self.values
+            mark = len(trail)
+            self._set(abs(lit), TRUE if lit > 0 else FALSE)
+            if self.expand() is not None:
+                self._undo_to(mark)
+                return 0
             atoms = trail[mark:]
-            own = atom if value == TRUE else -atom
-            self._probed[own] = (mark, atoms, bytes(map(values.__getitem__, atoms)))
-            self._probed_log.append((mark, own))
+            self._probed[lit] = (mark, atoms, bytes(map(values.__getitem__, atoms)))
+            self._probed_log.append((mark, lit))
             if bounds is not None:
-                for b in atoms:
-                    lit = b if values[b] == TRUE else -b
-                    if bounds.get(lit, fixed) >= fixed:
-                        bounds[lit] = fixed
-        self._undo_to(mark)
-        return conflict, fixed
+                opened = [b if values[b] == TRUE else -b for b in atoms]
+            self._undo_to(mark)
+            fixed = len(atoms)
+        else:
+            fixed = len(opened)
+        if bounds is not None:
+            for l in opened:
+                if bounds.get(l, fixed) >= fixed:
+                    bounds[l] = fixed
+        return fixed
 
-    def _recall(self, lit, bounds=None):
-        """(None, atoms fixed) of probing `lit` now, read off its record, or
-        None when the record does not give it.
+    def _recall(self, lit):
+        """The literals probing `lit` now would fix, read off its record, or
+        None when the record does not give them.
 
         The record holds the fixpoint of the assignment it was taken at
         plus lit, and `_undo_to` drops a record once the trail is undone
@@ -727,8 +733,7 @@ class Solver:
         every literal assigned since is one the probe fixed, the current
         assignment lies between that assignment and the fixpoint, so
         expanding it with lit reaches the same fixpoint: no conflict, and
-        the record's literals still open are the ones it fixes. `bounds`
-        is lowered over those as `_probe` lowers it.
+        the record's literals still open are the ones it fixes.
         """
         entry = self._probed.get(lit)
         if entry is None:
@@ -752,80 +757,75 @@ class Solver:
                 opened.append(b if v == TRUE else -b)
             elif cur != v:
                 return None
-        fixed = len(opened)
-        if len(atoms) - fixed != since:
-            return None
-        if bounds is not None:
-            for lit in opened:
-                if bounds.get(lit, fixed) >= fixed:
-                    bounds[lit] = fixed
-        return None, fixed
+        return opened if len(atoms) - len(opened) == since else None
 
     def _candidates(self):
-        """Unassigned atoms of the branch order, else every unassigned atom."""
+        """The round's sample: at most `LOOKAHEAD` evenly spaced unassigned
+        atoms of the branch order, else of every unassigned atom."""
         values = self.values
-        cands = [a for a in self.branch_order if values[a] == UNKNOWN]
-        return cands or [a for a in range(2, self.n_atoms + 1) if values[a] == UNKNOWN]
+        cands = ([a for a in self.branch_order if values[a] == UNKNOWN]
+                 or [a for a in range(2, self.n_atoms + 1) if values[a] == UNKNOWN])
+        if len(cands) > LOOKAHEAD:
+            step = len(cands) / LOOKAHEAD
+            cands = [cands[int(i * step)] for i in range(LOOKAHEAD)]
+        return cands
+
+    def _score(self, fixed_t, fixed_f, atom):
+        """The key a lookahead round maximises over its candidates, given
+        the atoms each of the candidate's probes fixes: the sum, ties to
+        the lowest id. `_choose` ranks the candidates by this key of their
+        bounds, so the key must never fall when a count grows; and it holds
+        the atom, so no two candidates tie."""
+        return fixed_t + fixed_f, -atom
 
     def _choose(self):
         """Next branching atom, None when the assignment is total, or a
         Conflict when a candidate fails both ways.
 
-        Each round probes the candidates in order, both ways, except a side
+        Each round probes `_candidates()` in order, both ways, except a side
         that an earlier successful probe of the round already fixed: that
         side cannot fail, and `bounds` holds an upper bound on what it
         fixes. The first candidate with a failed side is forced the other
         way and the round restarts on the new fixpoint. Otherwise the
-        candidate fixing the most atoms over both probes wins, ties to the
-        lowest id. Candidates are visited by their score, or by its bound
-        when a side was skipped, highest first; a skipped side is probed
-        only while that bound could still beat the best score so far, so
-        the choice is the one probing every side would make. A side whose
-        probe record still holds (`_recall`) is not probed again: its count
-        and its lowering of `bounds` are read off the record, and they are
-        those the probe would give, so no choice moves.
+        candidate with the highest `_score` wins. Candidates are visited by
+        their score, or by its value on the bounds when a side was skipped,
+        highest first; a skipped side is probed only while that value could
+        still beat the best score so far, so the choice is the one probing
+        every side would make. `_probe` reads a side off its probe record
+        when it can (`_recall`), with the count and bounds the probe would
+        give, so no choice moves.
         """
+        probe, score = self._probe, self._score
         while True:
             cands = self._candidates()
             if not cands:
                 return None
-            limit = self.lookahead_limit
-            if len(cands) > limit:
-                step = len(cands) / limit
-                cands = [cands[int(i * step)] for i in range(limit)]
             bounds = {}
             probed = []
             for a in cands:
-                conflict_t = conflict_f = fixed_t = fixed_f = None
-                if a not in bounds:
-                    conflict_t, fixed_t = self._recall(a, bounds) or self._probe(a, TRUE, bounds)
-                if -a not in bounds:
-                    conflict_f, fixed_f = self._recall(-a, bounds) or self._probe(a, FALSE, bounds)
-                if conflict_t and conflict_f:
+                fixed_t = probe(a, bounds) if a not in bounds else None
+                fixed_f = probe(-a, bounds) if -a not in bounds else None
+                if fixed_t == 0 and fixed_f == 0:
                     return Conflict(a)
-                if conflict_t or conflict_f:
+                if fixed_t == 0 or fixed_f == 0:
                     self.stats.failed_literals += 1
-                    self._set(a, FALSE if conflict_t else TRUE)
+                    self._set(a, FALSE if fixed_t == 0 else TRUE)
                     self.expand()  # cannot conflict, see the module docstring
                     break
                 probed.append((a, fixed_t, fixed_f))
             else:
-                ranked = [((bounds[a] if t is None else t) + (bounds[-a] if f is None else f),
-                           a, t, f) for a, t, f in probed]
-                ranked.sort(key=lambda p: (-p[0], p[1]))
-                best_atom = None
-                best_score = -1
+                ranked = [(score(bounds[a] if t is None else t,
+                                 bounds[-a] if f is None else f, a), a, t, f)
+                          for a, t, f in probed]
+                ranked.sort(key=lambda p: p[0], reverse=True)
+                best_atom = best = None
                 for bound, a, fixed_t, fixed_f in ranked:
-                    if not (bound > best_score or (bound == best_score and a < best_atom)):
+                    if best is not None and bound <= best:
                         break
-                    if fixed_t is None:
-                        fixed_t = (self._recall(a) or self._probe(a, TRUE))[1]
-                    if fixed_f is None:
-                        fixed_f = (self._recall(-a) or self._probe(a, FALSE))[1]
-                    score = fixed_t + fixed_f
-                    if score > best_score or (score == best_score and a < best_atom):
-                        best_score = score
-                        best_atom = a
+                    key = score(probe(a) if fixed_t is None else fixed_t,
+                                probe(-a) if fixed_f is None else fixed_f, a)
+                    if best is None or key > best:
+                        best_atom, best = a, key
                 return best_atom
 
     def _model(self):

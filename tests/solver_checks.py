@@ -159,12 +159,12 @@ class CheckedSolver(Solver):
     beside one not false, and after every _undo_to() that no SCC is left to
     recompute, that the counters, sources and two-literal constraints pass
     the same checks and that the state, sources included, is the fixpoint
-    the mark was taken at. Every probe result the lookahead reads off a
-    record is probed again for real: the probe must not conflict, must fix
-    as many atoms, and must lower the bounds to what the record lowered
-    them to. `recalls` counts them. Only a probe's expand may conflict
-    after the root one: the lookahead probed every value that a decision,
-    a flip or a forced failed literal sets (see `Solver.models`)."""
+    the mark was taken at. Every probe result read off a record is probed
+    again for real, inside the probe that reads it: the probe must not
+    conflict and must fix the literals the record gives. `recalls` counts
+    them. Only a probe's expand may conflict after the root one: the
+    lookahead probed every value that a decision, a flip or a forced
+    failed literal sets (see `Solver.models`)."""
 
     def __init__(self, gp):
         super().__init__(gp)
@@ -175,11 +175,11 @@ class CheckedSolver(Solver):
         self._rooted = False  # the root expand has run
         self._probing = False
 
-    def _probe(self, atom, value, bounds=None):
+    def _probe(self, lit, bounds=None):
         self._probing = True
-        result = super()._probe(atom, value, bounds)
+        fixed = super()._probe(lit, bounds)
         self._probing = False
-        return result
+        return fixed
 
     def expand(self):
         conflict = super().expand()
@@ -205,30 +205,20 @@ class CheckedSolver(Solver):
                             f"{mark}: {faults}")
         assert state_fingerprint(self) == self._at_length[mark], f"state not restored at {mark}"
 
-    def _recall(self, lit, bounds=None):
-        before = None if bounds is None else dict(bounds)
-        recalled = super()._recall(lit, bounds)
-        if recalled is not None:
+    def _recall(self, lit):
+        opened = super()._recall(lit)
+        if opened is not None:
             self.recalls += 1
-            self._probing = True
-            conflict, lits = fixed_literals(self, abs(lit), TRUE if lit > 0 else FALSE)
-            self._probing = False
+            conflict, lits = fixed_literals(self, lit)
             assert conflict is None, f"reused probe of {lit} conflicts when probed again"
-            assert recalled == (None, len(lits)), (
-                f"reused probe of {lit} fixes {recalled[1]} atoms, probed again {len(lits)}")
-            if bounds is not None:
-                want = dict(before)
-                for b in lits:
-                    want[b] = min(before.get(b, len(lits)), len(lits))
-                assert bounds == want, f"bounds {bounds} after reusing {lit}, expected {want}"
-        return recalled
+            assert sorted(opened) == sorted(lits), (
+                f"reused probe of {lit} fixes {opened}, probed again {lits}")
+        return opened
 
 
 class ShuffledSolver(Solver):
-    """A Solver that probes two lookahead candidates per round, sampled
-    from the candidate list after a seeded shuffle."""
-
-    lookahead_limit = 2
+    """A Solver that probes two lookahead candidates per round, the first
+    two of its candidate sample after a seeded shuffle."""
 
     def __init__(self, gp, seed):
         self._rng = random.Random(seed)
@@ -237,44 +227,39 @@ class ShuffledSolver(Solver):
     def _candidates(self):
         cands = super()._candidates()
         self._rng.shuffle(cands)
-        return cands
+        return cands[:2]
 
 
 class FullProbeSolver(Solver):
-    """A Solver whose lookahead probes every candidate both ways and scores
-    each by the atoms both probes fix: the choices `Solver._choose` must
-    reproduce while skipping probes."""
+    """A Solver whose lookahead probes every candidate of `_candidates`
+    both ways, reusing no probe result, and keeps the one of highest
+    `_score`: the choices `Solver._choose` must reproduce while skipping
+    probes."""
+
+    def _recall(self, lit):
+        return None
 
     def _choose(self):
         while True:
             cands = self._candidates()
             if not cands:
                 return None
-            limit = self.lookahead_limit
-            if len(cands) > limit:
-                step = len(cands) / limit
-                cands = [cands[int(i * step)] for i in range(limit)]
-            best_atom = None
-            best_score = -1
-            forced = False
+            best_atom = best = None
             for a in cands:
-                conflict_t, fixed_t = self._probe(a, TRUE)
-                conflict_f, fixed_f = self._probe(a, FALSE)
-                if conflict_t and conflict_f:
+                fixed_t, fixed_f = self._probe(a), self._probe(-a)
+                if not (fixed_t or fixed_f):
                     return Conflict(a)
-                if conflict_t or conflict_f:
+                if not (fixed_t and fixed_f):
                     self.stats.failed_literals += 1
-                    self._set(a, FALSE if conflict_t else TRUE)
+                    self._set(a, TRUE if fixed_t else FALSE)
                     c = self.expand()
                     if c:
                         return c
-                    forced = True
                     break
-                score = fixed_t + fixed_f
-                if score > best_score or (score == best_score and a < best_atom):
-                    best_score = score
-                    best_atom = a
-            if not forced:
+                key = self._score(fixed_t, fixed_f, a)
+                if best is None or key > best:
+                    best_atom, best = a, key
+            else:
                 return best_atom
 
 
@@ -307,11 +292,11 @@ def alternating_fixpoint(rules, extra_atoms=()):
     return true, false, frozenset(universe - true - false)
 
 
-def fixed_literals(solver, atom, value):
-    """(conflict, literals fixed) of setting atom to value and expanding,
-    undone again, without recording a probe."""
+def fixed_literals(solver, lit):
+    """(conflict, literals fixed) of setting the signed literal `lit` and
+    expanding, undone again, without recording a probe."""
     mark = len(solver.trail)
-    solver._set(atom, value)
+    solver._set(abs(lit), TRUE if lit > 0 else FALSE)
     conflict = solver.expand()
     lits = [b if solver.values[b] == TRUE else -b for b in solver.trail[mark:]]
     solver._undo_to(mark)
@@ -330,32 +315,31 @@ class BoundCheckedSolver(Solver):
         super().__init__(gp)
         self.reprobes = 0
 
-    def _recall(self, lit, bounds=None):
+    def _recall(self, lit):
         return None
 
-    def _probe(self, atom, value, bounds=None):
+    def _probe(self, lit, bounds=None):
         if bounds is None:
-            return super()._probe(atom, value)
+            return super()._probe(lit)
         before = dict(bounds)
-        conflict, fixed = super()._probe(atom, value, bounds)
-        if conflict:
+        fixed = super()._probe(lit, bounds)
+        if not fixed:
             assert bounds == before, "a failed probe changed the bounds"
-            return conflict, fixed
-        again, lits = fixed_literals(self, atom, value)
+            return fixed
+        again, lits = fixed_literals(self, lit)
         assert again is None and len(lits) == fixed
         want = dict(before)
-        for lit in lits:
-            want[lit] = min(before.get(lit, fixed), fixed)
-        assert bounds == want, f"bounds {bounds} after probing {atom}, expected {want}"
-        own = atom if value == TRUE else -atom
-        for lit in lits:
-            if lit == own or before.get(lit) == bounds[lit]:
+        for b in lits:
+            want[b] = min(before.get(b, fixed), fixed)
+        assert bounds == want, f"bounds {bounds} after probing {lit}, expected {want}"
+        for b in lits:
+            if b == lit or before.get(b) == bounds[b]:
                 continue
             self.reprobes += 1
-            c, n = super()._probe(abs(lit), TRUE if lit > 0 else FALSE)
-            assert c is None, f"literal {lit} implied by probing {own} conflicts"
-            assert n <= bounds[lit], f"literal {lit} fixes {n} > bound {bounds[lit]}"
-        return conflict, fixed
+            n = super()._probe(b)
+            assert n, f"literal {b} implied by probing {lit} conflicts"
+            assert n <= bounds[b], f"literal {b} fixes {n} > bound {bounds[b]}"
+        return fixed
 
 
 def _reach(adj, atoms):

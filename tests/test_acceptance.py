@@ -19,7 +19,7 @@ from aspkit.pipeline import (
     ground_text_input,
     solve_ground,
 )
-from aspkit.solver import Solver, UNKNOWN, TRUE, FALSE
+from aspkit.solver import Solver, UNKNOWN
 from aspkit.wellfounded import well_founded
 
 import gen
@@ -226,8 +226,8 @@ def test_c9_expand_idempotent_and_search_state_restores():
                 failures += 1
             unknown = [a for a in sorted(gp.symbols) if s.values[a] == UNKNOWN]
             for atom in unknown[:3]:
-                s._probe(atom, TRUE)
-                s._probe(atom, FALSE)
+                s._probe(atom)
+                s._probe(-atom)
             if state_fingerprint(s) != snap:
                 failures += 1
 

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -269,7 +270,7 @@ def test_model_count_of_too_many_digits_is_a_usage_error(run, tmp_path):
     want = (1, "", "aspkit: error: model count has too many digits\n")
     assert run(["run", src, count]) == want
     assert run(["solve", ground, count]) == want
-    assert run(["solve", count], stdin=pathlib.Path(ground).read_text()) == want
+    assert run(["solve", count], stdin=pathlib.Path(ground).read_text(encoding="utf-8")) == want
     # a count beyond 64 bits but within int()'s digits still means "all"
     assert run(["run", src, "9" * 100])[0] == 0
 
@@ -513,9 +514,35 @@ def test_run_wfs_exits_0_while_a_stable_model_can_exist(run, tmp_path, text):
 
 
 def test_run_wfs_rejects_extended_rules(run, tmp_path):
-    src = write(tmp_path, "p.lp", "{ a }.")
-    code, out, err = run(["run", "--wfs", src])
-    assert code == 2
+    # The well-founded model is computed over basic rules only; run and
+    # solve both say so in one line after the program name.
+    src = write(tmp_path, "p.lp", "{a}. b :- a.")
+    gfile = write(tmp_path, "p.sm", run(["ground", src])[1])
+    want = (2, "", "aspkit: well-founded mode handles basic rules only, got ChoiceRule\n")
+    assert run(["run", "--wfs", src]) == want
+    assert run(["solve", "--wfs", gfile]) == want
+
+
+def test_run_releases_the_grounding_before_the_search(run, tmp_path, monkeypatch):
+    # The search needs only the interchange: the ground rules and the
+    # symbol table they name atoms by are garbage once it starts.
+    ground_files, solve_ground = aspkit.cli.ground_files, aspkit.cli.solve_ground
+    table, alive = [], []
+
+    def grounding(*args):
+        grounded = ground_files(*args)
+        table.append(weakref.ref(grounded.source.table))
+        return grounded
+
+    def search(*args):
+        gc.collect()
+        alive.append(table[0]() is not None)
+        return solve_ground(*args)
+
+    monkeypatch.setattr(aspkit.cli, "ground_files", grounding)
+    monkeypatch.setattr(aspkit.cli, "solve_ground", search)
+    code, out, _ = run(["run", "-d", "none", write(tmp_path, "p.lp", COLORING), "0"])
+    assert (code, out.count("Answer:"), alive) == (0, 6, [False])
 
 
 def test_run_lint_warnings_go_to_stderr(run, tmp_path):
@@ -718,7 +745,7 @@ def test_consecutive_calls_share_no_constants(run, tmp_path):
 def test_installed_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "aspkit.cli", "--help"],
-        capture_output=True, text=True, env=SUBPROCESS_ENV)
+        capture_output=True, text=True, encoding="utf-8", env=SUBPROCESS_ENV)
     assert proc.returncode == 0
     assert "ground" in proc.stdout and "solve" in proc.stdout
 
@@ -754,7 +781,8 @@ def test_cli_imports_neither_dataclasses_nor_the_oracle(run, tmp_path):
               "print(*[n for n in aspkit.__all__ if n not in names])\n"
               "print(*[n for n in aspkit.__all__ if n not in dir(aspkit)])\n")
     proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, env=SUBPROCESS_ENV)
+                          capture_output=True, text=True, encoding="utf-8",
+                          env=SUBPROCESS_ENV)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "\n[0, 0]\n0 aspkit.oracle\naspkit.oracle aspkit.oracle\n\n\n"
     for name in aspkit.__all__:

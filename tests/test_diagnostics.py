@@ -180,7 +180,7 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
         work_dir = tmp_path / seed
         work_dir.mkdir()
         proc = subprocess.run([sys.executable, "-c", script], cwd=work_dir,
-                              capture_output=True, text=True,
+                              capture_output=True, text=True, encoding="utf-8",
                               env={**SUBPROCESS_ENV, "PYTHONHASHSEED": seed})
         assert (proc.returncode, proc.stderr) == (0, "")
         runs.append(proc.stdout)

@@ -386,21 +386,24 @@ def test_choice_rule_listing_a_head_twice_matches_brute_force():
     assert unsupported == 0
 
 
+def _lookahead_corpus():
+    rng = random.Random(53)
+    yield queens(6)
+    for i in range(2000):
+        if i % 2:
+            yield gen.to_interchange(*gen.random_extended_source(rng))
+        else:
+            yield gen.random_normal_ground(rng)
+
+
 def test_lookahead_skips_probes_but_not_choices():
     # Skipping the probes an earlier probe of the round implied must leave
     # every choice as probing all of them makes it: the same models in the
     # same order after the same decisions, conflicts and failed literals.
     # The shuffled pairs see unsorted candidates, where ties are not
     # settled by candidate order.
-    rng = random.Random(53)
-    programs = [queens(6)]
-    for i in range(2000):
-        if i % 2:
-            programs.append(gen.to_interchange(*gen.random_extended_source(rng)))
-        else:
-            programs.append(gen.random_normal_ground(rng))
     probes = full_probes = 0
-    for gp in programs:
+    for gp in _lookahead_corpus():
         pairs = [(Solver(gp), FullProbeSolver(gp))]
         pairs += [(ShuffledSolver(gp, seed), ShuffledFullProbeSolver(gp, seed))
                   for seed in (1, 7)]
@@ -413,6 +416,37 @@ def test_lookahead_skips_probes_but_not_choices():
             probes += s.stats.probes
             full_probes += full.stats.probes
     assert probes < full_probes
+
+
+def _smodels_score(self, fixed_t, fixed_f, atom):
+    # the smaller probe count first, ties to the larger (Simons, Niemelä
+    # and Soininen, AIJ 2002), then to the lowest id
+    return min(fixed_t, fixed_f), max(fixed_t, fixed_f), -atom
+
+
+def test_a_new_score_reaches_the_reference_lookahead():
+    # A policy lives in one method: overriding only _score changes the
+    # choices of the solver and of the reference that probes every side
+    # alike, so skipping probes still keeps every choice.
+    class Smodels(Solver):
+        _score = _smodels_score
+
+    class FullSmodels(FullProbeSolver):
+        _score = _smodels_score
+
+    for gp in _lookahead_corpus():
+        s, full = Smodels(gp), FullSmodels(gp)
+        assert list(s.models()) == list(full.models())
+        for stat in ("decisions", "conflicts", "failed_literals"):
+            assert getattr(s.stats, stat) == getattr(full.stats, stat), stat
+    text, clauses = gen.planted_3sat(random.Random(3), 150)
+    gp = ground_text_input(text, GroundOptions(domain_mode="none")).interchange
+    decisions = []
+    for cls in (Solver, Smodels, FullSmodels):
+        s = cls(gp)
+        assert _satisfies(gp, next(s.models()), clauses)
+        decisions.append(s.stats.decisions)
+    assert decisions == [28, 35, 35]
 
 
 def test_skipped_probes_stay_within_their_bounds():
@@ -492,7 +526,7 @@ def test_first_models_keep_their_choices():
 def test_probe_records_are_dropped_below_their_trail_length():
     # A probe record holds for the trail it was taken at. Every record
     # kept must still sit on that trail prefix, after every undo and
-    # whenever the lookahead reads it, and each literal has one record.
+    # whenever a probe may read it, and each literal has one record.
     # The undo that ends a probe sees the record that probe has just
     # taken, whose prefix is noted only once the probe returns.
     class Recorded(Solver):
@@ -502,17 +536,14 @@ def test_probe_records_are_dropped_below_their_trail_length():
             self.dropped = 0
             self.probing = None
 
-        def _probe(self, atom, value, bounds=None):
-            self.probing = lit = atom if value == TRUE else -atom
-            result = super()._probe(atom, value, bounds)
-            self.probing = None
-            if result[0] is None:
-                self.prefix[lit] = self.trail[:self._probed[lit][0]]
-            return result
-
-        def _recall(self, lit, bounds=None):
+        def _probe(self, lit, bounds=None):
             self.check()
-            return super()._recall(lit, bounds)
+            self.probing = lit
+            fixed = super()._probe(lit, bounds)
+            self.probing = None
+            if fixed:
+                self.prefix[lit] = self.trail[:self._probed[lit][0]]
+            return fixed
 
         def _undo_to(self, mark):
             before = set(self._probed)
@@ -745,17 +776,18 @@ def test_weight_rule_and_two_head_choice_rule_share_an_scc():
 def test_sources_come_back_after_probes_and_backtracks():
     # CheckedSolver holds the state after every undo, sources included, to
     # the fixpoint its mark was taken at. Count the undos that had sources
-    # to restore, after a probe and after a backtrack.
+    # to restore: in the lookahead, which probes and where CheckedSolver
+    # probes a recalled literal again, and in the backtracks models() makes.
     class Counting(CheckedSolver):
         def __init__(self, gp):
             super().__init__(gp)
-            self.restored = {"probe": 0, "backtrack": 0}
+            self.restored = {"lookahead": 0, "backtrack": 0}
             self._undoing = "backtrack"
 
-        def _probe(self, atom, value, bounds=None):
-            self._undoing = "probe"
+        def _choose(self):
+            self._undoing = "lookahead"
             try:
-                return super()._probe(atom, value, bounds)
+                return super()._choose()
             finally:
                 self._undoing = "backtrack"
 
@@ -764,10 +796,19 @@ def test_sources_come_back_after_probes_and_backtracks():
             super()._undo_to(mark)
             self.restored[self._undoing] += self.src != before
 
-    gp = ground_text_input(HAMCYCLE_10, GroundOptions(domain_mode="none")).interchange
-    s = Counting(gp)
-    assert len(list(s.models())) == len(HAMCYCLE_10_MODELS)
-    assert min(s.restored.values()) >= 50, s.restored
+    # HAMCYCLE_10 alone backtracks 40 times with sources to restore, so a
+    # second graph with a planted cycle joins it
+    edges = _planted_digraph(random.Random(3), 10, 3)
+    planted = ("node(1..10).\n" + "".join(f"edge({a},{b}).\n" for a, b in edges)
+               + HAMCYCLE_ENCODING)
+    restored = {"lookahead": 0, "backtrack": 0}
+    for text, cycles in ((HAMCYCLE_10, len(HAMCYCLE_10_MODELS)),
+                         (planted, len(_hamiltonian_cycles(10, edges)))):
+        s = Counting(ground_text_input(text, GroundOptions(domain_mode="none")).interchange)
+        assert len(list(s.models())) == cycles
+        for kind, n in s.restored.items():
+            restored[kind] += n
+    assert min(restored.values()) >= 50, restored
 
 
 def test_backchaining_skips_rules_that_cannot_force():
@@ -953,8 +994,8 @@ def test_probe_restores_state_exactly():
         snap = state_fingerprint(s)
         unknown = [a for a in sorted(gp.symbols) if s.values[a] == UNKNOWN]
         for a in unknown[:4]:
-            s._probe(a, TRUE)
-            s._probe(a, FALSE)
+            s._probe(a)
+            s._probe(-a)
             assert state_fingerprint(s) == snap
 
 

@@ -49,7 +49,8 @@ def test_traced_commands_record_every_layer(tmp_path):
     runs = [["run", "-d", "none", str(src)], ["ground", str(src)], ["solve", "--wfs", ground]]
     script = SCRIPT.format(perfbench=str(PERFBENCH), runs=runs, ground=ground)
     proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, env=SUBPROCESS_ENV)
+                          capture_output=True, text=True, encoding="utf-8",
+                          env=SUBPROCESS_ENV)
     assert (proc.returncode, proc.stderr) == (0, "")
     result = json.loads(proc.stdout)
     assert result["absent"] == []
