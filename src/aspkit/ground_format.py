@@ -54,7 +54,8 @@ class GroundProgram(Record):
         self.models = models
         # k when the program uses exactly the atom ids 1..k (dense ids); set
         # only by compact_atom_ids, which has counted them, and by the grounder,
-        # which numbers atoms densely. None: not known, as for a parsed file.
+        # which numbers atoms densely. None: not known, as for a parsed file,
+        # whose atoms a Solver counts, and renumbers if they leave gaps.
         self.n_atoms = n_atoms
 
     def atom_ids(self):
@@ -65,9 +66,6 @@ class GroundProgram(Record):
             used.update(r.heads if isinstance(r, ChoiceRule) else (r.head,), r.pos, r.neg)
         return used
 
-    def atom_count(self):
-        return max(self.atom_ids()) if self.n_atoms is None else self.n_atoms
-
 
 def compact_atom_ids(gp):
     """Number the atoms `gp` uses (in rules, symbols and compute sections,
@@ -75,8 +73,8 @@ def compact_atom_ids(gp):
     indexed by atom id grow with the program rather than with its largest
     id. Returns (program, ids) with ids[i] the original id of atom i, or
     (gp or a copy of it, None) when `gp` already uses exactly 1..k. Either
-    program knows its atom count k, so atom_count() scans nothing; a `gp`
-    that already knows it is not scanned either."""
+    program knows its atom count k in `n_atoms`; a `gp` that already knows
+    it is not scanned. `Solver(gp)` calls this on every program it is given."""
     if gp.n_atoms is not None:
         return gp, None
     used = gp.atom_ids()

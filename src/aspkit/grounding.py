@@ -126,36 +126,29 @@ def desugar_program(program, warnings=None):
 # -- symbol table ---------------------------------------------------------------
 
 class SymbolTable:
-    """Dense atom numbering starting at 2; id 1 is the reserved falsity atom."""
+    """Atom numbering from 2 up; id 1 is the reserved falsity atom. Every
+    id is the next value of one counter, so `ids`, name -> id of the named
+    atoms, is filled in id order; an aux atom takes an id and no name."""
 
     def __init__(self):
-        self._ids = {}
-        self._names = {}
+        self.ids = {}
         self._next = 2
 
     def intern(self, name):
-        i = self._ids.get(name)
+        i = self.ids.get(name)
         if i is None:
-            i = self._next
+            i = self.ids[name] = self._next
             self._next += 1
-            self._ids[name] = i
-            self._names[i] = name
         return i
-
-    def lookup(self, name):
-        return self._ids.get(name)
 
     def new_aux(self):
         i = self._next
         self._next += 1
         return i
 
-    def name(self, i):
-        return self._names.get(i)
-
-    def named_items(self):
-        """(id, name) pairs for user-visible atoms, in id order."""
-        return sorted(self._names.items())
+    def names(self):
+        """id -> name of the named atoms, in id order."""
+        return {i: name for name, i in self.ids.items()}
 
     def __len__(self):
         return self._next - 2
@@ -307,7 +300,7 @@ def ground_program(program, analysis, domain_mode="keep"):
             rules.append(BasicRule(table.intern(name), (), ()))
         else:
             inst = rulegen.RuleFunction(rule, domain, exts, domain_mode == "keep")
-            inst.run(rules.append, table._ids.get, table.intern)
+            inst.run(rules.append, table.ids.get, table.intern)
 
     compute_true = []
     compute_false = []
@@ -321,7 +314,7 @@ def ground_program(program, analysis, domain_mode="keep"):
             if truth != lit.positive:
                 rules.append(BasicRule(FALSITY, (), ()))  # no model can satisfy this
             continue
-        i = table.lookup(name)
+        i = table.ids.get(name)
         if i is None:
             if not lit.positive:
                 continue  # underivable atom required false: trivially met
@@ -334,18 +327,18 @@ def ground_program(program, analysis, domain_mode="keep"):
 
 # -- source-syntax printing of ground rules ----------------------------------------
 
-def _glit_source(lit, table):
+def _glit_source(lit, names):
     i = abs(lit)
-    name = table.name(i) or f"_aux_{i}"
+    name = names.get(i) or f"_aux_{i}"
     return name if lit > 0 else f"not {name}"
 
 
-def _gagg_source(agg, table):
+def _gagg_source(agg, names):
     if agg.weighted:
-        inner = ", ".join(f"{_glit_source(l, table)}={w}" for l, w in agg.elements)
+        inner = ", ".join(f"{_glit_source(l, names)}={w}" for l, w in agg.elements)
         body = f"[ {inner} ]" if inner else "[]"
     else:
-        inner = ", ".join(_glit_source(l, table) for l, _ in agg.elements)
+        inner = ", ".join(_glit_source(l, names) for l, _ in agg.elements)
         body = f"{{ {inner} }}" if inner else "{}"
     parts = []
     if agg.lower is not None:
@@ -356,19 +349,21 @@ def _gagg_source(agg, table):
     return " ".join(parts)
 
 
-def grule_source(rule, table):
+def grule_source(rule, names):
+    """`rule` in source syntax, its atoms named by `names`, id -> name
+    (`SymbolTable.names()`); an atom without a name prints as `_aux_ID`."""
     if isinstance(rule, BasicRule):  # its positive literals print first
         rule = GRule(rule.head, None, rule.pos + tuple(-a for a in rule.neg))
     if rule.head == FALSITY:
         head = ""
     elif rule.head is not None:
-        head = table.name(rule.head) or f"_aux_{rule.head}"
+        head = names.get(rule.head) or f"_aux_{rule.head}"
     elif rule.head_agg is not None:
-        head = _gagg_source(rule.head_agg, table)
+        head = _gagg_source(rule.head_agg, names)
     else:
         head = ""
     body = ", ".join(
-        _gagg_source(b, table) if isinstance(b, GAgg) else _glit_source(b, table)
+        _gagg_source(b, names) if isinstance(b, GAgg) else _glit_source(b, names)
         for b in rule.body)
     if not body:
         return f"{head}." if head else ":- 1 == 1."  # ":- ." would not parse
@@ -379,10 +374,11 @@ def grule_source(rule, table):
 
 def ground_text(result):
     """`result` in source syntax, a rule a line, each body in source order."""
-    lines = [grule_source(r, result.table) for r in result.rules]
+    names = result.table.names()
+    lines = [grule_source(r, names) for r in result.rules]
     if result.compute_true or result.compute_false:
-        lits = [result.table.name(i) for i in result.compute_true]
-        lits += [f"not {result.table.name(i)}" for i in result.compute_false]
+        lits = [names[i] for i in result.compute_true]
+        lits += [f"not {names[i]}" for i in result.compute_false]
         lines.append(f"compute {{ {', '.join(lits)} }}.")
     return "\n".join(lines) + ("\n" if lines else "")
 

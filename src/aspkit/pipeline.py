@@ -15,7 +15,7 @@ perfbench's tracer wrap them.
 
 from importlib import import_module
 
-from .ground_format import GroundProgram, compact_atom_ids
+from .ground_format import GroundProgram
 from .records import Record
 from .shared import FALSITY
 from .solver import Solver
@@ -116,7 +116,7 @@ def _ground(program, opts):
         raise
     gp = GroundProgram(
         rules=rules,
-        symbols=dict(result.table.named_items()),
+        symbols=result.table.names(),
         compute_true=result.compute_true,
         compute_false=(FALSITY,) + result.compute_false,
         models=1,
@@ -144,10 +144,7 @@ def solve_ground(gp, opts=None):
     opts = opts or SolveOptions()
     target = gp.models if opts.model_count is None else opts.model_count
     emitted = 0
-    dense, ids = compact_atom_ids(gp)
-    for model in Solver(dense).models():
-        if ids is not None:
-            model = tuple(ids[a] for a in model)
+    for model in Solver(gp).models():
         names = [gp.symbols[a] for a in model if a in gp.symbols]
         yield model, names
         emitted += 1
@@ -192,7 +189,6 @@ def verify_model(gp, names):
     """
     from . import oracle  # only verify needs the reference semantics
 
-    gp = compact_atom_ids(gp)[0]
     by_name = {n: i for i, n in gp.symbols.items()}
     chosen = set()
     for n in names:

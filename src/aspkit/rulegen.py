@@ -125,6 +125,11 @@ def _braced(text):
     return text.replace("{", "{{").replace("}", "}}")
 
 
+def _any_equal(names):
+    """A test that two of the locals `names` hold equal values."""
+    return " == ".join(names) if len(names) == 2 else f"len({{{', '.join(names)}}}) < {len(names)}"
+
+
 class _Source:
     """The lines of one generated function, the objects it takes as
     parameters, and the locals its ASP variables are bound to."""
@@ -347,8 +352,8 @@ class RuleFunction(_Source):
     instance adds its head row to the extension's rows `R`; any other
     appends a rule to `out`, its atoms interned head first through the
     symbol table's `G` (its dict's `get`) and `I` (`intern`). Where
-    `primitive` holds and the instance's literals of one predicate, the
-    index pairs in `same`, have different names, that is the `BasicRule`
+    `primitive` holds and the instance's literals of one predicate, each
+    index group in `same`, have different names, that is the `BasicRule`
     that `translate_rule` would make of the instance's GRule, with the same
     ids; elsewhere the GRule.
     """
@@ -374,13 +379,19 @@ class RuleFunction(_Source):
         self.domain_head = isinstance(rule.head, Atom) and rule.head.key() in domain
         # Plain literals, positive ones first: the BasicRule then prints as
         # the GRule would. Two literals of one predicate can be equal, so an
-        # instance compares their names (`same`) and assembles where they are.
+        # instance tests the names of each predicate's literals at once
+        # (`same`) and assembles where two are equal. Literals whose arguments
+        # are all constants need no test when no two of them are equal.
         plain = [b for b in self.shape if isinstance(b, Literal) and not b.conditions]
         signs = [b.positive for b in plain]
         self.primitive = (not isinstance(rule.head, Aggregate) and signs == sorted(signs, reverse=True)
                           and len(plain) == len(self.shape))
-        self.same = [(i, j) for j, b in enumerate(plain) for i in range(j)
-                     if plain[i].atom.key() == b.atom.key()]
+        groups = {}
+        for i, b in enumerate(plain):
+            groups.setdefault(b.atom.key(), {})[i] = b.atom
+        self.same = [list(g) for g in groups.values() if len(g) > 1 and (
+            len(set(g.values())) < len(g)
+            or not all(isinstance(t, (Integer, SymbolicConst)) for a in g.values() for t in a.args))]
         self.emit(1, "", rule.to_source())
         body = self.lines
         self.join(1, _Plan(join_atoms, checks, (), self.ext, rule.loc), "return",
@@ -529,7 +540,7 @@ class RuleFunction(_Source):
             self.emit(depth, f"{h} = {self.name(depth, head)}")
         if self.primitive and self.same:
             # equal literals take the assembly, which keeps one or drops the instance
-            self.emit(depth, f"if {' or '.join(f'{names[i]} == {names[j]}' for i, j in self.same)}:")
+            self.emit(depth, f"if {' or '.join(_any_equal([names[i] for i in g]) for g in self.same)}:")
             self.emit(depth + 1, "bd, sg = [], {}")
             for b, n in zip(self.shape, names):
                 self.push(depth + 1, b.positive, n, skip)

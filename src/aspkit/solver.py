@@ -120,12 +120,15 @@ neither does a flip, since undoing to its decision's mark restores the
 assignment its probes saw. `_undo_to` is the one place that restores the
 state above a mark: the values, the rule counters, the sources, and the
 probe records, which it drops newest first from a log kept in the order
-they were taken. Atom ids are dense: `pipeline` renumbers a program's
-atoms before it builds a Solver.
+they were taken. The arrays indexed by atom id grow with the program,
+not with its largest id: `Solver(gp)` numbers 1..k the atoms of a
+program that does not carry its atom count (`compact_atom_ids`), and
+reports its models under the program's own ids.
 """
 
 import sys
 
+from .ground_format import compact_atom_ids
 from .records import Record
 from .shared import (
     FALSITY,
@@ -196,9 +199,9 @@ class Solver:
 
     def __init__(self, gp):
         self.stats = SolveStats()
-
-        n = max(gp.atom_count(), FALSITY)
-        self.n_atoms = n
+        gp, ids = compact_atom_ids(gp)
+        self.n_atoms = n = max(gp.n_atoms, FALSITY)
+        self._ids = ids or range(n + 1)  # _ids[a]: gp's own id of atom a
         self.values = [UNKNOWN] * (n + 1)
         self.trail = []
         self.qhead = 0
@@ -829,8 +832,8 @@ class Solver:
                 return best_atom
 
     def _model(self):
-        return tuple(a for a in range(2, self.n_atoms + 1)
-                     if self.values[a] == TRUE)
+        ids, values = self._ids, self.values
+        return tuple(ids[a] for a in range(2, self.n_atoms + 1) if values[a] == TRUE)
 
     def models(self):
         """Yields stable models as sorted tuples of true atom ids.

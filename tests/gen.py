@@ -180,7 +180,7 @@ def random_aggregate_program(rng):
 def to_interchange(grules, table):
     """Translate source rules and wrap them for the solver."""
     rules = translate_program(grules, table)
-    return GroundProgram(rules=rules, symbols=dict(table.named_items()),
+    return GroundProgram(rules=rules, symbols=table.names(),
                          compute_true=(), compute_false=(FALSITY,), models=0)
 
 
@@ -241,7 +241,8 @@ def aggregate_source(rng):
     """random_extended_source's rules as source text: cardinality and
     weight aggregates in heads and bodies, over propositional atoms."""
     grules, table = random_extended_source(rng)
-    return "\n".join(grule_source(r, table) for r in grules) + "\n"
+    names = table.names()
+    return "\n".join(grule_source(r, names) for r in grules) + "\n"
 
 
 _SOURCE_TOKEN = re.compile(r"[A-Za-z0-9_]+|:-|\.\.|\S")

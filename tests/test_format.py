@@ -280,9 +280,10 @@ def test_spaces_and_tabs_around_symbols_and_headers_read_as_before():
 
 
 def test_solving_scans_the_atom_ids_once(monkeypatch):
-    # compact_atom_ids collects the ids in use, and the program it returns
-    # carries their count, so the solver and verify_model scan no rule for
-    # it again; with atom 4 renumbered to 40 the answers stay the same.
+    # The Solver that solve_ground and verify_model build collects the ids
+    # in use once (compact_atom_ids), and the program it renumbers them in
+    # carries their count, so no rule is scanned for it again; with atom 4
+    # renumbered to 40 the answers stay the same.
     scans = []
     atom_ids = GroundProgram.atom_ids
     monkeypatch.setattr(GroundProgram, "atom_ids", lambda gp: scans.append(gp) or atom_ids(gp))

@@ -445,6 +445,8 @@ def test_grounder_numbers_atoms_densely():
     for g in grounded:
         ids = g.interchange.atom_ids()
         assert g.interchange.n_atoms == len(ids) == max(ids)
+        # the writer's symbol section keeps this order
+        assert list(g.interchange.symbols) == sorted(g.interchange.symbols)
 
 
 # -- generated code -----------------------------------------------------------
@@ -557,6 +559,36 @@ def test_literals_of_one_predicate_are_compared_per_instance():
         "{ q(1), q(2) }.\n"
         "p(1,1) :- q(1).\np(1,2) :- q(1), q(2).\np(2,1) :- q(2), q(1).\np(2,2) :- q(2).\n"
         "r(1,2) :- q(1), not q(2).\nr(2,1) :- q(2), not q(1).\n")
+
+
+def test_literals_of_one_predicate_take_one_test(monkeypatch):
+    # An instance tests the names of each predicate's plain literals at
+    # once, and ground literals with different names not at all; it takes
+    # the same form as when every pair is compared.
+    sources = []
+    monkeypatch.setattr(linecache, "cache", _RecordedSources(sources))
+    text = ("d(1..3). { q(X) : d(X) }.\n"
+            "p(X,Y) :- q(X), q(Y), q(3), d(X), d(Y), X < Y.\n"
+            "s :- q(1), q(2), not q(3).\n"
+            "t :- q(1), q(1).\n")
+    g = ground(text, domain_mode="none")
+    assert [type(r).__name__ for r in g.source.rules] == [
+        "GRule", "BasicRule", "GRule", "GRule", "BasicRule", "GRule"]
+    assert grounding.ground_text(g.source) == (
+        "{ q(1), q(2), q(3) }.\n"
+        "p(1,2) :- q(1), q(2), q(3).\np(1,3) :- q(1), q(3).\np(2,3) :- q(2), q(3).\n"
+        "s :- q(1), q(2), not q(3).\nt :- q(1).\n")
+    p, s = sources[-3:-1]
+    assert p.count("len({") == 1 and "==" not in p
+    assert "len({" not in s and "==" not in s
+    # 400 literals: comparing every pair took 3,311 bytes of source per literal
+    n = 400
+    lits = ", ".join(f"not a({i})" for i in range(1, n + 1))
+    ground(f"d(1..{n}). {{ a(X) : d(X) }}.\np :- {lits}.\n", domain_mode="none")
+    assert len(sources[-1]) < 300 * n
+    lits = ", ".join(f"not a(X+{i})" for i in range(n))
+    ground(f"d(1..3). {{ a(X) : d(X) }}.\np(X) :- d(X), {lits}.\n", domain_mode="none")
+    assert len(sources[-1]) < 600 * n
 
 
 def test_text_keeps_the_source_order_of_a_body(capsys, tmp_path):

@@ -947,6 +947,21 @@ def test_setup_memory_grows_with_the_rules_not_the_atom_ids():
     assert peak < 400 * n, peak / n
 
 
+def test_solver_renumbers_sparse_atom_ids():
+    # A program without its atom count is numbered 1..k at setup, so one
+    # fact of atom 200,000 builds rows for two atoms, and its model comes
+    # back under the program's own id.
+    gp = GroundProgram([BasicRule(200_000, (), ())], {200_000: "a"}, (), (1,), 1)
+    tracemalloc.start()
+    try:
+        models = list(Solver(gp).models())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert models == [(200_000,)]
+    assert peak < 1 << 20, peak
+
+
 def _heads_share_an_scc(s, r):
     sccs = [s.scc_of[h] for h in s.heads[r] if s.scc_of[h] >= 0]
     return len(set(sccs)) < len(sccs)
