@@ -23,7 +23,8 @@ import itertools
 from .analysis import Diagnostic, term_vars
 from .records import Record
 from .shared import FALSITY, BasicRule
-from .syntax import Atom, Integer, Literal, Pool, Program, Range, Rule, SymbolicConst
+from .syntax import (Atom, Integer, Literal, Pool, Program, Range, Rule, SymbolicConst,
+                     aggregate_source, compute_source, format_atom, rule_source)
 
 
 class GroundingError(Exception):
@@ -41,12 +42,6 @@ class UnboundConstantError(GroundingError):
     def __init__(self, loc, name):
         self.name = name
         super().__init__(loc, f"unbound symbolic constant '{name}' used as an integer")
-
-
-def format_atom(pred, vals):
-    if not vals:
-        return pred
-    return pred + "(" + ",".join(map(str, vals)) + ")"
 
 
 def eval_term(t, loc):
@@ -326,6 +321,7 @@ def ground_program(program, analysis, domain_mode="keep"):
 
 
 # -- source-syntax printing of ground rules ----------------------------------------
+# The layouts are `syntax`'s; a ground rule only maps its atom ids to names.
 
 def _glit_source(lit, names):
     i = abs(lit)
@@ -334,19 +330,8 @@ def _glit_source(lit, names):
 
 
 def _gagg_source(agg, names):
-    if agg.weighted:
-        inner = ", ".join(f"{_glit_source(l, names)}={w}" for l, w in agg.elements)
-        body = f"[ {inner} ]" if inner else "[]"
-    else:
-        inner = ", ".join(_glit_source(l, names) for l, _ in agg.elements)
-        body = f"{{ {inner} }}" if inner else "{}"
-    parts = []
-    if agg.lower is not None:
-        parts.append(str(agg.lower))
-    parts.append(body)
-    if agg.upper is not None:
-        parts.append(str(agg.upper))
-    return " ".join(parts)
+    return aggregate_source(agg.weighted, agg.lower,
+                            [(_glit_source(l, names), w) for l, w in agg.elements], agg.upper)
 
 
 def grule_source(rule, names):
@@ -354,22 +339,12 @@ def grule_source(rule, names):
     (`SymbolTable.names()`); an atom without a name prints as `_aux_ID`."""
     if isinstance(rule, BasicRule):  # its positive literals print first
         rule = GRule(rule.head, None, rule.pos + tuple(-a for a in rule.neg))
-    if rule.head == FALSITY:
-        head = ""
-    elif rule.head is not None:
-        head = names.get(rule.head) or f"_aux_{rule.head}"
-    elif rule.head_agg is not None:
+    if rule.head_agg is not None:
         head = _gagg_source(rule.head_agg, names)
     else:
-        head = ""
-    body = ", ".join(
-        _gagg_source(b, names) if isinstance(b, GAgg) else _glit_source(b, names)
-        for b in rule.body)
-    if not body:
-        return f"{head}." if head else ":- 1 == 1."  # ":- ." would not parse
-    if not head:
-        return f":- {body}."
-    return f"{head} :- {body}."
+        head = None if rule.head in (None, FALSITY) else _glit_source(rule.head, names)
+    return rule_source(head, [_gagg_source(b, names) if isinstance(b, GAgg)
+                              else _glit_source(b, names) for b in rule.body])
 
 
 def ground_text(result):
@@ -377,9 +352,8 @@ def ground_text(result):
     names = result.table.names()
     lines = [grule_source(r, names) for r in result.rules]
     if result.compute_true or result.compute_false:
-        lits = [names[i] for i in result.compute_true]
-        lits += [f"not {names[i]}" for i in result.compute_false]
-        lines.append(f"compute {{ {', '.join(lits)} }}.")
+        lines.append(compute_source([_glit_source(i, names) for i in result.compute_true]
+                                    + [_glit_source(-i, names) for i in result.compute_false]))
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -7,7 +7,6 @@ at argument positions of plain atoms, not inside aggregates or conditions.
 Terms nest at most MAX_TERM_DEPTH levels deep.
 """
 
-from . import lexer
 from .lexer import tokenize
 from .shared import read_text
 from .syntax import (
@@ -25,6 +24,7 @@ from .syntax import (
     Rule,
     SymbolicConst,
     Variable,
+    rewrite,
 )
 
 _COMPOPS = {"EQ": "==", "NE": "!=", "LT": "<", "LE": "<=", "GT": ">", "GE": ">="}
@@ -375,64 +375,18 @@ def parse_files(paths):
     return Program(tuple(rules), compute, const_decls)
 
 
-def _map_term(t, env):
-    if isinstance(t, SymbolicConst) and t.name in env:
-        return Integer(env[t.name])
-    if isinstance(t, FuncApp):
-        return FuncApp(t.op, tuple(_map_term(a, env) for a in t.args))
-    if isinstance(t, Range):
-        return Range(_map_term(t.lo, env), _map_term(t.hi, env))
-    if isinstance(t, Pool):
-        return Pool(tuple(_map_term(m, env) for m in t.members))
-    return t
-
-
-def _map_atom(a, env):
-    return Atom(a.pred, tuple(_map_term(t, env) for t in a.args), a.loc)
-
-
-def _map_literal(lit, env):
-    if isinstance(lit.atom, Comparison):
-        c = lit.atom
-        atom = Comparison(_map_term(c.lhs, env), c.op, _map_term(c.rhs, env), c.loc)
-    else:
-        atom = _map_atom(lit.atom, env)
-    return Literal(lit.positive, atom, tuple(_map_atom(c, env) for c in lit.conditions))
-
-
-def _map_aggregate(agg, env):
-    elems = tuple(
-        AggregateElem(_map_literal(e.literal, env),
-                      None if e.weight is None else _map_term(e.weight, env))
-        for e in agg.elements)
-    lower = None if agg.lower is None else _map_term(agg.lower, env)
-    upper = None if agg.upper is None else _map_term(agg.upper, env)
-    return Aggregate(agg.weighted, lower, elems, upper, agg.loc)
-
-
 def substitute_constants(program, bindings=None):
-    """Replace bound symbolic constants with their integer values.
+    """Replace bound symbolic constants with their integer values, at every
+    term position: atom arguments, comparisons, aggregate bounds and weights,
+    ranges, pools and compute literals.
 
     File-level #const declarations are honored; `bindings` (e.g. from the
-    command line) take precedence. Unbound symbolic constants stay symbolic.
+    command line) take precedence. Unbound symbolic constants stay symbolic,
+    and a rule that holds no bound constant comes back as the same object.
     """
     env = dict(program.const_decls)
     env.update(bindings or {})
     if not env:
         return program
-    rules = []
-    for r in program.rules:
-        if isinstance(r.head, Atom):
-            head = _map_atom(r.head, env)
-        elif isinstance(r.head, Aggregate):
-            head = _map_aggregate(r.head, env)
-        else:
-            head = None
-        body = tuple(
-            _map_aggregate(b, env) if isinstance(b, Aggregate) else _map_literal(b, env)
-            for b in r.body)
-        rules.append(Rule(head, body, r.loc))
-    compute = None
-    if program.compute is not None:
-        compute = tuple(_map_literal(l, env) for l in program.compute)
-    return Program(tuple(rules), compute, program.const_decls)
+    return rewrite(program, lambda node: Integer(env[node.name])
+                   if type(node) is SymbolicConst and node.name in env else node)

@@ -29,10 +29,11 @@ from bisect import bisect_left, bisect_right
 
 from .analysis import atom_vars, term_vars
 from .grounding import (_EMPTY_EXT, ArithmeticEvalError, GAgg, GRule, GroundingError,
-                        UnboundConstantError, format_atom)
+                        UnboundConstantError)
 from .lexer import INT64_MAX, INT64_MIN
 from .shared import FALSITY, BasicRule
-from .syntax import Aggregate, Atom, Comparison, FuncApp, Integer, Literal, SymbolicConst, Variable
+from .syntax import (Aggregate, Atom, Comparison, FuncApp, Integer, Literal, SymbolicConst, Variable,
+                     format_atom)
 
 
 def _check64(v, loc):

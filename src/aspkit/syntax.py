@@ -4,7 +4,15 @@ Terms, literals, aggregates, rules and programs are immutable records
 (`records.Record`). Source locations ride along on the nodes that need them
 for diagnostics but are excluded from structural equality, so
 parse -> print -> parse round-trips compare equal.
+
+This module owns the tree's shape and its concrete syntax. `rewrite` is
+the one walk that rebuilds a tree. `format_atom`, `aggregate_source`,
+`rule_source` and `compute_source` are the layouts over printed parts;
+the `to_source` methods here and the ground printer in `grounding` both
+print through them.
 """
+
+import operator
 
 from .records import Record
 
@@ -136,6 +144,64 @@ def term_source(t):
     return _func_source(t, 0, False)
 
 
+def _optional_source(t):
+    return None if t is None else term_source(t)
+
+
+def format_atom(pred, args):
+    """The atom layout: `pred`, or `pred(a,b)` over arguments printed with str()."""
+    if not args:
+        return pred
+    return pred + "(" + ",".join(map(str, args)) + ")"
+
+
+def aggregate_source(weighted, lower, elements, upper):
+    """The aggregate layout: `lower { l, m } upper` or `lower [ l=w, m=v ] upper`.
+
+    `elements` are (printed literal, weight) pairs, the weight shown only
+    when `weighted`; a bound or weight prints with str(), and a bound that
+    is None is left out.
+    """
+    o, c = "[]" if weighted else "{}"
+    inner = ", ".join(f"{lit}={w}" if weighted else lit for lit, w in elements)
+    inner = f"{o} {inner} {c}" if inner else o + c
+    return " ".join(str(p) for p in (lower, inner, upper) if p is not None)
+
+
+def rule_source(head, body):
+    """The rule layout over a printed head, None for an integrity
+    constraint, and the printed body elements."""
+    body = ", ".join(body)
+    if head is None:
+        return f":- {body or '1 == 1'}."  # ":- ." would not parse
+    return f"{head} :- {body}." if body else f"{head}."
+
+
+def compute_source(literals):
+    """The compute statement layout over the printed literals."""
+    return f"compute {{ {', '.join(literals)} }}."
+
+
+def rewrite(node, fn):
+    """`node` with `fn` applied to every record in it, children first.
+
+    A record's fields are walked in `__slots__` order, tuples item by item;
+    a record is rebuilt from its new field values, in that order, only when
+    one of them changed, so an untouched subtree comes back as the same
+    object. `fn` takes a record and returns it or its replacement.
+    """
+    if type(node) is tuple:
+        new = tuple([rewrite(x, fn) for x in node])
+        return node if all(map(operator.is_, new, node)) else new
+    if not isinstance(node, Record):
+        return node
+    old = [getattr(node, f) for f in node.__slots__]
+    new = [rewrite(v, fn) for v in old]
+    if not all(map(operator.is_, new, old)):
+        node = type(node)(*new)
+    return fn(node)
+
+
 class Atom(Record):
     __slots__ = ("pred", "args", "loc")
     _uncompared = ("loc",)
@@ -149,9 +215,7 @@ class Atom(Record):
         return (self.pred, len(self.args))
 
     def to_source(self):
-        if not self.args:
-            return self.pred
-        return f"{self.pred}({','.join(term_source(a) for a in self.args)})"
+        return format_atom(self.pred, [term_source(a) for a in self.args])
 
 
 class Comparison(Record):
@@ -197,12 +261,6 @@ class AggregateElem(Record):
         self.literal = literal
         self.weight = weight
 
-    def to_source(self):
-        s = self.literal.to_source()
-        if self.weight is not None:
-            s += f"={term_source(self.weight)}"
-        return s
-
 
 class Aggregate(Record):
     """Cardinality ({...}) or weight ([...]) aggregate with optional bounds.
@@ -222,15 +280,10 @@ class Aggregate(Record):
         self.loc = loc
 
     def to_source(self):
-        o, c = ("[", "]") if self.weighted else ("{", "}")
-        inner = ", ".join(e.to_source() for e in self.elements)
-        parts = []
-        if self.lower is not None:
-            parts.append(term_source(self.lower))
-        parts.append(f"{o} {inner} {c}" if inner else f"{o}{c}")
-        if self.upper is not None:
-            parts.append(term_source(self.upper))
-        return " ".join(parts)
+        return aggregate_source(
+            self.weighted, _optional_source(self.lower),
+            [(e.literal.to_source(), _optional_source(e.weight)) for e in self.elements],
+            _optional_source(self.upper))
 
 
 BodyElem = Literal | Aggregate
@@ -247,11 +300,8 @@ class Rule(Record):
         self.loc = loc
 
     def to_source(self):
-        body = ", ".join(b.to_source() for b in self.body)
-        if self.head is None:
-            return f":- {body}."
-        head = self.head.to_source()
-        return f"{head} :- {body}." if body else f"{head}."
+        return rule_source(None if self.head is None else self.head.to_source(),
+                           [b.to_source() for b in self.body])
 
 
 class Program(Record):
@@ -266,6 +316,5 @@ class Program(Record):
         lines = [f"#const {n} = {v}." for n, v in self.const_decls.items()]
         lines += [r.to_source() for r in self.rules]
         if self.compute is not None:
-            inner = ", ".join(l.to_source() for l in self.compute)
-            lines.append(f"compute {{ {inner} }}.")
+            lines.append(compute_source([l.to_source() for l in self.compute]))
         return "\n".join(lines) + "\n"

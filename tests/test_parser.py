@@ -1,7 +1,10 @@
+import pathlib
 import random
 
+import gen
 import pytest
 
+from aspkit import syntax
 from aspkit.parser import (
     MAX_TERM_DEPTH,
     MissingDotError,
@@ -10,7 +13,10 @@ from aspkit.parser import (
     substitute_constants,
 )
 from aspkit.pipeline import GroundOptions, ground_text_input, solve_ground
-from aspkit.syntax import Aggregate, Atom, Comparison, Integer, Range, Variable
+from aspkit.records import Record
+from aspkit.syntax import Aggregate, Atom, Comparison, Integer, Range, Rule, SymbolicConst, Variable
+
+PROGRAMS = sorted((pathlib.Path(__file__).resolve().parent.parent / "programs").glob("*.lp"))
 
 
 def rt(text):
@@ -89,6 +95,84 @@ def test_const_decl_and_substitution():
     assert rng.hi == Integer(3)
     q2 = substitute_constants(p, {"n": 5})
     assert q2.rules[0].head.args[0].hi == Integer(5)
+
+    # Every term position: head arguments, body atoms, comparisons,
+    # conditions, aggregate bounds and weights, ranges, pools and compute
+    # literals. `m` is bound only by the bindings, which override #const n.
+    text = ("#const n = 3.\n"
+            "p(n, X) :- q(m + 1), X < n * 2, r(X).\n"
+            "n { s(X, n) : d(X, m) } m :- t.\n"
+            "u :- n [ s(X, 1) : d(X) = n, v(m) = -m ] m.\n"
+            "d(1..n). w(n; a; m).\n"
+            "keep(X) :- d(X), X != a, not w(a).\n"
+            "compute { p(n, 1), not q(m) }.\n")
+    p = parse_text(text, "<t>")
+    q = substitute_constants(p, {"m": 7, "n": 4})
+    assert q.to_source() == parse_text(
+        "#const n = 3.\n"
+        "p(4, X) :- q(7 + 1), X < 4 * 2, r(X).\n"
+        "4 { s(X, 4) : d(X, 7) } 7 :- t.\n"
+        "u :- 4 [ s(X, 1) : d(X) = 4, v(7) = -7 ] 7.\n"
+        "d(1..4). w(4; a; 7).\n"
+        "keep(X) :- d(X), X != a, not w(a).\n"
+        "compute { p(4, 1), not q(7) }.\n", "<t>").to_source()
+    assert "SymbolicConst(name='n')" not in repr(q) and "'m'" not in repr(q)
+    # A rule that holds no bound constant is not rebuilt.
+    assert [a is b for a, b in zip(q.rules, p.rules)] == [False] * 5 + [True]
+    assert substitute_constants(p).rules[0].head.args[0] == Integer(3)
+
+
+def _records(node):
+    """Every record in `node`, walked over fields and tuples, parents first."""
+    if isinstance(node, tuple):
+        for item in node:
+            yield from _records(item)
+    elif isinstance(node, Record):
+        yield node
+        for field in node.__slots__:
+            yield from _records(getattr(node, field))
+
+
+def test_syntax_records_rebuild_from_their_slot_values():
+    # syntax.rewrite rebuilds a changed record as type(node)(*values), its
+    # field values in __slots__ order; each class must take them back so.
+    rng = random.Random(28)
+    texts = [path.read_text(encoding="utf-8") for path in PROGRAMS]
+    for _ in range(10):
+        texts += [gen.aggregate_source(rng), gen.comparison_program(rng)[0],
+                  gen.conditional_program(rng), gen.arithmetic_program(rng)]
+    seen = set()
+    for text in texts:
+        for node in _records(parse_text(text, "<t>")):
+            values = [getattr(node, f) for f in node.__slots__]
+            rebuilt = type(node)(*values)
+            assert rebuilt == node
+            assert all(getattr(rebuilt, f) is v for f, v in zip(node.__slots__, values)), node
+            seen.add(type(node))
+    classes = {c for c in vars(syntax).values()
+               if isinstance(c, type) and issubclass(c, Record) and c.__module__ == syntax.__name__}
+    assert seen == classes
+
+
+def test_rewrite_keeps_untouched_subtrees_and_rebuilds_children_first():
+    p = parse_text("p(a, X) :- q(b), X < a. r(c).", "<t>")
+    order = []
+
+    def fn(node):
+        order.append(type(node).__name__)
+        return Integer(1) if node == SymbolicConst("a") else node
+
+    q = syntax.rewrite(p, fn)
+    assert q.to_source() == "p(1,X) :- q(b), X < 1.\nr(c).\n"
+    assert q.rules[1] is p.rules[1] and q.rules[0].body[0] is p.rules[0].body[0]
+    assert q.rules[0].loc is p.rules[0].loc and q.const_decls is p.const_decls
+    assert order[-1] == "Program" and order.index("SymbolicConst") < order.index("Atom")
+    assert syntax.rewrite(p, lambda node: node) is p
+
+
+def test_empty_integrity_constraint_prints_as_a_parsable_rule():
+    assert Rule(None, ()).to_source() == ":- 1 == 1."
+    assert parse_text(":- 1 == 1.", "<t>").rules[0].head is None
 
 
 def test_compute_statement():
