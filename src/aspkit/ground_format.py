@@ -14,15 +14,13 @@ lines (counts first, negative literals before positive ones):
     5 head bound #lits #neg <neg..> <pos..> <negw..> <posw..>   weight
 
 Parsing preserves section contents exactly, so emit(parse(text)) == text for
-any file this module itself produced. The rule section and the symbol table
-in the form the writer produces are read in bulk, and any other form line
-by line, with the same result. In bulk, a run of consecutive basic rule
-lines of one shape is read by columns: its type and count columns are
-compared as strings, and only its heads and literals are converted to int.
+any file this module itself produced. The writer builds the rule section with
+one %: a format per rule shape, its counts written in, and one list of numbers.
+The reader takes the writer's form in bulk, runs of basic rules of one shape
+by columns, and any other form line by line, with the same result.
 """
 
 import re
-from functools import lru_cache
 from itertools import groupby, repeat
 from operator import ne
 
@@ -104,46 +102,48 @@ def compact_atom_ids(gp):
                          gp.models, k), ids
 
 
-@lru_cache(maxsize=64)
-def _line_format(n):
-    """"%d %d ... %d" with n fields. One format writes a whole rule line,
-    about twice as fast as joining str() of each number."""
-    return " ".join(["%d"] * n)
-
-
-def _rule_line(r):
-    if isinstance(r, BasicRule):
-        lits = r.neg + r.pos
-        nums = (1, r.head, len(lits), len(r.neg)) + lits
-    elif isinstance(r, ConstraintRule):
-        lits = r.neg + r.pos
-        nums = (2, r.head, len(lits), len(r.neg), r.bound) + lits
-    elif isinstance(r, ChoiceRule):
-        lits = r.neg + r.pos
-        nums = (3, len(r.heads)) + r.heads + (len(lits), len(r.neg)) + lits
-    elif isinstance(r, WeightRule):
-        lits = r.neg + r.pos
-        nums = ((5, r.head, r.bound, len(lits), len(r.neg))
-                + lits + r.neg_weights + r.pos_weights)
-    else:
-        raise TypeError(f"not a primitive rule: {r!r}")
-    return _line_format(len(nums)) % nums
+def _format(r):
+    """Rule r's line format: type and counts written in, the rest %d."""
+    n, k = len(r.neg) + len(r.pos), len(r.neg)
+    lits = " %d" * n
+    if type(r) is BasicRule:
+        return f"1 %d {n} {k}{lits}"
+    if type(r) is ConstraintRule:
+        return f"2 %d {n} {k} %d{lits}"
+    if type(r) is ChoiceRule:
+        return f"3 {len(r.heads)}{' %d' * len(r.heads)} {n} {k}{lits}"
+    return f"5 %d %d {n} {k}{lits}" + " %d" * (len(r.neg_weights) + len(r.pos_weights))
 
 
 def emit_ground_program(gp):
-    lines = list(map(_rule_line, gp.rules))
-    lines.append("0")
-    lines += [f"{i} {name}" for i, name in gp.symbols.items()]
-    lines.append("0")
-    lines.append("B+")
-    lines += map(str, gp.compute_true)
-    lines.append("0")
-    lines.append("B-")
-    lines += map(str, gp.compute_false)
-    lines.append("0")
-    lines.append(str(gp.models))
-    lines.append("")  # the text ends with a line end
-    return "\n".join(lines)
+    formats, numbers, cache = [], [], {}  # cache: shape -> format, for this call
+    for r in gp.rules:
+        t = type(r)
+        if t is BasicRule:
+            shape = (t, len(r.neg), len(r.pos))
+            numbers.append(r.head)
+        elif t is ChoiceRule:
+            shape = (t, len(r.neg), len(r.pos), len(r.heads))
+            numbers += r.heads
+        elif t is ConstraintRule:
+            shape = (t, len(r.neg), len(r.pos))
+            numbers += r.head, r.bound
+        elif t is WeightRule:
+            shape = (t, len(r.neg), len(r.pos), len(r.neg_weights), len(r.pos_weights))
+            numbers += r.head, r.bound
+        else:
+            raise TypeError(f"not a primitive rule: {r!r}")
+        numbers += r.neg
+        numbers += r.pos
+        if t is WeightRule:
+            numbers += r.neg_weights + r.pos_weights
+        formats.append(cache.get(shape) or cache.setdefault(shape, _format(r)))
+    # formats, not gp.rules, tells an empty section: a generator is truthy
+    lines = ["\n".join(formats) % tuple(numbers)] if formats else []
+    del formats, numbers  # so they do not add to the peak of the join below
+    return "\n".join([*lines, "0", *[f"{i} {a}" for i, a in gp.symbols.items()], "0",
+                      "B+", *map(str, gp.compute_true), "0", "B-",
+                      *map(str, gp.compute_false), "0", str(gp.models), ""])
 
 
 _RULE_KINDS = {1: "basic rule", 2: "cardinality rule", 3: "choice rule", 5: "weight rule"}

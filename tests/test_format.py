@@ -1,6 +1,7 @@
 import itertools
 import pathlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -19,6 +20,7 @@ from aspkit.ground_format import (
 from aspkit.pipeline import (
     GroundOptions,
     ground_files,
+    ground_text_input,
     solve_ground,
     verify_model,
     well_founded_ground,
@@ -538,3 +540,137 @@ def test_ancestor_grounding_is_read_by_columns(monkeypatch):
                           GroundOptions(domain_mode=mode)).interchange
         assert parse_ground_program(emit_ground_program(gp)) == gp
     assert calls == [("keep", "_read_run")] * 3 + [("none", "_read_lines")]
+
+
+def _rule_line(r):
+    """One rule line, written number by number: the reference the writer's
+    one-% rule section must equal byte for byte."""
+    lits = r.neg + r.pos
+    if isinstance(r, BasicRule):
+        nums = (1, r.head, len(lits), len(r.neg)) + lits
+    elif isinstance(r, ConstraintRule):
+        nums = (2, r.head, len(lits), len(r.neg), r.bound) + lits
+    elif isinstance(r, ChoiceRule):
+        nums = (3, len(r.heads)) + r.heads + (len(lits), len(r.neg)) + lits
+    else:
+        nums = ((5, r.head, r.bound, len(lits), len(r.neg))
+                + lits + r.neg_weights + r.pos_weights)
+    return " ".join(["%d"] * len(nums)) % nums
+
+
+def _reference_text(gp):
+    lines = list(map(_rule_line, gp.rules))
+    lines.append("0")
+    lines += [f"{i} {name}" for i, name in gp.symbols.items()]
+    lines += ["0", "B+", *map(str, gp.compute_true), "0", "B-",
+              *map(str, gp.compute_false), "0", str(gp.models), ""]
+    return "\n".join(lines)
+
+
+def _mixed_rules(rng, count):
+    """`count` rules of all four types, each of another shape than the one
+    before it, so that no two neighbours could share a line format."""
+    rules, last = [], None
+    while len(rules) < count:
+        lits = tuple(rng.randint(2, 9999) for _ in range(rng.randint(0, 5)))
+        k = rng.randint(0, len(lits))
+        neg, pos = lits[:k], lits[k:]
+        head = rng.randint(2, 9999)
+        kind = rng.randrange(4)
+        if kind == 0:
+            r = BasicRule(head, pos, neg)
+        elif kind == 1:
+            r = ConstraintRule(head, rng.randint(0, len(lits)), pos, neg)
+        elif kind == 2:
+            r = ChoiceRule(tuple(rng.randint(2, 9999) for _ in range(rng.randint(0, 3))),
+                           pos, neg)
+        else:
+            r = WeightRule(head, rng.randint(0, 30), pos, neg,
+                           tuple(rng.randint(0, 9) for _ in pos),
+                           tuple(rng.randint(0, 9) for _ in neg))
+        shape = (type(r), len(neg), len(pos), len(getattr(r, "heads", ())))
+        if shape != last:
+            rules.append(r)
+            last = shape
+    return rules
+
+
+def _program(rules):
+    return GroundProgram(rules, {2: "a", 3: "b"}, (2,), (1,), 3)
+
+
+def test_writer_equals_the_per_line_reference():
+    rng = random.Random(29)
+    programs = [gen.basic_rule_runs(rng) for _ in range(8)]
+    programs += [_program(_mixed_rules(rng, 3000)) for _ in range(3)]
+    programs += [_program(rules) for rules in (
+        [ChoiceRule((), (3,), (4,)), ChoiceRule((), (), ()), BasicRule(2, (), ())],
+        [BasicRule(2, (), ()), ConstraintRule(2, 0, (), ()), ChoiceRule((2, 3), (), ()),
+         WeightRule(2, 0, (), (), (), ())],
+        [WeightRule(2, 7, (3, 4), (5,), (2, 3), (4,)),
+         WeightRule(3, 1, (4,), (5, 6), (1,), (0, 9))],
+        [],
+        (BasicRule(2, (3,), (4,)), ChoiceRule((3,), (), (2,))),
+    )]
+    for gp in programs:
+        text = emit_ground_program(gp)
+        assert text == _reference_text(gp)
+        assert parse_ground_program(text) == GroundProgram(
+            list(gp.rules), gp.symbols, gp.compute_true, gp.compute_false, gp.models)
+
+
+def test_rules_given_as_a_generator():
+    # A generator is truthy even when it yields nothing, so the section's
+    # emptiness is told from the rules written, not from gp.rules.
+    rules = [BasicRule(2, (3,), (4,)), ChoiceRule((3,), (), ())]
+    assert emit_ground_program(_program(iter(rules))) == _reference_text(_program(rules))
+    text = emit_ground_program(_program(r for r in ()))
+    assert text == _reference_text(_program([])) and text.startswith("0\n2 a\n")
+
+
+def test_a_rule_that_is_not_primitive_is_a_type_error():
+    rules = [BasicRule(2, (), ()), "a :- b."]
+    with pytest.raises(TypeError, match=r"^not a primitive rule: 'a :- b\.'$"):
+        emit_ground_program(_program(rules))
+
+
+def test_writer_peak_on_a_large_grounding():
+    # C7's program in keep mode: 225,444 rules, 6.5 MiB of text. Writing
+    # each rule line as a string of its own peaked at 31.4 MiB (4.8 times
+    # the text) under tracemalloc; one format and one % for the section
+    # peak at 19.1 MiB (2.9 times).
+    gp = ground_text_input(gen.scale_instance(), GroundOptions()).interchange
+    tracemalloc.start()
+    try:
+        size = len(emit_ground_program(gp))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == 6_812_246
+    assert peak < 4 * size, peak
+
+
+def test_format_cache_lives_for_one_call():
+    # 500 rules of 1..2,000 literals have 500 shapes, whose formats take
+    # about 1.5 MB; a cache kept from one call to the next would hold them
+    # all after the first call.
+    rules = []
+    for n in range(1, 2001, 4):
+        body = tuple(a % 97 + 2 for a in range(n))
+        rules.append(BasicRule(2, body[n // 3:], body[:n // 3]))
+    gp = _program(rules)
+    peaks, kept = [], []
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            text = emit_ground_program(gp)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            del text
+            kept.append(tracemalloc.get_traced_memory()[0] - before)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= peaks[0], peaks
+    assert max(kept) < 2**20, kept
+    assert parse_ground_program(emit_ground_program(gp)) == gp
