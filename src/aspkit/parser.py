@@ -1,15 +1,20 @@
 """Recursive-descent parser producing syntax.Program values.
 
-Operator precedence: *, /, mod bind tighter than +, -; unary minus and abs
-bind tightest. Comparisons are always positive literals (a negated comparison
-must be written with the dual operator). Ranges and pools are only accepted
-at argument positions of plain atoms, not inside aggregates or conditions.
-Terms nest at most MAX_TERM_DEPTH levels deep.
+Binary operators bind as `syntax.BINARY_LEVELS` says, the table the printer
+reads too (*, /, mod tighter than +, -), left-associative at each level;
+unary minus and abs bind tightest. A minus directly before an integer is
+part of the literal, so -9223372036854775808 can be written. Comparisons
+are always positive literals (a negated comparison must be written with the
+dual operator). Ranges and pools are only accepted at argument positions of
+plain atoms, not inside aggregates or conditions. Terms nest at most
+MAX_TERM_DEPTH levels deep.
 """
 
-from .lexer import tokenize
+from .lexer import INT64_MAX, tokenize
 from .shared import read_text
 from .syntax import (
+    BINARY_LEVELS,
+    COMPARISON_OPS,
     Aggregate,
     AggregateElem,
     Atom,
@@ -27,8 +32,8 @@ from .syntax import (
     rewrite,
 )
 
-_COMPOPS = {"EQ": "==", "NE": "!=", "LT": "<", "LE": "<=", "GT": ">", "GE": ">="}
 _TERM_START = ("INTEGER", "IDENT", "VARIABLE", "MINUS", "LPAREN", "ABS")
+_TIGHTEST = max(BINARY_LEVELS.values())
 MAX_TERM_DEPTH = 100
 
 
@@ -101,7 +106,7 @@ class _Parser:
     # -- terms --------------------------------------------------------------
 
     def term(self):
-        return self._sum(0)[0]
+        return self._binary(0, 1)[0]
 
     def _nested(self, levels):
         """Reject a term nested deeper than MAX_TERM_DEPTH, so that neither
@@ -116,19 +121,17 @@ class _Parser:
     # operator, parenthesis or abs() around it adds one. `depth` is the
     # number of levels already open around the term being parsed.
 
-    def _sum(self, depth):
-        t, h = self._product(depth)
-        while self.at("PLUS", "MINUS"):
-            op = self.next().text
-            rhs, rh = self._product(depth)
-            t, h = FuncApp(op, (t, rhs)), self._nested(max(h, rh) + 1)
-        return t, h
-
-    def _product(self, depth):
+    def _binary(self, depth, level):
+        """A term whose binary operators bind at `level` or tighter. The
+        right operand of a tightest operator is a unary term, parsed
+        directly, so a nesting level costs at most three frames."""
         t, h = self._unary(depth)
-        while self.at("STAR", "SLASH", "MOD"):
+        while (op_level := BINARY_LEVELS.get(self.peek().text, 0)) >= level:
             op = self.next().text
-            rhs, rh = self._unary(depth)
+            if op_level < _TIGHTEST:
+                rhs, rh = self._binary(depth, op_level + 1)
+            else:
+                rhs, rh = self._unary(depth)
             t, h = FuncApp(op, (t, rhs)), self._nested(max(h, rh) + 1)
         return t, h
 
@@ -136,18 +139,25 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "MINUS":
             self.next()
+            if self.at("INTEGER"):  # a negative literal, down to INT64_MIN
+                self._nested(depth + 1)
+                return Integer(-self.next().value), 2
             inner, h = self._unary(self._nested(depth + 1))
             h = self._nested(h + 1)
-            if isinstance(inner, Integer):
+            # -INT64_MIN is left to overflow at grounding
+            if isinstance(inner, Integer) and -inner.value <= INT64_MAX:
                 return Integer(-inner.value), h
             return FuncApp("-", (inner,)), h
         if tok.kind == "ABS":
             self.next()
             self.expect("LPAREN", "'(' after abs")
-            t, h = self._sum(self._nested(depth + 1))
+            t, h = self._binary(self._nested(depth + 1), 1)
             self.expect("RPAREN", "')'")
             return FuncApp("abs", (t,)), self._nested(h + 1)
         if tok.kind == "INTEGER":
+            if tok.value > INT64_MAX:  # 2**63 after a binary minus
+                self.error("an integer within 64 bits",
+                           message=f"integer literal out of 64-bit range: {tok.text}")
             self.next()
             return Integer(tok.value), 1
         if tok.kind == "IDENT":
@@ -158,7 +168,7 @@ class _Parser:
             return Variable(tok.text), 1
         if tok.kind == "LPAREN":
             self.next()
-            t, h = self._sum(self._nested(depth + 1))
+            t, h = self._binary(self._nested(depth + 1), 1)
             self.expect("RPAREN", "')'")
             return t, self._nested(h + 1)
         self.error("a term")
@@ -210,7 +220,7 @@ class _Parser:
             if not self.at("IDENT"):
                 self.error("an atom after 'not' (negate comparisons with the dual operator)")
             a = self.atom(allow_range_pool=True)
-            if self.at(*_COMPOPS):
+            if self.peek().text in COMPARISON_OPS:
                 self.error("no comparison after a negated atom", tok=self.peek(),
                            message="atoms cannot be compared; negate the comparison operator instead")
             return Literal(False, a, self.conditions())
@@ -218,13 +228,13 @@ class _Parser:
             return self.aggregate(None, in_head=False)
         if tok.kind == "IDENT" and self.peek(1).kind == "LPAREN":
             a = self.atom(allow_range_pool=True)
-            if self.at(*_COMPOPS):
+            if self.peek().text in COMPARISON_OPS:
                 self.error("',' or '.'", message="atoms cannot be compared")
             return Literal(True, a, self.conditions())
         # Expression: comparison, aggregate lower bound, or 0-ary atom.
         t = self.term()
-        if self.at(*_COMPOPS):
-            op = _COMPOPS[self.next().kind]
+        if self.peek().text in COMPARISON_OPS:
+            op = self.next().text
             rhs = self.term()
             return Literal(True, Comparison(t, op, rhs, self.loc(tok)))
         if self.at("LBRACE", "LBRACKET"):

@@ -6,24 +6,24 @@ for diagnostics but are excluded from structural equality, so
 parse -> print -> parse round-trips compare equal.
 
 This module owns the tree's shape and its concrete syntax. `rewrite` is
-the one walk that rebuilds a tree. `format_atom`, `aggregate_source`,
-`rule_source` and `compute_source` are the layouts over printed parts;
-the `to_source` methods here and the ground printer in `grounding` both
-print through them.
+the one walk that rebuilds a tree. `BINARY_LEVELS` is the operators'
+precedence table, which the parser and the printer both read.
+`format_atom`, `aggregate_source`, `rule_source` and `compute_source`
+are the layouts over printed parts; the `to_source` methods here and the
+ground printer in `grounding` both print through them.
 """
 
 import operator
 
 from .records import Record
 
-ARITH_OPS = ("+", "-", "*", "/", "mod")
 COMPARISON_OPS = ("==", "!=", "<", "<=", ">", ">=")
 
-# Binding strength used by the printer; the parser encodes the same table in
-# its grammar: mul ops bind tighter than add ops, unary minus and abs tightest.
-_ADD_LEVEL = 1
-_MUL_LEVEL = 2
-_UNARY_LEVEL = 3
+# The binding level of each binary operator, higher binding tighter, each
+# level left-associative; the parser and the printer both read it. Unary
+# minus and abs bind tighter than any binary operator.
+BINARY_LEVELS = {"+": 1, "-": 1, "*": 2, "/": 2, "mod": 2}
+_UNARY_LEVEL = max(BINARY_LEVELS.values()) + 1
 
 
 class Loc(Record):
@@ -92,7 +92,8 @@ class Pool(Record):
 
 
 class FuncApp(Record):
-    """Built-in arithmetic application; op in ARITH_OPS or "abs".
+    """Built-in arithmetic application: a binary operator of BINARY_LEVELS
+    with two arguments, or "-" or "abs" with one.
 
     Unary minus is FuncApp("-", (x,)); the parser folds it on integer
     literals so plain negative numbers stay Integer nodes.
@@ -112,11 +113,7 @@ Term = Variable | SymbolicConst | Integer | Range | Pool | FuncApp
 
 def _level(t):
     if isinstance(t, FuncApp):
-        if t.op in ("+", "-") and len(t.args) == 2:
-            return _ADD_LEVEL
-        if t.op in ("*", "/", "mod"):
-            return _MUL_LEVEL
-        return _UNARY_LEVEL
+        return BINARY_LEVELS[t.op] if len(t.args) == 2 else _UNARY_LEVEL
     return _UNARY_LEVEL + 1
 
 

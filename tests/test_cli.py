@@ -261,6 +261,9 @@ def test_constant_at_the_64_bit_limits_is_accepted(run, tmp_path, value):
     code, out, err = run(["run", "-c", f"n={value}", src])
     assert (code, err) == (0, "")
     assert f"Stable Model: p({value})\n" in out
+    # `p(-9223372036854775808).` is source too
+    for mode in ("keep", "none"):
+        assert_text_runs_as_source(run, tmp_path, [src], ["-c", f"n={value}"], mode)
 
 
 def test_model_count_of_too_many_digits_is_a_usage_error(run, tmp_path):

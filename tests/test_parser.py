@@ -1,10 +1,14 @@
+import itertools
 import pathlib
 import random
+import sys
 
 import gen
 import pytest
 
 from aspkit import syntax
+from aspkit.grounding import ArithmeticEvalError
+from aspkit.lexer import INT64_MIN, LexError
 from aspkit.parser import (
     MAX_TERM_DEPTH,
     MissingDotError,
@@ -14,7 +18,17 @@ from aspkit.parser import (
 )
 from aspkit.pipeline import GroundOptions, ground_text_input, solve_ground
 from aspkit.records import Record
-from aspkit.syntax import Aggregate, Atom, Comparison, Integer, Range, Rule, SymbolicConst, Variable
+from aspkit.syntax import (
+    Aggregate,
+    Atom,
+    Comparison,
+    FuncApp,
+    Integer,
+    Range,
+    Rule,
+    SymbolicConst,
+    Variable,
+)
 
 PROGRAMS = sorted((pathlib.Path(__file__).resolve().parent.parent / "programs").glob("*.lp"))
 
@@ -261,3 +275,86 @@ def test_deeply_nested_term_is_a_parse_error(shape):
     g = ground_text_input(f"p({limit}) :- d(X). d(1).",
                           GroundOptions(lint=True))
     assert list(solve_ground(g.interchange))
+
+
+def _arg(text):
+    return parse_text(f"p({text}).", "<t>").rules[0].head.args[0]
+
+
+def test_least_integer_is_a_literal():
+    least = str(INT64_MIN)
+    assert _arg(least) == _arg(f"- {least[1:]}") == Integer(INT64_MIN)
+    assert parse_text(f"#const n = {least}.", "<t>").const_decls == {"n": INT64_MIN}
+    assert _arg(f"X - {least}") == FuncApp("-", (Variable("X"), Integer(INT64_MIN)))
+    assert _arg(f"abs({least})") == FuncApp("abs", (Integer(INT64_MIN),))
+    assert _arg("- -5") == _arg("-(-5)") == Integer(5)
+
+
+def test_least_integer_negated_again_overflows_at_grounding():
+    # -(-2**63) is past 64 bits: it is not folded but left to the grounder
+    assert _arg(f"- {INT64_MIN}") == FuncApp("-", (Integer(INT64_MIN),))
+    with pytest.raises(ArithmeticEvalError, match="integer overflow in arithmetic"):
+        ground_text_input(f"p(- {INT64_MIN}).")
+
+
+@pytest.mark.parametrize("text, error, col", [
+    # after a binary minus 2**63 is out of range, at the digits
+    (f"p(X - {-INT64_MIN}) :- d(X).", ParseError, 7),
+    (f"p(X-{-INT64_MIN}) :- d(X).", ParseError, 5),
+    (f"p(-({-INT64_MIN})).", LexError, 5),
+    (f"p(-{1 - INT64_MIN}).", LexError, 4),
+])
+def test_unnegated_two_to_the_63_is_out_of_range(text, error, col):
+    with pytest.raises(error) as err:
+        parse_text(text, "<t>")
+    assert (err.value.line, err.value.col) == (1, col)
+    assert err.value.message.startswith("integer literal out of 64-bit range: 92233720368547758")
+
+
+def test_syntax_error_comes_before_a_later_two_to_the_63():
+    # the parser, not the lexer, rejects 2**63 after a binary minus, so an
+    # earlier syntax error is the one reported
+    with pytest.raises(ParseError) as err:
+        parse_text(f"p(.\nq(X - {-INT64_MIN}).", "<t>")
+    assert (err.value.line, err.value.col, err.value.message) == (
+        1, 3, "expected a term, found '.'")
+
+
+def _trees(depth):
+    """Every term up to `depth` levels deep over X and Y, with each binary
+    operator, unary minus and abs."""
+    if depth == 1:
+        return [Variable("X"), Variable("Y")]
+    below = _trees(depth - 1)
+    return ([Variable("X"), Variable("Y")]
+            + [FuncApp(op, (t,)) for op in ("-", "abs") for t in below]
+            + [FuncApp(op, pair) for op in syntax.BINARY_LEVELS
+               for pair in itertools.product(below, repeat=2)])
+
+
+def test_printed_terms_parse_back_to_the_same_tree():
+    # associativity and mixed levels: a - (b - c), a / (b * c), -(a + b)
+    trees = _trees(3)
+    assert len(trees) == 3434
+    for t in trees:
+        assert _arg(syntax.term_source(t)) == t, syntax.term_source(t)
+
+
+def test_term_parsing_takes_at_most_three_frames_per_nesting_level():
+    def deepest(levels):
+        text = "X + X * (" * levels + "X" + ")" * levels
+        depth = [0, 0]
+
+        def profile(frame, event, arg):
+            if event == "call":
+                depth[0] += 1
+                depth[1] = max(depth)
+            elif event == "return":
+                depth[0] -= 1
+        sys.setprofile(profile)
+        try:
+            _arg(text)
+        finally:
+            sys.setprofile(None)
+        return depth[1]
+    assert deepest(30) - deepest(15) <= 3 * 15
