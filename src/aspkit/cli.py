@@ -155,10 +155,10 @@ def _grounds(cmd):
         try:
             return cmd(args)
         except (ParseError, SemanticError, GroundingError) as e:
-            # the warnings and lint notes made before the error come first
-            lines = getattr(e, "warnings", []) + getattr(e, "diagnostics", [e])
-            for line in lines:
-                print(line, file=sys.stderr)
+            # The warnings and lint notes made before the error come first.
+            # No local may hold the error, whose traceback holds this frame.
+            sys.stderr.write("".join(f"{line}\n" for line in
+                                     getattr(e, "warnings", []) + getattr(e, "diagnostics", [e])))
             if isinstance(e, ParseError):
                 return 2
             return 4 if isinstance(e, ArithmeticEvalError) else 3

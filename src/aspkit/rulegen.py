@@ -1,12 +1,16 @@
 """Rules compiled to Python: the grounder's joins.
 
-`RuleFunction` writes a rule as one Python function and compiles it once:
-nested `for` loops over the extensions of the body's positive domain
-literals, its other literals checked or assembled inline, atom names as
-f-strings. ASP variables are numbered locals, constants the `repr()` of
-parsed values, and arithmetic calls `_check64` and `_divide`, so errors
-are those of a direct evaluation. The file name `<rule FILE:LINE>` and the
-lines in `linecache` name the rule in tracebacks and profiles. The rule
+`RuleFunction` writes a rule as one Python function: nested `for` loops
+over the extensions of the body's positive domain literals, its other
+literals checked or assembled inline, atom names as f-strings. ASP
+variables are numbered locals; arithmetic calls `_check64` and `_divide`,
+so errors are those of a direct evaluation. Predicate names, constants,
+extensions and locations are the function's parameters, so two rules that
+differ only in them have the same code: a process compiles each rule shape
+once, and keeps the code of the last `_SHAPES` shapes it used. Each rule's
+function still has the file name `<rule FILE:LINE>`, and `linecache` holds
+its own text, in the shape's line layout with the rule and its
+comparisons as comments; so tracebacks and profiles name the rule. The rule
 decides the form of its instances: where the body is plain literals,
 positive ones before negative ones, and the head an atom or none, an
 instance whose literals of one predicate have different names is the
@@ -26,6 +30,8 @@ bytes and errors do not depend on it.
 
 import linecache
 from bisect import bisect_left, bisect_right
+from functools import lru_cache, partial
+from types import CodeType, FunctionType
 
 from .analysis import atom_vars, term_vars
 from .grounding import (_EMPTY_EXT, ArithmeticEvalError, GAgg, GRule, GroundingError,
@@ -122,18 +128,15 @@ def _tuple(items):
     return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
 
 
-def _braced(text):
-    return text.replace("{", "{{").replace("}", "}}")
-
-
 def _any_equal(names):
     """A test that two of the locals `names` hold equal values."""
     return " == ".join(names) if len(names) == 2 else f"len({{{', '.join(names)}}}) < {len(names)}"
 
 
 class _Source:
-    """The lines of one generated function, the objects it takes as
-    parameters, and the locals its ASP variables are bound to."""
+    """The lines of one generated function, each a (code, code with its
+    note) pair, the objects it takes as parameters, and the locals its ASP
+    variables are bound to."""
 
     def __init__(self):
         self.lines, self.params, self.refs, self.vars, self.count = [], {}, {}, {}, 0
@@ -144,27 +147,36 @@ class _Source:
         self.params[name] = obj
         return name
 
+    def const(self, value):
+        """A parameter of its own that passes the name or int `value` in."""
+        name = f"C{len(self.params)}"
+        self.params[name] = value
+        return name
+
     def local(self, prefix):
         self.count += 1
         return f"{prefix}{self.count}"
 
     def emit(self, depth, line, note=None):
-        if note is not None:  # as a comment, so nothing in it can run
+        code = "    " * depth + line if line else ""
+        if note is None:
+            self.lines.append((code, code))
+            return
+        if not note.isprintable():  # a comment: nothing in it runs
             note = "".join(c if c.isprintable() else "?" for c in note)
-            line = f"{line}  # {note}" if line else f"# {note}"
-        self.lines.append("    " * depth + line)
+        self.lines.append((code, f"{code}  # {note}" if line else "    " * depth + f"# {note}"))
 
     def expr(self, t, loc):
         """An expression that evaluates term `t` as a direct walk does:
         arguments left to right, each type-checked before the next is
         evaluated, with the same errors at `loc`."""
         if isinstance(t, Integer):
-            return repr(t.value)
+            return self.const(t.value)
         if isinstance(t, SymbolicConst):
-            return repr(t.name)
+            return self.const(t.name)
         if isinstance(t, Variable):
             return self.vars.get(t.name) or (
-                f"_fail({self.ref(loc, 'L')}, 'unbound variable', {t.name!r})")
+                f"_fail({self.ref(loc, 'L')}, 'unbound variable', {self.const(t.name)})")
         at = self.ref(loc, "L")
         args = []
         for a in t.args:
@@ -203,13 +215,17 @@ class _Source:
 
     def printed(self, atom, values):
         """Source of the printed name of `atom`, whose arguments are in the
-        locals or constants `values`: an f-string, or a str if it is ground."""
+        locals or parameters `values`: a parameter if it is ground, else an
+        f-string of the variables' values and, as parameters, the text
+        between them."""
         consts = [str(t.value) if isinstance(t, Integer) else
                   t.name if isinstance(t, SymbolicConst) else None for t in atom.args]
-        if None not in consts:
-            return repr(format_atom(atom.pred, consts))
-        return "f" + repr(format_atom(_braced(atom.pred), [
-            "{" + x + "}" if c is None else _braced(c) for c, x in zip(consts, values)]))
+        # no name holds a NUL, which the lexer rejects
+        texts = format_atom(atom.pred, ["\0" if c is None else c for c in consts]).split("\0")
+        parts = [self.const(texts[0])]
+        for text, x in zip(texts[1:], [x for c, x in zip(consts, values) if c is None]):
+            parts += [x, self.const(text)]
+        return parts[0] if len(parts) == 1 else "f'" + "".join("{" + p + "}" for p in parts) + "'"
 
 
 def evaluate(t, loc):
@@ -336,6 +352,20 @@ _RUNTIME = {name: globals()[name] for name in (
     "BasicRule", "GAgg", "GRule", "GroundingError", "_Dead", "_abs", "_add_element",
     "_between", "_check64", "_fail", "_interned", "_mod", "_quotient", "_unbound_constant")}
 
+_SHAPES = 256  # rule shapes whose code a process keeps, the least recently used going first
+
+
+@lru_cache(maxsize=_SHAPES)
+def _shape_code(source):
+    """The code of the function that `source` defines."""
+    return next(c for c in compile(source, "<rule>", "exec").co_consts if isinstance(c, CodeType))
+
+
+def _renamed(code, filename):
+    """`code`, and the functions defined in it, under `filename`."""
+    return code.replace(co_filename=filename, co_consts=tuple(
+        _renamed(c, filename) if isinstance(c, CodeType) else c for c in code.co_consts))
+
 
 # -- rule instantiation ---------------------------------------------------------
 
@@ -397,15 +427,14 @@ class RuleFunction(_Source):
         body = self.lines
         self.join(1, _Plan(join_atoms, checks, (), self.ext, rule.loc), "return",
                   self.instance, split=True)
-        header = f"def rule({', '.join(['R' if self.domain_head else 'out, G, I', *self.params])}):"
-        source = "\n".join([header, body[0], *sum(self.defs, []), *body[1:]]) + "\n"
+        header = f"def rule({', '.join([*self.params, 'R' if self.domain_head else 'out, G, I'])}):"
+        shape, text = zip((header, header), body[0], *sum(self.defs, []), *body[1:])
+        code = _shape_code("\n".join(shape) + "\n")
+        source = "\n".join(text) + "\n"
         filename = f"<rule {rule.loc.file}:{rule.loc.line}>" if rule.loc else "<rule>"
-        namespace = dict(_RUNTIME)
-        exec(compile(source, filename, "exec"), namespace)
         linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-        # No reference cycle, which would keep the extensions alive until a collection.
-        function, params = namespace.pop("rule"), self.params.values()
-        self.run = lambda *targets: function(*targets, *params)
+        # Globals that do not hold the function: no reference cycle keeps the extensions alive.
+        self.run = partial(FunctionType(_renamed(code, filename), _RUNTIME), *self.params.values())
 
     def join(self, depth, plan, skip, inner, split=False):
         """Emit `plan`'s checks and loops, then `inner(depth, skip)` inside,
@@ -418,7 +447,7 @@ class RuleFunction(_Source):
                 part = self.local("part")
                 args = ", ".join(sorted(set(self.vars.values())))
                 self.emit(depth, f"{part}({args})")
-                self.lines = [f"    def {part}({args}):"]
+                self.lines = [(f"    def {part}({args}):",) * 2]
                 self.defs.append(self.lines)
                 depth, skip = 2, "return"
             if step is not None:

@@ -511,6 +511,73 @@ def test_generated_functions_are_named_after_their_rule(tmp_path):
         f"<rule {path}:2>"}
 
 
+@pytest.fixture
+def compiled(monkeypatch):
+    """The file names of rulegen's compile() calls, from an empty code cache."""
+    rulegen._shape_code.cache_clear()
+    calls = []
+
+    def counting(source, filename, mode):
+        calls.append(filename)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(rulegen, "compile", counting, raising=False)
+    yield calls
+    rulegen._shape_code.cache_clear()
+
+
+def test_rules_of_one_shape_share_their_code(tmp_path, compiled):
+    # p and q differ only in names and constants: one compile serves both,
+    # and each still runs, and fails, under its own name and text.
+    path = tmp_path / "p.lp"
+    path.write_text("d(1..2). e(0..1). { c }.\np(X) :- d(X), 3 / X > 0, c.\n"
+                    "q(Y) :- e(Y), 1 / Y > 0, c.\n", encoding="utf-8")
+    profile = cProfile.Profile()
+    with pytest.raises(ArithmeticEvalError) as raised:
+        profile.runcall(ground_files, [str(path)], GroundOptions())
+    assert len(compiled) == 2  # `{ c }.`, and the shape of p and q
+    assert {f for f, _, _ in pstats.Stats(profile).stats if f.startswith("<rule ")} == {
+        f"<rule {path}:1>", f"<rule {path}:2>", f"<rule {path}:3>"}
+    assert str(raised.value) == f"{path}:3:15: division by zero"
+    frame = [f for f in traceback.extract_tb(raised.value.__traceback__)
+             if f.filename.startswith("<rule ")][-1]
+    assert frame.filename == f"<rule {path}:3>"
+    assert frame.line.endswith("# compare: 1 / Y > 0")
+    p, q = (linecache.getlines(f"<rule {path}:{line}>") for line in (2, 3))
+    assert p[1] == "    # p(X) :- d(X), 3 / X > 0, c.\n"
+    assert q[1] == "    # q(Y) :- e(Y), 1 / Y > 0, c.\n"
+    assert [line.partition("  # ")[0] for line in p[2:]] == [
+        line.partition("  # ")[0] for line in q[2:]]
+    assert sum(line.endswith("  # compare: 3 / X > 0\n") for line in p) == 1
+    # a deep join goes on in functions defined in the rule's, renamed too
+    body = ", ".join(f"d(X{i})" for i in range(rulegen._DEEPEST + 2))
+    path.write_text(f"d(1). {{ c }}.\np :- {body}, c.\nq :- {body.replace('X', 'Y')}, c.\n",
+                    encoding="utf-8")
+    del compiled[:]
+    profile = cProfile.Profile()
+    profile.runcall(ground_files, [str(path)], GroundOptions())
+    assert len(compiled) == 1  # p and q; `{ c }.` is in the cache
+    assert {f for f, _, name in pstats.Stats(profile).stats if name.startswith("part")} == {
+        f"<rule {path}:2>", f"<rule {path}:3>"}
+
+
+def test_a_process_compiles_each_rule_shape_once(compiled):
+    text = "".join(f"{{ q{i} }}.\np{i} :- q{i}, not r{i}.\n" for i in range(2000))
+    first = ground(text)
+    assert len(compiled) == 2  # one per shape, not one per rule
+    again = ground(text)
+    assert len(compiled) == 2
+    assert again.interchange == first.interchange
+    # 2 ** 9 sign patterns of nine literals make as many shapes
+    shapes = rulegen._SHAPES + 1
+    assert shapes < 2 ** 9
+    ground("{ a1, a2, a3, a4, a5, a6, a7, a8, a9 }.\n" + "".join(
+        f"p{i} :- {', '.join(('' if i >> j & 1 else 'not ') + f'a{j + 1}' for j in range(9))}.\n"
+        for i in range(shapes)))
+    assert len(compiled) == 2 + 1 + shapes
+    assert rulegen._shape_code.cache_info().currsize == rulegen._SHAPES
+
+
 def test_join_deeper_than_python_nests_blocks(capsys, tmp_path):
     # Python compiles at most 20 nested blocks into one function; a longer
     # join goes on in a function of its own.
