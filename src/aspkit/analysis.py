@@ -32,11 +32,6 @@ from .shared import strongly_connected_components
 class Diagnostic(Record):
     __slots__ = ("loc", "severity", "message")
 
-    def __init__(self, loc, severity, message):
-        self.loc = loc
-        self.severity = severity
-        self.message = message
-
     def __str__(self):
         return f"{self.loc}: {self.severity}: {self.message}"
 
@@ -108,12 +103,9 @@ def _rule_parts(rule):
 # -- domain predicates --------------------------------------------------------------
 
 class DomainAnalysis(Record):
-    __slots__ = ("domain", "order")
+    __slots__ = ("domain",  # frozenset of (name, arity) keys
+                 "order")   # the same keys, dependencies before dependents
     __hash__ = None
-
-    def __init__(self, domain, order):
-        self.domain = domain  # frozenset of (name, arity) keys
-        self.order = order    # the same keys, dependencies before dependents
 
 
 def classify_domain_predicates(program):

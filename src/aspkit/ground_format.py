@@ -40,21 +40,19 @@ class UnknownRuleTypeError(FormatError):
 
 
 class GroundProgram(Record):
-    __slots__ = ("rules", "symbols", "compute_true", "compute_false", "models", "n_atoms")
+    __slots__ = ("rules",
+                 "symbols",        # atom id -> name, in file order
+                 "compute_true",   # B+ atom ids
+                 "compute_false",  # B- atom ids (includes the falsity atom)
+                 "models",
+                 # k when the program uses exactly the atom ids 1..k (dense ids); set
+                 # only by compact_atom_ids, which has counted them, and by the grounder,
+                 # which numbers atoms densely. None: not known, as for a parsed file,
+                 # whose atoms a Solver counts, and renumbers if they leave gaps.
+                 "n_atoms")
     _uncompared = ("n_atoms",)
+    _defaults = (None,)
     __hash__ = None
-
-    def __init__(self, rules, symbols, compute_true, compute_false, models, n_atoms=None):
-        self.rules = rules
-        self.symbols = symbols              # atom id -> name, in file order
-        self.compute_true = compute_true    # B+ atom ids
-        self.compute_false = compute_false  # B- atom ids (includes the falsity atom)
-        self.models = models
-        # k when the program uses exactly the atom ids 1..k (dense ids); set
-        # only by compact_atom_ids, which has counted them, and by the grounder,
-        # which numbers atoms densely. None: not known, as for a parsed file,
-        # whose atoms a Solver counts, and renumbers if they leave gaps.
-        self.n_atoms = n_atoms
 
     def atom_ids(self):
         """Every atom id the program mentions, and the falsity atom."""

@@ -206,22 +206,15 @@ _EMPTY_EXT = Extension()
 # -- ground rule representation ---------------------------------------------------
 
 class GAgg(Record):
-    __slots__ = ("weighted", "lower", "upper", "elements")
-
-    def __init__(self, weighted, lower, upper, elements):
-        self.weighted = weighted
-        self.lower = lower          # int or None
-        self.upper = upper          # int or None
-        self.elements = elements    # ((signed atom id, weight), ...)
+    __slots__ = ("weighted",
+                 "lower", "upper",  # int or None
+                 "elements")        # ((signed atom id, weight), ...)
 
 
 class GRule(Record):
-    __slots__ = ("head", "head_agg", "body")
-
-    def __init__(self, head, head_agg, body):
-        self.head = head            # atom id, or None for an integrity constraint
-        self.head_agg = head_agg    # GAgg or None
-        self.body = body            # signed atom ids and GAggs, in source order
+    __slots__ = ("head",        # atom id, or None for an integrity constraint
+                 "head_agg",    # GAgg or None
+                 "body")        # signed atom ids and GAggs, in source order
 
 
 # -- domain predicate evaluation ---------------------------------------------------
@@ -253,14 +246,9 @@ def evaluate_domain_predicates(program, analysis):
 
 
 class GroundResult(Record):
-    __slots__ = ("rules", "table", "compute_true", "compute_false")
+    __slots__ = ("rules",       # BasicRules and GRules in source order, one per instance
+                 "table", "compute_true", "compute_false")
     __hash__ = None
-
-    def __init__(self, rules, table, compute_true, compute_false):
-        self.rules = rules          # BasicRules and GRules in source order, one per instance
-        self.table = table
-        self.compute_true = compute_true
-        self.compute_false = compute_false
 
 
 def ground_program(program, analysis, domain_mode="keep"):

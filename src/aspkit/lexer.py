@@ -64,14 +64,9 @@ _PATTERN = re.compile("|".join([
 
 
 class Token(Record):
-    __slots__ = ("kind", "text", "line", "col", "value")
-
-    def __init__(self, kind, text, line, col, value=None):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-        self.value = value  # integer tokens only
+    __slots__ = ("kind", "text", "line", "col",
+                 "value")  # integer tokens only
+    _defaults = (None,)
 
 
 def tokenize(text, filename="<string>"):

@@ -75,24 +75,18 @@ class GroundOptions(Record):
 
 
 class SolveOptions(Record):
-    __slots__ = ("model_count",)
+    __slots__ = ("model_count",)  # None: use the count stored in the file
+    _defaults = (None,)
     __hash__ = None
-
-    def __init__(self, model_count=None):
-        self.model_count = model_count  # None: use the count stored in the file
 
 
 class Grounded(Record):
-    __slots__ = ("interchange", "source", "warnings", "lint_notes")
+    __slots__ = ("interchange",  # GroundProgram
+                 "source",       # GroundResult: the grounding that both the interchange
+                                 # and ground_text come from, primitive records of plain
+                                 # instances and GRules
+                 "warnings", "lint_notes")
     __hash__ = None
-
-    def __init__(self, interchange, source, warnings, lint_notes):
-        self.interchange = interchange  # GroundProgram
-        # GroundResult: the grounding that both the interchange and ground_text
-        # come from, primitive records of plain instances and GRules
-        self.source = source
-        self.warnings = warnings
-        self.lint_notes = lint_notes
 
 
 def _ground(program, opts):

@@ -7,11 +7,12 @@ variables are numbered locals; arithmetic calls `_check64` and `_divide`,
 so errors are those of a direct evaluation. Predicate names, constants,
 extensions and locations are the function's parameters, so two rules that
 differ only in them have the same code: a process compiles each rule shape
-once, and keeps the code of the last `_SHAPES` shapes it used. Each rule's
-function still has the file name `<rule FILE:LINE>`, and `linecache` holds
-its own text, in the shape's line layout with the rule and its
-comparisons as comments; so tracebacks and profiles name the rule. The rule
-decides the form of its instances: where the body is plain literals,
+once, and keeps the code of the last `_SHAPES` shapes it used; a ground
+arithmetic term is compiled the same way. Each rule's function still has
+the file name `<rule FILE:LINE:COL>`, and `linecache` holds its own text
+for the last `_SHAPES` rules, in the shape's line layout with the rule and
+its comparisons as comments; so tracebacks and profiles name the rule. The
+rule decides the form of its instances: where the body is plain literals,
 positive ones before negative ones, and the head an atom or none, an
 instance whose literals of one predicate have different names is the
 primitive `BasicRule` that translation would make of it, which prints as
@@ -229,9 +230,11 @@ class _Source:
 
 
 def evaluate(t, loc):
-    """The value of the ground term `t`."""
+    """The value of the ground term `t`, compiled once per shape as rules are."""
     src = _Source()
-    return eval(src.expr(t, loc), {**_RUNTIME, **src.params})
+    body = src.expr(t, loc)
+    code = _shape_code(f"def term({', '.join(src.params)}):\n    return {body}\n")
+    return FunctionType(code, _RUNTIME)(*src.params.values())
 
 
 # -- join planning -----------------------------------------------------------------
@@ -353,12 +356,14 @@ _RUNTIME = {name: globals()[name] for name in (
     "_between", "_check64", "_fail", "_interned", "_mod", "_quotient", "_unbound_constant")}
 
 _SHAPES = 256  # rule shapes whose code a process keeps, the least recently used going first
+_texts = {}  # the file names of the rule texts in linecache, the oldest first
 
 
 @lru_cache(maxsize=_SHAPES)
 def _shape_code(source):
-    """The code of the function that `source` defines."""
-    return next(c for c in compile(source, "<rule>", "exec").co_consts if isinstance(c, CodeType))
+    """The code of the function that `source` defines, under a file name that
+    no rule and no linecache entry has."""
+    return next(c for c in compile(source, "<shape>", "exec").co_consts if isinstance(c, CodeType))
 
 
 def _renamed(code, filename):
@@ -431,8 +436,12 @@ class RuleFunction(_Source):
         shape, text = zip((header, header), body[0], *sum(self.defs, []), *body[1:])
         code = _shape_code("\n".join(shape) + "\n")
         source = "\n".join(text) + "\n"
-        filename = f"<rule {rule.loc.file}:{rule.loc.line}>" if rule.loc else "<rule>"
+        filename = f"<rule {rule.loc}>" if rule.loc else "<rule>"
+        _texts.pop(filename, None)
+        _texts[filename] = filename
         linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+        if len(_texts) > _SHAPES:
+            linecache.cache.pop(_texts.pop(next(iter(_texts))), None)
         # Globals that do not hold the function: no reference cycle keeps the extensions alive.
         self.run = partial(FunctionType(_renamed(code, filename), _RUNTIME), *self.params.values())
 

@@ -48,43 +48,19 @@ class UnsupportedRuleTypeError(Exception):
 class BasicRule(Record):
     __slots__ = ("head", "pos", "neg")
 
-    def __init__(self, head, pos, neg):
-        self.head = head
-        self.pos = pos
-        self.neg = neg
-
 
 class ConstraintRule(Record):
     """head derivable when at least `bound` body literals hold."""
     __slots__ = ("head", "bound", "pos", "neg")
 
-    def __init__(self, head, bound, pos, neg):
-        self.head = head
-        self.bound = bound
-        self.pos = pos
-        self.neg = neg
-
 
 class ChoiceRule(Record):
     __slots__ = ("heads", "pos", "neg")
-
-    def __init__(self, heads, pos, neg):
-        self.heads = heads
-        self.pos = pos
-        self.neg = neg
 
 
 class WeightRule(Record):
     """head derivable when the satisfied weights sum to at least `bound`."""
     __slots__ = ("head", "bound", "pos", "neg", "pos_weights", "neg_weights")
-
-    def __init__(self, head, bound, pos, neg, pos_weights, neg_weights):
-        self.head = head
-        self.bound = bound
-        self.pos = pos
-        self.neg = neg
-        self.pos_weights = pos_weights
-        self.neg_weights = neg_weights
 
 
 def normalize_weight_elements(elements, bound):

@@ -149,24 +149,15 @@ LOOKAHEAD = 32  # candidates probed per lookahead round
 class Conflict(Record):
     __slots__ = ("atom",)
 
-    def __init__(self, atom):
-        self.atom = atom
-
 
 class SolveStats(Record):
-    __slots__ = ("decisions", "conflicts", "propagations", "probes",
-                 "failed_literals", "unfounded_runs")
+    __slots__ = ("decisions", "conflicts", "propagations",
+                 "probes",           # lookahead probes run, one literal each; a result
+                                     # read off a probe record is not one
+                 "failed_literals",  # literals forced because a probe failed
+                 "unfounded_runs")   # unfounded-set runs a lost source triggered
+    _defaults = (0,) * len(__slots__)  # every counter starts at 0
     __hash__ = None
-
-    def __init__(self, decisions=0, conflicts=0, propagations=0, probes=0,
-                 failed_literals=0, unfounded_runs=0):
-        self.decisions = decisions
-        self.conflicts = conflicts
-        self.propagations = propagations
-        self.probes = probes                    # lookahead probes run, one literal each; a result
-                                                # read off a probe record is not one
-        self.failed_literals = failed_literals  # literals forced because a probe failed
-        self.unfounded_runs = unfounded_runs    # unfounded-set runs a lost source triggered
 
 
 class _ConflictSignal(Exception):

@@ -29,20 +29,12 @@ _UNARY_LEVEL = max(BINARY_LEVELS.values()) + 1
 class Loc(Record):
     __slots__ = ("file", "line", "col")
 
-    def __init__(self, file, line, col):
-        self.file = file
-        self.line = line
-        self.col = col
-
     def __str__(self):
         return f"{self.file}:{self.line}:{self.col}"
 
 
 class Variable(Record):
     __slots__ = ("name",)
-
-    def __init__(self, name):
-        self.name = name
 
     def to_source(self):
         return self.name
@@ -51,18 +43,12 @@ class Variable(Record):
 class SymbolicConst(Record):
     __slots__ = ("name",)
 
-    def __init__(self, name):
-        self.name = name
-
     def to_source(self):
         return self.name
 
 
 class Integer(Record):
     __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
 
     def to_source(self):
         return str(self.value)
@@ -72,10 +58,6 @@ class Range(Record):
     """Inclusive integer range, argument positions only (e.g. d(1..8))."""
     __slots__ = ("lo", "hi")
 
-    def __init__(self, lo, hi):
-        self.lo = lo
-        self.hi = hi
-
     def to_source(self):
         return f"{term_source(self.lo)}..{term_source(self.hi)}"
 
@@ -83,9 +65,6 @@ class Range(Record):
 class Pool(Record):
     """Alternative terms at one argument position (e.g. node(a; b; c))."""
     __slots__ = ("members",)
-
-    def __init__(self, members):
-        self.members = members
 
     def to_source(self):
         return "; ".join(term_source(m) for m in self.members)
@@ -99,10 +78,6 @@ class FuncApp(Record):
     literals so plain negative numbers stay Integer nodes.
     """
     __slots__ = ("op", "args")
-
-    def __init__(self, op, args):
-        self.op = op
-        self.args = args
 
     def to_source(self):
         return _func_source(self, 0, False)
@@ -202,11 +177,7 @@ def rewrite(node, fn):
 class Atom(Record):
     __slots__ = ("pred", "args", "loc")
     _uncompared = ("loc",)
-
-    def __init__(self, pred, args=(), loc=None):
-        self.pred = pred
-        self.args = args
-        self.loc = loc
+    _defaults = ((), None)
 
     def key(self):
         return (self.pred, len(self.args))
@@ -219,12 +190,7 @@ class Comparison(Record):
     """Built-in comparison between two terms; always positive polarity."""
     __slots__ = ("lhs", "op", "rhs", "loc")
     _uncompared = ("loc",)
-
-    def __init__(self, lhs, op, rhs, loc=None):
-        self.lhs = lhs
-        self.op = op
-        self.rhs = rhs
-        self.loc = loc
+    _defaults = (None,)
 
     def to_source(self):
         return f"{term_source(self.lhs)} {self.op} {term_source(self.rhs)}"
@@ -238,11 +204,7 @@ class Literal(Record):
     domain analysis.  Comparisons never carry `not` or conditions.
     """
     __slots__ = ("positive", "atom", "conditions")
-
-    def __init__(self, positive, atom, conditions=()):
-        self.positive = positive
-        self.atom = atom
-        self.conditions = conditions
+    _defaults = ((),)
 
     def to_source(self):
         s = self.atom.to_source()
@@ -253,10 +215,7 @@ class Literal(Record):
 
 class AggregateElem(Record):
     __slots__ = ("literal", "weight")
-
-    def __init__(self, literal, weight=None):
-        self.literal = literal
-        self.weight = weight
+    _defaults = (None,)
 
 
 class Aggregate(Record):
@@ -268,13 +227,7 @@ class Aggregate(Record):
     """
     __slots__ = ("weighted", "lower", "elements", "upper", "loc")
     _uncompared = ("loc",)
-
-    def __init__(self, weighted, lower, elements, upper, loc=None):
-        self.weighted = weighted
-        self.lower = lower
-        self.elements = elements
-        self.upper = upper
-        self.loc = loc
+    _defaults = (None,)
 
     def to_source(self):
         return aggregate_source(
@@ -288,13 +241,10 @@ Head = Atom | Aggregate | None  # None: integrity constraint
 
 
 class Rule(Record):
-    __slots__ = ("head", "body", "loc")
+    __slots__ = ("head",  # Atom, Aggregate, or None for an integrity constraint
+                 "body", "loc")
     _uncompared = ("loc",)
-
-    def __init__(self, head, body=(), loc=None):
-        self.head = head  # Atom, Aggregate, or None for an integrity constraint
-        self.body = body
-        self.loc = loc
+    _defaults = ((), None)
 
     def to_source(self):
         return rule_source(None if self.head is None else self.head.to_source(),

@@ -310,7 +310,7 @@ def generated_lines():
     `compare` is a comparison checked on one row, and `lookup` and `range`
     a join step whose rows a driving comparison selected by index lookup or
     by bisection. Each rule runs as soon as it is compiled, under the file
-    name `<rule FILE:LINE>`, whose source linecache then holds."""
+    name `<rule FILE:LINE:COL>`, whose source linecache then holds."""
     counts = Counter()
 
     def line(frame, event, arg):
@@ -497,10 +497,10 @@ def test_generated_functions_are_named_after_their_rule(tmp_path):
         profile.runcall(ground_files, [str(path)], GroundOptions())
     # a fact compiles nothing
     assert {f for f, _, _ in pstats.Stats(profile).stats if f.startswith("<rule ")} == {
-        f"<rule {path}:2>"}
+        f"<rule {path}:2:1>"}
     frame = [f for f in traceback.extract_tb(raised.value.__traceback__)
              if f.filename.startswith("<rule ")][-1]
-    assert frame.filename == f"<rule {path}:2>"
+    assert frame.filename == f"<rule {path}:2:1>"
     assert frame.line.endswith("# compare: 1 / X > 0")
     assert linecache.getlines(frame.filename)[1] == "    # p(X) :- d(X), 1 / X > 0.\n"
 
@@ -508,7 +508,17 @@ def test_generated_functions_are_named_after_their_rule(tmp_path):
     profile = cProfile.Profile()
     profile.runcall(ground_files, [str(path)], GroundOptions())
     assert {f for f, _, _ in pstats.Stats(profile).stats if f.startswith("<rule ")} == {
-        f"<rule {path}:2>"}
+        f"<rule {path}:2:1>"}
+
+    # two rules on one line are two functions, each with its own text
+    path.write_text("d(1..2).\np(X) :- d(X), not q(X).  q(X) :- d(X), not p(X).\n",
+                    encoding="utf-8")
+    profile = cProfile.Profile()
+    profile.runcall(ground_files, [str(path)], GroundOptions())
+    assert sorted((f, calls) for (f, _, _), (_, calls, *_) in pstats.Stats(profile).stats.items()
+                  if f.startswith("<rule ")) == [(f"<rule {path}:2:1>", 1), (f"<rule {path}:2:26>", 1)]
+    assert linecache.getlines(f"<rule {path}:2:1>")[1] == "    # p(X) :- d(X), not q(X).\n"
+    assert linecache.getlines(f"<rule {path}:2:26>")[1] == "    # q(X) :- d(X), not p(X).\n"
 
 
 @pytest.fixture
@@ -537,13 +547,13 @@ def test_rules_of_one_shape_share_their_code(tmp_path, compiled):
         profile.runcall(ground_files, [str(path)], GroundOptions())
     assert len(compiled) == 2  # `{ c }.`, and the shape of p and q
     assert {f for f, _, _ in pstats.Stats(profile).stats if f.startswith("<rule ")} == {
-        f"<rule {path}:1>", f"<rule {path}:2>", f"<rule {path}:3>"}
+        f"<rule {path}:1:19>", f"<rule {path}:2:1>", f"<rule {path}:3:1>"}
     assert str(raised.value) == f"{path}:3:15: division by zero"
     frame = [f for f in traceback.extract_tb(raised.value.__traceback__)
              if f.filename.startswith("<rule ")][-1]
-    assert frame.filename == f"<rule {path}:3>"
+    assert frame.filename == f"<rule {path}:3:1>"
     assert frame.line.endswith("# compare: 1 / Y > 0")
-    p, q = (linecache.getlines(f"<rule {path}:{line}>") for line in (2, 3))
+    p, q = (linecache.getlines(f"<rule {path}:{line}:1>") for line in (2, 3))
     assert p[1] == "    # p(X) :- d(X), 3 / X > 0, c.\n"
     assert q[1] == "    # q(Y) :- e(Y), 1 / Y > 0, c.\n"
     assert [line.partition("  # ")[0] for line in p[2:]] == [
@@ -558,7 +568,7 @@ def test_rules_of_one_shape_share_their_code(tmp_path, compiled):
     profile.runcall(ground_files, [str(path)], GroundOptions())
     assert len(compiled) == 1  # p and q; `{ c }.` is in the cache
     assert {f for f, _, name in pstats.Stats(profile).stats if name.startswith("part")} == {
-        f"<rule {path}:2>", f"<rule {path}:3>"}
+        f"<rule {path}:2:1>", f"<rule {path}:3:1>"}
 
 
 def test_a_process_compiles_each_rule_shape_once(compiled):
@@ -576,6 +586,35 @@ def test_a_process_compiles_each_rule_shape_once(compiled):
         for i in range(shapes)))
     assert len(compiled) == 2 + 1 + shapes
     assert rulegen._shape_code.cache_info().currsize == rulegen._SHAPES
+
+
+def test_linecache_keeps_the_last_rule_texts(monkeypatch):
+    # a fresh cache: texts evicted while another test swapped in its own stay in the old one
+    monkeypatch.setattr(linecache, "cache", {})
+    last = 2 * rulegen._SHAPES  # the line of the last of twice as many rules
+    ground("".join(f"{{ q{i} }}.\np{i} :- q{i}, not r{i}.\n" for i in range(rulegen._SHAPES)))
+    assert len([name for name in linecache.cache if name.startswith("<rule ")]) <= rulegen._SHAPES
+    assert linecache.getlines(f"<rule <string>:{last}:1>")[1] == (
+        f"    # p{rulegen._SHAPES - 1} :- q{rulegen._SHAPES - 1}, not r{rulegen._SHAPES - 1}.\n")
+    assert linecache.getlines("<rule <string>:1:1>") == []
+    # a rule grounded again is the newest, not the oldest it was
+    ground("\n" * 299 + "a :- not b.\n")
+    ground("".join(f"c{i} :- not d{i}.\n" for i in range(100)))
+    assert linecache.getlines("<rule <string>:300:1>")[1] == "    # a :- not b.\n"
+
+
+def test_ground_arithmetic_terms_compile_once_per_shape(compiled):
+    text = "".join(f"p({i} + 1).\n" for i in range(4000))
+    first = ground(text)
+    assert len(compiled) == 1  # one shape for 4,000 terms
+    assert "p(4000)" in first.interchange.symbols.values()
+    assert ground(text).interchange == first.interchange
+    assert len(compiled) == 1
+    # a term's code is not named `<rule>`, the name of a rule without a location
+    with pytest.raises(ArithmeticEvalError) as raised:
+        ground("p(1 / 0).")
+    assert [f.filename for f in traceback.extract_tb(raised.value.__traceback__)
+            if f.name == "term"] == ["<shape>"]
 
 
 def test_join_deeper_than_python_nests_blocks(capsys, tmp_path):

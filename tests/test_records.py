@@ -1,13 +1,17 @@
 import dataclasses
+import importlib
+import pkgutil
 
 import pytest
 
+import aspkit
 from aspkit.analysis import Diagnostic, DomainAnalysis
 from aspkit.ground_format import GroundProgram
 from aspkit.grounding import GAgg, GroundResult, GRule
 from aspkit.lexer import Token
 from aspkit.oracle import ComputeSpec
 from aspkit.pipeline import Grounded, GroundOptions, SolveOptions
+from aspkit.records import Record
 from aspkit.shared import BasicRule, ChoiceRule, ConstraintRule, WeightRule
 from aspkit.solver import Conflict, SolveStats
 from aspkit.syntax import (Aggregate, AggregateElem, Atom, Comparison, FuncApp, Integer,
@@ -74,6 +78,8 @@ def test_equal_records_hash_equal(record):
     assert twin == record and twin is not record
     assert hash(twin) == hash(record)
     assert len({record, twin}) == 1
+    # positional arguments are the fields in __slots__ order
+    assert type(record)(*fields.values()) == record
 
 
 def test_keyword_construction_and_repr():
@@ -106,6 +112,7 @@ def test_equality_and_hashing_ignore_locations_and_atom_counts():
 def test_mutable_records_are_unhashable(record):
     fields = {f: getattr(record, f) for f in type(record).__slots__}
     assert type(record)(**fields) == record
+    assert type(record)(*fields.values()) == record
     assert type(record).__hash__ is None
     with pytest.raises(TypeError):
         hash(record)
@@ -118,6 +125,57 @@ def test_dict_defaults_are_fresh_per_instance():
     first, second = Program(), Program()
     first.const_decls["n"] = 1
     assert second.const_decls == {} and Program().const_decls == {}
+
+
+def test_generated_init_takes_the_fields_in_slot_order():
+    class Edge(Record):
+        __slots__ = ("src", "dst", "label", "weight")
+        _defaults = (None, 1)
+
+    assert repr(Edge(1, 2)) == "Edge(src=1, dst=2, label=None, weight=1)"
+    assert Edge(1, 2, "a") == Edge(dst=2, src=1, label="a", weight=1)
+    assert Edge(1, 2, weight=3).weight == 3
+    with pytest.raises(TypeError, match=r"^BasicRule\.__init__\(\) missing 1 required positional "
+                                        r"argument: 'neg'$"):
+        BasicRule(1, 2)
+    with pytest.raises(TypeError, match=r"Edge\.__init__\(\) missing 1 required positional "
+                                        r"argument: 'dst'$"):
+        Edge(1)
+    with pytest.raises(TypeError, match=r"^Atom\.__init__\(\) takes from 2 to 4 positional "
+                                        r"arguments but 5 were given$"):
+        Atom("p", (), None, None)
+    with pytest.raises(TypeError, match=r"^Loc\.__init__\(\) got an unexpected keyword "
+                                        r"argument 'row'$"):
+        Loc("a.lp", 1, row=2)
+
+    # the same bytecode as the plain __init__ written out
+    class Written:
+        def __init__(self, head, pos, neg):
+            self.head = head
+            self.pos = pos
+            self.neg = neg
+
+    assert BasicRule.__init__.__code__.co_code == Written.__init__.__code__.co_code
+    assert BasicRule.__init__.__code__.co_filename == "<record BasicRule>"
+    assert BasicRule.__init__.__module__ == "aspkit.shared"
+
+
+def test_only_converting_records_write_their_own_init():
+    for info in pkgutil.iter_modules(aspkit.__path__):
+        importlib.import_module(f"aspkit.{info.name}")
+    records = [cls for cls in Record.__subclasses__() if cls.__module__.startswith("aspkit.")]
+    assert len(records) == 31
+    assert {cls for cls in records if not cls.__init__.__code__.co_filename.startswith(
+        "<record ")} == {ComputeSpec, GroundOptions, Program}
+
+    class Pair(Record):
+        __slots__ = ("left", "right")
+
+        def __init__(self, left, right=None):
+            self.left = left
+            self.right = left if right is None else right
+
+    assert Pair(2) == Pair(2, 2)
 
 
 def test_compute_spec_freezes_its_sets():
