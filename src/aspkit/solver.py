@@ -56,29 +56,27 @@ keep binary clauses the same way).
 Setup finds the dependency cycles with Tarjan's algorithm only if the
 atom ids allow one: when every body atom of every rule but an integrity
 constraint has a lower id than each of the rule's heads, every edge of
-the dependency graph leads to a lower id, and there is no cycle. Each
-nontrivial SCC has a table built at setup: the rules defining its
-atoms, their bounds, their positive literals inside the SCC, their heads
-inside the SCC, and per SCC atom the (rule, weight) pairs it feeds and
-the rules defining it. Rules are named there by their index k in the
-table.
+the dependency graph leads to a lower id, and there is no cycle. An
+unfounded-set run reads the rule arrays above; the one thing setup adds
+per nontrivial SCC ci is `scc_feeds[ci]`, which maps each rule defining
+an atom of ci to its positive (atom, weight) pairs inside ci.
 
 ATMOST keeps, for every atom not false of a nontrivial SCC, `src[a]`,
-the rule that derived it in the SCC's last unfounded-set run, as
-smodels keeps one source rule per atom (Simons, Niemelä and Soininen,
-AIJ 2002). The sources found every such atom: each source is live, and
-its credit from outside the SCC plus that of atoms derived before it
-reaches its bound. They stay so until a source rule loses weight, so
-`dirty_on_false[a]` (`dirty_on_true[a]`) holds an entry (scc, k, h) for
-every rule k of an SCC with a in its positive (negative) body and every
-head h of k in the SCC, and `_propagate` marks h lost only if `src[h] ==
-k`. An SCC with no lost atom is not run: its atoms not false are all
-founded, so a run could falsify none, and the trail, the model order and
-every counter but `unfounded_runs` are those of running it on every loss
-of weight. The first run of an SCC has every atom lost. A run logs each
-source it changes with the trail length, and `_undo_to` restores the
-sources changed after its mark, so a mark's sources come back with its
-values.
+the number of the rule that derived it in the SCC's last unfounded-set
+run, as smodels keeps one source rule per atom (Simons, Niemelä and
+Soininen, AIJ 2002). The sources found every such atom: each source is
+live, and its credit from outside the SCC plus that of atoms derived
+before it reaches its bound. They stay so until a source rule loses
+weight, so `dirty_on_false[a]` (`dirty_on_true[a]`) holds a pair (r, h)
+for every rule r with a in its positive (negative) body and every head h
+of r that lies in a nontrivial SCC, and `_propagate` marks h lost in its
+SCC, `scc_of[h]`, only if `src[h] == r`. An SCC with no lost atom is not
+run: its atoms not false are all founded, so a run could falsify none,
+and the trail, the model order and every counter but `unfounded_runs`
+are those of running it on every loss of weight. The first run of an SCC
+has every atom lost. A run logs each source it changes with the trail
+length, and `_undo_to` restores the sources changed after its mark, so a
+mark's sources come back with its values.
 
 Branching uses lookahead with failed-literal forcing. Each round probes
 `_candidates()`, at most `LOOKAHEAD` evenly spaced open candidates, both
@@ -316,21 +314,22 @@ class Solver:
     # -- static structure -------------------------------------------------------
 
     def _setup_sccs(self, full):
-        """Nontrivial SCCs of the positive dependency graph, for ATMOST: the
-        table an unfounded-set run reads, the sources, and per atom the
-        (scc, k, head) entries of the SCC rules its value can shrink. Each lies inside one of `full`, the
-        nontrivial SCCs of the full graph, which setup finds in its one full
-        pass; so only their atoms and the positive edges among them are
-        searched, and nothing when `full` is empty."""
+        """Nontrivial SCCs of the positive dependency graph, for ATMOST: per
+        SCC the in-SCC feeds of its defining rules, the sources, and per
+        atom the (rule, head) pairs of the rules its value can shrink whose
+        heads lie in an SCC. Each SCC lies inside one of `full`, the
+        nontrivial SCCs of the full graph, which setup finds in its one
+        full pass; so only their atoms and the positive edges among them
+        are searched, and nothing when `full` is empty."""
         n = self.n_atoms
+        pos, pw, heads, defs = self.pos, self.pw, self.heads, self.defs
         atoms = sorted(a for comp in full for a in comp)
         local = {a: i for i, a in enumerate(atoms)}
-        adj = [[local[b] for r in self.defs[a] for b in self.pos[r] if b in local]
-               for a in atoms]
+        adj = [[local[b] for r in defs[a] for b in pos[r] if b in local] for a in atoms]
         sccs = sorted(sorted(atoms[i] for i in comp) for comp in _cyclic_sccs(adj))
         self.scc_atoms = sccs
         self.scc_of = scc_of = [-1] * (n + 1)
-        self.scc_tables = []
+        self.scc_feeds = []
         self.src = [-1] * (n + 1)
         self._src_log = []
         self.dirty_on_false = dirty_on_false = [()] * (n + 1)
@@ -338,27 +337,16 @@ class Solver:
         for ci, comp in enumerate(sccs):
             for a in comp:
                 scc_of[a] = ci
-            rules = list(dict.fromkeys(r for a in comp for r in self.defs[a]))
-            bounds, inside, inheads = [], [], []
-            watch = {a: [] for a in comp}
-            tdefs = {a: [] for a in comp}
-            for k, r in enumerate(rules):
-                bounds.append(self.bound[r])
-                p = self.pos[r]
-                feeds = [(a, w) for a, w in zip(p, self.pw[r] or (1,) * len(p))
-                         if scc_of[a] == ci]
-                for a, w in feeds:
-                    watch[a].append((k, w))
-                inside.append(feeds)
-                hs = [h for h in self.heads[r] if scc_of[h] == ci]
-                inheads.append(hs)
-                for h in hs:
-                    tdefs[h].append(k)
+            feeds = {}
+            for r in dict.fromkeys(r for a in comp for r in defs[a]):
+                p = pos[r]
+                feeds[r] = [(a, w) for a, w in zip(p, pw[r] or (1,) * len(p)) if scc_of[a] == ci]
+                hs = [h for h in heads[r] if scc_of[h] == ci]
                 for dirty, atoms in ((dirty_on_false, p), (dirty_on_true, self.neg[r])):
                     for a in dict.fromkeys(atoms):
                         for h in hs:
-                            _append(dirty, a, (ci, k, h))
-            self.scc_tables.append((rules, bounds, inside, inheads, watch, tdefs))
+                            _append(dirty, a, (r, h))
+            self.scc_feeds.append(feeds)
         # SCC -> its lost atoms; before its first run every atom is lost
         self._dirty = {ci: list(comp) for ci, comp in enumerate(sccs)}
 
@@ -421,8 +409,8 @@ class Solver:
         self._dirty.clear()
         log, src = self._src_log, self.src
         while log and log[-1][0] > mark:
-            _, a, k = log.pop()
-            src[a] = k
+            _, a, r = log.pop()
+            src[a] = r
         log, probed = self._probed_log, self._probed
         while log and log[-1][0] > mark:
             # records are logged at non-decreasing trail lengths; a newer
@@ -488,7 +476,7 @@ class Solver:
         occ_pos, occ_neg = self.occ_pos, self.occ_neg
         imp_true, imp_false = self.imp_true, self.imp_false
         dirty_on_true, dirty_on_false, dirty = self.dirty_on_true, self.dirty_on_false, self._dirty
-        src = self.src
+        src, scc_of = self.src, self.scc_of
         contrapose, backchain = self._contrapose, self._backchain_atom
         start = i = self.qhead
         while i < len(trail):
@@ -557,8 +545,9 @@ class Solver:
                 d = dirty_on_false[a]
             if d:
                 # rules of SCCs lost weight: the heads they are the source of are lost
-                for ci, k, h in d:
-                    if src[h] == k:
+                for r, h in d:
+                    if src[h] == r:
+                        ci = scc_of[h]
                         row = dirty.get(ci)
                         if row is None:
                             dirty[ci] = [h]
@@ -586,61 +575,62 @@ class Solver:
         rule lost weight since the last run.
 
         Lost are the atoms of `lost` not false and, closed over the sources,
-        every atom not false whose source has a lost atom in its positive
-        body. Every other atom not false keeps its source, which founds it
-        without a lost atom, so only the lost ones are derived again. Each
-        rule defining a lost atom gets its credit before any is derived: a
-        dead rule none, a live one its wmax less the weight of its lost
-        in-SCC atoms. Runs with the trail fully propagated, so wmax counts
-        exactly the literals not false. A rule whose credit reaches its
-        bound becomes the source of its lost heads, which add their weight
-        to the credits of the rules they feed. The kept and the derived
-        atoms are then those a run with every atom lost derives, so the
-        lost atoms left, falsified by id, are exactly those it falsifies.
-        A run with no lost atom not false is not counted. Each source
-        changed is logged with the trail length, for `_undo_to`."""
+        every atom of ci not false whose source has a lost atom in its
+        positive body. Every other atom not false keeps its source, which
+        founds it without a lost atom, so only the lost ones are derived
+        again. Each rule defining a lost atom gets its credit before any is
+        derived: a dead rule none, a live one its wmax less the weight of
+        its lost in-SCC atoms (`scc_feeds`). Runs with the trail fully
+        propagated, so wmax counts exactly the literals not false. A rule
+        whose credit reaches its bound becomes the source of its lost
+        heads, which add their weight to the credits of the rules they
+        feed. The kept and the derived atoms are then those a run with every
+        atom lost derives, so the lost atoms left, falsified by id, are
+        exactly those it falsifies. A run with no lost atom not false is not
+        counted. Each source changed is logged with the trail length, for
+        `_undo_to`."""
         values, src = self.values, self.src
         lost = [a for a in dict.fromkeys(lost) if values[a] != FALSE]
         if not lost:
             return
         self.stats.unfounded_runs += 1
-        wmax, dead = self.wmax, self.dead
-        rules, bounds, inside, inheads, watch, tdefs = self.scc_tables[ci]
+        wmax, dead, bound, heads = self.wmax, self.dead, self.bound, self.heads
+        occ_pos, defs, scc_of, feeds = self.occ_pos, self.defs, self.scc_of, self.scc_feeds[ci]
         left = set(lost)  # lost atoms not derived again yet
         for a in lost:
-            for k, _ in watch[a]:
-                for h in inheads[k]:
-                    if src[h] == k and h not in left and values[h] != FALSE:
+            for r, _ in occ_pos[a]:
+                for h in heads[r]:
+                    # a head of r in another SCC is that SCC's to run
+                    if src[h] == r and scc_of[h] == ci and h not in left and values[h] != FALSE:
                         left.add(h)
                         lost.append(h)
         avail = {}
         for a in lost:
-            for k in tdefs[a]:
-                if k not in avail:
-                    r = rules[k]
+            for r in defs[a]:
+                if r not in avail:
                     if dead[r] != _LIVE:
-                        avail[k] = -_LIVE
+                        avail[r] = -_LIVE
                         continue
                     credit = wmax[r]
-                    for b, w in inside[k]:
+                    for b, w in feeds[r]:
                         if b in left:
                             credit -= w
-                    avail[k] = credit
+                    avail[r] = credit
         log, mark = self._src_log, len(self.trail)
-        ready = [k for k, credit in avail.items() if credit >= bounds[k]]
-        for k in ready:
-            for h in inheads[k]:
-                if h not in left:
+        ready = [r for r, credit in avail.items() if credit >= bound[r]]
+        for r in ready:
+            for h in heads[r]:
+                if h not in left:  # left holds atoms of ci only
                     continue
                 left.discard(h)
-                if src[h] != k:
+                if src[h] != r:
                     log.append((mark, h, src[h]))
-                    src[h] = k
-                for j, w in watch[h]:
+                    src[h] = r
+                for j, w in occ_pos[h]:
                     before = avail.get(j)  # None: j defines no lost atom
                     if before is not None:
                         avail[j] = before + w
-                        if before < bounds[j] <= before + w:
+                        if before < bound[j] <= before + w:
                             ready.append(j)
         for a in sorted(left):
             self._set(a, FALSE)

@@ -4,8 +4,9 @@
 unchanged at a fixpoint and that backtracking must restore. `CheckedSolver`
 holds the incremental, per-SCC unfounded-set propagation to the global
 recompute of the optimistically derivable set at every fixpoint it reaches,
-the source of every SCC atom not false to the invariant that lets a run be
-skipped (`source_faults`), and the rule counters, dead-rule marks and
+every unfounded-set run to the atoms of its own SCC, the source of every
+SCC atom not false to the invariant that lets a run be skipped
+(`source_faults`), and the rule counters, dead-rule marks and
 supports to a recompute from the values there and after every backtrack
 (`counter_faults`), where no two-literal integrity constraint may have one
 body literal true and the other not false (`implication_faults`), and the
@@ -15,10 +16,11 @@ candidate order. `FullProbeSolver` is the reference lookahead that probes
 every candidate both ways, and `BoundCheckedSolver` re-probes every literal
 a lookahead probe implied, to hold the solver to the bounds it skips
 probes by; both run a real probe wherever they probe.
-`alternating_fixpoint` is the reference well-founded model, built from the
-oracle's reduct and least model. `static_structure` recomputes the solver's rule arrays, implication
-lists, SCCs, unfounded-set tables, dirty maps and branch order the slow
-way.
+`alternating_fixpoint` is the reference well-founded model, built from
+the oracle's reduct and least model. `static_structure` recomputes the
+solver's rule arrays, implication lists, SCCs, in-SCC feeds, dirty maps
+and branch order the slow way. Rules are named by their number
+throughout, as the solver names them.
 """
 
 import random
@@ -113,7 +115,7 @@ def counter_faults(solver):
 def source_faults(solver):
     """Where the sources of the SCC atoms break the invariant that lets an
     unfounded-set run be skipped. The source of every atom not false must
-    be a rule of its SCC's table with the atom among its heads and, by a
+    be the number of a rule with the atom among its heads and, by a
     recompute from the values, live. The sources must found every such
     atom: starting from none, an atom is founded once its source's credit,
     the weight of its literals outside the SCC that are not false plus that
@@ -121,15 +123,13 @@ def source_faults(solver):
     An atom whose sources lead round a cycle is never founded."""
     values, src, faults = solver.values, solver.src, []
     for ci, comp in enumerate(solver.scc_atoms):
-        rules, inheads = solver.scc_tables[ci][0], solver.scc_tables[ci][3]
         atoms = [a for a in comp if values[a] != FALSE]
         outside = {}
         for a in atoms:
-            k = src[a]
-            if not 0 <= k < len(rules) or a not in inheads[k]:
-                faults.append(f"atom {a} of SCC {ci} has source {k}, not a rule defining it")
+            r = src[a]
+            if r not in solver.defs[a]:
+                faults.append(f"atom {a} of SCC {ci} has source {r}, not a rule defining it")
                 continue
-            r = rules[k]
             if rule_counters(solver, r)[1] < solver.bound[r]:
                 faults.append(f"atom {a} of SCC {ci} has the dead rule {r} as its source")
             outside[a] = (r, sum(w for b, w in _items(solver.pos[r], solver.pw[r])
@@ -152,11 +152,13 @@ def source_faults(solver):
 
 
 class CheckedSolver(Solver):
-    """A Solver that, after every successful expand() (lookahead probes
-    included), asserts that the global recompute falsifies nothing new, that
-    the sources found every SCC atom not false, that the rule counters agree
-    with the values and that no two-literal constraint has a true literal
-    beside one not false, and after every _undo_to() that no SCC is left to
+    """A Solver that asserts that every unfounded-set run falsifies or
+    gives a new source to atoms of its own SCC only, and, after every
+    successful expand() (lookahead probes included), that the global
+    recompute falsifies nothing new, that the sources found every SCC atom
+    not false, that the rule counters agree with the values and that no
+    two-literal constraint has a true literal beside one not false, and
+    after every _undo_to() that no SCC is left to
     recompute, that the counters, sources and two-literal constraints pass
     the same checks and that the state, sources included, is the fixpoint
     the mark was taken at. Every probe result read off a record is probed
@@ -195,6 +197,16 @@ class CheckedSolver(Solver):
             self.fixpoints += 1
             self._at_length[len(self.trail)] = state_fingerprint(self)
         return conflict
+
+    def _atmost_scc(self, ci, lost):
+        mark, logged = len(self.trail), len(self._src_log)
+        try:
+            super()._atmost_scc(ci, lost)
+        finally:
+            # a conflict ends the run early; what it changed so far is checked
+            changed = self.trail[mark:] + [a for _, a, _ in self._src_log[logged:]]
+            strays = [a for a in changed if self.scc_of[a] != ci]
+            assert not strays, f"the run of SCC {ci} changed atoms outside it: {strays}"
 
     def _undo_to(self, mark):
         super()._undo_to(mark)
@@ -426,13 +438,12 @@ def static_structure(solver, gp):
     literals falsifying the other body literal, without repeats, in rule
     order), the occurrence, definition and support lists they give, the
     nontrivial SCCs (atoms >= 2, size > 1 or a self-loop) of the positive
-    dependency graph, the indexes of the rules defining an atom of each and
-    each SCC's unfounded-set table (with the rules defining each SCC atom),
-    per atom the (SCC, rule, in-SCC head) triples of the rules of an SCC
-    with the atom in their positive (dirty_on_false) or negative
-    (dirty_on_true) body, and the branch order: heads of non-basic rules,
-    plus atoms that occur negatively and sit on a cycle of the full
-    dependency graph."""
+    dependency graph, per SCC the in-SCC positive (atom, weight) pairs of
+    each rule defining one of its atoms, per atom the (rule, head) pairs of
+    the rules with the atom in their positive (dirty_on_false) or negative
+    (dirty_on_true) body and a head in an SCC, and the branch order: heads
+    of non-basic rules, plus atoms that occur negatively and sit on a cycle
+    of the full dependency graph."""
     constraints = binary_constraints(gp)
     rows = [_reference_row(rule) for rule in gp.rules if not _is_binary_constraint(rule)]
     n = solver.n_atoms
@@ -463,25 +474,13 @@ def static_structure(solver, gp):
     for ci, comp in enumerate(sccs):
         for a in comp:
             scc_of[a] = ci
-    scc_rules = [[r for r, row in enumerate(rows) if any(scc_of[h] == ci for h in row[0])]
-                 for ci in range(len(sccs))]
-    dirty_on_false, dirty_on_true = ([sorted((ci, r, h) for ci in range(len(sccs))
-                                             for r in scc_rules[ci] if a in rows[r][body]
-                                             for h in rows[r][0] if scc_of[h] == ci)
+    dirty_on_false, dirty_on_true = ([sorted((r, h) for r, row in enumerate(rows)
+                                             if a in row[body]
+                                             for h in row[0] if scc_of[h] >= 0)
                                      for a in range(n + 1)] for body in (2, 3))
-    tables = []
-    for ci, comp in enumerate(sccs):
-        entries = {}
-        for r in scc_rules[ci]:
-            heads, _, pos, _, pw, _, bound, _, _ = rows[r]
-            entries[r] = (bound, sorted((a, w) for a, w in _items(pos, pw) if scc_of[a] == ci),
-                          sorted(h for h in heads if scc_of[h] == ci))
-        watch = {a: sorted((r, w) for r in scc_rules[ci]
-                           for b, w in _items(rows[r][2], rows[r][4]) if b == a)
-                 for a in comp}
-        defining = {a: sorted(r for r in scc_rules[ci] for h in rows[r][0] if h == a)
-                    for a in comp}
-        tables.append((entries, watch, defining))
+    feeds = [{r: sorted((a, w) for a, w in _items(row[2], row[4]) if scc_of[a] == ci)
+              for r, row in enumerate(rows) if any(scc_of[h] == ci for h in row[0])}
+             for ci in range(len(sccs))]
     cyclic = {a for comp in _cyclic_components(full_adj, atoms) for a in comp}
     negative = {a for row in rows for a in row[3]}
     negative.update(a for lits in constraints for a, value in lits if value == FALSE)
@@ -497,8 +496,7 @@ def static_structure(solver, gp):
     return {"rows": rows, "wtop": wtop,
             "occurrences": (occ_pos, occ_neg, defs, supports),
             "implications": (implications[TRUE], implications[FALSE]),
-            "scc_atoms": sccs, "scc_of": scc_of, "scc_rules": scc_rules,
-            "scc_tables": tables,
+            "scc_atoms": sccs, "scc_of": scc_of, "scc_feeds": feeds,
             "dirty_on_false": dirty_on_false, "dirty_on_true": dirty_on_true,
             "branch_order": branch_order}
 
@@ -506,18 +504,10 @@ def static_structure(solver, gp):
 def built_structure(solver):
     """The same views, read off a constructed Solver. The per-atom rows
     are read as lists: setup shares one () among the atoms a row leaves
-    empty, which differs from [] in type only. The dirty rows name a rule
-    by its index in the SCC's table; they are read with its rule number,
-    sorted."""
-    tables = []
-    for rules, bounds, inside, inheads, watch, tdefs in solver.scc_tables:
-        entries = {r: (bounds[k], sorted(inside[k]), sorted(inheads[k]))
-                   for k, r in enumerate(rules)}
-        tables.append((entries, {a: sorted((rules[k], w) for k, w in ws)
-                                 for a, ws in watch.items()},
-                       {a: sorted(rules[k] for k in ks) for a, ks in tdefs.items()}))
-    dirty = [[sorted((ci, solver.scc_tables[ci][0][k], h) for ci, k, h in row)
-              for row in rows] for rows in (solver.dirty_on_false, solver.dirty_on_true)]
+    empty, which differs from [] in type only. The dirty rows and the feeds
+    are read sorted."""
+    dirty = [[sorted(row) for row in rows]
+             for rows in (solver.dirty_on_false, solver.dirty_on_true)]
     rows = list(zip(solver.heads, solver.head, solver.pos, solver.neg, solver.pw,
                     solver.nw, solver.bound, solver.wmax, solver.dead))
     return {"rows": rows, "wtop": solver.wtop,
@@ -525,8 +515,8 @@ def built_structure(solver):
                             solver.supports),
             "implications": (_as_lists(solver.imp_true), _as_lists(solver.imp_false)),
             "scc_atoms": solver.scc_atoms, "scc_of": solver.scc_of,
-            "scc_rules": [sorted(table[0]) for table in solver.scc_tables],
-            "scc_tables": tables,
+            "scc_feeds": [{r: sorted(fed) for r, fed in feeds.items()}
+                          for feeds in solver.scc_feeds],
             "dirty_on_false": dirty[0], "dirty_on_true": dirty[1],
             "branch_order": list(solver.branch_order)}
 

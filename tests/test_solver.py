@@ -728,8 +728,7 @@ def test_losing_weight_off_the_source_runs_nothing():
                   ChoiceRule(heads=(4, 5), pos=(), neg=())], 4)
     s = CheckedSolver(gp)
     assert s.expand() is None
-    rules = s.scc_tables[0][0]
-    assert (rules[s.src[2]], rules[s.src[3]]) == (2, 1)
+    assert (s.src[2], s.src[3]) == (2, 1)
     runs = s.stats.unfounded_runs
     s._set(5, FALSE)
     assert s.expand() is None
@@ -758,15 +757,42 @@ def test_weight_rule_and_two_head_choice_rule_share_an_scc():
     s = CheckedSolver(gp)
     assert s.expand() is None
     assert s.scc_atoms == [[2, 3, 4]]
-    rules = s.scc_tables[0][0]
-    assert [rules[s.src[a]] for a in (2, 3, 4)] == [0, 0, 1]
+    assert [s.src[a] for a in (2, 3, 4)] == [0, 0, 1]
     s._set(5, FALSE)
     assert s.expand() is None
-    assert [rules[s.src[a]] for a in (2, 3, 4)] == [0, 0, 3]
+    assert [s.src[a] for a in (2, 3, 4)] == [0, 0, 3]
     assert [s.values[a] for a in (2, 3, 4)] == [UNKNOWN] * 3
     s._set(6, FALSE)
     assert s.expand() is None
     assert [s.values[a] for a in (2, 3, 4)] == [FALSE] * 3
+    want = sorted(tuple(sorted(m)) for m in brute_force_models(gp.rules))
+    assert sorted(CheckedSolver(gp).models()) == want
+    for seed in (1, 7):
+        assert sorted(ShuffledSolver(gp, seed).models()) == want
+
+
+def test_unfounded_set_runs_stay_in_their_scc():
+    # { a; b } :- c.  c :- a.  c :- x.  { x }.  d :- b.  b :- d.
+    # The choice rule's heads lie in two SCCs, {a, c} and {b, d}, and it is
+    # the source of both a and b. x false takes c's source; the run of
+    # {a, c} follows the choice rule to a and leaves b, whose source dies
+    # with c, to a run of its own SCC. CheckedSolver fails a run that
+    # falsifies or gives a new source to an atom outside its SCC.
+    gp = program([ChoiceRule(heads=(2, 3), pos=(4,), neg=()),
+                  BasicRule(head=4, pos=(2,), neg=()),
+                  BasicRule(head=4, pos=(5,), neg=()),
+                  ChoiceRule(heads=(5,), pos=(), neg=()),
+                  BasicRule(head=6, pos=(3,), neg=()),
+                  BasicRule(head=3, pos=(6,), neg=())], 5)
+    s = CheckedSolver(gp)
+    assert s.expand() is None
+    assert s.scc_atoms == [[2, 4], [3, 6]]
+    assert [s.src[a] for a in (2, 3, 4, 6)] == [0, 0, 2, 4]
+    runs = s.stats.unfounded_runs
+    s._set(5, FALSE)
+    assert s.expand() is None
+    assert s.stats.unfounded_runs == runs + 2
+    assert [s.values[a] for a in (2, 3, 4, 6)] == [FALSE] * 4
     want = sorted(tuple(sorted(m)) for m in brute_force_models(gp.rules))
     assert sorted(CheckedSolver(gp).models()) == want
     for seed in (1, 7):
@@ -856,7 +882,7 @@ def test_contraposition_skips_rules_that_cannot_refute(monkeypatch):
 
 def test_static_structure_matches_reference(monkeypatch):
     # The rule arrays, the implication lists, the occurrence lists, the
-    # SCCs with their rules and unfounded-set tables, the dirty maps and the
+    # SCCs with their rules' in-SCC feeds, the dirty maps and the
     # branch order agree with a recomputation from the primitive rules and
     # reachability; a wrong branch order would only reorder the search, so
     # no model-level test sees it. Setup runs Tarjan on the full dependency
