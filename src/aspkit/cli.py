@@ -13,17 +13,19 @@ one model, 1 none, 2 malformed input; with --wfs, 1 when the well-founded
 model shows that no stable model exists, 2 on a rule that is not basic,
 else 0. verify: 0 all models stable, 1 some model is not, 2 malformed
 input, an unknown atom name, an empty listing or a file that cannot be
-read. Elsewhere a file that cannot be read exits 1. Grounding warnings
-and -W notes go to stderr before the error lines of a failed grounding
-too.
+read. Elsewhere a file that cannot be read exits 1, as does output that
+stdout cannot encode. Grounding warnings and -W notes go to stderr before
+the error lines of a failed grounding too.
 
 verify fixes the named atoms of each listing through the compute
 sections, lets the solver search the hidden (unnamed) atoms, however many
 there are, and confirms each model it finds with the oracle.
 
-Only ground and run load the front end (lexer, parser, analysis, grounder)
-and handle its errors (_grounds); solve and verify read the ground format
-without it.
+Only ground and run load the front end (lexer, parser, analysis, grounder);
+solve and verify read the ground format without it. main turns an error
+that a command lets through into its exit status and stderr line by one
+table, _EXITS, keyed by class name, so that naming the front end's errors
+loads none of it.
 """
 
 import argparse
@@ -40,16 +42,14 @@ from .ground_format import (
 )
 from .pipeline import (
     GroundOptions,
-    SemanticError,
     SolveOptions,
-    VerifyError,
     ground_files,
     solve_ground,
     verify_model,
     well_founded_conflict,
     well_founded_ground,
 )
-from .shared import LexError, UnsupportedRuleTypeError, read_text
+from .shared import read_text
 
 _CONST_RE = re.compile(r"^([a-z][A-Za-z0-9_]*)=(-?[0-9]+)$")
 _INT_RE = re.compile(r"^-?[0-9]+$")
@@ -57,6 +57,23 @@ _INT_RE = re.compile(r"^-?[0-9]+$")
 
 class _UsageError(Exception):
     pass
+
+
+# Error class name -> (exit status, text before the message), looked up along
+# the error's MRO. LexError, ParseError and the grounding errors start with
+# their location; a SemanticError prints each of its diagnostics.
+_EXITS = {
+    "_UsageError": (1, "aspkit: error: "),
+    "OSError": (1, "aspkit: "),
+    "UnicodeEncodeError": (1, "aspkit: "),  # a name stdout cannot encode
+    "LexError": (2, ""),
+    "ParseError": (2, ""),
+    "UnsupportedRuleTypeError": (2, "aspkit: "),
+    "VerifyError": (2, ""),
+    "SemanticError": (3, ""),
+    "GroundingError": (3, ""),
+    "ArithmeticEvalError": (4, ""),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,47 +163,24 @@ def _split_count(inputs):
     return list(inputs), None
 
 
-def _grounds(cmd):
-    """A command that grounds source files (ground, run). Only these load
-    the front end, so only they map its errors to exit codes."""
-    def run(args):
-        from .grounding import ArithmeticEvalError, GroundingError
-        from .parser import ParseError
-        try:
-            return cmd(args)
-        except (ParseError, SemanticError, GroundingError) as e:
-            # The warnings and lint notes made before the error come first.
-            # No local may hold the error, whose traceback holds this frame.
-            sys.stderr.write("".join(f"{line}\n" for line in
-                                     getattr(e, "warnings", []) + getattr(e, "diagnostics", [e])))
-            if isinstance(e, ParseError):
-                return 2
-            return 4 if isinstance(e, ArithmeticEvalError) else 3
-    return run
-
-
-def _do_ground(args):
-    opts = _ground_options(args)
-    grounded = ground_files(args.files, opts)
-    for diag in grounded.warnings:
-        print(diag, file=sys.stderr)
-    for note in grounded.lint_notes:
-        print(note, file=sys.stderr)
-    return grounded
-
-
-def _ground_text(grounded):
-    from .grounding import ground_text
-    return ground_text(grounded.source)
-
-
-@_grounds
-def _cmd_ground(args):
-    grounded = _do_ground(args)
+def _ground(args):
+    """Grounds args.files for ground and run, printing the warnings and -W
+    notes, and the ground text under --text. Returns the interchange
+    program, or None once --text has printed."""
+    grounded = ground_files(args.files, _ground_options(args))
+    for line in grounded.warnings + grounded.lint_notes:
+        print(line, file=sys.stderr)
     if args.text:
-        sys.stdout.write(_ground_text(grounded))
-    else:
-        sys.stdout.write(emit_ground_program(grounded.interchange))
+        from .grounding import ground_text
+        sys.stdout.write(ground_text(grounded.source))
+        return None
+    return grounded.interchange
+
+
+def _cmd_ground(args):
+    gp = _ground(args)
+    if gp is not None:
+        sys.stdout.write(emit_ground_program(gp))
     return 0
 
 
@@ -234,21 +228,15 @@ def _cmd_solve(args):
     return _enumerate(gp, count, args)
 
 
-@_grounds
 def _cmd_run(args):
     files, count = _split_count(args.inputs)
     if not files:
         raise _UsageError("run needs at least one source file")
     args.files = files
-    grounded = _do_ground(args)
-    if args.text:
-        sys.stdout.write(_ground_text(grounded))
-        return 0
     # the search needs only the interchange: the ground rules and the
-    # symbol table behind it go before it starts
-    gp = grounded.interchange
-    del grounded
-    return _enumerate(gp, count, args)
+    # symbol table behind it go with _ground's frame before it starts
+    gp = _ground(args)
+    return 0 if gp is None else _enumerate(gp, count, args)
 
 
 def _read_model_file(path):
@@ -287,11 +275,7 @@ def _cmd_verify(args):
         return 2
     failed = 0
     for i, names in enumerate(models, start=1):
-        try:
-            ok = verify_model(gp, names)
-        except VerifyError as e:
-            print(e, file=sys.stderr)
-            return 2
+        ok = verify_model(gp, names)
         print(f"Model {i}: {'stable' if ok else 'not stable'}")
         if not ok:
             failed += 1
@@ -302,9 +286,6 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as e:
-        print(f"aspkit: error: {e}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         # The reader of stdout has gone (`aspkit run ... | head -1`). Point
         # stdout at devnull so the flush at interpreter exit cannot fail too.
@@ -312,16 +293,17 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
-    except OSError as e:
-        print(f"aspkit: {e}", file=sys.stderr)
-        return 1
-    except LexError as e:
-        # the message starts with its location
-        print(e, file=sys.stderr)
-        return 2
-    except UnsupportedRuleTypeError as e:
-        print(f"aspkit: {e}", file=sys.stderr)
-        return 2
+    except Exception as e:
+        names = [c.__name__ for c in type(e).__mro__ if c.__name__ in _EXITS]
+        if not names:
+            raise
+        status, lead = _EXITS[names[0]]
+        # The warnings and lint notes made before a grounding error come
+        # first. No local may hold the error, whose traceback holds this frame.
+        lines = [*getattr(e, "warnings", []),
+                 *(lead + str(d) for d in getattr(e, "diagnostics", [e]))]
+        sys.stderr.write("".join(f"{line}\n" for line in lines))
+        return status
 
 
 if __name__ == "__main__":

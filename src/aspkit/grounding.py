@@ -159,12 +159,6 @@ class Extension:
         self._indexes = {}
         self._sorted = {}
 
-    def add(self, row):
-        if row not in self.rows:
-            self.rows[row] = True
-            self._indexes.clear()
-            self._sorted.clear()
-
     def __len__(self):
         return len(self.rows)
 
@@ -225,8 +219,8 @@ def evaluate_domain_predicates(program, analysis):
     The domain component is acyclic by construction, so evaluating each
     predicate once in dependency order reaches the bottom-up fixpoint. A
     fact's row is its head's ground arguments. Any other rule is compiled as
-    every rule is, and each instance's head row goes straight into the
-    extension's rows: no rule that reads them, and indexes them, has run.
+    every rule is. Both rows go straight into the extension's rows: no rule
+    that reads them, and indexes them, has run.
     """
     domain = analysis.domain
     exts = {}
@@ -241,7 +235,7 @@ def evaluate_domain_predicates(program, analysis):
             if rule.body:
                 rulegen.RuleFunction(rule, domain, exts, False).run(ext.rows)
             else:
-                ext.add(_ground_row(rule.head.args, rule.head.loc))
+                ext.rows[_ground_row(rule.head.args, rule.head.loc)] = True
     return exts
 
 

@@ -1,9 +1,12 @@
+import builtins
 import collections
 import gc
 import hashlib
+import importlib
 import io
 import os
 import pathlib
+import pkgutil
 import random
 import subprocess
 import sys
@@ -719,6 +722,21 @@ def test_closed_stdout_pipe_exits_quietly(tmp_path):
     assert err == b""
 
 
+@pytest.mark.parametrize("command, encoding, name, out", [
+    (["solve"], "ascii", "\u00e4", b"Answer: 1\n"),
+    (["solve", "--wfs"], "latin-1", "\u20ac", b"Well-founded model\n"),
+])
+def test_a_name_stdout_cannot_encode_exits_one(tmp_path, command, encoding, name, out):
+    # The table in main maps UnicodeEncodeError to 1, as an I/O error.
+    gfile = write(tmp_path, "g.sm", f"1 2 0 0\n0\n2 {name}\n0\nB+\n0\nB-\n1\n0\n1\n")
+    proc = subprocess.run([sys.executable, "-m", "aspkit.cli", *command, gfile],
+                          capture_output=True,
+                          env={**SUBPROCESS_ENV, "PYTHONIOENCODING": encoding})
+    assert (proc.returncode, proc.stdout) == (1, out)
+    assert proc.stderr.startswith(b"aspkit: ") and proc.stderr.count(b"\n") == 1
+    assert proc.stderr.endswith(b"\n")
+
+
 def test_warmed_up_main_leaves_no_cyclic_garbage(run, tmp_path):
     # Library callers and the benchmark's worker call main in one process
     # many times; what it leaves to the cyclic collector costs every later
@@ -732,6 +750,7 @@ def test_warmed_up_main_leaves_no_cyclic_garbage(run, tmp_path):
     models = write(tmp_path, "m.txt", run(["solve", ground, "0"])[1])
     failing = [(["ground", write(tmp_path, f"e{code}.lp", text)], code) for code, text in (
         (2, "p(."), (3, "p(X) :- not q(X). q(a)."), (4, "d(1..3). p(X / 0) :- d(X)."))]
+    failing.append((["verify", ground, write(tmp_path, "u.txt", "Stable Model: zzz\n")], 2))
     for argv, want in [(["run", src, "0"], 0), (["ground", "--text", src], 0),
                        (["run", "--wfs", basic], 0), (["solve", ground, "0"], 0),
                        (["solve", "--wfs", basic_ground], 0), (["verify", ground, models], 0),
@@ -805,3 +824,43 @@ def test_cli_imports_neither_dataclasses_nor_the_oracle(run, tmp_path):
         assert getattr(sys.modules[value.__module__], name) is value
     with pytest.raises(AttributeError, match="no_such_name"):
         aspkit.no_such_name
+
+
+def test_error_exits_of_solve_and_verify_load_no_front_end(tmp_path):
+    # The exit table names the front end's errors by class name, so that
+    # reaching it imports none of them.
+    bad = write(tmp_path, "bad.sm", "1 2 oops\n")
+    choice = write(tmp_path, "choice.sm", "3 1 2 0 0\n0\n2 a\n0\nB+\n0\nB-\n1\n0\n1\n")
+    basic = write(tmp_path, "basic.sm", "1 2 0 0\n0\n2 a\n0\nB+\n0\nB-\n1\n0\n1\n")
+    unknown = write(tmp_path, "m.txt", "Stable Model: zzz\n")
+    script = ("import contextlib, io, sys, aspkit.cli\n"
+              "err = io.StringIO()\n"
+              "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+              f"    codes = [aspkit.cli.main(['solve', {bad!r}]),\n"
+              f"             aspkit.cli.main(['solve', '--wfs', {choice!r}]),\n"
+              f"             aspkit.cli.main(['verify', {basic!r}, {unknown!r}])]\n"
+              f"print(codes, *[m for m in {FRONT_END!r} if m in sys.modules])\n"
+              "print(err.getvalue(), end='')\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, encoding="utf-8",
+                          env=SUBPROCESS_ENV)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        "[2, 2, 2]\n"
+        f"{bad}: line 1: expected a rule line or 0, got '1 2 oops'\n"
+        "aspkit: well-founded mode handles basic rules only, got ChoiceRule\n"
+        "unknown atom name 'zzz'\n")
+
+
+def test_each_exit_table_key_names_one_exception_class():
+    # A renamed error class would silently lose its exit status.
+    classes = collections.Counter(
+        name for name, value in vars(builtins).items()
+        if isinstance(value, type) and issubclass(value, BaseException))
+    for info in pkgutil.iter_modules(aspkit.__path__):
+        module = importlib.import_module(f"aspkit.{info.name}")
+        classes.update(value.__name__ for value in vars(module).values()
+                       if isinstance(value, type) and issubclass(value, BaseException)
+                       and value.__module__ == module.__name__)
+    exits = aspkit.cli._EXITS
+    assert {key: classes[key] for key in exits} == dict.fromkeys(exits, 1)

@@ -5,8 +5,11 @@ counters of the choices (`decisions`, `conflicts`, `propagations`, `probes`,
 `failed_literals`) and `unfounded_runs`.
 
 The inputs are every program under programs/ (queens at n=6 and n=8,
-ncolor with graph) and the texts of test_seeded_ground (160 generator
-texts and the deep join), each grounded in keep and none mode. Enumeration
+ncolor with graph), the texts of test_seeded_ground (160 generator texts
+and the deep join) and test_solver's HAMCYCLE_10, each grounded in keep and
+none mode. HAMCYCLE_10 is the one input whose unfounded_runs move with the
+order in which a run chooses new sources: one SCC, each atom of it with
+several defining rules. Enumeration
 stops after 200 models. A change to solver setup must leave every digest
 alone. A change to the unfounded-set check may save runs, so it may move
 the third digest only: the trail, and with it the models and the choice
@@ -29,6 +32,7 @@ from aspkit.pipeline import GroundOptions, ground_files, ground_text_input
 from aspkit.solver import SolveStats, Solver
 from test_ground_bytes import ROOT
 from test_seeded_ground import seeded_texts
+from test_solver import HAMCYCLE_10
 
 DIGESTS = pathlib.Path(__file__).resolve().parent / "solve_digests.json"
 MODEL_CAP = 200
@@ -46,7 +50,7 @@ PROGRAMS = {
 
 def ground_inputs():
     """name -> ground program, per input and domain mode."""
-    texts = seeded_texts()
+    texts = {**seeded_texts(), "hamcycle-10": HAMCYCLE_10}
     for mode in ("keep", "none"):
         for name, (files, constants) in PROGRAMS.items():
             opts = GroundOptions(constants=constants, domain_mode=mode)
