@@ -188,13 +188,9 @@ def _enumerate(gp, count, args):
     if args.wfs:
         true, false, unknown = well_founded_ground(gp)
         print("Well-founded model")
-        for label, atoms in (("True", true), ("Unknown", unknown),
-                             ("False", false)):
-            names = [gp.symbols[a] for a in sorted(atoms) if a in gp.symbols]
-            line = f"{label}:"
-            if names:
-                line += " " + " ".join(names)
-            print(line)
+        for label, atoms in (("True", true), ("Unknown", unknown), ("False", false)):
+            # one string per line, and no copy of it: lines can be long
+            print(" ".join([f"{label}:", *(gp.symbols[a] for a in sorted(atoms) if a in gp.symbols)]))
         reason = well_founded_conflict(gp, true, false)
         if reason:
             print(f"aspkit: no stable model: {reason}", file=sys.stderr)
@@ -225,6 +221,7 @@ def _cmd_solve(args):
     except FormatError as e:
         print(f"{name}: {e}", file=sys.stderr)
         return 2
+    del text  # the rest needs only the program
     return _enumerate(gp, count, args)
 
 
@@ -242,19 +239,11 @@ def _cmd_run(args):
 def _read_model_file(path):
     """Model listings: 'Stable Model:' lines, or a bare atom-name soup."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = read_text(fh, path).splitlines()
-    models = []
-    tagged = False
-    for line in lines:
-        if line.startswith("Stable Model:"):
-            tagged = True
-            models.append(line[len("Stable Model:"):].split())
-    if not tagged:
-        soup = []
-        for line in lines:
-            soup.extend(line.split())
-        if soup:
-            models.append(soup)
+        text = read_text(fh, path)
+    tag = "Stable Model:"
+    models = [line[len(tag):].split() for line in text.splitlines() if line.startswith(tag)]
+    if not models and (soup := text.split()):
+        models.append(soup)
     return models
 
 

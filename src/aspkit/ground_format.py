@@ -16,12 +16,12 @@ lines (counts first, negative literals before positive ones):
 Parsing preserves section contents exactly, so emit(parse(text)) == text for
 any file this module itself produced. The writer builds the rule section with
 one %: a format per rule shape, its counts written in, and one list of numbers.
-The reader takes the writer's form in bulk, runs of basic rules of one shape
-by columns, and any other form line by line, with the same result.
+The reader takes the writer's form in blocks of lines, runs of basic rules of
+one shape by columns, and any other form line by line, with the same result.
 """
 
 import re
-from itertools import groupby, repeat
+from itertools import chain, groupby, repeat
 from operator import ne
 
 from .records import Record
@@ -139,8 +139,9 @@ def emit_ground_program(gp):
     # formats, not gp.rules, tells an empty section: a generator is truthy
     lines = ["\n".join(formats) % tuple(numbers)] if formats else []
     del formats, numbers  # so they do not add to the peak of the join below
-    return "\n".join([*lines, "0", *[f"{i} {a}" for i, a in gp.symbols.items()], "0",
-                      "B+", *map(str, gp.compute_true), "0", "B-",
+    # one % here too: a string per symbol line raised the peak by 1.4 times the text
+    table = ("%d %s\n" * len(gp.symbols) + "0") % tuple(chain.from_iterable(gp.symbols.items()))
+    return "\n".join([*lines, "0", table, "B+", *map(str, gp.compute_true), "0", "B-",
                       *map(str, gp.compute_false), "0", str(gp.models), ""])
 
 
@@ -245,34 +246,31 @@ def _read_rules(lines):
         rules.append(_parse_rule(nums, lineno))
 
 
-# The rule section as the writer emits it: lines of unsigned ASCII integers
-# with a nonzero type first, then the line 0. None of these lines ends the
-# section early, and each that holds only single spaces reads as a rule
-# line in _read_rules.
-_CANONICAL_RULES = re.compile(r"(?:[1-9][0-9 ]*\n)*0\n")
-# Rule lines whose number strings are split at once; this bounds the memory
-# they take.
+# The lines read in bulk at once: this bounds the memory of matching them.
 _BLOCK = 1024
+# Up to _BLOCK rule lines as the writer emits them: unsigned ASCII integers
+# with a nonzero type first. None of these lines ends the section early, and
+# each that holds only single spaces reads as a rule line in _read_rules.
+_RULE_LINES = re.compile(r"(?:[1-9][0-9 ]*\n){1,%d}" % _BLOCK)
+# The line 0 that ends the rule section and the symbol table.
+_END = re.compile(r"0(?:\n|\Z)")
 # A block whose runs average fewer lines than this is read line by line:
 # below it the per-run slicing costs more than the int() calls it saves.
 _RUN_LINES = 6
 
 
-def _read_rules_bulk(text, lines):
-    """What _read_rules(lines) returns, for a text whose rule section is in
-    the writer's canonical form; None for any other text, and for a number
-    int() cannot read. The section is split into blocks of lines, and a
-    block into runs: consecutive lines with the same number count. A run
-    of basic rules is read by columns (_read_run); any other run, and every
-    line of a block of short runs, is read line by line (_read_lines)."""
-    m = _CANONICAL_RULES.match(text)
-    if m is None:
-        return None
-    count = text.count("\n", 0, m.end()) - 1  # the rule lines
-    rules = []
+def _read_rules_bulk(text):
+    """The rules of a text whose rule section is in the writer's canonical
+    form, the offset after it and the number of lines read; None for any
+    other text, and for a number int() cannot read. Each block of lines cut
+    from the text is split into runs, of lines with the same number count:
+    a run of basic rules is read by columns (_read_run), any other run, and
+    every line of a block of short runs, line by line (_read_lines)."""
+    rules, pos = [], 0
     try:
-        for start in range(0, count, _BLOCK):
-            block = lines[start:min(start + _BLOCK, count)]
+        while cut := _RULE_LINES.match(text, pos):
+            pos = cut.end()
+            block = cut[0].splitlines()
             widths = list(map(str.count, block, repeat(" ")))  # numbers less one
             strings = " ".join(block).split(" ")
             runs = 1 + sum(map(ne, widths[1:], widths))
@@ -288,7 +286,8 @@ def _read_rules_bulk(text, lines):
                 at = end
     except ValueError:  # an empty string, from a run of spaces or a leading
         return None     # or trailing one; or too many digits
-    return rules, count + 1
+    m = _END.match(text, pos)
+    return None if m is None else (rules, len(rules) + 1, m.end())
 
 
 def _read_run(strings, at, end, n, rules):
@@ -350,9 +349,9 @@ def _read_lines(strings, widths, rules):
 # A symbol line: spaces and tabs lead the id and separate it from the name,
 # and the name starts with a character that is not whitespace.
 _SYMBOL_LINE = re.compile(r"[ \t]*([0-9]+)[ \t]+(\S.*)")
-# Symbol lines as the writer emits them: an id without a leading zero, one
-# space, and a name.
-_CANONICAL_SYMBOLS = re.compile(r"[1-9][0-9]* \S.*(?:\n[1-9][0-9]* \S.*)*")
+# Up to _BLOCK symbol lines as the writer emits them: an id without a
+# leading zero, one space and a name.
+_SYMBOL_LINES = re.compile(r"(?:[1-9][0-9]* \S.*\n){1,%d}" % _BLOCK)
 
 
 def _read_symbols(lines, lineno):
@@ -380,69 +379,78 @@ def _read_symbols(lines, lineno):
         symbols[i] = m[2]
 
 
-def _read_symbols_bulk(lines, lineno):
-    """What _read_symbols(lines, lineno) returns, for a symbol table in the
-    writer's canonical form; None for any other form, and for a duplicate
-    id or for the falsity atom. The table is checked as a whole, then each
-    line is split once."""
+def _read_symbols_bulk(text, pos, lineno):
+    """What _read_symbols returns for the table at offset `pos` of the text,
+    after lineno lines, and the offset after it, for a table in the writer's
+    canonical form; None for any other form, for a character _line rejects,
+    and for a duplicate id or the falsity atom."""
+    symbols, n = {}, 0  # n: the lines read
     try:
-        end = lines.index("0", lineno)
-    except ValueError:
-        return None
-    block = lines[lineno:end]
-    # str.isprintable is false for each character _CONTROL matches, and
-    # for every whitespace character but the space.
-    if block and not (all(map(str.isprintable, block))
-                      and _CANONICAL_SYMBOLS.fullmatch("\n".join(block))):
-        return None
-    symbols = {}
-    try:
-        for line in block:
-            i, _, name = line.partition(" ")
-            symbols[int(i)] = name
+        while cut := _SYMBOL_LINES.match(text, pos):
+            pos = cut.end()
+            if _CONTROL.search(cut[0]):
+                return None
+            block = cut[0].splitlines()  # which also ends lines at _CONTROL's characters
+            n += len(block)
+            for line in block:
+                i, _, name = line.partition(" ")
+                symbols[int(i)] = name
     except ValueError:  # an id with more digits than int() reads
         return None
-    if len(symbols) != len(block) or 1 in symbols:
+    m = _END.match(text, pos)
+    if m is None or len(symbols) != n or 1 in symbols:
         return None
-    return symbols, end + 1
+    return symbols, lineno + n + 1, m.end()
 
 
 def parse_ground_program(text):
     """The GroundProgram in `text`. A rule section and a symbol table in the
-    form emit_ground_program writes are read in bulk, anything else line by
-    line; either way gives the same program, or the same FormatError."""
+    form emit_ground_program writes are read in bulk, with no list of their
+    lines, anything else line by line, with the same program or FormatError."""
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
+    # `lines` are those of text[at:], after `base` lines; lineno counts the
+    # lines of `lines` read so far, and errors name the last one read
+    rules = symbols = None
+    at = base = lineno = 0
+    if got := _read_rules_bulk(text):
+        rules, base, at = got
+        if got := _read_symbols_bulk(text, at, base):
+            symbols, base, at = got
+    lines = text[at:].split("\n")
     if not lines[-1]:
         lines.pop()  # the text ends with a line end, or is empty
-    # lineno counts the lines read so far; errors name the last one read
-    rules, lineno = _read_rules_bulk(text, lines) or _read_rules(lines)
-    symbols, lineno = _read_symbols_bulk(lines, lineno) or _read_symbols(lines, lineno)
-
-    compute = []
-    for header in ("B+", "B-"):
-        line = _line(lines, lineno, f"'{header}'")
-        lineno += 1
-        if line.strip(" \t") != header:
-            raise FormatError(lineno, f"expected '{header}', got {line!r}")
-        ids = []
-        while True:
-            nums = _numbers(lines, lineno, f"an atom id or 0 in {header}")
+    try:
+        if rules is None:
+            rules, lineno = _read_rules(lines)
+            if got := _read_symbols_bulk(text, sum(map(len, lines[:lineno])) + lineno, lineno):
+                symbols, lineno, _ = got
+        if symbols is None:
+            symbols, lineno = _read_symbols(lines, lineno)
+        compute = []
+        for header in ("B+", "B-"):
+            line = _line(lines, lineno, f"'{header}'")
             lineno += 1
-            if nums == [0]:
-                break
-            if len(nums) != 1 or nums[0] <= 0:
-                raise FormatError(lineno, f"malformed id line in {header}")
-            ids.append(nums[0])
-        compute.append(tuple(ids))
-
-    nums = _numbers(lines, lineno, "the model count")
-    lineno += 1
-    if len(nums) != 1 or nums[0] < 0:
-        raise FormatError(lineno, "malformed model count")
-    for line in lines[lineno:]:
+            if line.strip(" \t") != header:
+                raise FormatError(lineno, f"expected '{header}', got {line!r}")
+            ids = []
+            while True:
+                nums = _numbers(lines, lineno, f"an atom id or 0 in {header}")
+                lineno += 1
+                if nums == [0]:
+                    break
+                if len(nums) != 1 or nums[0] <= 0:
+                    raise FormatError(lineno, f"malformed id line in {header}")
+                ids.append(nums[0])
+            compute.append(tuple(ids))
+        nums = _numbers(lines, lineno, "the model count")
         lineno += 1
-        if line.strip(" \t"):
-            raise FormatError(lineno, "unexpected content after model count")
+        if len(nums) != 1 or nums[0] < 0:
+            raise FormatError(lineno, "malformed model count")
+        for line in lines[lineno:]:
+            lineno += 1
+            if line.strip(" \t"):
+                raise FormatError(lineno, "unexpected content after model count")
+    except FormatError as e:
+        raise type(e)(base + e.lineno, e.message) from None
     return GroundProgram(rules, symbols, *compute, nums[0])

@@ -14,6 +14,7 @@ perfbench's tracer wrap them.
 """
 
 from importlib import import_module
+from itertools import chain
 
 from .ground_format import GroundProgram
 from .records import Record
@@ -148,8 +149,7 @@ def solve_ground(gp, opts=None):
 
 def well_founded_ground(gp):
     """Well-founded model of an interchange program (basic rules only)."""
-    extra = set(gp.symbols) | set(gp.compute_true) | set(gp.compute_false)
-    return well_founded(gp.rules, extra_atoms=extra)
+    return well_founded(gp.rules, chain(gp.symbols, gp.compute_true, gp.compute_false))
 
 
 def well_founded_conflict(gp, true, false):

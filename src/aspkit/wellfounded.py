@@ -11,14 +11,17 @@ before it.
 Each least model is computed by counting (Dowling and Gallier, J. Logic
 Programming 1984), in time linear in the size of the program: every rule
 keeps the number of its positive body atoms not yet derived, a derived atom
-decrements the rules it occurs in through its watch list, and a rule whose
-count reaches zero derives its head. A rule blocked by the assumed set never
-reaches zero. The heads, the counts, the watch lists and the rules with a
-negative body are built once and shared by every least model.
+decrements the rules it occurs in, and a rule whose count reaches zero
+derives its head; a rule blocked by the assumed set never does. The heads,
+the counts, the rules with a negative body and the positive occurrences
+(two flat lists linked per atom) are shared by every least model.
 
-A program without negative literals has one reduct, so its well-founded
-model is its least model, computed once.
+A program without negative literals has one reduct, whose least model is
+its well-founded model. The false atoms, often most of them, are collected
+once the counts and occurrence lists are dropped.
 """
+
+from itertools import chain, filterfalse
 
 from .shared import FALSITY, BasicRule, UnsupportedRuleTypeError
 
@@ -26,11 +29,13 @@ from .shared import FALSITY, BasicRule, UnsupportedRuleTypeError
 def well_founded(rules, extra_atoms=()):
     """Alternating-fixpoint well-founded model of a basic-rule program.
 
-    Returns (true_set, false_set, unknown_set) over the atoms mentioned in
-    the rules (plus extra_atoms), excluding the reserved falsity atom.
+    Returns the sets (true, false, unknown) over the atoms mentioned in the
+    rules (plus extra_atoms, an iterable read once), excluding the reserved
+    falsity atom.
     """
-    heads, counts, negative = [], [], []
-    watch = {}
+    # Occurrence o of an atom in a positive body is in rule rule_of[o], after
+    # occurrence previous[o] of the same atom (-1: none); last[a] is a's last.
+    heads, counts, negative, last, rule_of, previous = [], [], [], {}, [], []
     for r, rule in enumerate(rules):
         if not isinstance(rule, BasicRule):
             raise UnsupportedRuleTypeError(
@@ -39,47 +44,45 @@ def well_founded(rules, extra_atoms=()):
         heads.append(rule.head)
         counts.append(len(p))
         for a in p:
-            watch.setdefault(a, []).append(r)
+            previous.append(last.get(a, -1))
+            last[a] = len(rule_of)
+            rule_of.append(r)
         if rule.neg:
             negative.append((r, rule.neg))
-    universe = set(extra_atoms)
-    universe.update(heads)
-    universe.update(watch)
-    for _, q in negative:
-        universe.update(q)
-    universe.discard(FALSITY)
 
     def least_model(assumed):
         """Least model of the reduct by `assumed`: one queue pass."""
         left = counts[:]
         for r, q in negative:
-            for b in q:
-                if b in assumed:
-                    left[r] = -1  # blocked: only decremented, never zero
-                    break
+            if not assumed.isdisjoint(q):
+                left[r] = -1  # blocked: only decremented, never zero
         derived = set()
         queue = [heads[r] for r, c in enumerate(left) if c == 0]
         for a in queue:
             if a in derived:
                 continue
             derived.add(a)
-            for r in watch.get(a, ()):
+            o = last.get(a, -1)
+            while o >= 0:
+                r = rule_of[o]
                 c = left[r] - 1
                 left[r] = c
                 if c == 0:
                     queue.append(heads[r])
+                o = previous[o]
         return derived
 
-    upper = least_model(())
-    if negative:
-        while True:
-            true = least_model(upper)
-            shrunk = least_model(true)
-            if shrunk == upper:
-                break
-            upper = shrunk
-    else:
-        true = upper
-    true.discard(FALSITY)
-    false = frozenset(universe.difference(upper))
-    return frozenset(true), false, frozenset(universe - true - false)
+    upper = true = least_model(set())
+    while negative:  # else the one reduct's least model is the model
+        true = least_model(upper)
+        shrunk = least_model(true)
+        if shrunk == upper:
+            break
+        upper = shrunk
+    del counts, rule_of, previous  # not held while the set of false atoms grows
+    false = set(filterfalse(upper.__contains__, chain(
+        extra_atoms, heads, last, chain.from_iterable(q for _, q in negative))))
+    unknown = upper - true
+    for atoms in (true, false, unknown):
+        atoms.discard(FALSITY)
+    return true, false, unknown

@@ -4,6 +4,7 @@ Every generator takes a random.Random so callers control the seed; nothing
 here touches the global RNG state.
 """
 
+import pathlib
 import random
 import re
 
@@ -300,6 +301,23 @@ def scale_instance(n=2000, fanout=50):
         f"done :- reach({n}).",
         ":- not done.",
     ]) + "\n"
+
+
+def ancestor_forest(rng, generations=13, width=15):
+    """programs/ancestor.lp's rules over a random forest of `generations`
+    layers of `width` persons, each below the top layer a child of one
+    person in the layer above: the shape of perfbench's ancestor-wfs input.
+    Grounded with -d none, 13 layers of 15 give 35,280 basic rules and
+    37,050 named atoms."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "programs" / "ancestor.lp"
+    rules = [line for line in path.read_text(encoding="utf-8").splitlines() if ":-" in line]
+    names = [f"p{i}" for i in range(generations * width)]
+    rng.shuffle(names)
+    layers = [names[g * width:(g + 1) * width] for g in range(generations)]
+    facts = [f"parent({rng.choice(layers[g - 1])},{child})."
+             for g in range(1, generations) for child in layers[g]]
+    facts += [f"{rng.choice(('male', 'female'))}({p})." for p in names]
+    return "\n".join(rules + facts) + "\n"
 
 
 _COMPARISON_OPS = ("==", "!=", "<", "<=", ">", ">=")

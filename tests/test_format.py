@@ -482,9 +482,9 @@ def test_bulk_and_checked_reads_agree(monkeypatch):
     for text in mutants:
         _outcome(text)
     # a table that names the falsity atom goes to the checked path, which rejects it
-    assert bulk_reads == {"rules": 1046, "symbols": 771}
-    monkeypatch.setattr(ground_format, "_read_rules_bulk", lambda text, lines: None)
-    monkeypatch.setattr(ground_format, "_read_symbols_bulk", lambda lines, lineno: None)
+    assert bulk_reads == {"rules": 1050, "symbols": 773}
+    monkeypatch.setattr(ground_format, "_read_rules_bulk", lambda text: None)
+    monkeypatch.setattr(ground_format, "_read_symbols_bulk", lambda text, pos, lineno: None)
     checked = [_outcome(text) for text in texts]
     for text, b, c in zip(texts, bulk, checked):
         assert b == c, text
@@ -513,7 +513,7 @@ def test_runs_of_basic_rules_read_as_checked(monkeypatch):
     assert (len(by_columns), sum(by_columns), sum(map(len, (gp.rules for gp in gps)))) \
         == (104, 29_171, 36_376)
     bulk = [_outcome(text) for text in mutants]
-    monkeypatch.setattr(ground_format, "_read_rules_bulk", lambda text, lines: None)
+    monkeypatch.setattr(ground_format, "_read_rules_bulk", lambda text: None)
     checked = [_outcome(text) for text in mutants]
     assert bulk == checked
     assert sum(isinstance(b, GroundProgram) for b in bulk) == 55
@@ -638,7 +638,8 @@ def test_writer_peak_on_a_large_grounding():
     # C7's program in keep mode: 225,444 rules, 6.5 MiB of text. Writing
     # each rule line as a string of its own peaked at 31.4 MiB (4.8 times
     # the text) under tracemalloc; one format and one % for the section
-    # peak at 19.1 MiB (2.9 times).
+    # peaked at 19.1 MiB (2.9 times), and with one % for the symbol table
+    # as well at 17.6 MiB (2.7 times).
     gp = ground_text_input(gen.scale_instance(), GroundOptions()).interchange
     tracemalloc.start()
     try:
@@ -648,6 +649,44 @@ def test_writer_peak_on_a_large_grounding():
         tracemalloc.stop()
     assert size == 6_812_246
     assert peak < 4 * size, peak
+
+
+def test_writing_a_symbol_table_makes_no_string_per_line():
+    # The ancestor-shaped file of the next test: 37,050 symbol lines in 1.5 MB.
+    # Under tracemalloc, writing peaked at 3.4 times the text with a string
+    # per symbol line, and at 2.0 times with one % for the table.
+    gp = ground_text_input(gen.ancestor_forest(random.Random(101)),
+                           GroundOptions(domain_mode="none")).interchange
+    tracemalloc.start()
+    try:
+        size = len(emit_ground_program(gp))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == 1_523_421
+    assert peak < 2.5 * size, peak / size
+
+
+def test_reading_a_large_file_takes_little_beyond_its_program():
+    # An ancestor-shaped file of 35,280 rule lines and 37,050 symbol lines
+    # (1.5 MB), so that both sections cross a 1,024-line block. Under
+    # tracemalloc, the read's peak less the program it returns was 5.7
+    # times the text when the reader split the text into a list of every
+    # line and matched each section against one pattern; cutting blocks
+    # from the text, it is 0.1 times the text.
+    rng = random.Random(101)
+    gp = ground_text_input(gen.ancestor_forest(rng), GroundOptions(domain_mode="none")).interchange
+    text = emit_ground_program(gp)
+    size = len(text)
+    assert (len(gp.rules), len(gp.symbols), size) == (35_280, 37_050, 1_523_421)
+    tracemalloc.start()
+    try:
+        got = parse_ground_program(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == gp
+    assert peak - kept <= size, (peak - kept, size)
 
 
 def test_format_cache_lives_for_one_call():

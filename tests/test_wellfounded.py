@@ -1,12 +1,13 @@
 import pathlib
 import random
 import time
+import tracemalloc
 
 import pytest
 
 from aspkit.ground_format import BasicRule, ChoiceRule
 from aspkit.oracle import brute_force_models
-from aspkit.pipeline import GroundOptions, ground_files
+from aspkit.pipeline import GroundOptions, ground_files, ground_text_input, well_founded_ground
 from aspkit.shared import UnsupportedRuleTypeError
 from aspkit.wellfounded import well_founded
 
@@ -130,3 +131,23 @@ def test_long_chain_in_reverse_order_takes_linear_time(negated):
     assert false == (set(range(n + 3, 2 * n + 3)) if negated else set())
     assert not unknown
     assert elapsed < 5.0, f"{n}-rule chain took {elapsed:.2f}s"
+
+
+def test_memory_per_rule_on_an_ancestor_grounding():
+    # 35,280 basic rules with one positive literal each, 37,050 named atoms,
+    # 1,170 of them true. Under tracemalloc the call peaked at 380 bytes a
+    # rule with a list per atom of the rules it occurs in, a set of every
+    # atom built up front and two set copies of the symbol ids; with the
+    # occurrences in two flat lists, dropped before the false atoms are
+    # picked out, at 139.
+    gp = ground_text_input(gen.ancestor_forest(random.Random(101)),
+                           GroundOptions(domain_mode="none")).interchange
+    tracemalloc.start()
+    try:
+        true, false, unknown = well_founded_ground(gp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = len(gp.rules)
+    assert (n, len(true), len(false), len(unknown)) == (35_280, 1_170, 35_880, 0)
+    assert peak < 180 * n, peak / n
