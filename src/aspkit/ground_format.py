@@ -404,9 +404,11 @@ def _read_symbols_bulk(text, pos, lineno):
 
 
 def parse_ground_program(text):
-    """The GroundProgram in `text`. A rule section and a symbol table in the
-    form emit_ground_program writes are read in bulk, with no list of their
-    lines, anything else line by line, with the same program or FormatError."""
+    """The GroundProgram in `text`. A rule section in the form
+    emit_ground_program writes is read in bulk, with no list of its lines,
+    and so is a symbol table in that form after it; from the first section
+    read line by line on, the rest of the text is read line by line. Both
+    paths give the same program or FormatError."""
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     # `lines` are those of text[at:], after `base` lines; lineno counts the
@@ -423,8 +425,6 @@ def parse_ground_program(text):
     try:
         if rules is None:
             rules, lineno = _read_rules(lines)
-            if got := _read_symbols_bulk(text, sum(map(len, lines[:lineno])) + lineno, lineno):
-                symbols, lineno, _ = got
         if symbols is None:
             symbols, lineno = _read_symbols(lines, lineno)
         compute = []

@@ -31,6 +31,7 @@ bytes and errors do not depend on it.
 
 import linecache
 from bisect import bisect_left, bisect_right
+from collections import deque
 from functools import lru_cache, partial
 from types import CodeType, FunctionType
 
@@ -242,13 +243,14 @@ def evaluate(t, loc):
 _FLIP = {"==": "==", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
-def _driving_shape(comp, outs, bound):
+def _driving_shape(comp, outs, at, k):
     """(position, op, term) when `comp` reads `V op term`, with V a variable
-    first bound at `outs[V]` and every variable of `term` in `bound`."""
+    first bound at `outs[V]` and every variable of `term` bound before step
+    `k`: `at` maps each variable to the step that binds it."""
     for var, op, other in ((comp.lhs, comp.op, comp.rhs),
                            (comp.rhs, _FLIP.get(comp.op), comp.lhs)):
         if (isinstance(var, Variable) and var.name in outs and op in _FLIP
-                and term_vars(other) <= bound):
+                and all(at[v] < k for v in term_vars(other))):
             return outs[var.name], op, other
     return None
 
@@ -274,14 +276,14 @@ class _Step:
         self.checks = []          # checks runnable once this step has bound
         self.eq, self.ranges, self.range_col = [], [], None  # see `drive`
 
-    def drive(self, bound):
-        """Pick the driving comparisons from the leading checks, given the
-        variables `bound` before this step: `eq` holds (position, term,
-        comparison) triples, and `ranges` (op, term, comparison) ones on
-        column `range_col`."""
+    def drive(self, at, k):
+        """Pick the driving comparisons from the leading checks of step `k`,
+        where `at` maps each variable to the step that binds it: `eq` holds
+        (position, term, comparison) triples, and `ranges` (op, term,
+        comparison) ones on column `range_col`."""
         outs = {name: i for i, name in self.outs if not name.startswith("\x00")}
         for check in self.checks:
-            shape = check[0] == "compare" and _driving_shape(check[1], outs, bound)
+            shape = check[0] == "compare" and _driving_shape(check[1], outs, at, k)
             if not shape:
                 break
             pos, op, term = shape
@@ -297,57 +299,53 @@ class _Step:
 class _Plan:
     """Static join order for one rule body, greedy by extension size.
 
-    Literals whose arithmetic arguments are fully bound are preferred; when
-    none qualifies the smallest extension is taken anyway and its computed
+    The join literals are sorted once by extension size, ties in body
+    order, and each step takes the first literal left whose computed
+    arguments are all bound, or else the first left, whose unbound computed
     arguments turn into deferred `match` checks. `checks` holds (needed
-    variables, check) pairs in body order (see `RuleFunction.check`).
+    variables, check) pairs in body order (see `RuleFunction.check`); each
+    runs, in that order, on the step that binds the last variable it needs.
+    Planning is linear in the body's length, except that each step passes
+    over the literals still waiting for a variable ahead of it in the order.
     """
 
     def __init__(self, atoms, checks, bound0, ext_of, loc):
         self.loc = loc
         self.pre_checks = []
         self.steps = []
-        bound = set(bound0)
-        remaining = list(atoms)
+        at = dict.fromkeys(bound0, -1)  # each variable bound, and the step that binds it
+        left = deque(sorted(atoms, key=lambda a: len(ext_of(a.key()))))
         deferred = []
-        while remaining:
-            ready = [a for a in remaining
-                     if all(not (isinstance(arg, FuncApp) and term_vars(arg) - bound)
-                            for arg in a.args)]
-            pool = ready or remaining
-            pick = min(pool, key=lambda a: (len(ext_of(a.key())), remaining.index(a)))
-            remaining.remove(pick)
+        while left:
+            j = next((j for j, a in enumerate(left) if all(
+                term_vars(arg) <= at.keys() for arg in a.args if isinstance(arg, FuncApp))), 0)
+            pick = left[j]
+            del left[j]
             key_positions, key_terms, outs, intra, local = [], [], [], [], {}
             for i, arg in enumerate(pick.args):
-                if isinstance(arg, Variable) and arg.name not in bound:
+                if isinstance(arg, Variable) and arg.name not in at:
                     if arg.name in local:
                         intra.append((i, local[arg.name]))
                     else:
                         local[arg.name] = i
                         outs.append((i, arg.name))
-                elif isinstance(arg, FuncApp) and not term_vars(arg) <= bound:
+                elif isinstance(arg, FuncApp) and not term_vars(arg) <= at.keys():
                     outs.append((i, f"\x00{len(deferred)}"))
                     deferred.append((term_vars(arg), ("match", outs[-1][1], arg, loc)))
                 else:  # a constant, or a term over bound variables
                     key_positions.append(i)
                     key_terms.append(arg)
+            at.update(dict.fromkeys(local, len(self.steps)))
             self.steps.append(_Step(ext_of(pick.key()), tuple(key_positions),
                                     key_terms, tuple(outs), tuple(intra)))
-            bound.update(local)
 
-        bound = set(bound0)
-        pending = list(checks) + deferred
-        for step in [None] + self.steps:
-            before = set(bound)
-            if step is not None:
-                bound.update(name for _, name in step.outs if not name.startswith("\x00"))
-            (self.pre_checks if step is None else step.checks).extend(
-                check for needed, check in pending if needed <= bound)
-            pending = [(needed, check) for needed, check in pending if not needed <= bound]
-            if step is not None:
-                step.drive(before)
-        if pending:
-            raise GroundingError(loc, "internal: unbindable variable in rule body")
+        for needed, check in [*checks, *deferred]:
+            if not needed <= at.keys():
+                raise GroundingError(loc, "internal: unbindable variable in rule body")
+            k = max(map(at.get, needed), default=-1)
+            (self.pre_checks if k < 0 else self.steps[k].checks).append(check)
+        for k, step in enumerate(self.steps):
+            step.drive(at, k)
 
 
 # The globals of generated code.
@@ -684,6 +682,6 @@ class RuleFunction(_Source):
             handle(depth, literal, _tuple(args), self.printed(atom, args), w,
                    self.ext(atom.key()) if atom.key() in self.domain else None)
 
-        self.join(depth, _Plan(list(literal.conditions), [], outer, self.ext,
-                               self.rule.loc), "continue", inner)
+        self.join(depth, _Plan(literal.conditions, [], outer, self.ext, self.rule.loc),
+                  "continue", inner)
         self.vars = outer

@@ -482,7 +482,7 @@ def test_bulk_and_checked_reads_agree(monkeypatch):
     for text in mutants:
         _outcome(text)
     # a table that names the falsity atom goes to the checked path, which rejects it
-    assert bulk_reads == {"rules": 1050, "symbols": 773}
+    assert bulk_reads == {"rules": 1050, "symbols": 740}
     monkeypatch.setattr(ground_format, "_read_rules_bulk", lambda text: None)
     monkeypatch.setattr(ground_format, "_read_symbols_bulk", lambda text, pos, lineno: None)
     checked = [_outcome(text) for text in texts]

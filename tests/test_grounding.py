@@ -4,6 +4,7 @@ import cProfile
 import linecache
 import pstats
 import random
+import re
 import sys
 import traceback
 from collections import Counter
@@ -255,6 +256,33 @@ def test_computed_join_arguments_wait_for_their_variables(monkeypatch):
                                  SolveOptions(model_count=0))
     assert set(visible) == want
     assert matched == {"Y + 1", "X * 2"}
+
+
+# (facts, body of p, the predicates of p's join loops, outermost first):
+# the join takes the smallest extension left, ties in body order, but a
+# literal waits while a variable of a computed argument is unbound, unless
+# every literal left waits. The join predicates a/1, b/2 and c/3 differ in
+# arity, which is how a loop's target in the generated text names them.
+JOIN_ORDERS = [
+    ("a(1..2). b(1..2,0).", "b(Y,Z), a(X)", "ba"),  # a tie keeps body order
+    ("a(1..2). b(1..2,0).", "a(X), b(Y,Z)", "ab"),
+    ("a(1..3). b(1..2,0).", "a(X), b(Y,Z)", "ba"),
+    # a(W+1), the smallest, waits for b, and c, ready and smaller, goes first
+    ("a(1). b(1..3,0). c(1..2,0,0).", "a(W+1), b(W,V), c(X,Y,Z)", "cba"),
+    # neither is ready: c, the smaller, goes first, and binds Y for b
+    ("b(1..3,0). c(1..2,0,0).", "b(X,Y+1), c(Y,X+1,Z)", "cb"),
+    ("a(1..2). b(1..2,0).", "a(X), b(X,Y), a(X)", "aba"),  # one literal twice
+]
+
+
+@pytest.mark.parametrize("facts, body, want", JOIN_ORDERS)
+def test_join_order(monkeypatch, facts, body, want):
+    sources = []
+    monkeypatch.setattr(linecache, "cache", _RecordedSources(sources))
+    ground(f"{facts}\np :- {body}.\n", domain_mode="keep")
+    source, = [s for s in sources if s.splitlines()[1].startswith("    # p :- ")]
+    targets = re.findall(r"^ *for \((.*?)\) in ", source, re.M)
+    assert "".join(" abc"[len(t.rstrip(",").split(", "))] for t in targets) == want
 
 
 # (facts, rule, location, message, exit code): each error that evaluating a
